@@ -351,11 +351,9 @@ def concentration_experiment(
         lab = rng.integers(0, F.n, size=samples_per_trial)
         for v, ci, i in zip(vs, cliq, lab):
             v = int(v)
-            sc = g.spanning_cliques_of(v)
-            members = sc[int(ci)]
-            # the members' shared off-secant point hosts this spanning clique
-            e0 = g.edge_index(min(int(members[0]), int(members[1])), max(int(members[0]), int(members[1])))
-            cid0 = int(g.edge_point[e0])
+            # spanning clique ci of v lives at v's ci-th off point
+            cid0 = int(g.off_points(v, v + 1)[0, int(ci)])
+            members = g.line_of[cid0, g.vertex_cliques[v]]
             count = 0
             for w in map(int, members):
                 lo, hi = (v, w) if v < w else (w, v)

@@ -153,10 +153,12 @@ def goodman_count(fam: TriangleFamily, coloring: EdgeColoring) -> GoodmanTally:
     rows_per_vertex = g.q**3 - g.q
     ce = fam.clique_edge_matrix()
     x = coloring.bits[ce]
-    blue = x.sum(axis=1, dtype=np.int64)
+    # a row holds at most C(q+1, 2) pairs, so int32 rows are exact and keep
+    # the (rows,)-sized temporaries small; per-vertex sums are int64
+    blue = x.sum(axis=1, dtype=np.int32)
     redp, bluep = _pair_counts(blue, q + 1)
-    red_v = redp.reshape(g.n, rows_per_vertex).sum(axis=1)
-    blue_v = bluep.reshape(g.n, rows_per_vertex).sum(axis=1)
+    red_v = redp.reshape(g.n, rows_per_vertex).sum(axis=1, dtype=np.int64)
+    blue_v = bluep.reshape(g.n, rows_per_vertex).sum(axis=1, dtype=np.int64)
     s = int(red_v.sum() + blue_v.sum())
     diff = s - fam.total
     if diff % 2 or diff < 0:

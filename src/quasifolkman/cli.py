@@ -50,6 +50,7 @@ from .certify import (
 from .fields import prime_power
 from .graphs import (
     SUPPORTED_Q,
+    build_graph,
     build_graph_for_q,
     edge_list_text,
     graph6_bytes,
@@ -115,7 +116,7 @@ def cmd_build(args) -> int:
         return EXIT_FAIL
     out = _out_dir(args)
     unital = build_unital_for_q(args.q)
-    g = build_graph_for_q(args.q)
+    g = build_graph(unital)
     (out / f"unital_q{args.q}.txt").write_text(unital.export_text())
     (out / f"edges_q{args.q}.txt").write_text(edge_list_text(g))
     (out / f"graph_q{args.q}.g6").write_bytes(graph6_bytes(g.n, g.adj))
@@ -353,6 +354,9 @@ def cmd_search(args) -> int:
         return EXIT_FAIL
     if args.q > SEARCH_Q_LIMIT:
         print(f"search supports q <= {SEARCH_Q_LIMIT} (edge-triangle index memory)", file=sys.stderr)
+        return EXIT_FAIL
+    if args.restarts < 1:
+        print(f"--restarts must be at least 1, got {args.restarts}", file=sys.stderr)
         return EXIT_FAIL
     out = _out_dir(args)
     g = build_graph_for_q(args.q)

@@ -52,19 +52,22 @@ def edge_triangle_index(fam: TriangleFamily) -> tuple[np.ndarray, np.ndarray]:
     edges (u, w) and (v, w)."""
     g = fam.graph
     q = g.q
-    n = g.n
-    in_clique = np.zeros((len(g.cliques), n), dtype=bool)
-    for cid, members in enumerate(g.cliques):
-        in_clique[cid, members] = True
-    a1 = np.empty((g.m, q * q), dtype=np.int32)
-    a2 = np.empty((g.m, q * q), dtype=np.int32)
-    for e in range(g.m):
-        u, v = int(g.eu[e]), int(g.ev[e])
-        thirds = np.flatnonzero(g.adj[u] & g.adj[v] & ~in_clique[g.edge_point[e]])
-        if len(thirds) != q * q:
-            raise RuntimeError(f"edge {e} lies in {len(thirds)} non-degenerate triangles, expected {q * q}")
-        a1[e] = g.edge_index(np.minimum(u, thirds), np.maximum(u, thirds))
-        a2[e] = g.edge_index(np.minimum(v, thirds), np.maximum(v, thirds))
+    # the thirds of e = (u, v), meeting at X, are the secants line_of[P, Q]
+    # with P on u and Q on v, both other than X
+    x = g.edge_point[:, None]
+    pu = g.vertex_cliques[g.eu]
+    pv = g.vertex_cliques[g.ev]
+    on_u, on_v = pu == x, pv == x
+    if not (on_u.sum(axis=1) == 1).all() or not (on_v.sum(axis=1) == 1).all():
+        raise RuntimeError("an edge's meet point is not on both of its secants")
+    pu = pu[~on_u].reshape(g.m, q)
+    pv = pv[~on_v].reshape(g.m, q)
+    thirds = g.line_of[pu[:, :, None], pv[:, None, :]].reshape(g.m, q * q)
+    thirds.sort(axis=1)
+    u = g.eu[:, None]
+    v = g.ev[:, None]
+    a1 = g.edge_index(np.minimum(u, thirds), np.maximum(u, thirds)).astype(np.int32)
+    a2 = g.edge_index(np.minimum(v, thirds), np.maximum(v, thirds)).astype(np.int32)
     return a1, a2
 
 

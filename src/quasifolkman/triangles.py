@@ -26,6 +26,10 @@ from .certificates import Certificate
 from .graphs import IntersectionGraph
 
 EXPLICIT_Q_LIMIT = 4
+#: vertices per spanning-clique block.  It bounds the (block, q^3-q, q+1)
+#: temporaries: at 256 those of clique_edge_matrix (~16 MB at q = 7) set the
+#: peak RSS of check-coloring; at 64 they stay below the Goodman count's own.
+VERTEX_BLOCK = 64
 
 
 def family_size_formula(q: int) -> int:
@@ -117,14 +121,15 @@ class TriangleFamily:
         the vertex into the clique.  Shape (n*(q^3-q), q+1)."""
         if self._clique_edges is None:
             g, q = self.graph, self.q
-            rows = np.empty((g.n * (q**3 - q), q + 1), dtype=np.int32)
-            k = 0
-            for v in range(g.n):
-                sc = g.spanning_cliques_of(v)
-                lo = np.minimum(v, sc)
-                hi = np.maximum(v, sc)
-                rows[k : k + len(sc)] = g.edge_index(lo, hi)
-                k += len(sc)
+            k = q**3 - q
+            rows = np.empty((g.n * k, q + 1), dtype=np.int32)
+            for start in range(0, g.n, VERTEX_BLOCK):
+                stop = min(start + VERTEX_BLOCK, g.n)
+                sc = g.spanning_cliques(start, stop)
+                v = np.arange(start, stop)[:, None, None]
+                rows[start * k : stop * k] = g.edge_index(
+                    np.minimum(v, sc), np.maximum(v, sc)
+                ).reshape(-1, q + 1)
             self._clique_edges = rows
         return self._clique_edges
 
@@ -161,11 +166,15 @@ def build_family(g: IntersectionGraph, explicit: bool | None = None) -> Triangle
     # per-vertex count from the spanning-clique decomposition
     pair_per_clique = comb(q + 1, 2)
     total3 = 0
-    for v in range(g.n):
-        sc = g.spanning_cliques_of(v)
-        if sc.shape != (q**3 - q, q + 1):
-            raise RuntimeError(f"vertex {v}: spanning clique index has shape {sc.shape}")
-        total3 += len(sc) * pair_per_clique
+    for start in range(0, g.n, VERTEX_BLOCK):
+        stop = min(start + VERTEX_BLOCK, g.n)
+        sc = g.spanning_cliques(start, stop)
+        if sc.shape != (stop - start, q**3 - q, q + 1):
+            raise RuntimeError(f"vertices {start}..{stop - 1}: spanning clique index has shape {sc.shape}")
+        v = np.arange(start, stop)[:, None, None]
+        if not g.adj[v, sc].all():
+            raise RuntimeError(f"vertices {start}..{stop - 1}: a spanning-clique member is not a neighbor")
+        total3 += sc.shape[0] * sc.shape[1] * pair_per_clique
     if total3 != g.n * expected_pv:
         raise RuntimeError("per-vertex spanning-clique counts disagree with the formula")
     assert total3 % 3 == 0

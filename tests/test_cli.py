@@ -159,3 +159,19 @@ def test_identical_configs_reproduce_outputs(tmp_path):
     pa = _strip_timestamps(json.loads((a / "build_q2.json").read_text()))
     pb = _strip_timestamps(json.loads((b / "build_q2.json").read_text()))
     assert pa == pb
+
+
+def test_certify_zero_k4_samples_inconclusive(tmp_path):
+    rc = main(["certify", "--q", "5", "--samples", "0", "--out", str(tmp_path)])
+    assert rc == EXIT_INCONCLUSIVE
+    payload = json.loads((tmp_path / "certify_q5.json").read_text())
+    k4 = next(c for c in payload["certificates"] if c["claim"].startswith("every K4"))
+    assert k4["quantities"]["k4_checked"] == 0
+    assert k4["outcome"] == "inconclusive"
+
+
+def test_search_zero_restarts_is_one_line_error(tmp_path, capsys):
+    rc = main(["search", "--q", "3", "--restarts", "0", "--out", str(tmp_path)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "--restarts" in err and err.count("\n") == 1

@@ -172,3 +172,9 @@ def test_graph6_large_header():
     adj[iu[0][mask], iu[1][mask]] = True
     adj |= adj.T
     assert np.array_equal(parse_graph6(graph6_bytes(n, adj)), adj)
+
+
+@pytest.mark.parametrize("data", [b"", b"  \n", b">>graph6<<", b"~?"])
+def test_parse_graph6_rejects_empty_or_truncated(data):
+    with pytest.raises(ValueError, match="graph6"):
+        parse_graph6(data)
