@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .certificates import Certificate
-from .certify import canonical_edges, maxcut_exact
+from .certify import BNB_MAXCUT_LIMIT, canonical_edges, maxcut_exact
 from .graphs import IntersectionGraph
 from .triangles import TriangleFamily
 
@@ -79,6 +79,11 @@ def replacement_from_edges(name: str, n: int, edges) -> ReplacementGraph:
         raise ConstructionError("duplicate edges in replacement graph")
     if any(u == v or u < 0 or v >= n for u, v in edges):
         raise ConstructionError("edge endpoints out of range")
+    if n > BNB_MAXCUT_LIMIT:
+        raise ConstructionError(
+            f"replacement graph {name!r} has {n} vertices; "
+            f"its exact max cut supports at most {BNB_MAXCUT_LIMIT}"
+        )
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         adj[u, v] = adj[v, u] = True
@@ -119,11 +124,18 @@ def load_replacement(name_or_path: str) -> ReplacementGraph:
     except OSError as exc:
         raise ConstructionError(f"unknown replacement graph {name_or_path!r}") from exc
     edges = []
-    for line in text.strip().split("\n"):
+    for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip() or line.startswith("#"):
             continue
-        u, v = (int(t) for t in line.split())
+        try:
+            u, v = (int(t) for t in line.split())
+        except ValueError:
+            raise ConstructionError(
+                f"{name_or_path}:{lineno}: expected two integers 'u v', got {line.strip()!r}"
+            ) from None
         edges.append((u, v))
+    if not edges:
+        raise ConstructionError(f"replacement graph file {name_or_path!r} lists no edges")
     n = 1 + max(max(e) for e in edges)
     return replacement_from_edges(name_or_path, n, edges)
 

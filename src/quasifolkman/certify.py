@@ -134,9 +134,11 @@ def batch_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
     q = fam.q
     ce = fam.clique_edge_matrix()
     x = colors[:, ce]  # (B, rows, q+1)
-    blue = x.sum(axis=2, dtype=np.int64)
+    # int32 rows are exact (at most C(q+1, 2) pairs each) and halve the
+    # (B, rows)-sized temporaries; the per-coloring sums are int64
+    blue = x.sum(axis=2, dtype=np.int32)
     redp, bluep = _pair_counts(blue, q + 1)
-    return (redp + bluep).sum(axis=1)
+    return (redp + bluep).sum(axis=1, dtype=np.int64)
 
 
 def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:

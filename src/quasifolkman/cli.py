@@ -176,9 +176,11 @@ def cmd_certify(args) -> int:
         )
     )
 
-    nbhd_vertices = range(g.n) if q <= 3 else [0, g.n // 2, g.n - 1]
+    nbhd_vertices = list(range(g.n)) if q <= 3 else [0, g.n // 2, g.n - 1]
     nbhd = [verify_nbhd_decomposition(g, v) for v in nbhd_vertices]
     worst = next((c for c in nbhd if c.outcome != "pass"), nbhd[0])
+    # the quantities are the reported vertex's; say how many were checked
+    worst.quantities.update(vertices_checked=len(nbhd), checked_vertices=nbhd_vertices)
     certs.append(worst)
 
     if q <= 4:
@@ -228,7 +230,7 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return EXIT_FAIL
-        delta = 1.0 if args.delta in (None, "auto") else float(args.delta)
+        delta = 1.0 if args.delta in (None, "auto") else args.delta_value
         report = {
             "alon_k": args.alon_k,
             "smallest_valid_k": smallest_valid_alon_k(),
@@ -470,7 +472,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "command", None) == "simulate":
         raw = args.delta
-        args.delta_value = 0.5 if raw in (None, "auto") else float(raw)
+        try:
+            args.delta_value = 0.5 if raw in (None, "auto") else float(raw)
+        except ValueError:
+            print(f"--delta must be a number or 'auto', got {raw!r}", file=sys.stderr)
+            return EXIT_FAIL
     return args.func(args)
 
 

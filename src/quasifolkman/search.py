@@ -1,15 +1,17 @@
 """Heuristic minimization of monochromatic family triangles.
 
 Simulated annealing over single-edge flips, with all restarts evolved in
-lockstep as one vectorized batch.  Every edge lies in exactly q^2
+lockstep as one vectorized batch.  An edge e lies in exactly q^2
 non-degenerate triangles (its clique supplies the q^2 - 2 degenerate
-thirds), so the exact objective change of a flip is a local computation
-over the edge's precomputed partner-edge table.  Flip deltas stay exact;
-the tracked objective is revalidated against the full Goodman count.
-
-A final greedy descent pass flips the best-improving edge until a local
-minimum, breaking ties by lowest canonical edge id, so results are
-bit-reproducible from (seed, schedule).
+thirds), whose other edges are its 2q^2 distinct partners.  A flip of e
+makes {e, f1, f2} monochromatic when f1, f2 both differ from e and breaks it
+when both match: it changes the objective by delta(e) = #{partners unlike e}
+minus q^2.  Two edges share at most one family triangle, so the flip negates
+delta(e) and moves delta(f) by +1 for each partner f that had e's old
+color, by -1 for the rest.  The tracked objective is revalidated against the
+Goodman count.  A final greedy descent flips the best-improving edge until a
+local minimum, ties to the lowest edge id: results are bit-reproducible from
+(seed, schedule).
 """
 
 from __future__ import annotations
@@ -73,20 +75,22 @@ def edge_triangle_index(fam: TriangleFamily) -> tuple[np.ndarray, np.ndarray]:
 
 def flip_delta(bits: np.ndarray, e: int, a1: np.ndarray, a2: np.ndarray) -> int:
     """Exact objective change from flipping edge e."""
-    c1 = bits[a1[e]]
-    c2 = bits[a2[e]]
-    agree = c1 == c2
-    ce = bits[e]
-    return int((agree & (c1 != ce)).sum()) - int((agree & (c1 == ce)).sum())
+    unlike = (bits[a1[e]] != bits[e]).sum() + (bits[a2[e]] != bits[e]).sum()
+    return int(unlike) - a1.shape[1]
 
 
-def _batch_deltas(colors: np.ndarray, edges: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    rows = np.arange(colors.shape[0])[:, None]
-    c1 = colors[rows, a1[edges]]
-    c2 = colors[rows, a2[edges]]
-    agree = c1 == c2
-    ce = colors[np.arange(colors.shape[0]), edges][:, None]
-    return (agree & (c1 != ce)).sum(axis=1).astype(np.int64) - (agree & (c1 == ce)).sum(axis=1)
+def _step_deltas(flat: np.ndarray, starts: np.ndarray, edges: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """delta(edges[j]) in chain j, whose coloring starts at flat[starts[j]]."""
+    unlike = flat[starts[:, None] + part[edges]] != flat[starts + edges][:, None]
+    return unlike.sum(axis=1) - part.shape[1] // 2
+
+
+def _flip(bits: np.ndarray, delta: np.ndarray, e: int, part: np.ndarray) -> None:
+    """Flip edge e of one coloring and update its delta vector in place."""
+    f = part[e]
+    delta[f] += np.where(bits[f] == bits[e], 1, -1)
+    delta[e] = -delta[e]
+    bits[e] ^= True
 
 
 def anneal(
@@ -104,35 +108,37 @@ def anneal(
     bound is positive, any objective below it is a fatal internal error.
     """
     rng = np.random.default_rng(seed)
-    a1, a2 = edge_triangle_index(fam)
+    part = np.hstack(edge_triangle_index(fam))
+    a1, a2 = np.hsplit(part, 2)  # views, so the tables are held once
     m = g.m
     colors = rng.integers(0, 2, size=(restarts, m), dtype=np.uint8).astype(bool)
     obj = batch_mono_counts(fam, colors)
     best_obj = obj.copy()
     best_colors = colors.copy()
-    rows = np.arange(restarts)
+    flat = colors.reshape(-1)  # a view: flips through it land in colors
+    starts = np.arange(restarts) * m
     temp = schedule.initial_temperature
     accepted = 0
 
-    for step in range(schedule.steps):
-        edges = rng.integers(0, m, size=restarts)
-        deltas = _batch_deltas(colors, edges, a1, a2)
-        u = rng.random(restarts)
-        with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
+        for step in range(schedule.steps):
+            edges = rng.integers(0, m, size=restarts)
+            deltas = _step_deltas(flat, starts, edges, part)
+            u = rng.random(restarts)
             accept = (deltas <= 0) | (u < np.exp(-deltas / max(temp, 1e-300)))
-        if accept.any():
-            colors[rows[accept], edges[accept]] ^= True
-            obj = obj + deltas * accept
-            accepted += int(accept.sum())
-            improved = obj < best_obj
-            if improved.any():
-                best_obj[improved] = obj[improved]
-                best_colors[improved] = colors[improved]
-        temp *= schedule.cooling
-        if revalidate_every and (step + 1) % revalidate_every == 0:
-            recount = batch_mono_counts(fam, colors)
-            if not np.array_equal(recount, obj):
-                raise RuntimeError("incremental objective diverged from full recount")
+            if accept.any():
+                flat[(starts + edges)[accept]] ^= True
+                obj = obj + deltas * accept
+                accepted += int(accept.sum())
+                improved = obj < best_obj
+                if improved.any():
+                    best_obj[improved] = obj[improved]
+                    best_colors[improved] = colors[improved]
+            temp *= schedule.cooling
+            if revalidate_every and (step + 1) % revalidate_every == 0:
+                recount = batch_mono_counts(fam, colors)
+                if not np.array_equal(recount, obj):
+                    raise RuntimeError("incremental objective diverged from full recount")
 
     if polish and schedule.steps > 0:
         best_colors, best_obj = _greedy_descent(fam, best_colors, best_obj, a1, a2)
@@ -163,25 +169,18 @@ def anneal(
 
 
 def _greedy_descent(fam, colors, obj, a1, a2):
-    """Flip the most-improving edge per chain until local minimality;
-    ties break to the lowest edge id (np.argmin)."""
-    live = np.ones(colors.shape[0], dtype=bool)
-    while live.any():
-        c1 = colors[live][:, a1]
-        c2 = colors[live][:, a2]
-        agree = c1 == c2
-        ce = colors[live][:, :, None]
-        deltas = (agree & (c1 != ce)).sum(axis=2).astype(np.int64) - (agree & (c1 == ce)).sum(axis=2)
-        pick = deltas.argmin(axis=1)
-        gain = deltas[np.arange(deltas.shape[0]), pick]
-        idx = np.flatnonzero(live)
+    """Flip each chain's most-improving edge, lowest id on ties, until none improves."""
+    part = np.hstack((a1, a2))
+    delta = np.stack([(bits[part] != bits[:, None]).sum(axis=1) for bits in colors]) - a1.shape[1]
+    live = np.arange(colors.shape[0])
+    while live.size:
+        pick = delta[live].argmin(axis=1)
+        gain = delta[live, pick]
         move = gain < 0
-        for j, e, d, go in zip(idx, pick, gain, move):
-            if go:
-                colors[j, e] ^= True
-                obj[j] += d
-            else:
-                live[j] = False
+        live, pick, gain = live[move], pick[move], gain[move]
+        for j, e, d in zip(live, pick, gain):
+            _flip(colors[j], delta[j], e, part)
+            obj[j] += d
     return colors, obj
 
 

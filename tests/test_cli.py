@@ -175,3 +175,40 @@ def test_search_zero_restarts_is_one_line_error(tmp_path, capsys):
     assert rc == EXIT_FAIL
     err = capsys.readouterr().err
     assert "--restarts" in err and err.count("\n") == 1
+
+
+def test_certify_q4_reports_neighborhood_coverage(tmp_path):
+    rc = main(["certify", "--q", "4", "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    payload = json.loads((tmp_path / "certify_q4.json").read_text())
+    nbhd = next(c for c in payload["certificates"] if c["claim"].startswith("neighborhood"))
+    assert nbhd["quantities"]["vertices_checked"] == 3
+    assert nbhd["quantities"]["checked_vertices"] == [0, 104, 207]
+
+
+@pytest.mark.parametrize("content", ["", "# only a comment\n\n"])
+def test_simulate_empty_replacement_file_is_one_line_error(tmp_path, capsys, content):
+    path = tmp_path / "F.txt"
+    path.write_text(content)
+    rc = main(["simulate", "--q", "2", "--F", str(path), "--trials", "2", "--out", str(tmp_path)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "no edges" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content, message", [("0 1\n1 x\n", "F.txt:2"), ("0 1\n0 100\n", "101 vertices")])
+def test_simulate_malformed_replacement_file_is_one_line_error(tmp_path, capsys, content, message):
+    path = tmp_path / "F.txt"
+    path.write_text(content)
+    rc = main(["simulate", "--q", "2", "--F", str(path), "--trials", "2", "--out", str(tmp_path)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [["--q", "2", "--trials", "2"], ["--alon-k", "7"]])
+def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
+    rc = main(["simulate", *extra, "--delta", "abc", "--out", str(tmp_path)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "--delta" in err and err.count("\n") == 1

@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasifolkman import search
 from quasifolkman.certify import EdgeColoring, batch_mono_counts, goodman_count
 from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.search import (
@@ -13,9 +18,53 @@ from quasifolkman.search import (
 from quasifolkman.triangles import build_family
 
 
+def oracle_batch_deltas(colors, edges, a1, a2):
+    """Flip deltas from the triangle-by-triangle rule: +1 for each triangle
+    whose other two edges agree with each other but not with edges[j], -1 for
+    each whose other two edges agree with it."""
+    rows = np.arange(colors.shape[0])[:, None]
+    c1 = colors[rows, a1[edges]]
+    c2 = colors[rows, a2[edges]]
+    agree = c1 == c2
+    ce = colors[np.arange(colors.shape[0]), edges][:, None]
+    return (agree & (c1 != ce)).sum(axis=1).astype(np.int64) - (agree & (c1 == ce)).sum(axis=1)
+
+
+def oracle_greedy_descent(colors, obj, a1, a2):
+    """Greedy polish that recomputes every delta of every live chain per move."""
+    live = np.ones(colors.shape[0], dtype=bool)
+    while live.any():
+        c1 = colors[live][:, a1]
+        c2 = colors[live][:, a2]
+        agree = c1 == c2
+        ce = colors[live][:, :, None]
+        deltas = (agree & (c1 != ce)).sum(axis=2).astype(np.int64) - (agree & (c1 == ce)).sum(axis=2)
+        pick = deltas.argmin(axis=1)
+        gain = deltas[np.arange(deltas.shape[0]), pick]
+        for j, e, d in zip(np.flatnonzero(live), pick, gain):
+            if d < 0:
+                colors[j, e] ^= True
+                obj[j] += d
+            else:
+                live[j] = False
+    return colors, obj
+
+
+def fresh_deltas(bits, a1, a2):
+    m = bits.shape[0]
+    return oracle_batch_deltas(np.broadcast_to(bits, (m, m)), np.arange(m), a1, a2)
+
+
 @pytest.fixture(scope="module")
 def setup3():
     g = build_graph_for_q(3)
+    fam = build_family(g)
+    return g, fam, edge_triangle_index(fam)
+
+
+@pytest.fixture(scope="module")
+def setup4():
+    g = build_graph_for_q(4)
     fam = build_family(g)
     return g, fam, edge_triangle_index(fam)
 
@@ -24,6 +73,89 @@ def test_partner_table_shape(setup3):
     g, fam, (a1, a2) = setup3
     assert a1.shape == (g.m, 9)
     assert a2.shape == (g.m, 9)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_partner_rows_distinct_symmetric_and_exclude_self(q):
+    # the +-1 delta update needs: 2q^2 distinct partners, never the edge
+    # itself, and f a partner of e exactly when e is a partner of f
+    g = build_graph_for_q(q)
+    a1, a2 = edge_triangle_index(build_family(g))
+    part = np.hstack((a1, a2)).astype(np.int64)
+    assert part.shape == (g.m, 2 * q * q)
+    assert (np.diff(np.sort(part, axis=1), axis=1) > 0).all()
+    assert (part != np.arange(g.m)[:, None]).all()
+    e = np.repeat(np.arange(g.m), 2 * q * q)
+    f = part.ravel()
+    assert np.array_equal(np.sort(e * g.m + f), np.sort(f * g.m + e))
+
+
+# hot-stopped schedules: the polish still has hundreds of moves to make
+HOT_STOP = {3: (AnnealSchedule(2.0, 0.999, 1_000), 3), 4: (AnnealSchedule(2.0, 0.9997, 30_000), 2)}
+
+
+@functools.lru_cache(maxsize=None)
+def _pre_polish_states(q, seed):
+    """The (colors, objectives) a hot-stopped anneal hands to its polish."""
+    g = build_graph_for_q(q)
+    fam = build_family(g)
+    schedule, restarts = HOT_STOP[q]
+    captured = []
+
+    def capture(fam, colors, obj, a1, a2):
+        captured.append((colors.copy(), obj.copy()))
+        return colors, obj
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_greedy_descent", capture)
+        anneal(g, fam, schedule, seed=seed, restarts=restarts)
+    return captured[0]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_polish_matches_recompute_all_oracle(q, seed, setup3, setup4):
+    g, fam, (a1, a2) = setup3 if q == 3 else setup4
+    colors, obj = _pre_polish_states(q, seed)
+    want_colors, want_obj = oracle_greedy_descent(colors.copy(), obj.copy(), a1, a2)
+    got_colors, got_obj = search._greedy_descent(fam, colors.copy(), obj.copy(), a1, a2)
+    assert not np.array_equal(want_colors, colors)  # the polish had moves to make
+    assert np.array_equal(got_colors, want_colors)
+    assert np.array_equal(got_obj, want_obj)
+    assert np.array_equal(batch_mono_counts(fam, got_colors), got_obj)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_step_deltas_match_oracle(q, seed, setup3, setup4):
+    g, fam, (a1, a2) = setup3 if q == 3 else setup4
+    part = np.hstack((a1, a2))
+    colors = _pre_polish_states(q, seed)[0].copy()
+    rng = np.random.default_rng(seed)
+    rows = np.arange(colors.shape[0])
+    for _ in range(200):
+        edges = rng.integers(0, g.m, size=colors.shape[0])
+        got = search._step_deltas(colors.reshape(-1), rows * g.m, edges, part)
+        assert np.array_equal(got, oracle_batch_deltas(colors, edges, a1, a2))
+        colors[rows, edges] ^= rng.random(colors.shape[0]) < 0.5
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), flips=st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
+def test_maintained_delta_vector_matches_fresh(setup3, seed, flips):
+    g, fam, (a1, a2) = setup3
+    part = np.hstack((a1, a2))
+    bits = np.random.default_rng(seed).integers(0, 2, size=g.m).astype(bool)
+    delta = fresh_deltas(bits, a1, a2)
+    count = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
+    for e in (f % g.m for f in flips):
+        d = flip_delta(bits, e, a1, a2)
+        assert d == delta[e]
+        search._flip(bits, delta, e, part)
+        after = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
+        assert after - count == d
+        count = after
+        assert np.array_equal(delta, fresh_deltas(bits, a1, a2))
 
 
 def test_all_red_delta_is_minus_triangle_count(setup3):
