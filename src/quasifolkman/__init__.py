@@ -10,8 +10,8 @@ property.
 
 __version__ = "0.1.0"
 
-from .fields import FieldElement, FieldError, FiniteField, QuadraticExtension, field_make, norm
-from .plane import ProjectivePlane, UnitalIncidence, build_unital, build_unital_for_q, enumerate_plane
+from .fields import FieldError, FiniteField, QuadraticExtension
+from .plane import ProjectivePlane, UnitalIncidence, build_unital, build_unital_for_q
 from .certificates import Certificate
 from .graphs import (
     IntersectionGraph,
@@ -22,11 +22,9 @@ from .graphs import (
     verify_srg,
 )
 from .triangles import (
-    Fan,
     TriangleFamily,
     build_family,
     classify_triangle,
-    enumerate_fans,
     family_size_formula,
     verify_nbhd_decomposition,
     verify_no_k4_in_family,
@@ -58,12 +56,12 @@ from .search import AnnealSchedule, anneal, flip_delta, random_coloring_stats
 
 __all__ = [
     "__version__",
-    "FieldElement", "FieldError", "FiniteField", "QuadraticExtension", "field_make", "norm",
-    "ProjectivePlane", "UnitalIncidence", "build_unital", "build_unital_for_q", "enumerate_plane",
+    "FieldError", "FiniteField", "QuadraticExtension",
+    "ProjectivePlane", "UnitalIncidence", "build_unital", "build_unital_for_q",
     "Certificate",
     "IntersectionGraph", "SrgReport", "build_graph", "build_graph_for_q",
     "verify_k4_structure", "verify_srg",
-    "Fan", "TriangleFamily", "build_family", "classify_triangle", "enumerate_fans",
+    "TriangleFamily", "build_family", "classify_triangle",
     "family_size_formula", "verify_nbhd_decomposition", "verify_no_k4_in_family",
     "EdgeColoring", "GoodmanTally", "adversarial_color_check", "clique_min_mono",
     "goodman_count", "goodman_count_all_triangles", "maxcut_exact", "quasi_folkman_certificate",

@@ -147,6 +147,9 @@ def cmd_certify(args) -> int:
     if err:
         print(err, file=sys.stderr)
         return EXIT_FAIL
+    if args.samples < 0:
+        print(f"--samples must be at least 0, got {args.samples}", file=sys.stderr)
+        return EXIT_FAIL
     q = args.q
     out = _out_dir(args)
     g = build_graph_for_q(q)
@@ -276,6 +279,9 @@ def cmd_simulate(args) -> int:
     if err:
         print(err, file=sys.stderr)
         return EXIT_FAIL
+    if args.trials < 1:
+        print(f"--trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return EXIT_FAIL
     try:
         F = load_replacement(args.F)
     except ConstructionError as exc:
@@ -359,6 +365,9 @@ def cmd_search(args) -> int:
         return EXIT_FAIL
     if args.restarts < 1:
         print(f"--restarts must be at least 1, got {args.restarts}", file=sys.stderr)
+        return EXIT_FAIL
+    if args.steps < 0:
+        print(f"--steps must be at least 0, got {args.steps:g}", file=sys.stderr)
         return EXIT_FAIL
     out = _out_dir(args)
     g = build_graph_for_q(args.q)

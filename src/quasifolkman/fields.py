@@ -182,29 +182,6 @@ class FiniteField:
             code = code * self.p + c
         return code
 
-    def element(self, value: int | Sequence[int]) -> "FieldElement":
-        if isinstance(value, (list, tuple)):
-            return FieldElement(self, self.code_of(value))
-        value = int(value)
-        if not 0 <= value < self.order:
-            raise FieldError(f"element code {value} out of range for order {self.order}")
-        return FieldElement(self, value)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def x(self) -> "FieldElement":
-        """The polynomial-basis generator (the class of x; 0 in a prime field)."""
-        return FieldElement(self, self.p if self.k > 1 else 0)
-
-    def elements(self) -> Iterable["FieldElement"]:
-        return (FieldElement(self, c) for c in range(self.order))
-
     # -- table construction ---------------------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
@@ -319,99 +296,6 @@ class FiniteField:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
 
-class FieldElement:
-    """Immutable element of a FiniteField, compared coefficient-wise."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: FiniteField, code: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "code", code)
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
-        raise AttributeError("FieldElement is immutable")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs_of(self.code)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldError("elements belong to different fields")
-            return other.code
-        if isinstance(other, int):
-            return other % self.field.p
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.code, c))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.code, c))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.code, c))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.code, c))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.code, e))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.code == other.code
-        if isinstance(other, int):
-            return self.code == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.field.k, self.code))
-
-    def __repr__(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                terms.append(f"{head}x" if i == 1 else f"{head}x^{i}")
-        return " + ".join(terms) if terms else "0"
-
-
-def field_make(p: int, k: int) -> FiniteField:
-    """GF(p^k) with the deterministic modulus choice."""
-    return FiniteField(p, k)
-
-
 class QuadraticExtension(FiniteField):
     """GF(q^2) for q = p^k, built directly as GF(p^{2k}).
 
@@ -439,20 +323,3 @@ class QuadraticExtension(FiniteField):
         in_base[0] = True
         in_base[1:] = (self._log[nz] % (q + 1)) == 0
         self.base_subfield_mask = in_base
-
-    def in_base_subfield(self, code: int) -> bool:
-        return bool(self.base_subfield_mask[code])
-
-
-def norm(x: FieldElement) -> FieldElement:
-    """Norm GF(q^2) -> GF(q), x -> x^{q+1}.
-
-    The result is represented inside the extension field; it always lies
-    in the base subfield (asserted).
-    """
-    f = x.field
-    if not isinstance(f, QuadraticExtension):
-        raise FieldError("norm is defined on quadratic-extension elements")
-    out = int(f.norm_table[x.code])
-    assert f.in_base_subfield(out)
-    return FieldElement(f, out)

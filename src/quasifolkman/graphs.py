@@ -31,7 +31,8 @@ class GraphError(RuntimeError):
 
 
 class IntersectionGraph:
-    """Dense-adjacency intersection graph of a unital's secants.
+    """Dense-adjacency intersection graph of a unital's secants, read off the
+    secant -> points incidence.
 
     Attributes
     ----------
@@ -39,59 +40,53 @@ class IntersectionGraph:
     adj : (n, n) bool adjacency matrix.
     cliques : (q^3+1, q^2) int32, sorted member lists of the point cliques
         (row i = secants through dense unital point i).
-    vertex_cliques : (n, q+1) int32, sorted clique ids through each vertex.
+    vertex_cliques : (n, q+1) int32, the incidence itself: the sorted dense
+        unital points (equivalently, point-clique ids) of each secant.
     eu, ev : (m,) int32 canonical edge list, lexicographic with eu < ev.
     edge_point : (m,) int32, dense unital point id where each edge's
         secants meet (equivalently, the unique clique containing the edge).
     """
 
-    def __init__(self, q: int, adj: np.ndarray, cliques: np.ndarray):
+    def __init__(self, q: int, secant_points: np.ndarray):
+        pts = np.asarray(secant_points)
+        n, k, npts = len(pts), q * q, q**3 + 1
+        if pts.ndim != 2 or pts.shape[1] != q + 1:
+            raise GraphError(f"secant point lists must have q+1 = {q + 1} entries")
+        if not np.all(pts[:, :-1] < pts[:, 1:]):
+            raise GraphError("secant point lists must be strictly increasing")
+        if pts.min() < 0 or pts.max() >= npts or not np.all(np.bincount(pts.ravel(), minlength=npts) == k):
+            raise GraphError("some unital point is not on exactly q^2 secants")
         self.q = q
-        self.n = adj.shape[0]
-        self.adj = adj
-        self.cliques = cliques
-        self.degree = adj.sum(axis=1).astype(np.int64)
+        self.n = n
+        self.vertex_cliques = pts.astype(np.int32)
+        # a stable sort of the flat incidence lists each point's secants in order
+        cliques = (np.argsort(pts.ravel(), kind="stable") // (q + 1)).astype(np.int32)
+        self.cliques = cliques.reshape(npts, k)
 
-        eu, ev = np.nonzero(np.triu(adj, 1))
-        self.eu = eu.astype(np.int32)
-        self.ev = ev.astype(np.int32)
-        self.m = len(eu)
+        # the edges are the secant pairs inside the point cliques; one sort of
+        # their keys gives the lexicographic edge list, and each key's
+        # clique is its meet point
+        iu, iv = np.triu_indices(k, k=1)
+        key = (self.cliques[:, iu].astype(np.int64) * n + self.cliques[:, iv]).ravel()
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise GraphError("two secants share more than one unital point")
         # lexicographic edge keys are strictly increasing, so index lookups
         # reduce to one searchsorted
-        self._edge_key = eu.astype(np.int64) * self.n + ev.astype(np.int64)
+        self._edge_key = key
+        self.eu = (key // n).astype(np.int32)
+        self.ev = (key % n).astype(np.int32)
+        self.edge_point = (order // len(iu)).astype(np.int32)
+        self.m = len(key)
+        del order  # free the sort permutation before the n x n fill
 
-        vc = [[] for _ in range(self.n)]
-        for cid, members in enumerate(cliques):
-            for v in members:
-                vc[int(v)].append(cid)
-        if any(len(c) != q + 1 for c in vc):
-            raise GraphError("some vertex is not in exactly q+1 point cliques")
-        self.vertex_cliques = np.sort(np.array(vc, dtype=np.int32), axis=1)
-
-        self.edge_point = self._assign_edge_points()
+        self.adj = np.zeros((n, n), dtype=bool)
+        self.adj[self.cliques[:, :, None], self.cliques[:, None, :]] = True
+        np.fill_diagonal(self.adj, False)
+        self.degree = self.adj.sum(axis=1).astype(np.int64)
         self._adj_bits: list[int] | None = None
-        self._nbr = None
-        self._einc = None
         self._line_of: np.ndarray | None = None
-
-    # -- construction helpers ---------------------------------------------
-
-    def _assign_edge_points(self) -> np.ndarray:
-        q = self.q
-        owner = np.full(self.m, -1, dtype=np.int64)
-        iu, iv = np.triu_indices(q * q, k=1)
-        for cid, members in enumerate(self.cliques):
-            a = members[iu]
-            b = members[iv]
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            idx = self.edge_index(lo, hi)
-            if (owner[idx] != -1).any():
-                raise GraphError("an edge lies in two point cliques (secants sharing two unital points)")
-            owner[idx] = cid
-        if (owner == -1).any():
-            raise GraphError("an edge lies in no point clique")
-        return owner.astype(np.int32)
 
     # -- lookups ------------------------------------------------------------
 
@@ -111,20 +106,6 @@ class IntersectionGraph:
             packed = np.packbits(self.adj, axis=1, bitorder="little")
             self._adj_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return self._adj_bits
-
-    def incidence_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(nbr, einc): for each vertex, sorted neighbor ids and the canonical
-        edge index of each incident edge, both shape (n, d)."""
-        if self._nbr is None:
-            m = self.m
-            ends = np.concatenate([self.eu, self.ev])
-            other = np.concatenate([self.ev, self.eu])
-            eidx = np.concatenate([np.arange(m), np.arange(m)])
-            order = np.argsort(ends * np.int64(self.n) + other, kind="stable")
-            d = int(self.degree[0])
-            self._nbr = other[order].reshape(self.n, d).astype(np.int32)
-            self._einc = eidx[order].reshape(self.n, d).astype(np.int32)
-        return self._nbr, self._einc
 
     @property
     def line_of(self) -> np.ndarray:
@@ -161,6 +142,20 @@ class IntersectionGraph:
         return f"IntersectionGraph(q={self.q}, n={self.n}, m={self.m})"
 
 
+def _point_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every secant's unital point pairs (p, r), secant-major, int64."""
+    iu, iv = np.triu_indices(points.shape[1], k=1)
+    return points[:, iu].ravel().astype(np.int64), points[:, iv].ravel().astype(np.int64)
+
+
+def _each_pair_once(p: np.ndarray, r: np.ndarray, npts: int) -> bool:
+    """Whether the pairs (p < r) cover every unordered point pair exactly once."""
+    if not np.all(p < r):
+        return False
+    counts = np.bincount(p * npts + r, minlength=npts * npts).reshape(npts, npts)
+    return bool(np.all(counts[np.triu_indices(npts, k=1)] == 1))
+
+
 def point_pair_secants(points: np.ndarray, npts: int) -> np.ndarray:
     """The point-pair -> secant table from each secant's sorted unital points.
 
@@ -169,45 +164,21 @@ def point_pair_secants(points: np.ndarray, npts: int) -> np.ndarray:
     it is checked here by counting every unordered point pair; a pair on
     two secants or on none raises GraphError.
     """
-    k = points.shape[1]
-    iu, iv = np.triu_indices(k, k=1)
-    p = points[:, iu].ravel().astype(np.int64)
-    r = points[:, iv].ravel().astype(np.int64)
+    p, r = _point_pairs(points)
     if not np.all(p < r):
         raise GraphError("secant point lists must be strictly increasing")
-    counts = np.bincount(p * npts + r, minlength=npts * npts).reshape(npts, npts)
-    if not np.all(counts[np.triu_indices(npts, k=1)] == 1):
+    if not _each_pair_once(p, r, npts):
         raise GraphError("some pair of unital points is not on exactly one secant")
     line = np.full((npts, npts), -1, dtype=np.int32)
-    sec = np.repeat(np.arange(len(points), dtype=np.int32), len(iu))
+    sec = np.repeat(np.arange(len(points), dtype=np.int32), comb(points.shape[1], 2))
     line[p, r] = sec
     line[r, p] = sec
     return line
 
 
 def build_graph(unital: UnitalIncidence) -> IntersectionGraph:
-    """Adjacency, point cliques, and edge->point map from the incidence data."""
-    q = unital.q
-    n = unital.num_secants
-    npts = unital.num_points
-
-    # cliques: secants through each dense unital point
-    inc = np.zeros((n, npts), dtype=bool)
-    rows = np.repeat(np.arange(n), q + 1)
-    inc[rows, unital.secant_points.ravel()] = True
-    counts = inc.sum(axis=0)
-    if not np.all(counts == q * q):
-        raise GraphError("some unital point is not on exactly q^2 secants")
-    cliques = np.nonzero(inc.T)[1].reshape(npts, q * q).astype(np.int32)
-
-    cover = np.zeros((n, n), dtype=np.int8)
-    for members in cliques:
-        cover[np.ix_(members, members)] += 1
-    np.fill_diagonal(cover, 0)
-    if cover.max() > 1:
-        raise GraphError("two secants share more than one unital point")
-    adj = cover.astype(bool)
-    return IntersectionGraph(q, adj, cliques)
+    """The intersection graph of the unital's secants, from the incidence data."""
+    return IntersectionGraph(unital.q, unital.secant_points)
 
 
 def build_graph_for_q(q: int) -> IntersectionGraph:
@@ -254,18 +225,9 @@ def verify_srg(g: IntersectionGraph, block: int = 1024) -> SrgReport:
     cl = g.cliques
     checks["clique_count"] = cl.shape[0] == q**3 + 1
     checks["clique_order"] = cl.shape[1] == q * q
-    masks = []
-    for members in cl:
-        m = 0
-        for v in members:
-            m |= 1 << int(v)
-        masks.append(m)
-    pairwise_one = all(
-        (masks[i] & masks[j]).bit_count() == 1
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-    )
-    checks["cliques_share_one_vertex"] = pairwise_one
+    # two point cliques share exactly one vertex iff their two points lie
+    # on exactly one secant
+    checks["cliques_share_one_vertex"] = _each_pair_once(*_point_pairs(g.vertex_cliques), len(cl))
     checks["vertex_in_q_plus_1_cliques"] = g.vertex_cliques.shape[1] == q + 1
     checks["edges_partitioned_by_cliques"] = (q**3 + 1) * comb(q * q, 2) == g.m
 
@@ -356,6 +318,17 @@ def k4_clique_property(g: IntersectionGraph, quads: np.ndarray) -> np.ndarray:
     return ok
 
 
+def neighbor_rows(g: IntersectionGraph) -> np.ndarray:
+    """Each vertex's neighbors, ascending; shape (n, (q+1)(q^2-1)).  They are
+    the members of its q+1 point cliques, with the vertex's own copies
+    dropped."""
+    members = g.cliques[g.vertex_cliques].reshape(g.n, -1)
+    own = members == np.arange(g.n)[:, None]
+    nbr = members[~own].reshape(g.n, -1)
+    nbr.sort(axis=1)
+    return nbr
+
+
 def verify_k4_structure(
     g: IntersectionGraph,
     mode: str = "exhaustive",
@@ -389,7 +362,7 @@ def verify_k4_structure(
     bits = g.adj_bits
     n = g.n
     us = rng.integers(0, n, size=samples)
-    nbr, _ = g.incidence_arrays()
+    nbr = neighbor_rows(g)
     d = nbr.shape[1]
     picks = rng.integers(0, d, size=(samples, 2))
     quads = []

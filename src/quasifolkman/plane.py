@@ -155,11 +155,6 @@ class UnitalIncidence:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_plane(fld: QuadraticExtension) -> ProjectivePlane:
-    """The plane over GF(q^2); points and lines share the canonical order."""
-    return ProjectivePlane(fld)
-
-
 def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
     """Find the unital's points and classify every line as secant or tangent.
 

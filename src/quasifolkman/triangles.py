@@ -1,4 +1,4 @@
-"""Non-degenerate triangles, neighborhood clique decompositions, and fans.
+"""Non-degenerate triangles and neighborhood clique decompositions.
 
 A triangle of the intersection graph is degenerate when its three secants
 are concurrent (all three meet points equal -- the triangle lies inside one
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
 
 import numpy as np
 
@@ -285,48 +284,3 @@ def verify_no_k4_in_family(fam: TriangleFamily, g: IntersectionGraph, quads: np.
         quantities=quantities,
         outcome="pass" if not len(bad) else "fail",
     )
-
-
-@dataclass
-class Fan:
-    """s-1 secants concurrent at the apex point plus a transversal secant
-    avoiding the apex but adjacent to all of them."""
-
-    apex_point: int
-    concurrent: tuple[int, ...]
-    transversal: int
-
-
-def enumerate_fans(g: IntersectionGraph, s: int, limit: int | None = None) -> Iterator[Fan]:
-    """Stream fans in canonical order (transversal, apex point, member combo).
-
-    Requires 3 <= s <= q+1: a transversal carries only q+1 unital points, so
-    at most q+1 concurrent secants can all meet it.
-    """
-    from itertools import combinations
-
-    q = g.q
-    if not 3 <= s <= q + 1:
-        raise ValueError(f"s must satisfy 3 <= s <= q+1 = {q + 1}, got {s}")
-    if limit is not None and limit <= 0:
-        return
-    emitted = 0
-    own = [set(int(c) for c in g.vertex_cliques[v]) for v in range(g.n)]
-    for v in range(g.n):
-        for cid in range(len(g.cliques)):
-            if cid in own[v]:
-                continue
-            members = g.cliques[cid]
-            sel = members[g.adj[v][members]]
-            for combo in combinations(map(int, sel), s - 1):
-                yield Fan(apex_point=cid, concurrent=combo, transversal=v)
-                emitted += 1
-                if limit is not None and emitted >= limit:
-                    return
-
-
-def count_fans(g: IntersectionGraph, s: int) -> int:
-    """Closed count: one fan per (transversal, off-secant point, (s-1)-subset)."""
-    if not 3 <= s <= g.q + 1:
-        raise ValueError(f"s must satisfy 3 <= s <= q+1 = {g.q + 1}, got {s}")
-    return g.n * (g.q**3 - g.q) * comb(g.q + 1, s - 1)

@@ -212,3 +212,19 @@ def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
     assert rc == EXIT_FAIL
     err = capsys.readouterr().err
     assert "--delta" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["simulate", "--q", "3", "--trials", "0"], "--trials"),
+        (["certify", "--q", "5", "--samples", "-1"], "--samples"),
+        (["search", "--q", "3", "--steps", "-5"], "--steps"),
+    ],
+)
+def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, flag):
+    rc = main([*argv, "--out", str(tmp_path)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert flag in err and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())

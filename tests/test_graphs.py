@@ -10,6 +10,7 @@ from quasifolkman.graphs import (
     enumerate_k4,
     graph6_bytes,
     k4_clique_property,
+    neighbor_rows,
     parse_edge_list,
     parse_graph6,
     verify_k4_structure,
@@ -124,16 +125,12 @@ def test_spanning_cliques_shape(graphs):
         assert sub.sum() == len(row) * (len(row) - 1)
 
 
-def test_incidence_arrays(graphs):
+def test_neighbor_rows(graphs):
     g = graphs[3]
-    nbr, einc = g.incidence_arrays()
-    assert nbr.shape == (g.n, 32)
+    nbr = neighbor_rows(g)
+    assert nbr.shape == (g.n, 32) and nbr.dtype == np.int32
     for v in range(0, g.n, 7):
-        expect = np.flatnonzero(g.adj[v])
-        assert np.array_equal(np.sort(nbr[v]), expect)
-        for w, e in zip(nbr[v], einc[v]):
-            lo, hi = min(v, int(w)), max(v, int(w))
-            assert int(g.eu[e]) == lo and int(g.ev[e]) == hi
+        assert np.array_equal(nbr[v], np.flatnonzero(g.adj[v]))
 
 
 def test_edge_list_roundtrip(graphs):

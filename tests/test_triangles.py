@@ -5,13 +5,10 @@ import pytest
 
 from quasifolkman.graphs import build_graph_for_q, enumerate_k4
 from quasifolkman.triangles import (
-    Fan,
     build_family,
     classify_triangle,
-    count_fans,
     degenerate_mask,
     enumerate_all_triangles,
-    enumerate_fans,
     family_size_formula,
     per_vertex_formula,
     verify_nbhd_decomposition,
@@ -143,39 +140,6 @@ def test_k4_with_clique_triangle_has_degenerate_member(graphs):
             bool(degenerate_mask(g, row[list(c)][None, :])[0]) for c in combos
         )
         assert degs >= 1
-
-
-def test_fan_count_q3_s3(graphs):
-    g = graphs[3]
-    fans = list(enumerate_fans(g, 3))
-    assert len(fans) == 9072 == 3 * 3024 == count_fans(g, 3)
-    # every 3-fan is a non-degenerate triangle
-    for fan in fans[::451]:
-        a, b = fan.concurrent
-        assert classify_triangle(g, a, b, fan.transversal) == "non-degenerate"
-        # concurrent members pass through the apex point
-        members = set(map(int, g.cliques[fan.apex_point]))
-        assert {a, b} <= members
-        assert fan.transversal not in members
-
-
-def test_fans_bijection_with_triangles(families):
-    fam = families[2]
-    g = fam.graph
-    fans = list(enumerate_fans(g, 3))
-    tri_from_fans = {tuple(sorted((f.transversal,) + f.concurrent)) for f in fans}
-    assert tri_from_fans == set(map(tuple, fam.triangles.tolist()))
-    assert len(fans) == 3 * fam.total
-
-
-def test_fan_limit_and_range(graphs):
-    g = graphs[3]
-    assert list(enumerate_fans(g, 3, limit=0)) == []
-    assert len(list(enumerate_fans(g, 4, limit=10))) == 10
-    with pytest.raises(ValueError):
-        list(enumerate_fans(g, g.q + 2))
-    with pytest.raises(ValueError):
-        list(enumerate_fans(g, 2))
 
 
 def test_triangle_edge_matrix(families):
