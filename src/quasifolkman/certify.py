@@ -65,11 +65,6 @@ class EdgeColoring:
         rng = np.random.default_rng(seed)
         return cls(graph, rng.integers(0, 2, size=graph.m, dtype=np.uint8).astype(bool))
 
-    def color_of(self, u: int, v: int) -> str:
-        if u > v:
-            u, v = v, u
-        return "B" if self.bits[self.graph.edge_index(u, v)] else "R"
-
     def flipped(self) -> "EdgeColoring":
         return EdgeColoring(self.graph, ~self.bits)
 

@@ -101,7 +101,7 @@ def _check_q(q: int, formula_only: bool = False) -> str | None:
     if prime_power(q) is None:
         return f"q must be a prime power, got {q}"
     if not formula_only and q not in SUPPORTED_Q:
-        return f"q = {q} exceeds the exhaustive-verification range {SUPPORTED_Q}"
+        return f"q = {q} exceeds the verification range {SUPPORTED_Q}"
     return None
 
 
@@ -129,6 +129,7 @@ def cmd_build(args) -> int:
             "d": rep.d,
             "lambda": rep.lambda_observed,
             "mu": rep.mu_observed,
+            **rep.coverage,
             **{f"check_{k}": v for k, v in rep.checks.items()},
         },
         outcome="pass" if rep.passed else "fail",
@@ -160,7 +161,7 @@ def cmd_certify(args) -> int:
         Certificate(
             claim="strong regularity",
             params={"q": q},
-            quantities={"lambda": rep.lambda_observed, "mu": rep.mu_observed},
+            quantities={"lambda": rep.lambda_observed, "mu": rep.mu_observed, **rep.coverage},
             outcome="pass" if rep.passed else "fail",
         )
     )
@@ -224,7 +225,6 @@ def _worker_graph(q: int):
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     config = _run_config(args)
 
     if args.alon_k is not None:
@@ -233,6 +233,7 @@ def cmd_simulate(args) -> int:
         except ValueError as exc:
             print(exc, file=sys.stderr)
             return EXIT_FAIL
+        out = _out_dir(args)
         delta = 1.0 if args.delta in (None, "auto") else args.delta_value
         report = {
             "alon_k": args.alon_k,
@@ -287,6 +288,7 @@ def cmd_simulate(args) -> int:
     except ConstructionError as exc:
         print(exc, file=sys.stderr)
         return EXIT_FAIL
+    out = _out_dir(args)
 
     g = _worker_graph(args.q)
     payloads = [(args.q, args.F, instance_seed(args.seed, t)) for t in range(args.trials)]
@@ -404,7 +406,6 @@ def cmd_check_coloring(args) -> int:
     if err:
         print(err, file=sys.stderr)
         return EXIT_FAIL
-    out = _out_dir(args)
     g = build_graph_for_q(args.q)
     fam = build_family(g)
     try:
@@ -412,6 +413,7 @@ def cmd_check_coloring(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot read coloring: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    out = _out_dir(args)
     cert = adversarial_color_check(fam, coloring)
     _write_certs(out, f"check_coloring_q{args.q}", [cert], _run_config(args))
     print(

@@ -281,17 +281,6 @@ class FiniteField:
 
     # -- misc --------------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
-
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 

@@ -22,8 +22,19 @@ import numpy as np
 from .certificates import Certificate
 from .plane import UnitalIncidence
 
-#: q values small enough for the exhaustive verification commands
-SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
+#: q values the verification commands run at
+SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11)
+
+#: vertex pairs in verify_srg's spot check of the adjacency: half random
+#: edges, half random vertex pairs, drawn from SRG_SPOT_SEED
+SRG_SPOT_PAIRS = 100_000
+SRG_SPOT_SEED = 0
+#: rows per batch of gathered bit-packed adjacency rows
+SAMPLE_BLOCK = 1 << 14
+
+# byte tables: number of set bits, and index of the lowest set bit
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_LOWBIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
 
 
 class GraphError(RuntimeError):
@@ -85,7 +96,6 @@ class IntersectionGraph:
         self.adj[self.cliques[:, :, None], self.cliques[:, None, :]] = True
         np.fill_diagonal(self.adj, False)
         self.degree = self.adj.sum(axis=1).astype(np.int64)
-        self._adj_bits: list[int] | None = None
         self._line_of: np.ndarray | None = None
 
     # -- lookups ------------------------------------------------------------
@@ -98,14 +108,6 @@ class IntersectionGraph:
         key = np.asarray(u, dtype=np.int64) * self.n + np.asarray(v, dtype=np.int64)
         idx = np.searchsorted(self._edge_key, key)
         return idx if idx.ndim else int(idx)
-
-    @property
-    def adj_bits(self) -> list[int]:
-        """Adjacency rows as Python int bitmasks (bit v set iff adjacent)."""
-        if self._adj_bits is None:
-            packed = np.packbits(self.adj, axis=1, bitorder="little")
-            self._adj_bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        return self._adj_bits
 
     @property
     def line_of(self) -> np.ndarray:
@@ -188,6 +190,37 @@ def build_graph_for_q(q: int) -> IntersectionGraph:
 
 
 # ----------------------------------------------------------------------
+# Bit-packed adjacency rows
+# ----------------------------------------------------------------------
+
+def packed_rows(adj: np.ndarray) -> np.ndarray:
+    """Adjacency rows bit-packed little-endian (bit v % 8 of byte v // 8 is
+    adj[., v]) and zero-padded to whole 64-bit words; uint8, so that
+    .view(np.uint64) gives the words."""
+    n = adj.shape[1]
+    packed = np.zeros((adj.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+    return packed
+
+
+def popcount_rows(packed: np.ndarray) -> np.ndarray:
+    """Set bits per row of a uint8 array, int64."""
+    return _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
+
+
+def lowest_set_bit(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of the lowest set bit, whether any is set) per row of packed
+    uint64 words: the first nonzero word, its first nonzero byte in memory
+    order, then the byte table."""
+    rows = np.arange(len(words))
+    first = (words != 0).argmax(axis=1)
+    word = words[rows, first]
+    octets = word.view(np.uint8).reshape(-1, 8)
+    byte = (octets != 0).argmax(axis=1)
+    return first * 64 + byte * 8 + _LOWBIT[octets[rows, byte]], word != 0
+
+
+# ----------------------------------------------------------------------
 # Strong regularity
 # ----------------------------------------------------------------------
 
@@ -199,27 +232,55 @@ class SrgReport:
     lambda_observed: int | None
     mu_observed: int | None
     checks: dict[str, bool]
+    spot_pairs_adjacent: int
+    spot_pairs_nonadjacent: int
 
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
 
+    @property
+    def coverage(self) -> dict:
+        """How lambda and mu were established, for certificates."""
+        return {
+            "path": "design identity",
+            "spot_pairs_adjacent": self.spot_pairs_adjacent,
+            "spot_pairs_nonadjacent": self.spot_pairs_nonadjacent,
+        }
 
-def verify_srg(g: IntersectionGraph, block: int = 1024) -> SrgReport:
-    """Exhaustive common-neighbor scan over all vertex pairs.
 
-    Uses blocked float32 matrix products (exact for counts below 2^24) so
-    the full scan stays fast up to q = 9.
+def verify_srg(g: IntersectionGraph) -> SrgReport:
+    """Strong regularity from the unital's design identity, plus a seeded
+    spot check of the dense adjacency.
+
+    Let N be the (n, q^3+1) secant-point incidence (vertex_cliques).  When
+    adj is exactly the block graph of N, A = N N^T - (q+1) I.  Every secant
+    has q+1 points and every pair of unital points lies on exactly one
+    secant, so N^T N = J + (q^2-1) I and
+
+        A^2 = (q+1)^2 J + (q-3)(q+1) (A + (q+1) I) + (q+1)^2 I,
+
+    which gives lambda = 2q^2-2 and mu = (q+1)^2 for every pair at once
+    (block graphs of Steiner 2-designs; Brouwer & Van Maldeghem, Strongly
+    Regular Graphs).  Those premises are checked exhaustively below.  The
+    spot check counts, in adj itself, the common neighbours of
+    SRG_SPOT_PAIRS pairs: half random edges, half random vertex pairs.
+    lambda_observed and mu_observed are reported only when all of it holds.
     """
     q = g.q
     n_expected = q**4 - q**3 + q**2
     d_expected = q**3 + q**2 - q - 1
+    packed = packed_rows(g.adj)
+    degree = popcount_rows(packed)
     checks: dict[str, bool] = {}
     checks["vertex_count"] = g.n == n_expected
-    checks["regular_degree"] = bool(np.all(g.degree == d_expected))
+    checks["regular_degree"] = bool(np.all(degree == d_expected))
     checks["adjacency_symmetric"] = bool(np.array_equal(g.adj, g.adj.T))
     checks["adjacency_irreflexive"] = not g.adj.diagonal().any()
     checks["edge_count"] = 2 * g.m == g.n * d_expected
+    # with symmetry, every edge of the incidence set in adj and nothing else
+    # set makes adj the block graph of N
+    checks["adjacency_is_block_graph"] = bool(g.adj[g.eu, g.ev].all()) and int(degree.sum()) == 2 * g.m
 
     # clique family statistics
     cl = g.cliques
@@ -233,31 +294,30 @@ def verify_srg(g: IntersectionGraph, block: int = 1024) -> SrgReport:
 
     lam_expected = 2 * q * q - 2
     mu_expected = (q + 1) ** 2
-    A = g.adj.astype(np.float32)
-    lam_vals: set[int] = set()
-    mu_vals: set[int] = set()
-    ok = True
-    for start in range(0, g.n, block):
-        stop = min(start + block, g.n)
-        common = (A[start:stop] @ A).astype(np.int64)
-        sub_adj = g.adj[start:stop]
-        eye = np.zeros_like(sub_adj)
-        eye[np.arange(stop - start), np.arange(start, stop)] = True
-        lam_block = common[sub_adj]
-        mu_block = common[~sub_adj & ~eye]
-        lam_vals.update(np.unique(lam_block).tolist())
-        mu_vals.update(np.unique(mu_block).tolist())
-        if not (np.all(lam_block == lam_expected) and np.all(mu_block == mu_expected)):
-            ok = False
-    checks["lambda"] = ok and lam_vals == {lam_expected}
-    checks["mu"] = ok and mu_vals == {mu_expected}
+    rng = np.random.default_rng(SRG_SPOT_SEED)
+    half = SRG_SPOT_PAIRS // 2
+    e = rng.integers(0, g.m, size=half)
+    a = rng.integers(0, g.n, size=half)
+    b = (a + rng.integers(1, g.n, size=half)) % g.n
+    u = np.concatenate([g.eu[e], a])
+    v = np.concatenate([g.ev[e], b])
+    common = np.concatenate([
+        popcount_rows(packed[u[s:s + SAMPLE_BLOCK]] & packed[v[s:s + SAMPLE_BLOCK]])
+        for s in range(0, len(u), SAMPLE_BLOCK)
+    ])
+    adjacent = g.adj[u, v]
+    checks["lambda"] = bool(np.all(common[adjacent] == lam_expected))
+    checks["mu"] = bool(np.all(common[~adjacent] == mu_expected))
+    passed = all(checks.values())
     return SrgReport(
         q=q,
         n=g.n,
-        d=int(g.degree[0]),
-        lambda_observed=next(iter(lam_vals)) if len(lam_vals) == 1 else None,
-        mu_observed=next(iter(mu_vals)) if len(mu_vals) == 1 else None,
+        d=int(degree[0]),
+        lambda_observed=lam_expected if passed else None,
+        mu_observed=mu_expected if passed else None,
         checks=checks,
+        spot_pairs_adjacent=int(adjacent.sum()),
+        spot_pairs_nonadjacent=int(len(adjacent) - adjacent.sum()),
     )
 
 
@@ -293,29 +353,12 @@ def enumerate_k4(g: IntersectionGraph) -> np.ndarray:
 
 
 def k4_clique_property(g: IntersectionGraph, quads: np.ndarray) -> np.ndarray:
-    """For each K4, whether >= 3 of its vertices share a point clique.
-
-    Equivalent to one of its four triangles having all three meet points
-    equal (a degenerate triangle)."""
-    if len(quads) == 0:
-        return np.empty(0, dtype=bool)
-    a, b, c, d = (quads[:, i].astype(np.int64) for i in range(4))
-    p = {}
-    for name, (x, y) in {
-        "ab": (a, b), "ac": (a, c), "ad": (a, d),
-        "bc": (b, c), "bd": (b, d), "cd": (c, d),
-    }.items():
-        p[name] = g.edge_point[g.edge_index(x, y)]
-    tri = [
-        ("ab", "ac", "bc"),
-        ("ab", "ad", "bd"),
-        ("ac", "ad", "cd"),
-        ("bc", "bd", "cd"),
-    ]
-    ok = np.zeros(len(quads), dtype=bool)
-    for e1, e2, e3 in tri:
-        ok |= (p[e1] == p[e2]) & (p[e1] == p[e3])
-    return ok
+    """For each quad of secants, whether >= 3 of them pass through one unital
+    point (share a point clique).  Each secant lists a point once, so that
+    is a run of length >= 3 in the quad's sorted 4(q+1) incidences."""
+    pts = g.vertex_cliques[quads].reshape(len(quads), 4 * g.vertex_cliques.shape[1])
+    pts.sort(axis=1)
+    return (pts[:, 2:] == pts[:, :-2]).any(axis=1)
 
 
 def neighbor_rows(g: IntersectionGraph) -> np.ndarray:
@@ -329,6 +372,35 @@ def neighbor_rows(g: IntersectionGraph) -> np.ndarray:
     return nbr
 
 
+def sample_k4(g: IntersectionGraph, seed: int, samples: int) -> np.ndarray:
+    """K4's reached from random triangles, in sample order, rows ascending.
+
+    Sample t draws a vertex u and two of its neighbours v, w; when v and w
+    are adjacent the triangle extends to the K4 with the lowest-id common
+    neighbour x of all three.  The samples run in blocks over bit-packed
+    adjacency rows: x is the lowest set bit of the AND of three rows."""
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, g.n, size=samples)
+    nbr = neighbor_rows(g)
+    picks = rng.integers(0, nbr.shape[1], size=(samples, 2))
+    words = packed_rows(g.adj).view(np.uint64)
+    blocks = [np.empty((0, 4), dtype=np.int32)]
+    for s in range(0, samples, SAMPLE_BLOCK):
+        u = us[s:s + SAMPLE_BLOCK]
+        v = nbr[u, picks[s:s + SAMPLE_BLOCK, 0]]
+        w = nbr[u, picks[s:s + SAMPLE_BLOCK, 1]]
+        keep = (v != w) & g.adj[v, w]
+        u, v, w = u[keep], v[keep], w[keep]
+        cm = words[u]
+        cm &= words[v]
+        cm &= words[w]
+        x, found = lowest_set_bit(cm)
+        quad = np.stack([u, v, w, x], axis=1)[found]
+        quad.sort(axis=1)
+        blocks.append(quad.astype(np.int32))
+    return np.concatenate(blocks)
+
+
 def verify_k4_structure(
     g: IntersectionGraph,
     mode: str = "exhaustive",
@@ -338,59 +410,31 @@ def verify_k4_structure(
     """Certify that every K4 has >= 3 vertices in one point clique.
 
     Exhaustive mode enumerates every K4 (intended for q <= 4); sampled mode
-    draws random triangles and extends them to K4's.  A counterexample makes
-    the certificate fail and carries the four vertex ids.
+    draws random triangles and extends them to K4's (sample_k4).  A
+    counterexample makes the certificate fail and carries the four vertex
+    ids.
     """
     params = {"q": g.q, "mode": mode}
     if mode == "exhaustive":
         quads = enumerate_k4(g)
-        ok = k4_clique_property(g, quads)
-        bad = np.flatnonzero(~ok)
-        quantities = {"k4_count": int(len(quads)), "violations": int(len(bad))}
-        if len(bad):
-            quantities["witness"] = [int(x) for x in quads[bad[0]]]
-        return Certificate(
-            claim="every K4 has >= 3 vertices in a point clique",
-            params=params,
-            quantities=quantities,
-            outcome="pass" if not len(bad) else "fail",
-        )
-    if mode != "sampled":
+    elif mode == "sampled":
+        params.update({"seed": seed, "samples": samples})
+        quads = sample_k4(g, seed, samples)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    params.update({"seed": seed, "samples": samples})
-    rng = np.random.default_rng(seed)
-    bits = g.adj_bits
-    n = g.n
-    us = rng.integers(0, n, size=samples)
-    nbr = neighbor_rows(g)
-    d = nbr.shape[1]
-    picks = rng.integers(0, d, size=(samples, 2))
-    quads = []
-    for t in range(samples):
-        u = int(us[t])
-        v = int(nbr[u, picks[t, 0]])
-        w = int(nbr[u, picks[t, 1]])
-        if v == w or not g.adj[v, w]:
-            continue
-        cm = bits[u] & bits[v] & bits[w]
-        if cm == 0:
-            continue
-        # lowest-id extension keeps the draw deterministic given the seed
-        x = (cm & -cm).bit_length() - 1
-        quads.append(sorted((u, v, w, x)))
-    quads = np.array(quads, dtype=np.int32) if quads else np.empty((0, 4), dtype=np.int32)
-    ok = k4_clique_property(g, quads)
-    bad = np.flatnonzero(~ok)
-    quantities = {"k4_checked": int(len(quads)), "violations": int(len(bad))}
-    violations = len(bad)
-    if violations:
-        quantities["witness"] = [int(y) for y in quads[bad[0]]]
+    bad = np.flatnonzero(~k4_clique_property(g, quads))
+    quantities = {
+        "k4_count" if mode == "exhaustive" else "k4_checked": int(len(quads)),
+        "violations": int(len(bad)),
+    }
+    if len(bad):
+        quantities["witness"] = [int(x) for x in quads[bad[0]]]
         outcome = "fail"
     else:
         # a sample that reached no K4 checked nothing
-        outcome = "pass" if len(quads) else "inconclusive"
+        outcome = "pass" if len(quads) or mode == "exhaustive" else "inconclusive"
     return Certificate(
-        claim="every K4 has >= 3 vertices in a point clique (sampled)",
+        claim="every K4 has >= 3 vertices in a point clique" + (" (sampled)" if mode == "sampled" else ""),
         params=params,
         quantities=quantities,
         outcome=outcome,

@@ -111,9 +111,6 @@ class TriangleFamily:
     _clique_edges: np.ndarray | None = None
     _triangle_edges: np.ndarray | None = None
 
-    def vertex_spanning_cliques(self, v: int) -> np.ndarray:
-        return self.graph.spanning_cliques_of(v)
-
     def clique_edge_matrix(self) -> np.ndarray:
         """Edge indices chi-coloring rows: one row per (vertex, spanning
         clique) pair, entries the canonical indices of the q+1 edges from

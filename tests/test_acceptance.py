@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import verify_srg_dense
 from quasifolkman.blocks import (
     alon_parameters,
     concentration_experiment,
@@ -90,6 +91,8 @@ def test_criterion_2_srg_exhaustive(g3, g4):
     for g, lam, mu in ((g3, 16, 16), (g4, 30, 25)):
         rep = verify_srg(g)
         ok &= rep.passed and rep.lambda_observed == lam and rep.mu_observed == mu
+        # the design-identity proof agrees with the exhaustive dense scan
+        ok &= verify_srg_dense(g) == (rep.lambda_observed, rep.mu_observed, rep.passed)
         ok &= verify_k4_structure(g, mode="exhaustive").passed
     report(2, ok, "H3 and H4 strongly regular, all items")
 

@@ -228,3 +228,37 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
     err = capsys.readouterr().err
     assert flag in err and err.count("\n") == 1
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--q", "3", "--trials", "0"],
+        ["simulate", "--q", "6", "--trials", "2"],
+        ["simulate", "--q", "13", "--trials", "2"],
+        ["simulate", "--q", "3", "--trials", "2", "--F", "no-such-graph"],
+        ["simulate", "--alon-k", "6"],
+        ["check-coloring", "--q", "3", "--file", "no-such-coloring.txt"],
+    ],
+)
+def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == EXIT_FAIL
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_srg_certificates_name_path_and_coverage(tmp_path):
+    assert main(["certify", "--q", "3", "--out", str(tmp_path)]) == EXIT_INCONCLUSIVE
+    assert main(["build", "--q", "3", "--out", str(tmp_path)]) == EXIT_PASS
+    certify = json.loads((tmp_path / "certify_q3.json").read_text())["certificates"][0]
+    build = json.loads((tmp_path / "build_q3.json").read_text())["certificates"][0]
+    for cert in (certify, build):
+        qty = cert["quantities"]
+        assert cert["outcome"] == "pass"
+        assert (qty["lambda"], qty["mu"]) == (16, 16)
+        assert qty["path"] == "design identity"
+        assert qty["spot_pairs_adjacent"] + qty["spot_pairs_nonadjacent"] == 100_000
+        assert qty["spot_pairs_adjacent"] >= 50_000
+    assert build["quantities"]["check_adjacency_is_block_graph"] is True

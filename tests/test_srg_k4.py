@@ -1,0 +1,93 @@
+"""Differential tests: strong regularity from the design identity, the
+bit-packed K4 sampler and the incidence-based K4 clique property against
+the dense oracles in oracles.py."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from oracles import k4_clique_property_edges, sampled_k4_quads_loop, verify_srg_dense
+from quasifolkman.graphs import (
+    build_graph_for_q,
+    enumerate_k4,
+    k4_clique_property,
+    lowest_set_bit,
+    packed_rows,
+    popcount_rows,
+    sample_k4,
+    verify_k4_structure,
+    verify_srg,
+)
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4, 5, 7])
+def graph(request):
+    return build_graph_for_q(request.param)
+
+
+def test_srg_matches_dense_scan(graph):
+    rep = verify_srg(graph)
+    lam, mu, passed = verify_srg_dense(graph)
+    assert (rep.lambda_observed, rep.mu_observed, rep.passed) == (lam, mu, passed)
+    assert passed and lam == 2 * graph.q**2 - 2 and mu == (graph.q + 1) ** 2
+
+
+@pytest.mark.parametrize("adjacent", [True, False])
+def test_srg_rejects_one_flipped_pair(adjacent):
+    g = build_graph_for_q(3)
+    u = 0
+    v = int(np.flatnonzero(g.adj[u] == adjacent)[-1])
+    g.adj[u, v] = g.adj[v, u] = not adjacent
+    rep = verify_srg(g)
+    assert not rep.passed
+    assert rep.lambda_observed is None and rep.mu_observed is None
+    assert not rep.checks["adjacency_is_block_graph"]
+    # the common-neighbour spot check sees it on its own
+    assert not (rep.checks["lambda"] and rep.checks["mu"])
+    assert verify_srg_dense(g)[2] is False
+
+
+def test_packed_row_helpers_match_dense_rows():
+    g = build_graph_for_q(3)
+    packed = packed_rows(g.adj)
+    assert packed.shape == (g.n, 8) and packed.dtype == np.uint8
+    assert np.array_equal(popcount_rows(packed), g.adj.sum(axis=1))
+    x, found = lowest_set_bit(packed.view(np.uint64))
+    assert found.all()
+    assert np.array_equal(x, g.adj.argmax(axis=1))
+    x, found = lowest_set_bit(np.zeros((2, 3), dtype=np.uint64))
+    assert not found.any()
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_sampled_k4_matches_loop(q, seed):
+    g = build_graph_for_q(q)
+    quads = sample_k4(g, seed, 100_000)
+    expect = sampled_k4_quads_loop(g, seed, 100_000)
+    assert quads.dtype == expect.dtype
+    assert np.array_equal(quads, expect)
+    assert np.array_equal(k4_clique_property(g, quads), k4_clique_property_edges(g, quads))
+    cert = verify_k4_structure(g, mode="sampled", seed=seed, samples=100_000)
+    assert cert.quantities == {"k4_checked": len(expect), "violations": 0}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_k4_clique_property_matches_edges_on_every_k4(q):
+    g = build_graph_for_q(q)
+    quads = enumerate_k4(g)
+    got = k4_clique_property(g, quads)
+    assert np.array_equal(got, k4_clique_property_edges(g, quads))
+    assert got.all()
+
+
+def test_k4_clique_property_rejects_onan_configuration():
+    # four secants pairwise meeting in six distinct points: no three concurrent
+    g = SimpleNamespace(vertex_cliques=np.array(
+        [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]], dtype=np.int32))
+    quad = np.array([[0, 1, 2, 3]], dtype=np.int32)
+    assert not k4_clique_property(g, quad)[0]
+    # one point moved so that secants 0, 1 and 2 all pass through point 0
+    g.vertex_cliques[2] = [0, 3, 5]
+    assert k4_clique_property(g, quad)[0]
