@@ -29,7 +29,15 @@ import numpy as np
 
 from .certificates import Certificate
 from .certify import BNB_MAXCUT_LIMIT, canonical_edges, maxcut_exact
-from .graphs import IntersectionGraph
+from .graphs import (
+    IntersectionGraph,
+    common_neighbors,
+    extend_cliques,
+    k4_clique_property,
+    lowest_set_bit,
+    packed_rows,
+    row_blocks,
+)
 from .triangles import TriangleFamily
 
 
@@ -233,14 +241,6 @@ class StarGraph:
         adj[u, v] = adj[v, u] = True
         return adj
 
-    def adj_bits(self) -> list[int]:
-        g = self.base
-        rows = [0] * g.n
-        for u, v in zip(g.eu[self.edge_mask], g.ev[self.edge_mask]):
-            rows[int(u)] |= 1 << int(v)
-            rows[int(v)] |= 1 << int(u)
-        return rows
-
     def label_of(self, vertex: int, clique_id: int) -> int:
         slot = int(np.searchsorted(self.base.vertex_cliques[vertex], clique_id))
         assert self.base.vertex_cliques[vertex, slot] == clique_id
@@ -265,72 +265,56 @@ def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGr
     return StarGraph(base=g, F=F, seed=seed, labels=labels, edge_mask=edge_mask)
 
 
-def find_k4(rows: list[int], n: int) -> tuple[int, int, int, int] | None:
-    """First K4 (lexicographic) in a bitmask adjacency, or None."""
-    for u in range(n):
-        ru = rows[u]
-        hi_u = ru >> (u + 1) << (u + 1)
-        mu = hi_u
-        while mu:
-            vb = mu & -mu
-            mu ^= vb
-            v = vb.bit_length() - 1
-            cm = ru & rows[v]
-            cm = cm >> (v + 1) << (v + 1)
-            mw = cm
-            while mw:
-                wb = mw & -mw
-                mw ^= wb
-                w = wb.bit_length() - 1
-                mx = cm & rows[w]
-                mx = mx >> (w + 1) << (w + 1)
-                if mx:
-                    x = (mx & -mx).bit_length() - 1
-                    return (u, v, w, x)
+def _first_k4(words: np.ndarray, tris: np.ndarray) -> tuple[int, int, int, int] | None:
+    """The first triangle with a common neighbour, extended by the lowest one."""
+    for part in row_blocks(tris, words):
+        x, found = lowest_set_bit(common_neighbors(words, part))
+        if found.any():
+            i = int(found.argmax())
+            return (*map(int, part[i]), int(x[i]))
     return None
 
 
 def verify_star_instance(star: StarGraph, fam: TriangleFamily | None = None) -> dict:
     """Per-instance checks: K4-freeness, no triangle inside any point clique,
     and (with the family) that surviving triangles are exactly the
-    non-degenerate triangles whose three edges survived."""
+    non-degenerate triangles whose three edges survived.
+
+    The surviving edges stream in blocks through the clique-extension scan,
+    so triangles come in lexicographic order and are never all held at once.
+    The clique-triangle witness (point, a, b, c) is the first concurrent
+    triangle; the K4 witness is the first triangle with a common neighbour,
+    which is the lexicographically first K4 (a triangle before it with one
+    would give an earlier K4)."""
     g = star.base
-    rows = star.adj_bits()
-    k4 = find_k4(rows, g.n)
+    adj = star.adjacency()
+    words = packed_rows(adj).view(np.uint64)
+    edges = np.stack([g.eu[star.edge_mask], g.ev[star.edge_mask]], axis=1)
+    k4 = clique_triangle = None
+    for part in row_blocks(edges, words):
+        tris = extend_cliques(words, part)
+        if clique_triangle is None:
+            conc = np.flatnonzero(k4_clique_property(g, tris))
+            if len(conc):
+                a, b, c = map(int, tris[conc[0]])
+                clique_triangle = (int(g.edge_point[g.edge_index(a, b)]), a, b, c)
+        if k4 is None:
+            k4 = _first_k4(words, tris)
+        if k4 is not None and clique_triangle is not None:
+            break
     out = {
         "k4_witness": k4,
         "k4_free": k4 is None,
         "num_edges": star.num_edges,
         "survival_rate": star.survival_rate(),
+        "clique_triangle": clique_triangle,
+        "cliques_triangle_free": clique_triangle is None,
     }
-    clique_triangle = None
-    for cid, members in enumerate(g.cliques):
-        ms = list(map(int, members))
-        for ai in range(len(ms)):
-            a = ms[ai]
-            for bi in range(ai + 1, len(ms)):
-                b = ms[bi]
-                if not (rows[a] >> b) & 1:
-                    continue
-                for ci in range(bi + 1, len(ms)):
-                    c = ms[ci]
-                    if (rows[a] >> c) & 1 and (rows[b] >> c) & 1:
-                        clique_triangle = (cid, a, b, c)
-                        break
-                if clique_triangle:
-                    break
-            if clique_triangle:
-                break
-        if clique_triangle:
-            break
-    out["clique_triangle"] = clique_triangle
-    out["cliques_triangle_free"] = clique_triangle is None
     if fam is not None and fam.triangles is not None:
         te = fam.triangle_edge_matrix()
         surviving = star.edge_mask[te].all(axis=1)
         out["surviving_family_triangles"] = int(surviving.sum())
         # direct scan: triangles of the star graph
-        adj = star.adjacency()
         a = adj.astype(np.int64)
         out["surviving_triangles_direct"] = int(np.trace(a @ a @ a) // 6)
     return out

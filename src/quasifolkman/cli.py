@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -486,7 +487,12 @@ def main(argv=None) -> int:
         try:
             args.delta_value = 0.5 if raw in (None, "auto") else float(raw)
         except ValueError:
-            print(f"--delta must be a number or 'auto', got {raw!r}", file=sys.stderr)
+            args.delta_value = math.nan
+        if not math.isfinite(args.delta_value) or args.delta_value < 0:
+            print(f"--delta must be a finite number >= 0 or 'auto', got {raw!r}", file=sys.stderr)
+            return EXIT_FAIL
+        if args.alon_k is not None and raw not in (None, "auto") and not 0 < args.delta_value <= 1:
+            print(f"--delta with --alon-k must lie in (0, 1], got {raw!r}", file=sys.stderr)
             return EXIT_FAIL
     return args.func(args)
 

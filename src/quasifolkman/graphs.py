@@ -10,6 +10,10 @@ Every K4 has at least three vertices inside one point clique: four secants
 pairwise meeting in six distinct unital points would be an O'Nan
 configuration, which Hermitian unitals do not contain.  verify_k4_structure
 checks this exhaustively (or by sampling) and certifies it.
+
+Triangles and K4's are enumerated by one scan, extend_cliques: each clique
+row gains every common neighbour above its last vertex, read off the AND of
+bit-packed adjacency rows.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ SRG_SPOT_PAIRS = 100_000
 SRG_SPOT_SEED = 0
 #: rows per batch of gathered bit-packed adjacency rows
 SAMPLE_BLOCK = 1 << 14
+#: bytes of bit-packed adjacency rows that one block of the clique-extension
+#: scan gathers; the rows per block follow from n
+SCAN_BLOCK_BYTES = 1 << 22
 
 # byte tables: number of set bits, and index of the lowest set bit
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -190,7 +197,7 @@ def build_graph_for_q(q: int) -> IntersectionGraph:
 
 
 # ----------------------------------------------------------------------
-# Bit-packed adjacency rows
+# Bit-packed adjacency rows and the clique-extension scan
 # ----------------------------------------------------------------------
 
 def packed_rows(adj: np.ndarray) -> np.ndarray:
@@ -218,6 +225,47 @@ def lowest_set_bit(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     octets = word.view(np.uint8).reshape(-1, 8)
     byte = (octets != 0).argmax(axis=1)
     return first * 64 + byte * 8 + _LOWBIT[octets[rows, byte]], word != 0
+
+
+def common_neighbors(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The AND of the packed rows (uint64 words) of each row's vertices."""
+    cm = words[rows[:, 0]]
+    for j in range(1, rows.shape[1]):
+        cm &= words[rows[:, j]]
+    return cm
+
+
+def row_blocks(rows: np.ndarray, words: np.ndarray):
+    """Consecutive slices of rows, each gathering about SCAN_BLOCK_BYTES of
+    packed rows per vertex column."""
+    step = max(1, SCAN_BLOCK_BYTES // words[0].nbytes)
+    for s in range(0, len(rows), step):
+        yield rows[s:s + step]
+
+
+def extend_cliques(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Every clique row extended by each common neighbour above its last
+    vertex.
+
+    rows are cliques, ascending within a row and lexicographic between rows;
+    words are the graph's packed rows as uint64 words.  The output has one
+    more column, int32, and is lexicographic too: rows keep their order and
+    the extensions of a row ascend.  Only the nonzero words of the common
+    neighbourhood are unpacked.
+    """
+    out = [np.empty((0, rows.shape[1] + 1), dtype=np.int32)]
+    for part in row_blocks(rows, words):
+        cm = common_neighbors(words, part)
+        # words wholly below a row's last vertex hold no extension of it
+        cm[np.arange(cm.shape[1]) < part[:, -1:] >> 6] = 0
+        r, w = np.nonzero(cm)
+        bit = np.flatnonzero(np.unpackbits(cm[r, w].view(np.uint8), bitorder="little").view(bool))
+        k = bit >> 6
+        r = r[k]
+        x = w[k] * 64 + (bit & 63)
+        keep = x > part[r, -1]
+        out.append(np.column_stack([part[r[keep]], x[keep]]).astype(np.int32))
+    return np.concatenate(out)
 
 
 # ----------------------------------------------------------------------
@@ -325,38 +373,23 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
 # K4 structure
 # ----------------------------------------------------------------------
 
+def enumerate_all_triangles(g: IntersectionGraph) -> np.ndarray:
+    """All triangles (a < b < c), lexicographic: the edge list extended once."""
+    return extend_cliques(packed_rows(g.adj).view(np.uint64), np.stack([g.eu, g.ev], axis=1))
+
+
 def enumerate_k4(g: IntersectionGraph) -> np.ndarray:
-    """All K4's, one row (a, b, c, d) with a < b < c < d, ordered
-    lexicographically.  Enumerates edges (a, b) and pairs inside the common
-    neighborhood above b."""
-    quads = []
-    A = g.adj
-    for e in range(g.m):
-        a = int(g.eu[e])
-        b = int(g.ev[e])
-        cm = np.flatnonzero(A[a] & A[b])
-        cm = cm[cm > b]
-        if len(cm) < 2:
-            continue
-        sub = A[np.ix_(cm, cm)]
-        wi, xi = np.nonzero(np.triu(sub, 1))
-        if len(wi):
-            block = np.empty((len(wi), 4), dtype=np.int32)
-            block[:, 0] = a
-            block[:, 1] = b
-            block[:, 2] = cm[wi]
-            block[:, 3] = cm[xi]
-            quads.append(block)
-    if not quads:
-        return np.empty((0, 4), dtype=np.int32)
-    return np.concatenate(quads)
+    """All K4's (a < b < c < d), lexicographic: the triangles extended once."""
+    return extend_cliques(packed_rows(g.adj).view(np.uint64), enumerate_all_triangles(g))
 
 
-def k4_clique_property(g: IntersectionGraph, quads: np.ndarray) -> np.ndarray:
-    """For each quad of secants, whether >= 3 of them pass through one unital
-    point (share a point clique).  Each secant lists a point once, so that
-    is a run of length >= 3 in the quad's sorted 4(q+1) incidences."""
-    pts = g.vertex_cliques[quads].reshape(len(quads), 4 * g.vertex_cliques.shape[1])
+def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
+    """For each row of secants (a triangle, a K4, any width), whether >= 3
+    of them pass through one unital point (share a point clique).  Each
+    secant lists a point once, so that is a run of length >= 3 in the row's
+    sorted incidences.  On a triangle it is the degenerate (concurrent)
+    test."""
+    pts = g.vertex_cliques[rows].reshape(len(rows), rows.shape[1] * g.vertex_cliques.shape[1])
     pts.sort(axis=1)
     return (pts[:, 2:] == pts[:, :-2]).any(axis=1)
 
@@ -391,10 +424,7 @@ def sample_k4(g: IntersectionGraph, seed: int, samples: int) -> np.ndarray:
         w = nbr[u, picks[s:s + SAMPLE_BLOCK, 1]]
         keep = (v != w) & g.adj[v, w]
         u, v, w = u[keep], v[keep], w[keep]
-        cm = words[u]
-        cm &= words[v]
-        cm &= words[w]
-        x, found = lowest_set_bit(cm)
+        x, found = lowest_set_bit(common_neighbors(words, np.stack([u, v, w], axis=1)))
         quad = np.stack([u, v, w, x], axis=1)[found]
         quad.sort(axis=1)
         blocks.append(quad.astype(np.int32))
@@ -465,13 +495,6 @@ def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
     return hi + 1, edges
 
 
-def _triangle_order(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle (i, j) pairs in graph6 order: j ascending, i < j."""
-    cols = np.repeat(np.arange(1, n), np.arange(1, n))
-    rows = np.concatenate([np.arange(j) for j in range(1, n)]) if n > 1 else np.empty(0, dtype=np.int64)
-    return rows, cols
-
-
 def graph6_bytes(n: int, adj: np.ndarray) -> bytes:
     """Standard graph6 encoding of an undirected graph."""
     if n <= 62:
@@ -480,38 +503,10 @@ def graph6_bytes(n: int, adj: np.ndarray) -> bytes:
         header = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError("graph too large for 3-byte graph6 header")
-    rows, cols = _triangle_order(n)
-    bits = adj[rows, cols].astype(np.uint8)
-    pad = (-len(bits)) % 6
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    groups = bits.reshape(-1, 6)
-    vals = groups @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
-    return header + vals.astype(np.uint8).tobytes()
-
-
-def parse_graph6(data: bytes) -> np.ndarray:
-    data = data.strip()
-    if data.startswith(b">>graph6<<"):
-        data = data[10:]
-    if not data:
-        raise ValueError("empty graph6 data")
-    if data[0] == 126:
-        if len(data) < 4:
-            raise ValueError("truncated graph6 size header")
-        if data[1] == 126:
-            raise ValueError("8-byte graph6 sizes not supported")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        body = data[4:]
-    else:
-        n = data[0] - 63
-        body = data[1:]
-    vals = np.frombuffer(body, dtype=np.uint8).astype(np.int64) - 63
-    bits = (vals[:, None] >> np.arange(5, -1, -1)[None, :]) & 1
-    bits = bits.reshape(-1)
-    rows, cols = _triangle_order(n)
-    adj = np.zeros((n, n), dtype=bool)
-    on = bits[: len(rows)].astype(bool)
-    adj[rows[on], cols[on]] = True
-    adj |= adj.T
-    return adj
+    # graph6 lists adj[i, j] for j ascending and i < j: the strict lower
+    # triangle of adj.T in row-major order
+    bits = adj.T[np.tri(n, k=-1, dtype=bool)]
+    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, dtype=bool)]).reshape(-1, 6)
+    # six bits per byte, most significant first, plus 63
+    vals = np.packbits(bits, axis=1)[:, 0] >> 2
+    return header + (vals + 63).tobytes()

@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .certificates import Certificate
-from .graphs import IntersectionGraph
+from .graphs import IntersectionGraph, enumerate_all_triangles, enumerate_k4, k4_clique_property
 
 EXPLICIT_Q_LIMIT = 4
 #: vertices per spanning-clique block.  It bounds the (block, q^3-q, q+1)
@@ -60,43 +60,6 @@ def classify_triangle(g: IntersectionGraph, a: int, b: int, c: int) -> str:
     }
     assert len(pts) != 2, "triangle with exactly two distinct meet points"
     return "degenerate" if len(pts) == 1 else "non-degenerate"
-
-
-def enumerate_all_triangles(g: IntersectionGraph) -> np.ndarray:
-    """All triangles (a < b < c), via common neighborhoods above each edge."""
-    rows = []
-    A = g.adj
-    for e in range(g.m):
-        a, b = int(g.eu[e]), int(g.ev[e])
-        cm = np.flatnonzero(A[a] & A[b])
-        cm = cm[cm > b]
-        if len(cm):
-            block = np.empty((len(cm), 3), dtype=np.int32)
-            block[:, 0] = a
-            block[:, 1] = b
-            block[:, 2] = cm
-            rows.append(block)
-    return np.concatenate(rows) if rows else np.empty((0, 3), dtype=np.int32)
-
-
-def triangle_meet_points(g: IntersectionGraph, tris: np.ndarray) -> np.ndarray:
-    """Meet points of the three edges of each triangle row; shape (T, 3)."""
-    a = tris[:, 0].astype(np.int64)
-    b = tris[:, 1].astype(np.int64)
-    c = tris[:, 2].astype(np.int64)
-    return np.stack(
-        [
-            g.edge_point[g.edge_index(a, b)],
-            g.edge_point[g.edge_index(a, c)],
-            g.edge_point[g.edge_index(b, c)],
-        ],
-        axis=1,
-    )
-
-
-def degenerate_mask(g: IntersectionGraph, tris: np.ndarray) -> np.ndarray:
-    p = triangle_meet_points(g, tris)
-    return (p[:, 0] == p[:, 1]) & (p[:, 0] == p[:, 2])
 
 
 @dataclass
@@ -181,8 +144,7 @@ def build_family(g: IntersectionGraph, explicit: bool | None = None) -> Triangle
     triangles = None
     if explicit:
         all_tris = enumerate_all_triangles(g)
-        nondeg = ~degenerate_mask(g, all_tris)
-        triangles = all_tris[nondeg]
+        triangles = all_tris[~k4_clique_property(g, all_tris)]
         if len(triangles) != expected_total:
             raise RuntimeError(
                 f"brute-force classification found {len(triangles)} non-degenerate "
@@ -253,25 +215,11 @@ def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
 
 
 def verify_no_k4_in_family(fam: TriangleFamily, g: IntersectionGraph, quads: np.ndarray | None = None) -> Certificate:
-    """For every K4, at least one of its four triangles is degenerate, so no
-    four family triangles span a K4."""
-    from .graphs import enumerate_k4
-
+    """For every K4, at least one of its four triangles is degenerate (three
+    of its secants are concurrent), so no four family triangles span a K4."""
     if quads is None:
         quads = enumerate_k4(g)
-    if len(quads) == 0:
-        return Certificate(
-            claim="no four non-degenerate triangles induce a K4",
-            params={"q": g.q},
-            quantities={"k4_count": 0, "violations": 0},
-            outcome="pass",
-        )
-    combos = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
-    any_deg = np.zeros(len(quads), dtype=bool)
-    for i, j, k in combos:
-        tris = quads[:, (i, j, k)]
-        any_deg |= degenerate_mask(g, tris)
-    bad = np.flatnonzero(~any_deg)
+    bad = np.flatnonzero(~k4_clique_property(g, quads))
     quantities = {"k4_count": int(len(quads)), "violations": int(len(bad))}
     if len(bad):
         quantities["witness"] = [int(x) for x in quads[bad[0]]]

@@ -1,8 +1,9 @@
 """Reference implementations that the fast paths in ``src/`` replaced.
 
-They read the dense adjacency and the edge list directly, so they share no
-logic with the design-identity SRG proof, the bit-packed K4 sampler or the
-incidence-based K4 clique property.
+They read the dense adjacency, the edge list and Python-int bitmask rows
+directly, so they share no logic with the design-identity SRG proof, the
+clique-extension scan, the bit-packed K4 sampler or the incidence-based
+concurrency predicate.
 """
 
 import numpy as np
@@ -81,3 +82,173 @@ def k4_clique_property_edges(g, quads):
     for e1, e2, e3 in tri:
         ok |= (p[e1] == p[e2]) & (p[e1] == p[e3])
     return ok
+
+
+def enumerate_all_triangles_loop(g):
+    """All triangles (a < b < c), via common neighborhoods above each edge."""
+    rows = []
+    A = g.adj
+    for e in range(g.m):
+        a, b = int(g.eu[e]), int(g.ev[e])
+        cm = np.flatnonzero(A[a] & A[b])
+        cm = cm[cm > b]
+        if len(cm):
+            block = np.empty((len(cm), 3), dtype=np.int32)
+            block[:, 0] = a
+            block[:, 1] = b
+            block[:, 2] = cm
+            rows.append(block)
+    return np.concatenate(rows) if rows else np.empty((0, 3), dtype=np.int32)
+
+
+def enumerate_k4_loop(g):
+    """All K4's (a < b < c < d), lexicographic: edges (a, b) and adjacent
+    pairs inside the common neighborhood above b."""
+    quads = []
+    A = g.adj
+    for e in range(g.m):
+        a = int(g.eu[e])
+        b = int(g.ev[e])
+        cm = np.flatnonzero(A[a] & A[b])
+        cm = cm[cm > b]
+        if len(cm) < 2:
+            continue
+        sub = A[np.ix_(cm, cm)]
+        wi, xi = np.nonzero(np.triu(sub, 1))
+        if len(wi):
+            block = np.empty((len(wi), 4), dtype=np.int32)
+            block[:, 0] = a
+            block[:, 1] = b
+            block[:, 2] = cm[wi]
+            block[:, 3] = cm[xi]
+            quads.append(block)
+    if not quads:
+        return np.empty((0, 4), dtype=np.int32)
+    return np.concatenate(quads)
+
+
+def triangle_meet_points(g, tris):
+    """Meet points of the three edges of each triangle row; shape (T, 3)."""
+    a = tris[:, 0].astype(np.int64)
+    b = tris[:, 1].astype(np.int64)
+    c = tris[:, 2].astype(np.int64)
+    return np.stack(
+        [
+            g.edge_point[g.edge_index(a, b)],
+            g.edge_point[g.edge_index(a, c)],
+            g.edge_point[g.edge_index(b, c)],
+        ],
+        axis=1,
+    )
+
+
+def degenerate_mask(g, tris):
+    """Whether each triangle's three meet points are equal."""
+    p = triangle_meet_points(g, tris)
+    return (p[:, 0] == p[:, 1]) & (p[:, 0] == p[:, 2])
+
+
+def adj_bits(star):
+    """A star instance's surviving adjacency as Python-int bitmask rows,
+    built one edge at a time."""
+    g = star.base
+    rows = [0] * g.n
+    for u, v in zip(g.eu[star.edge_mask], g.ev[star.edge_mask]):
+        rows[int(u)] |= 1 << int(v)
+        rows[int(v)] |= 1 << int(u)
+    return rows
+
+
+def find_k4(rows, n):
+    """First K4 (lexicographic) in a bitmask adjacency, or None."""
+    for u in range(n):
+        ru = rows[u]
+        hi_u = ru >> (u + 1) << (u + 1)
+        mu = hi_u
+        while mu:
+            vb = mu & -mu
+            mu ^= vb
+            v = vb.bit_length() - 1
+            cm = ru & rows[v]
+            cm = cm >> (v + 1) << (v + 1)
+            mw = cm
+            while mw:
+                wb = mw & -mw
+                mw ^= wb
+                w = wb.bit_length() - 1
+                mx = cm & rows[w]
+                mx = mx >> (w + 1) << (w + 1)
+                if mx:
+                    x = (mx & -mx).bit_length() - 1
+                    return (u, v, w, x)
+    return None
+
+
+def clique_triangle_loop(star):
+    """First surviving triangle inside a point clique, point-major, as
+    (point, a, b, c), or None."""
+    g = star.base
+    rows = adj_bits(star)
+    for cid, members in enumerate(g.cliques):
+        ms = list(map(int, members))
+        for ai in range(len(ms)):
+            a = ms[ai]
+            for bi in range(ai + 1, len(ms)):
+                b = ms[bi]
+                if not (rows[a] >> b) & 1:
+                    continue
+                for ci in range(bi + 1, len(ms)):
+                    c = ms[ci]
+                    if (rows[a] >> c) & 1 and (rows[b] >> c) & 1:
+                        return (cid, a, b, c)
+    return None
+
+
+def _triangle_order(n):
+    """Upper-triangle (i, j) pairs in graph6 order: j ascending, i < j."""
+    cols = np.repeat(np.arange(1, n), np.arange(1, n))
+    rows = np.concatenate([np.arange(j) for j in range(1, n)]) if n > 1 else np.empty(0, dtype=np.int64)
+    return rows, cols
+
+
+def graph6_bytes_indexed(n, adj):
+    """graph6 encoding through explicit (i, j) index arrays."""
+    if n <= 62:
+        header = bytes([n + 63])
+    else:
+        header = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    rows, cols = _triangle_order(n)
+    bits = adj[rows, cols].astype(np.uint8)
+    pad = (-len(bits)) % 6
+    if pad:
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    vals = bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    return header + vals.astype(np.uint8).tobytes()
+
+
+def parse_graph6(data):
+    """Adjacency matrix of graph6 bytes; the round-trip oracle."""
+    data = data.strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[10:]
+    if not data:
+        raise ValueError("empty graph6 data")
+    if data[0] == 126:
+        if len(data) < 4:
+            raise ValueError("truncated graph6 size header")
+        if data[1] == 126:
+            raise ValueError("8-byte graph6 sizes not supported")
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    vals = np.frombuffer(body, dtype=np.uint8).astype(np.int64) - 63
+    bits = (vals[:, None] >> np.arange(5, -1, -1)[None, :]) & 1
+    bits = bits.reshape(-1)
+    rows, cols = _triangle_order(n)
+    adj = np.zeros((n, n), dtype=bool)
+    on = bits[: len(rows)].astype(bool)
+    adj[rows[on], cols[on]] = True
+    adj |= adj.T
+    return adj

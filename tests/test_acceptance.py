@@ -14,11 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import verify_srg_dense
+from oracles import adj_bits, find_k4, verify_srg_dense
 from quasifolkman.blocks import (
     alon_parameters,
     concentration_experiment,
-    find_k4,
     instance_seed,
     min_mono_blowup,
     quantitative_bound,
@@ -46,7 +45,7 @@ from quasifolkman.graphs import (
 )
 from quasifolkman.plane import build_unital_for_q
 from quasifolkman.search import AnnealSchedule, anneal, edge_triangle_index, flip_delta, random_coloring_stats
-from quasifolkman.triangles import build_family, degenerate_mask, family_size_formula, verify_no_k4_in_family
+from quasifolkman.triangles import build_family, family_size_formula, verify_no_k4_in_family
 
 ALL_Q = (2, 3, 4, 5, 7, 8, 9)
 
@@ -230,7 +229,7 @@ def test_criterion_9_random_block_h4(g4, fam4):
         for t in range(100):
             star = random_block(g4, F, instance_seed(base_seed, t))
             rates.append(star.survival_rate())
-            if find_k4(star.adj_bits(), g4.n) is not None:
+            if find_k4(adj_bits(star), g4.n) is not None:
                 ok_k4 = False
         rates = np.array(rates)
         expect = 2 * F.m / F.n**2

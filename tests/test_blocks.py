@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import find_k4
 from quasifolkman.blocks import (
     AlonParams,
     ConstructionError,
@@ -13,7 +14,6 @@ from quasifolkman.blocks import (
     blowup_concentration_log_bound,
     concentration_experiment,
     critical_delta,
-    find_k4,
     instance_seed,
     least_prime_power_at_least,
     load_replacement,

@@ -206,9 +206,20 @@ def test_simulate_malformed_replacement_file_is_one_line_error(tmp_path, capsys,
     assert message in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("extra", [["--q", "2", "--trials", "2"], ["--alon-k", "7"]])
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--q", "2", "--trials", "2", "--delta", "abc"],
+        ["--alon-k", "7", "--delta", "abc"],
+        ["--q", "2", "--trials", "2", "--delta", "nan"],
+        ["--q", "2", "--trials", "2", "--delta", "-3"],
+        ["--alon-k", "7", "--delta", "inf"],
+        ["--alon-k", "11", "--delta", "2"],
+        ["--alon-k", "11", "--delta", "0"],
+    ],
+)
 def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
-    rc = main(["simulate", *extra, "--delta", "abc", "--out", str(tmp_path)])
+    rc = main(["simulate", *extra, "--out", str(tmp_path)])
     assert rc == EXIT_FAIL
     err = capsys.readouterr().err
     assert "--delta" in err and err.count("\n") == 1
@@ -239,6 +250,11 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["simulate", "--q", "3", "--trials", "2", "--F", "no-such-graph"],
         ["simulate", "--alon-k", "6"],
         ["check-coloring", "--q", "3", "--file", "no-such-coloring.txt"],
+        ["simulate", "--alon-k", "11", "--delta", "2"],
+        ["simulate", "--alon-k", "11", "--delta", "0"],
+        ["simulate", "--alon-k", "11", "--delta", "nan"],
+        ["simulate", "--q", "3", "--F", "c5", "--delta", "nan"],
+        ["simulate", "--q", "3", "--F", "c5", "--delta", "-3"],
     ],
 )
 def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):

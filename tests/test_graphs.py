@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import parse_graph6
 from quasifolkman.graphs import (
     IntersectionGraph,
     build_graph_for_q,
@@ -12,7 +13,6 @@ from quasifolkman.graphs import (
     k4_clique_property,
     neighbor_rows,
     parse_edge_list,
-    parse_graph6,
     verify_k4_structure,
     verify_srg,
 )

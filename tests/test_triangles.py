@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import degenerate_mask
 from quasifolkman.graphs import build_graph_for_q, enumerate_k4
 from quasifolkman.triangles import (
     build_family,
     classify_triangle,
-    degenerate_mask,
     enumerate_all_triangles,
     family_size_formula,
     per_vertex_formula,
