@@ -24,7 +24,6 @@ from .graphs import (
 from .triangles import (
     TriangleFamily,
     build_family,
-    classify_triangle,
     family_size_formula,
     verify_nbhd_decomposition,
     verify_no_k4_in_family,
@@ -61,7 +60,7 @@ __all__ = [
     "Certificate",
     "IntersectionGraph", "SrgReport", "build_graph", "build_graph_for_q",
     "verify_k4_structure", "verify_srg",
-    "TriangleFamily", "build_family", "classify_triangle",
+    "TriangleFamily", "build_family",
     "family_size_formula", "verify_nbhd_decomposition", "verify_no_k4_in_family",
     "EdgeColoring", "GoodmanTally", "adversarial_color_check", "clique_min_mono",
     "goodman_count", "goodman_count_all_triangles", "maxcut_exact", "quasi_folkman_certificate",

@@ -10,7 +10,6 @@ the timestamp field varies.
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Any
@@ -60,9 +59,6 @@ class Certificate:
             "timestamp": self.timestamp,
             "version": self.version,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         d = self.to_dict()

@@ -29,7 +29,7 @@ from math import comb
 import numpy as np
 
 from .certificates import Certificate
-from .graphs import IntersectionGraph, edge_list_text
+from .graphs import IntersectionGraph, edge_list_blocks
 from .triangles import TriangleFamily, family_size_formula
 
 
@@ -38,7 +38,11 @@ class ColoringFormatError(ValueError):
 
 
 def graph_checksum(g: IntersectionGraph) -> str:
-    return hashlib.sha256(edge_list_text(g).encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of the edge-list text."""
+    h = hashlib.sha256()
+    for block in edge_list_blocks(g):
+        h.update(block.encode())
+    return h.hexdigest()[:16]
 
 
 class EdgeColoring:
@@ -57,16 +61,9 @@ class EdgeColoring:
         self.bits = bits
 
     @classmethod
-    def all_red(cls, graph: IntersectionGraph) -> "EdgeColoring":
-        return cls(graph)
-
-    @classmethod
     def random(cls, graph: IntersectionGraph, seed: int) -> "EdgeColoring":
         rng = np.random.default_rng(seed)
         return cls(graph, rng.integers(0, 2, size=graph.m, dtype=np.uint8).astype(bool))
-
-    def flipped(self) -> "EdgeColoring":
-        return EdgeColoring(self.graph, ~self.bits)
 
     # -- file format ------------------------------------------------------
 
@@ -111,10 +108,6 @@ class GoodmanTally:
     blue_pairs: np.ndarray
     family_size: int
     monochromatic: int
-
-    @property
-    def same_sum(self) -> int:
-        return int(self.red_pairs.sum() + self.blue_pairs.sum())
 
 
 def _pair_counts(r: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,24 +158,6 @@ def goodman_count(fam: TriangleFamily, coloring: EdgeColoring) -> GoodmanTally:
     )
 
 
-def goodman_count_direct(fam: TriangleFamily, coloring: EdgeColoring) -> int:
-    """Independent per-triangle count over the explicit family list."""
-    te = fam.triangle_edge_matrix()
-    c = coloring.bits[te]
-    mono = (c[:, 0] == c[:, 1]) & (c[:, 0] == c[:, 2])
-    return int(mono.sum())
-
-
-def same_sum_from_triangles(te: np.ndarray, colors: np.ndarray) -> int:
-    """sum_v same(v) computed triangle-by-triangle: per triangle, the number
-    of vertices whose two incident edges agree (3 if monochromatic, else 1)."""
-    c = colors[te]
-    s = (c[:, 0] == c[:, 1]).astype(np.int64)
-    s += (c[:, 0] == c[:, 2])
-    s += (c[:, 1] == c[:, 2])
-    return int(s.sum())
-
-
 # ----------------------------------------------------------------------
 # All-triangle variant on arbitrary graphs
 # ----------------------------------------------------------------------
@@ -223,22 +198,6 @@ def goodman_count_all_triangles(adj: np.ndarray, colors: np.ndarray) -> int:
     if num % 6:
         raise RuntimeError("Goodman all-triangle parity violated (internal bug)")
     return num // 6
-
-
-def count_mono_triangles_direct(adj: np.ndarray, colors: np.ndarray) -> int:
-    """Oracle: trace of the cubed single-color adjacency matrices."""
-    n = adj.shape[0]
-    eu, ev = canonical_edges(adj)
-    blue = np.zeros((n, n), dtype=np.int64)
-    sel = np.asarray(colors, dtype=bool)
-    blue[eu[sel], ev[sel]] = 1
-    blue |= blue.T
-    red = np.zeros((n, n), dtype=np.int64)
-    red[eu[~sel], ev[~sel]] = 1
-    red |= red.T
-    tr = int(np.trace(red @ red @ red)) + int(np.trace(blue @ blue @ blue))
-    assert tr % 6 == 0
-    return tr // 6
 
 
 # ----------------------------------------------------------------------
@@ -328,13 +287,6 @@ def _maxcut_branch_and_bound(adj: np.ndarray) -> tuple[int, np.ndarray]:
 
     rec(0, 0)
     return best["cut"], best["side"]
-
-
-def min_mono_edges(adj: np.ndarray) -> int:
-    """m - maxcut: the least monochromatic edge count over vertex 2-colorings."""
-    eu, _ = canonical_edges(adj)
-    cut, _ = maxcut_exact(adj)
-    return len(eu) - cut
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .graphs import (
     SUPPORTED_Q,
     build_graph,
     build_graph_for_q,
-    edge_list_text,
+    edge_list_blocks,
     graph6_bytes,
     verify_k4_structure,
     verify_srg,
@@ -119,7 +119,8 @@ def cmd_build(args) -> int:
     unital = build_unital_for_q(args.q)
     g = build_graph(unital)
     (out / f"unital_q{args.q}.txt").write_text(unital.export_text())
-    (out / f"edges_q{args.q}.txt").write_text(edge_list_text(g))
+    with open(out / f"edges_q{args.q}.txt", "w") as fh:
+        fh.writelines(edge_list_blocks(g))
     (out / f"graph_q{args.q}.g6").write_bytes(graph6_bytes(g.n, g.adj))
     rep = verify_srg(g)
     cert = Certificate(
@@ -206,9 +207,8 @@ def cmd_certify(args) -> int:
 # ----------------------------------------------------------------------
 
 def _instance_report(payload):
-    q, fname, seed = payload
+    q, F, seed = payload
     g = _worker_graph(q)
-    F = load_replacement(fname)
     star = random_block(g, F, seed)
     rep = verify_star_instance(star)
     return {"seed": seed, "k4_free": rep["k4_free"],
@@ -292,7 +292,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
 
     g = _worker_graph(args.q)
-    payloads = [(args.q, args.F, instance_seed(args.seed, t)) for t in range(args.trials)]
+    payloads = [(args.q, F, instance_seed(args.seed, t)) for t in range(args.trials)]
     if args.threads > 1:
         with multiprocessing.Pool(args.threads) as pool:
             inst = pool.map(_instance_report, payloads)
@@ -407,13 +407,18 @@ def cmd_check_coloring(args) -> int:
     if err:
         print(err, file=sys.stderr)
         return EXIT_FAIL
-    g = build_graph_for_q(args.q)
-    fam = build_family(g)
     try:
-        coloring = EdgeColoring.from_text(g, Path(args.file).read_text())
+        text = Path(args.file).read_text()
     except (OSError, ValueError) as exc:
         print(f"cannot read coloring: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    g = build_graph_for_q(args.q)
+    try:
+        coloring = EdgeColoring.from_text(g, text)
+    except ValueError as exc:
+        print(f"cannot read coloring: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    fam = build_family(g)
     out = _out_dir(args)
     cert = adversarial_color_check(fam, coloring)
     _write_certs(out, f"check_coloring_q{args.q}", [cert], _run_config(args))
@@ -482,7 +487,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) == "simulate":
+    if args.seed < 0:
+        print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)
+        return EXIT_FAIL
+    if args.command == "search":
+        if not (math.isfinite(args.t0) and args.t0 >= 0):
+            print(f"--t0 must be a finite number >= 0, got {args.t0}", file=sys.stderr)
+            return EXIT_FAIL
+        if not (math.isfinite(args.cooling) and args.cooling > 0):
+            print(f"--cooling must be a finite number > 0, got {args.cooling}", file=sys.stderr)
+            return EXIT_FAIL
+    if args.command == "simulate":
         raw = args.delta
         try:
             args.delta_value = 0.5 if raw in (None, "auto") else float(raw)

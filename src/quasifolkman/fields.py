@@ -7,10 +7,10 @@ of degree k over GF(p).  The modulus is chosen deterministically (the
 lexicographically smallest monic irreducible, constant coefficient most
 significant), so element enumeration order is stable across runs.
 
-All supported field sizes fit comfortably in lookup tables: exp/log tables
-are always built, and full size-by-size add/mul tables are exposed as numpy
-arrays for vectorized bulk work whenever the field has at most
-``_FULL_TABLE_LIMIT`` elements.
+Every field is small enough for lookup tables: exp/log tables and the full
+size-by-size add/mul tables (numpy arrays, for vectorized bulk work) are
+always built, which caps the order at ``_MAX_ORDER``.  The largest field the
+pipeline uses is GF(121), for q = 11; q = 16 would need GF(256).
 
 Quadratic extensions GF(q^2) used for Hermitian unitals are built as a
 single degree-2k extension of the prime field; the subfield GF(q) is the
@@ -24,8 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-_FULL_TABLE_LIMIT = 4096
-_MAX_ORDER = 1 << 16
+_MAX_ORDER = 4096
 
 
 class FieldError(ValueError):
@@ -207,7 +206,6 @@ class FiniteField:
                 break
         if exp is None:
             raise FieldError("no primitive element found (modulus not irreducible?)")
-        self.generator_code = exp[1] if s > 2 else 1
         self._exp = np.array(exp + exp, dtype=np.int64)  # doubled for index math
         log = np.zeros(s, dtype=np.int64)
         for i, v in enumerate(exp):
@@ -215,27 +213,20 @@ class FiniteField:
         self._log = log
 
         # digit-wise addition, vectorized over all codes
-        codes = np.arange(s, dtype=np.int64)
+        rem = np.arange(s, dtype=np.int64)
         digits = np.empty((s, self.k), dtype=np.int64)
-        rem = codes.copy()
         for i in range(self.k):
             digits[:, i] = rem % p
             rem //= p
-        self._digits = digits
-        self._pow_p = p ** np.arange(self.k, dtype=np.int64)
+        pow_p = p ** np.arange(self.k, dtype=np.int64)
 
-        self.neg_table = (((-digits) % p) * self._pow_p).sum(axis=1)
-
-        if s <= _FULL_TABLE_LIMIT:
-            dsum = (digits[:, None, :] + digits[None, :, :]) % p
-            self.add_table = (dsum * self._pow_p).sum(axis=2).astype(np.int32)
-            logs = log[1:]
-            mul = np.zeros((s, s), dtype=np.int32)
-            mul[1:, 1:] = self._exp[(logs[:, None] + logs[None, :]) % (s - 1)]
-            self.mul_table = mul
-        else:
-            self.add_table = None
-            self.mul_table = None
+        self.neg_table = (((-digits) % p) * pow_p).sum(axis=1)
+        dsum = (digits[:, None, :] + digits[None, :, :]) % p
+        self.add_table = (dsum * pow_p).sum(axis=2).astype(np.int32)
+        logs = log[1:]
+        mul = np.zeros((s, s), dtype=np.int32)
+        mul[1:, 1:] = self._exp[(logs[:, None] + logs[None, :]) % (s - 1)]
+        self.mul_table = mul
 
         inv = np.zeros(s, dtype=np.int64)
         if s > 1:
@@ -246,10 +237,7 @@ class FiniteField:
     # -- scalar arithmetic on codes ---------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        d = (self._digits[a] + self._digits[b]) % self.p
-        return int((d * self._pow_p).sum())
+        return int(self.add_table[a, b])
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])

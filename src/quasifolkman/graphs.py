@@ -38,6 +38,10 @@ SAMPLE_BLOCK = 1 << 14
 #: bytes of bit-packed adjacency rows that one block of the clique-extension
 #: scan gathers; the rows per block follow from n
 SCAN_BLOCK_BYTES = 1 << 22
+#: lines per block of the edge-list text.  Each block's Python ints and
+#: strings are freed but leave heap behind: at 2^16 lines check-coloring's
+#: later peak RSS (q = 7) is 1.6 MB above that at 2^10
+EDGE_TEXT_BLOCK = 1 << 10
 
 # byte tables: number of set bits, and index of the lowest set bit
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -84,8 +88,7 @@ class IntersectionGraph:
         # the edges are the secant pairs inside the point cliques; one sort of
         # their keys gives the lexicographic edge list, and each key's
         # clique is its meet point
-        iu, iv = np.triu_indices(k, k=1)
-        key = (self.cliques[:, iu].astype(np.int64) * n + self.cliques[:, iv]).ravel()
+        key = pair_keys(self.cliques, n)
         order = np.argsort(key)
         key = key[order]
         if np.any(key[1:] == key[:-1]):
@@ -95,14 +98,13 @@ class IntersectionGraph:
         self._edge_key = key
         self.eu = (key // n).astype(np.int32)
         self.ev = (key % n).astype(np.int32)
-        self.edge_point = (order // len(iu)).astype(np.int32)
+        self.edge_point = (order // comb(k, 2)).astype(np.int32)
         self.m = len(key)
         del order  # free the sort permutation before the n x n fill
 
         self.adj = np.zeros((n, n), dtype=bool)
         self.adj[self.cliques[:, :, None], self.cliques[:, None, :]] = True
         np.fill_diagonal(self.adj, False)
-        self.degree = self.adj.sum(axis=1).astype(np.int64)
         self._line_of: np.ndarray | None = None
 
     # -- lookups ------------------------------------------------------------
@@ -125,13 +127,13 @@ class IntersectionGraph:
             self._line_of = point_pair_secants(self.vertex_cliques, len(self.cliques))
         return self._line_of
 
-    def off_points(self, start: int, stop: int) -> np.ndarray:
-        """The q^3 - q unital points off each secant in [start, stop),
-        ascending; shape (stop - start, q^3 - q)."""
+    def off_points(self, vs: np.ndarray) -> np.ndarray:
+        """The q^3 - q unital points off each secant in vs, ascending; shape
+        (len(vs), q^3 - q)."""
         npts = len(self.cliques)
-        off = np.ones((stop - start, npts), dtype=bool)
-        off[np.arange(stop - start)[:, None], self.vertex_cliques[start:stop]] = False
-        return np.nonzero(off)[1].reshape(stop - start, npts - self.q - 1)
+        off = np.ones((len(vs), npts), dtype=bool)
+        off[np.arange(len(vs))[:, None], self.vertex_cliques[vs]] = False
+        return np.nonzero(off)[1].reshape(len(vs), npts - self.q - 1)
 
     def spanning_cliques(self, start: int, stop: int) -> np.ndarray:
         """Spanning cliques of the vertices in [start, stop): for vertex v and
@@ -139,7 +141,7 @@ class IntersectionGraph:
         which are the secants line_of[P, Q] for the points Q of v.  Shape
         (stop - start, q^3 - q, q+1); rows by point id, members ascending."""
         pts = self.vertex_cliques[start:stop]
-        sc = self.line_of[self.off_points(start, stop)[:, :, None], pts[:, None, :]]
+        sc = self.line_of[self.off_points(np.arange(start, stop))[:, :, None], pts[:, None, :]]
         sc.sort(axis=2)
         return sc
 
@@ -147,8 +149,12 @@ class IntersectionGraph:
         """The q^3 - q spanning cliques at v; shape (q^3 - q, q+1)."""
         return self.spanning_cliques(v, v + 1)[0]
 
-    def __repr__(self) -> str:
-        return f"IntersectionGraph(q={self.q}, n={self.n}, m={self.m})"
+
+def pair_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """a*n + b for every pair a < b inside each row of ascending vertices,
+    row-major, int64."""
+    iu, iv = np.triu_indices(rows.shape[1], k=1)
+    return (rows[:, iu].astype(np.int64) * n + rows[:, iv]).ravel()
 
 
 def _point_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -475,24 +481,14 @@ def verify_k4_structure(
 # Serialization: edge list and graph6
 # ----------------------------------------------------------------------
 
-def edge_list_text(g: IntersectionGraph) -> str:
-    lines = [f"{int(u)} {int(v)}" for u, v in zip(g.eu, g.ev)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_edge_list(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """(n, edges) with n = max vertex id + 1."""
-    edges = []
-    hi = -1
-    for line in text.strip().split("\n"):
-        if not line.strip():
-            continue
-        u, v = (int(t) for t in line.split())
-        if u > v:
-            u, v = v, u
-        edges.append((u, v))
-        hi = max(hi, v)
-    return hi + 1, edges
+def edge_list_blocks(g: IntersectionGraph):
+    """The edge-list text, one 'u v' line per canonical edge, as consecutive
+    blocks of at most EDGE_TEXT_BLOCK lines."""
+    for s in range(0, g.m, EDGE_TEXT_BLOCK):
+        block = slice(s, s + EDGE_TEXT_BLOCK)
+        uv = np.stack([g.eu[block], g.ev[block]], axis=1).ravel().tolist()
+        # one format string over the block's interleaved endpoints
+        yield ("%d %d\n" * (len(uv) // 2)) % tuple(uv)
 
 
 def graph6_bytes(n: int, adj: np.ndarray) -> bytes:

@@ -99,7 +99,6 @@ def anneal(
     schedule: AnnealSchedule,
     seed: int,
     restarts: int = 1,
-    polish: bool = True,
     revalidate_every: int = 0,
 ) -> AnnealResult:
     """Metropolis annealing over edge flips, restarts in lockstep.
@@ -109,7 +108,6 @@ def anneal(
     """
     rng = np.random.default_rng(seed)
     part = np.hstack(edge_triangle_index(fam))
-    a1, a2 = np.hsplit(part, 2)  # views, so the tables are held once
     m = g.m
     colors = rng.integers(0, 2, size=(restarts, m), dtype=np.uint8).astype(bool)
     obj = batch_mono_counts(fam, colors)
@@ -140,8 +138,8 @@ def anneal(
                 if not np.array_equal(recount, obj):
                     raise RuntimeError("incremental objective diverged from full recount")
 
-    if polish and schedule.steps > 0:
-        best_colors, best_obj = _greedy_descent(fam, best_colors, best_obj, a1, a2)
+    if schedule.steps > 0:
+        best_colors, best_obj = _greedy_descent(best_colors, best_obj, part)
 
     recount = batch_mono_counts(fam, best_colors)
     if not np.array_equal(recount, best_obj):
@@ -168,10 +166,9 @@ def anneal(
     )
 
 
-def _greedy_descent(fam, colors, obj, a1, a2):
+def _greedy_descent(colors, obj, part):
     """Flip each chain's most-improving edge, lowest id on ties, until none improves."""
-    part = np.hstack((a1, a2))
-    delta = np.stack([(bits[part] != bits[:, None]).sum(axis=1) for bits in colors]) - a1.shape[1]
+    delta = np.stack([(bits[part] != bits[:, None]).sum(axis=1) for bits in colors]) - part.shape[1] // 2
     live = np.arange(colors.shape[0])
     while live.size:
         pick = delta[live].argmin(axis=1)
@@ -192,9 +189,12 @@ class RandomColoringStats:
     expected: float = 0.25
 
 
-def random_coloring_stats(
-    fam: TriangleFamily, trials: int, seed: int, batch: int = 64
-) -> RandomColoringStats:
+#: colorings per batch of random_coloring_stats; its (batch, rows) Goodman
+#: temporaries set the peak RSS of search at q = 4
+RANDOM_STATS_BATCH = 64
+
+
+def random_coloring_stats(fam: TriangleFamily, trials: int, seed: int) -> RandomColoringStats:
     """Monochromatic fraction of uniform random colorings.
 
     Each triangle is monochromatic with probability 2 (1/2)^3 = 1/4, so the
@@ -206,7 +206,7 @@ def random_coloring_stats(
     fractions = np.empty(trials, dtype=np.float64)
     done = 0
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(RANDOM_STATS_BATCH, trials - done)
         colors = rng.integers(0, 2, size=(b, m), dtype=np.uint8).astype(bool)
         counts = batch_mono_counts(fam, colors)
         fractions[done : done + b] = counts / fam.total

@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from .certificates import Certificate
-from .graphs import IntersectionGraph, enumerate_all_triangles, enumerate_k4, k4_clique_property
+from .graphs import IntersectionGraph, enumerate_all_triangles, enumerate_k4, k4_clique_property, pair_keys
 
 EXPLICIT_Q_LIMIT = 4
 #: vertices per spanning-clique block.  It bounds the (block, q^3-q, q+1)
@@ -42,26 +42,6 @@ def per_vertex_formula(q: int) -> int:
     return (q**3 - q) * comb(q + 1, 2)
 
 
-def classify_triangle(g: IntersectionGraph, a: int, b: int, c: int) -> str:
-    """'non-degenerate', 'degenerate', or 'not-a-triangle'.
-
-    Invariant under permutations of (a, b, c).  Two distinct meet points
-    among the three cannot occur (two secants meet in at most one unital
-    point); such a state asserts out as an internal bug.
-    """
-    if len({a, b, c}) != 3:
-        raise ValueError("vertices must be distinct")
-    if not (g.adj[a, b] and g.adj[a, c] and g.adj[b, c]):
-        return "not-a-triangle"
-    pts = {
-        int(g.edge_point[g.edge_index(min(a, b), max(a, b))]),
-        int(g.edge_point[g.edge_index(min(a, c), max(a, c))]),
-        int(g.edge_point[g.edge_index(min(b, c), max(b, c))]),
-    }
-    assert len(pts) != 2, "triangle with exactly two distinct meet points"
-    return "degenerate" if len(pts) == 1 else "non-degenerate"
-
-
 @dataclass
 class TriangleFamily:
     """The non-degenerate triangle family with its per-vertex index."""
@@ -72,7 +52,6 @@ class TriangleFamily:
     per_vertex: int
     triangles: np.ndarray | None = None  # (T, 3) vertex ids, small q only
     _clique_edges: np.ndarray | None = None
-    _triangle_edges: np.ndarray | None = None
 
     def clique_edge_matrix(self) -> np.ndarray:
         """Edge indices chi-coloring rows: one row per (vertex, spanning
@@ -92,33 +71,12 @@ class TriangleFamily:
             self._clique_edges = rows
         return self._clique_edges
 
-    def triangle_edge_matrix(self) -> np.ndarray:
-        """Edge indices of each explicit triangle; shape (T, 3)."""
-        if self._triangle_edges is None:
-            if self.triangles is None:
-                raise RuntimeError("explicit triangles not materialized at this q")
-            g = self.graph
-            t = self.triangles
-            a = t[:, 0].astype(np.int64)
-            b = t[:, 1].astype(np.int64)
-            c = t[:, 2].astype(np.int64)
-            self._triangle_edges = np.stack(
-                [g.edge_index(a, b), g.edge_index(a, c), g.edge_index(b, c)], axis=1
-            ).astype(np.int32)
-        return self._triangle_edges
 
-    def dump_triples_text(self) -> str:
-        if self.triangles is None:
-            raise RuntimeError("explicit triangles not materialized at this q")
-        return "\n".join(" ".join(map(str, row)) for row in self.triangles.tolist()) + "\n"
-
-
-def build_family(g: IntersectionGraph, explicit: bool | None = None) -> TriangleFamily:
+def build_family(g: IntersectionGraph) -> TriangleFamily:
     """Construct the family, cross-checking counts against the closed formula
-    and (for small q) against brute-force classification of all triangles."""
+    and (for q <= EXPLICIT_Q_LIMIT) against brute-force classification of all
+    triangles, which are then kept explicitly."""
     q = g.q
-    if explicit is None:
-        explicit = q <= EXPLICIT_Q_LIMIT
     expected_total = family_size_formula(q)
     expected_pv = per_vertex_formula(q)
 
@@ -142,7 +100,7 @@ def build_family(g: IntersectionGraph, explicit: bool | None = None) -> Triangle
         raise RuntimeError(f"family total {total} != formula {expected_total}")
 
     triangles = None
-    if explicit:
+    if q <= EXPLICIT_Q_LIMIT:
         all_tris = enumerate_all_triangles(g)
         triangles = all_tris[~k4_clique_property(g, all_tris)]
         if len(triangles) != expected_total:
@@ -156,56 +114,48 @@ def build_family(g: IntersectionGraph, explicit: bool | None = None) -> Triangle
 def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
     """Check that H[N(v)] splits into the q+1 point-clique remnants of order
     q^2-1 plus the q^3-q spanning cliques of order q+1, every edge covered
-    exactly once."""
-    q = g.q
+    exactly once.
+
+    N(v)'s edges are sorted a*n + b keys; the cliques' pairs are looked up
+    among them with one searchsorted, and a bincount of the hits gives each
+    edge's cover count.  A covering pair that is not an edge of N(v) fails
+    the check and is reported as outside_witness."""
+    q, n = g.q, g.n
     nbrs = np.flatnonzero(g.adj[v])
-    sub_edges = {}
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1 :]:
-            if g.adj[a, b]:
-                sub_edges[(int(a), int(b))] = 0
+    a, b = np.nonzero(np.triu(g.adj[np.ix_(nbrs, nbrs)], 1))
+    edges = nbrs[a].astype(np.int64) * n + nbrs[b]  # ascending: row-major over ascending nbrs
 
-    big_cliques = []
-    for cid in g.vertex_cliques[v]:
-        members = [int(w) for w in g.cliques[cid] if w != v]
-        big_cliques.append(members)
-    spanning = [list(map(int, row)) for row in g.spanning_cliques_of(v)]
-
-    def cover(members):
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                key = (a, b) if a < b else (b, a)
-                if key not in sub_edges:
-                    return key
-                sub_edges[key] += 1
-        return None
-
-    problems = []
-    for members in big_cliques + spanning:
-        bad = cover(members)
-        if bad is not None:
-            problems.append(("edge outside N(v)", bad))
-    uncovered = [e for e, c in sub_edges.items() if c == 0]
-    doubled = [e for e, c in sub_edges.items() if c > 1]
+    big = g.cliques[g.vertex_cliques[v]]
+    remnant_sizes = (big != v).sum(axis=1)
+    big_keys = pair_keys(big, n)
+    own = (big_keys // n == v) | (big_keys % n == v)
+    spanning = g.spanning_cliques_of(v)
+    covering = np.concatenate([big_keys[~own], pair_keys(spanning, n)])
+    idx = np.minimum(np.searchsorted(edges, covering), len(edges) - 1)
+    inside = edges[idx] == covering
+    counts = np.bincount(idx[inside], minlength=len(edges))
+    uncovered = np.flatnonzero(counts == 0)
+    doubled = np.flatnonzero(counts > 1)
     sizes_ok = (
-        len(big_cliques) == q + 1
-        and all(len(c) == q * q - 1 for c in big_cliques)
-        and len(spanning) == q**3 - q
-        and all(len(c) == q + 1 for c in spanning)
+        len(big) == q + 1
+        and bool(np.all(remnant_sizes == q * q - 1))
+        and spanning.shape == (q**3 - q, q + 1)
     )
     quantities = {
         "vertex": v,
-        "point_clique_remnants": len(big_cliques),
+        "point_clique_remnants": len(big),
         "spanning_cliques": len(spanning),
-        "neighborhood_edges": len(sub_edges),
+        "neighborhood_edges": len(edges),
         "uncovered": len(uncovered),
         "doubly_covered": len(doubled),
     }
-    if uncovered:
-        quantities["uncovered_witness"] = list(uncovered[0])
-    if doubled:
-        quantities["doubled_witness"] = list(doubled[0])
-    ok = sizes_ok and not problems and not uncovered and not doubled
+    if len(uncovered):
+        quantities["uncovered_witness"] = list(divmod(int(edges[uncovered[0]]), n))
+    if len(doubled):
+        quantities["doubled_witness"] = list(divmod(int(edges[doubled[0]]), n))
+    if not inside.all():
+        quantities["outside_witness"] = list(divmod(int(covering[~inside][0]), n))
+    ok = sizes_ok and inside.all() and not len(uncovered) and not len(doubled)
     return Certificate(
         claim="neighborhood decomposes into point-clique remnants plus spanning cliques",
         params={"q": q, "vertex": v},

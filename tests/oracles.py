@@ -3,11 +3,14 @@
 They read the dense adjacency, the edge list and Python-int bitmask rows
 directly, so they share no logic with the design-identity SRG proof, the
 clique-extension scan, the bit-packed K4 sampler or the incidence-based
-concurrency predicate.
+concurrency predicate.  The per-triangle Goodman count and the edge-list
+parser are the references for the clique-row count and the edge-list
+export.
 """
 
 import numpy as np
 
+from quasifolkman.certify import canonical_edges, maxcut_exact
 from quasifolkman.graphs import neighbor_rows
 
 
@@ -252,3 +255,94 @@ def parse_graph6(data):
     adj[rows[on], cols[on]] = True
     adj |= adj.T
     return adj
+
+
+def triangle_edge_matrix(fam):
+    """Edge indices of each explicit family triangle; shape (T, 3)."""
+    if fam.triangles is None:
+        raise RuntimeError("explicit triangles not materialized at this q")
+    g = fam.graph
+    t = fam.triangles
+    a = t[:, 0].astype(np.int64)
+    b = t[:, 1].astype(np.int64)
+    c = t[:, 2].astype(np.int64)
+    return np.stack(
+        [g.edge_index(a, b), g.edge_index(a, c), g.edge_index(b, c)], axis=1
+    ).astype(np.int32)
+
+
+def goodman_count_direct(fam, coloring):
+    """Independent per-triangle count over the explicit family list."""
+    te = triangle_edge_matrix(fam)
+    c = coloring.bits[te]
+    mono = (c[:, 0] == c[:, 1]) & (c[:, 0] == c[:, 2])
+    return int(mono.sum())
+
+
+def same_sum_from_triangles(te, colors):
+    """sum_v same(v) computed triangle-by-triangle: per triangle, the number
+    of vertices whose two incident edges agree (3 if monochromatic, else 1)."""
+    c = colors[te]
+    s = (c[:, 0] == c[:, 1]).astype(np.int64)
+    s += (c[:, 0] == c[:, 2])
+    s += (c[:, 1] == c[:, 2])
+    return int(s.sum())
+
+
+def count_mono_triangles_direct(adj, colors):
+    """Trace of the cubed single-color adjacency matrices."""
+    n = adj.shape[0]
+    eu, ev = canonical_edges(adj)
+    blue = np.zeros((n, n), dtype=np.int64)
+    sel = np.asarray(colors, dtype=bool)
+    blue[eu[sel], ev[sel]] = 1
+    blue |= blue.T
+    red = np.zeros((n, n), dtype=np.int64)
+    red[eu[~sel], ev[~sel]] = 1
+    red |= red.T
+    tr = int(np.trace(red @ red @ red)) + int(np.trace(blue @ blue @ blue))
+    assert tr % 6 == 0
+    return tr // 6
+
+
+def min_mono_edges(adj):
+    """m - maxcut: the least monochromatic edge count over vertex 2-colorings."""
+    eu, _ = canonical_edges(adj)
+    cut, _ = maxcut_exact(adj)
+    return len(eu) - cut
+
+
+def parse_edge_list(text):
+    """(n, edges) with n = max vertex id + 1."""
+    edges = []
+    hi = -1
+    for line in text.strip().split("\n"):
+        if not line.strip():
+            continue
+        u, v = (int(t) for t in line.split())
+        if u > v:
+            u, v = v, u
+        edges.append((u, v))
+        hi = max(hi, v)
+    return hi + 1, edges
+
+
+def classify_triangle(g, a, b, c):
+    """'non-degenerate', 'degenerate', or 'not-a-triangle', from the meet
+    points of the three edges.
+
+    Invariant under permutations of (a, b, c).  Two distinct meet points
+    among the three cannot occur (two secants meet in at most one unital
+    point); such a state asserts out as an internal bug.
+    """
+    if len({a, b, c}) != 3:
+        raise ValueError("vertices must be distinct")
+    if not (g.adj[a, b] and g.adj[a, c] and g.adj[b, c]):
+        return "not-a-triangle"
+    pts = {
+        int(g.edge_point[g.edge_index(min(a, b), max(a, b))]),
+        int(g.edge_point[g.edge_index(min(a, c), max(a, c))]),
+        int(g.edge_point[g.edge_index(min(b, c), max(b, c))]),
+    }
+    assert len(pts) != 2, "triangle with exactly two distinct meet points"
+    return "degenerate" if len(pts) == 1 else "non-degenerate"

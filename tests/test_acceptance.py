@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import adj_bits, find_k4, verify_srg_dense
+from oracles import adj_bits, count_mono_triangles_direct, find_k4, goodman_count_direct, verify_srg_dense
 from quasifolkman.blocks import (
     alon_parameters,
     concentration_experiment,
@@ -28,11 +28,9 @@ from quasifolkman.blocks import (
 from quasifolkman.certify import (
     EdgeColoring,
     batch_mono_counts,
-    count_mono_triangles_direct,
     canonical_edges,
     goodman_count,
     goodman_count_all_triangles,
-    goodman_count_direct,
     quasi_folkman_certificate,
     mono_lower_bound,
 )

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import count_mono_triangles_direct, goodman_count_direct, min_mono_edges, same_sum_from_triangles
 from quasifolkman.certify import (
     ColoringFormatError,
     EdgeColoring,
@@ -11,17 +14,14 @@ from quasifolkman.certify import (
     batch_mono_counts,
     canonical_edges,
     clique_min_mono,
-    count_mono_triangles_direct,
     goodman_count,
     goodman_count_all_triangles,
-    goodman_count_direct,
     maxcut_exact,
-    min_mono_edges,
-    same_sum_from_triangles,
     quasi_folkman_certificate,
     mono_lower_bound,
 )
 from quasifolkman.graphs import build_graph_for_q
+from quasifolkman.search import edge_triangle_index, flip_delta
 from quasifolkman.triangles import build_family
 
 
@@ -34,11 +34,16 @@ def setups():
     return out
 
 
+@pytest.fixture(scope="module")
+def partners(setups):
+    return {q: edge_triangle_index(fam) for q, (g, fam) in setups.items()}
+
+
 # -- Goodman counting on the family -------------------------------------
 
 def test_all_red_is_all_monochromatic(setups):
     for q, (g, fam) in setups.items():
-        tally = goodman_count(fam, EdgeColoring.all_red(g))
+        tally = goodman_count(fam, EdgeColoring(g))
         assert tally.monochromatic == fam.total
         assert tally.blue_pairs.sum() == 0
 
@@ -60,6 +65,27 @@ def test_goodman_formula_vs_direct(setups, q, seeds):
         assert goodman_count(fam, col).monochromatic == goodman_count_direct(fam, col)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4]),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0, 1),
+    pick=st.integers(0, 10**6),
+)
+def test_goodman_count_matches_per_triangle_count_and_flip_delta(setups, partners, q, seed, density, pick):
+    g, fam = setups[q]
+    a1, a2 = partners[q]
+    bits = np.random.default_rng(seed).random(g.m) < density
+    before = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
+    assert before == goodman_count_direct(fam, EdgeColoring(g, bits))
+    e = pick % g.m
+    d = flip_delta(bits, e, a1, a2)
+    bits[e] ^= True
+    after = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
+    assert after == goodman_count_direct(fam, EdgeColoring(g, bits))
+    assert after - before == d
+
+
 def test_goodman_identities(setups):
     g, fam = setups[3]
     for seed in range(10):
@@ -67,9 +93,9 @@ def test_goodman_identities(setups):
         tally = goodman_count(fam, col)
         mono = tally.monochromatic
         nonmono = fam.total - mono
-        assert tally.same_sum == 3 * mono + nonmono
+        assert int(tally.red_pairs.sum() + tally.blue_pairs.sum()) == 3 * mono + nonmono
         # color swap leaves the count unchanged
-        assert goodman_count(fam, col.flipped()).monochromatic == mono
+        assert goodman_count(fam, EdgeColoring(g, ~col.bits)).monochromatic == mono
 
 
 def test_per_vertex_lower_bound(setups):
@@ -291,7 +317,7 @@ def test_main_certificate_fraction_limit():
 
 def test_adversarial_checks(setups):
     g, fam = setups[4]
-    cert = adversarial_color_check(fam, EdgeColoring.all_red(g))
+    cert = adversarial_color_check(fam, EdgeColoring(g))
     assert cert.outcome == "pass"
     assert cert.quantities["monochromatic"] == 41600
     cert = adversarial_color_check(fam, EdgeColoring.random(g, 1))

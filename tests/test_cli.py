@@ -231,6 +231,13 @@ def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
         (["simulate", "--q", "3", "--trials", "0"], "--trials"),
         (["certify", "--q", "5", "--samples", "-1"], "--samples"),
         (["search", "--q", "3", "--steps", "-5"], "--steps"),
+        (["certify", "--q", "5", "--seed", "-1"], "--seed"),
+        (["certify", "--q", "4", "--seed", "-1"], "--seed"),
+        (["search", "--q", "3", "--seed", "-1"], "--seed"),
+        (["simulate", "--q", "3", "--trials", "2", "--seed", "-1"], "--seed"),
+        (["search", "--q", "3", "--t0", "nan"], "--t0"),
+        (["search", "--q", "3", "--t0", "-1"], "--t0"),
+        (["search", "--q", "3", "--cooling", "nan"], "--cooling"),
     ],
 )
 def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, flag):
@@ -255,6 +262,13 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["simulate", "--alon-k", "11", "--delta", "nan"],
         ["simulate", "--q", "3", "--F", "c5", "--delta", "nan"],
         ["simulate", "--q", "3", "--F", "c5", "--delta", "-3"],
+        ["certify", "--q", "5", "--seed", "-1"],
+        ["certify", "--q", "4", "--seed", "-1"],
+        ["search", "--q", "3", "--seed", "-1"],
+        ["simulate", "--q", "3", "--trials", "2", "--seed", "-1"],
+        ["search", "--q", "3", "--t0", "nan"],
+        ["search", "--q", "3", "--t0", "-1"],
+        ["search", "--q", "3", "--cooling", "nan"],
     ],
 )
 def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):

@@ -7,8 +7,13 @@ from quasifolkman.fields import (
     QuadraticExtension,
     prime_power,
 )
+from quasifolkman.graphs import SUPPORTED_Q
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]  # orders 2..9
+# plus every field the pipeline builds: GF(q^2) for each supported q, up to GF(121)
+FIELDS = [pytest.param(lambda p=p, k=k: FiniteField(p, k), id=f"{p}-{k}") for p, k in SMALL_FIELDS] + [
+    pytest.param(lambda q=q: QuadraticExtension(q), id=f"q{q}") for q in SUPPORTED_Q
+]
 
 
 def test_default_moduli():
@@ -37,9 +42,9 @@ def test_gf4_x_times_x():
     assert f.mul(x, x) == 3 and f.coeffs_of(3) == (1, 1)  # x^2 = x + 1 mod x^2+x+1
 
 
-@pytest.mark.parametrize("p,k", SMALL_FIELDS)
-def test_field_axioms_exhaustive(p, k):
-    f = FiniteField(p, k)
+@pytest.mark.parametrize("make", FIELDS)
+def test_field_axioms_exhaustive(make):
+    f = make()
     s = f.order
     elems = list(range(s))
     one, zero = 1, 0
@@ -65,6 +70,13 @@ def test_field_axioms_exhaustive(p, k):
     dist_l = mul[np.arange(s)[:, None, None], add[None, :, :]]
     dist_r = add[mul[:, :, None], mul[:, None, :]]
     assert np.array_equal(dist_l, dist_r)
+
+
+@pytest.mark.parametrize("make", [lambda: FiniteField(2, 13), lambda: QuadraticExtension(67)])
+def test_orders_above_the_table_limit_are_rejected(make):
+    # 2^13 = 8192 and 67^2 = 4489 exceed the 4096 elements the tables allow
+    with pytest.raises(FieldError, match="exceeds"):
+        make()
 
 
 def test_division_by_zero():

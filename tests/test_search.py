@@ -102,7 +102,7 @@ def _pre_polish_states(q, seed):
     schedule, restarts = HOT_STOP[q]
     captured = []
 
-    def capture(fam, colors, obj, a1, a2):
+    def capture(colors, obj, part):
         captured.append((colors.copy(), obj.copy()))
         return colors, obj
 
@@ -118,7 +118,7 @@ def test_polish_matches_recompute_all_oracle(q, seed, setup3, setup4):
     g, fam, (a1, a2) = setup3 if q == 3 else setup4
     colors, obj = _pre_polish_states(q, seed)
     want_colors, want_obj = oracle_greedy_descent(colors.copy(), obj.copy(), a1, a2)
-    got_colors, got_obj = search._greedy_descent(fam, colors.copy(), obj.copy(), a1, a2)
+    got_colors, got_obj = search._greedy_descent(colors.copy(), obj.copy(), np.hstack((a1, a2)))
     assert not np.array_equal(want_colors, colors)  # the polish had moves to make
     assert np.array_equal(got_colors, want_colors)
     assert np.array_equal(got_obj, want_obj)

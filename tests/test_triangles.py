@@ -3,11 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import degenerate_mask
+from oracles import classify_triangle, degenerate_mask, triangle_edge_matrix
 from quasifolkman.graphs import build_graph_for_q, enumerate_k4
 from quasifolkman.triangles import (
     build_family,
-    classify_triangle,
     enumerate_all_triangles,
     family_size_formula,
     per_vertex_formula,
@@ -114,6 +113,31 @@ def test_nbhd_decomposition_q4_sample(graphs):
         assert cert.quantities["neighborhood_edges"] == 5 * 105 + 60 * 10
 
 
+@pytest.mark.parametrize("tamper", ["drop_edge", "add_non_edge"])
+def test_nbhd_decomposition_detects_tampered_adjacency(tamper):
+    # a fresh graph, so the module's shared ones stay intact
+    g = build_graph_for_q(3)
+    v = 5
+    nbrs = np.flatnonzero(g.adj[v])
+    assert verify_nbhd_decomposition(g, v).outcome == "pass"
+    sub = np.triu(g.adj[np.ix_(nbrs, nbrs)], 1)
+    if tamper == "add_non_edge":
+        sub = np.triu(~g.adj[np.ix_(nbrs, nbrs)], 1)
+    i, j = np.argwhere(sub)[7]
+    a, b = nbrs[i], nbrs[j]
+    g.adj[a, b] = g.adj[b, a] = tamper == "add_non_edge"
+    cert = verify_nbhd_decomposition(g, v)
+    assert cert.outcome == "fail"
+    if tamper == "drop_edge":
+        # the dropped edge is still covered by one clique
+        assert cert.quantities["outside_witness"] == [int(a), int(b)]
+        assert cert.quantities["neighborhood_edges"] == 4 * 28 + 24 * 6 - 1
+    else:
+        assert cert.quantities["uncovered"] == 1
+        assert cert.quantities["uncovered_witness"] == [int(a), int(b)]
+        assert "outside_witness" not in cert.quantities
+
+
 def test_spanning_cliques_edge_disjoint(graphs):
     g = graphs[3]
     for v in (0, 31):
@@ -145,7 +169,7 @@ def test_k4_with_clique_triangle_has_degenerate_member(graphs):
 def test_triangle_edge_matrix(families):
     fam = families[2]
     g = fam.graph
-    te = fam.triangle_edge_matrix()
+    te = triangle_edge_matrix(fam)
     assert te.shape == (fam.total, 3)
     # edges recovered match the triangle's vertex pairs
     t0 = fam.triangles[0]
@@ -165,10 +189,3 @@ def test_clique_edge_matrix_shape(families):
     assert ce.shape == (g.n * (q**3 - q), q + 1)
     # all entries valid edge ids incident to the owning vertex
     assert ce.min() >= 0 and ce.max() < g.m
-
-
-def test_dump_triples(families):
-    text = families[2].dump_triples_text()
-    rows = text.strip().split("\n")
-    assert len(rows) == 72
-    assert all(len(r.split()) == 3 for r in rows)
