@@ -37,6 +37,7 @@ from .graphs import (
     lowest_set_bit,
     packed_rows,
     row_blocks,
+    row_pairs,
 )
 
 
@@ -222,7 +223,7 @@ class StarGraph:
     base: IntersectionGraph
     F: ReplacementGraph
     seed: int
-    labels: np.ndarray  # (n, q+1), aligned with base.vertex_cliques
+    labels: np.ndarray  # (q^3+1, q^2), aligned with base.cliques
     edge_mask: np.ndarray  # (m,) bool over canonical edges
 
     @property
@@ -245,17 +246,15 @@ def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGr
     """Draw one instance; per-edge survival probability is 2m/n^2."""
     if _has_triangle(F.adj):
         raise ConstructionError("replacement graph must be triangle-free")
-    n_atoms, slots = g.vertex_cliques.shape
-    labels = np.empty((n_atoms, slots), dtype=np.int32)
-    for v in range(n_atoms):
-        for j in range(slots):
-            labels[v, j] = assignment_value(seed, int(g.vertex_cliques[v, j]), v, F.n)
-    ep = g.edge_point
-    slot_u = (g.vertex_cliques[g.eu] == ep[:, None]).argmax(axis=1)
-    slot_v = (g.vertex_cliques[g.ev] == ep[:, None]).argmax(axis=1)
-    lu = labels[g.eu, slot_u]
-    lv = labels[g.ev, slot_v]
-    edge_mask = F.adj[lu, lv]
+    labels = np.array(
+        [[assignment_value(seed, p, v, F.n) for v in members] for p, members in enumerate(g.cliques.tolist())],
+        dtype=np.int32,
+    )
+    # an edge survives iff the labels at its two positions in its clique
+    # form an edge of F
+    lu, lv = row_pairs(labels)
+    edge_mask = np.empty(g.m, dtype=bool)
+    edge_mask[g.clique_edges.ravel()] = F.adj[lu, lv]
     return StarGraph(base=g, F=F, seed=seed, labels=labels, edge_mask=edge_mask)
 
 
@@ -290,7 +289,9 @@ def verify_star_instance(star: StarGraph) -> dict:
             conc = np.flatnonzero(k4_clique_property(g, tris))
             if len(conc):
                 a, b, c = map(int, tris[conc[0]])
-                clique_triangle = (int(g.edge_point[g.edge_index(a, b)]), a, b, c)
+                # a and b meet at their one common point
+                meet = np.intersect1d(g.vertex_cliques[a], g.vertex_cliques[b], assume_unique=True)
+                clique_triangle = (int(meet[0]), a, b, c)
         if k4 is None:
             k4 = _first_k4(words, tris)
         if k4 is not None and clique_triangle is not None:
@@ -331,14 +332,12 @@ def concentration_experiment(
         cliq = rng.integers(0, q**3 - q, size=samples_per_trial)
         lab = rng.integers(0, F.n, size=samples_per_trial)
         # spanning clique cliq of v lives at v's cliq-th off point P; its
-        # members are the secants through P and a point of v
-        point = g.off_points(vs)[np.arange(samples_per_trial), cliq]
-        members = g.line_of[point[:, None], g.vertex_cliques[vs]]
-        v = vs[:, None]
-        alive = star.edge_mask[g.edge_index(np.minimum(v, members), np.maximum(v, members))]
-        # each member's label in P's clique sits at P's slot in its incidence
-        slot = (g.vertex_cliques[members] == point[:, None, None]).argmax(axis=2)
-        values.append((alive & (star.labels[members, slot] == lab[:, None])).sum(axis=1))
+        # member through P and v's point A meets v at A, where v is the
+        # secant through A and another point of v, and sits at pos[P, A]
+        point = g.off_points(vs)[np.arange(samples_per_trial), cliq][:, None]
+        pts = g.vertex_cliques[vs]
+        alive = star.edge_mask[g.edge_at(pts, np.roll(pts, 1, axis=1), point)]
+        values.append((alive & (star.labels[point, g.pos[point, pts]] == lab[:, None])).sum(axis=1))
     values = np.concatenate(values).astype(np.float64)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else float("nan")

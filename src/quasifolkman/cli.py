@@ -98,12 +98,15 @@ def _exit_code(certs: list[Certificate]) -> int:
     return EXIT_PASS
 
 
-def _check_q(q: int, formula_only: bool = False) -> str | None:
+class UsageError(ValueError):
+    """Bad input on the command line; main prints it as one line and exits 1."""
+
+
+def _check_q(q: int) -> None:
     if prime_power(q) is None:
-        return f"q must be a prime power, got {q}"
-    if not formula_only and q not in SUPPORTED_Q:
-        return f"q = {q} exceeds the verification range {SUPPORTED_Q}"
-    return None
+        raise UsageError(f"q must be a prime power, got {q}")
+    if q not in SUPPORTED_Q:
+        raise UsageError(f"q = {q} exceeds the verification range {SUPPORTED_Q}")
 
 
 # ----------------------------------------------------------------------
@@ -111,10 +114,7 @@ def _check_q(q: int, formula_only: bool = False) -> str | None:
 # ----------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    err = _check_q(args.q)
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_FAIL
+    _check_q(args.q)
     out = _out_dir(args)
     unital = build_unital_for_q(args.q)
     g = build_graph(unital)
@@ -146,13 +146,9 @@ def cmd_build(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    err = _check_q(args.q)
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_FAIL
+    _check_q(args.q)
     if args.samples < 0:
-        print(f"--samples must be at least 0, got {args.samples}", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(f"--samples must be at least 0, got {args.samples}")
     q = args.q
     out = _out_dir(args)
     g = build_graph_for_q(q)
@@ -232,8 +228,7 @@ def cmd_simulate(args) -> int:
         try:
             p = alon_parameters(args.alon_k)
         except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_FAIL
+            raise UsageError(exc) from None
         out = _out_dir(args)
         delta = 1.0 if args.delta in (None, "auto") else args.delta_value
         report = {
@@ -277,18 +272,13 @@ def cmd_simulate(args) -> int:
         _write_certs(out, f"simulate_alon_k{args.alon_k}_certs", certs, config)
         return _exit_code(certs)
 
-    err = _check_q(args.q)
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_FAIL
+    _check_q(args.q)
     if args.trials < 1:
-        print(f"--trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     try:
         F = load_replacement(args.F)
     except ConstructionError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(exc) from None
     out = _out_dir(args)
 
     g = _worker_graph(args.q)
@@ -359,19 +349,13 @@ SEARCH_Q_LIMIT = 5  # partner tables scale as m * q^2
 
 
 def cmd_search(args) -> int:
-    err = _check_q(args.q)
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_FAIL
+    _check_q(args.q)
     if args.q > SEARCH_Q_LIMIT:
-        print(f"search supports q <= {SEARCH_Q_LIMIT} (edge-triangle index memory)", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(f"search supports q <= {SEARCH_Q_LIMIT} (edge-triangle index memory)")
     if args.restarts < 1:
-        print(f"--restarts must be at least 1, got {args.restarts}", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
     if args.steps < 0:
-        print(f"--steps must be at least 0, got {args.steps:g}", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(f"--steps must be at least 0, got {args.steps:g}")
     out = _out_dir(args)
     g = build_graph_for_q(args.q)
     fam = build_family(g)
@@ -403,21 +387,16 @@ def cmd_search(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_check_coloring(args) -> int:
-    err = _check_q(args.q)
-    if err:
-        print(err, file=sys.stderr)
-        return EXIT_FAIL
+    _check_q(args.q)
     try:
         text = Path(args.file).read_text()
     except (OSError, ValueError) as exc:
-        print(f"cannot read coloring: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(f"cannot read coloring: {exc}") from None
     g = build_graph_for_q(args.q)
     try:
         coloring = EdgeColoring.from_text(g, text)
     except ValueError as exc:
-        print(f"cannot read coloring: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        raise UsageError(f"cannot read coloring: {exc}") from None
     fam = build_family(g)
     out = _out_dir(args)
     cert = adversarial_color_check(fam, coloring)
@@ -487,29 +466,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed < 0:
-        print(f"--seed must be at least 0, got {args.seed}", file=sys.stderr)
+    try:
+        if args.seed < 0:
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
+        if args.command == "search":
+            if not (math.isfinite(args.t0) and args.t0 >= 0):
+                raise UsageError(f"--t0 must be a finite number >= 0, got {args.t0}")
+            if not (math.isfinite(args.cooling) and args.cooling > 0):
+                raise UsageError(f"--cooling must be a finite number > 0, got {args.cooling}")
+        if args.command == "simulate":
+            raw = args.delta
+            try:
+                args.delta_value = 0.5 if raw in (None, "auto") else float(raw)
+            except ValueError:
+                args.delta_value = math.nan
+            if not math.isfinite(args.delta_value) or args.delta_value < 0:
+                raise UsageError(f"--delta must be a finite number >= 0 or 'auto', got {raw!r}")
+            if args.alon_k is not None and raw not in (None, "auto") and not 0 < args.delta_value <= 1:
+                raise UsageError(f"--delta with --alon-k must lie in (0, 1], got {raw!r}")
+        return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_FAIL
-    if args.command == "search":
-        if not (math.isfinite(args.t0) and args.t0 >= 0):
-            print(f"--t0 must be a finite number >= 0, got {args.t0}", file=sys.stderr)
-            return EXIT_FAIL
-        if not (math.isfinite(args.cooling) and args.cooling > 0):
-            print(f"--cooling must be a finite number > 0, got {args.cooling}", file=sys.stderr)
-            return EXIT_FAIL
-    if args.command == "simulate":
-        raw = args.delta
-        try:
-            args.delta_value = 0.5 if raw in (None, "auto") else float(raw)
-        except ValueError:
-            args.delta_value = math.nan
-        if not math.isfinite(args.delta_value) or args.delta_value < 0:
-            print(f"--delta must be a finite number >= 0 or 'auto', got {raw!r}", file=sys.stderr)
-            return EXIT_FAIL
-        if args.alon_k is not None and raw not in (None, "auto") and not 0 < args.delta_value <= 1:
-            print(f"--delta with --alon-k must lie in (0, 1], got {raw!r}", file=sys.stderr)
-            return EXIT_FAIL
-    return args.func(args)
 
 
 if __name__ == "__main__":

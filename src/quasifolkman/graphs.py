@@ -67,6 +67,13 @@ class IntersectionGraph:
     eu, ev : (m,) int32 canonical edge list, lexicographic with eu < ev.
     edge_point : (m,) int32, dense unital point id where each edge's
         secants meet (equivalently, the unique clique containing the edge).
+    clique_edges : (q^3+1, C(q^2, 2)) int32, the id of the edge between
+        each pair of positions in each point clique, pairs in triu order.
+    pos : (q^3+1, q^3+1) int32, pos[P, A] is the position in P's clique of
+        the secant through unital points P and A (-1 on the diagonal).
+
+    Every edge lies in exactly one point clique, so it is named by its meet
+    point and two clique positions; edge_at turns that name into its id.
     """
 
     def __init__(self, q: int, secant_points: np.ndarray):
@@ -81,26 +88,39 @@ class IntersectionGraph:
         self.q = q
         self.n = n
         self.vertex_cliques = pts.astype(np.int32)
-        # a stable sort of the flat incidence lists each point's secants in order
-        cliques = (np.argsort(pts.ravel(), kind="stable") // (q + 1)).astype(np.int32)
-        self.cliques = cliques.reshape(npts, k)
+        # a stable sort of the flat incidence lists each point's secants in
+        # order; its inverse is each incidence's position in its clique
+        inc = np.argsort(pts.ravel(), kind="stable")
+        self.cliques = (inc // (q + 1)).astype(np.int32).reshape(npts, k)
+        at = np.empty(len(inc), dtype=np.int32)
+        at[inc] = np.arange(len(inc)) % k
+        p, r = row_pairs(self.vertex_cliques)
+        i, j = row_pairs(at.reshape(n, q + 1))
+        self.pos = np.full((npts, npts), -1, dtype=np.int32)
+        self.pos[p, r] = i
+        self.pos[r, p] = j
+        del inc, at, p, r, i, j
 
-        # the edges are the secant pairs inside the point cliques; one sort of
-        # their keys gives the lexicographic edge list, and each key's
-        # clique is its meet point
-        key = pair_keys(self.cliques, n)
-        order = np.argsort(key)
-        key = key[order]
-        if np.any(key[1:] == key[:-1]):
+        # the edges are the secant pairs inside the point cliques, clique-major;
+        # one sort of their keys gives the lexicographic edge list, and its
+        # inverse each clique pair's edge id.  The kept m-sized arrays share one
+        # block taken before the sort's temporaries: certify --q 9 peaks 7 MB lower
+        self.m = npts * comb(k, 2)
+        self.eu, self.ev, self.edge_point, clique_edges = np.empty((4, self.m), dtype=np.int32)
+        a, b = row_pairs(self.cliques)
+        order = np.argsort(a.astype(np.int64) * n + b)
+        np.take(a, order, out=self.eu)
+        np.take(b, order, out=self.ev)
+        del a, b
+        if np.any((self.eu[1:] == self.eu[:-1]) & (self.ev[1:] == self.ev[:-1])):
             raise GraphError("two secants share more than one unital point")
-        # lexicographic edge keys are strictly increasing, so index lookups
-        # reduce to one searchsorted
-        self._edge_key = key
-        self.eu = (key // n).astype(np.int32)
-        self.ev = (key % n).astype(np.int32)
-        self.edge_point = (order // comb(k, 2)).astype(np.int32)
-        self.m = len(key)
-        del order  # free the sort permutation before the n x n fill
+        np.floor_divide(order, comb(k, 2), out=self.edge_point, casting="unsafe")
+        clique_edges[order] = np.arange(self.m, dtype=np.int32)
+        self.clique_edges = clique_edges.reshape(npts, comb(k, 2))
+        del order
+        iu, iv = np.triu_indices(k, k=1)
+        self._pair = np.zeros((k, k), dtype=np.int32)
+        self._pair[iu, iv] = self._pair[iv, iu] = np.arange(len(iu))
 
         self.adj = np.zeros((n, n), dtype=bool)
         self.adj[self.cliques[:, :, None], self.cliques[:, None, :]] = True
@@ -109,14 +129,11 @@ class IntersectionGraph:
 
     # -- lookups ------------------------------------------------------------
 
-    def edge_index(self, u, v):
-        """Canonical index of edge(s) (u, v) with u < v; vectorized.
-
-        Callers must pass actual edges; a non-edge maps to an arbitrary slot.
-        """
-        key = np.asarray(u, dtype=np.int64) * self.n + np.asarray(v, dtype=np.int64)
-        idx = np.searchsorted(self._edge_key, key)
-        return idx if idx.ndim else int(idx)
+    def edge_at(self, P, A, B):
+        """Id of the edge at unital point P between the secants through
+        (P, A) and (P, B); vectorized, gathers only.  P, A and B must be
+        distinct unital points."""
+        return self.clique_edges[P, self._pair[self.pos[P, A], self.pos[P, B]]]
 
     @property
     def line_of(self) -> np.ndarray:
@@ -150,17 +167,11 @@ class IntersectionGraph:
         return self.spanning_cliques(v, v + 1)[0]
 
 
-def pair_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """a*n + b for every pair a < b inside each row of ascending vertices,
-    row-major, int64."""
+def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair (a, b) of entries a before b inside each row, row-major;
+    ascending rows give a < b."""
     iu, iv = np.triu_indices(rows.shape[1], k=1)
-    return (rows[:, iu].astype(np.int64) * n + rows[:, iv]).ravel()
-
-
-def _point_pairs(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every secant's unital point pairs (p, r), secant-major, int64."""
-    iu, iv = np.triu_indices(points.shape[1], k=1)
-    return points[:, iu].ravel().astype(np.int64), points[:, iv].ravel().astype(np.int64)
+    return rows[:, iu].ravel(), rows[:, iv].ravel()
 
 
 def _each_pair_once(p: np.ndarray, r: np.ndarray, npts: int) -> bool:
@@ -179,7 +190,7 @@ def point_pair_secants(points: np.ndarray, npts: int) -> np.ndarray:
     it is checked here by counting every unordered point pair; a pair on
     two secants or on none raises GraphError.
     """
-    p, r = _point_pairs(points)
+    p, r = row_pairs(points)
     if not np.all(p < r):
         raise GraphError("secant point lists must be strictly increasing")
     if not _each_pair_once(p, r, npts):
@@ -342,7 +353,7 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     checks["clique_order"] = cl.shape[1] == q * q
     # two point cliques share exactly one vertex iff their two points lie
     # on exactly one secant
-    checks["cliques_share_one_vertex"] = _each_pair_once(*_point_pairs(g.vertex_cliques), len(cl))
+    checks["cliques_share_one_vertex"] = _each_pair_once(*row_pairs(g.vertex_cliques), len(cl))
     checks["vertex_in_q_plus_1_cliques"] = g.vertex_cliques.shape[1] == q + 1
     checks["edges_partitioned_by_cliques"] = (q**3 + 1) * comb(q * q, 2) == g.m
 
@@ -398,6 +409,16 @@ def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
     pts = g.vertex_cliques[rows].reshape(len(rows), rows.shape[1] * g.vertex_cliques.shape[1])
     pts.sort(axis=1)
     return (pts[:, 2:] == pts[:, :-2]).any(axis=1)
+
+
+def k4_violations(g: IntersectionGraph, quads: np.ndarray) -> dict:
+    """The number of K4 rows without the clique property and, if any, the
+    first of them as witness."""
+    bad = np.flatnonzero(~k4_clique_property(g, quads))
+    out = {"violations": int(len(bad))}
+    if len(bad):
+        out["witness"] = [int(x) for x in quads[bad[0]]]
+    return out
 
 
 def neighbor_rows(g: IntersectionGraph) -> np.ndarray:
@@ -458,13 +479,11 @@ def verify_k4_structure(
         quads = sample_k4(g, seed, samples)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    bad = np.flatnonzero(~k4_clique_property(g, quads))
     quantities = {
         "k4_count" if mode == "exhaustive" else "k4_checked": int(len(quads)),
-        "violations": int(len(bad)),
+        **k4_violations(g, quads),
     }
-    if len(bad):
-        quantities["witness"] = [int(x) for x in quads[bad[0]]]
+    if quantities["violations"]:
         outcome = "fail"
     else:
         # a sample that reached no K4 checked nothing

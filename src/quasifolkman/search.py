@@ -54,22 +54,20 @@ def edge_triangle_index(fam: TriangleFamily) -> tuple[np.ndarray, np.ndarray]:
     edges (u, w) and (v, w)."""
     g = fam.graph
     q = g.q
-    # the thirds of e = (u, v), meeting at X, are the secants line_of[P, Q]
-    # with P on u and Q on v, both other than X
+    # the thirds of e = (u, v), meeting at X, are the secants w through P
+    # on u and Q on v, both other than X; w meets u at P and v at Q
     x = g.edge_point[:, None]
     pu = g.vertex_cliques[g.eu]
     pv = g.vertex_cliques[g.ev]
     on_u, on_v = pu == x, pv == x
     if not (on_u.sum(axis=1) == 1).all() or not (on_v.sum(axis=1) == 1).all():
         raise RuntimeError("an edge's meet point is not on both of its secants")
-    pu = pu[~on_u].reshape(g.m, q)
-    pv = pv[~on_v].reshape(g.m, q)
-    thirds = g.line_of[pu[:, :, None], pv[:, None, :]].reshape(g.m, q * q)
-    thirds.sort(axis=1)
-    u = g.eu[:, None]
-    v = g.ev[:, None]
-    a1 = g.edge_index(np.minimum(u, thirds), np.maximum(u, thirds)).astype(np.int32)
-    a2 = g.edge_index(np.minimum(v, thirds), np.maximum(v, thirds)).astype(np.int32)
+    pu = pu[~on_u].reshape(g.m, q, 1)
+    pv = pv[~on_v].reshape(g.m, 1, q)
+    x = x[:, :, None]
+    # each row's edges share u (or v), so ascending ids list the thirds ascending
+    a1 = np.sort(g.edge_at(pu, x, pv).reshape(g.m, q * q), axis=1)
+    a2 = np.sort(g.edge_at(pv, x, pu).reshape(g.m, q * q), axis=1)
     return a1, a2
 
 

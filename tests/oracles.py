@@ -5,13 +5,42 @@ directly, so they share no logic with the design-identity SRG proof, the
 clique-extension scan, the bit-packed K4 sampler or the incidence-based
 concurrency predicate.  The per-triangle Goodman count and the edge-list
 parser are the references for the clique-row count and the edge-list
-export.
+export.  edge_index finds an edge by binary search over its u*n + v key,
+the reference for IntersectionGraph.edge_at, and random_block_incidences
+labels each (secant, point) incidence in place, the reference for the
+clique-layout labels of blocks.random_block.
 """
 
 import numpy as np
 
+from quasifolkman.blocks import assignment_value
 from quasifolkman.certify import canonical_edges, maxcut_exact
 from quasifolkman.graphs import neighbor_rows
+
+
+def edge_index(g, u, v):
+    """Lexicographic id of edge(s) (u, v) with u < v, by one searchsorted over
+    the sorted u*n + v keys of the edge list; vectorized.  A non-edge maps to
+    an arbitrary id."""
+    keys = g.eu.astype(np.int64) * g.n + g.ev
+    idx = np.searchsorted(keys, np.asarray(u, dtype=np.int64) * g.n + np.asarray(v, dtype=np.int64))
+    return idx if idx.ndim else int(idx)
+
+
+def random_block_incidences(g, F, seed):
+    """(labels, edge_mask) of blocks.random_block with the labels in
+    incidence layout, (n, q+1) aligned with g.vertex_cliques: each edge
+    finds its endpoints' labels at the slot of its meet point in their
+    incidence rows."""
+    n_atoms, slots = g.vertex_cliques.shape
+    labels = np.empty((n_atoms, slots), dtype=np.int32)
+    for v in range(n_atoms):
+        for j in range(slots):
+            labels[v, j] = assignment_value(seed, int(g.vertex_cliques[v, j]), v, F.n)
+    ep = g.edge_point
+    slot_u = (g.vertex_cliques[g.eu] == ep[:, None]).argmax(axis=1)
+    slot_v = (g.vertex_cliques[g.ev] == ep[:, None]).argmax(axis=1)
+    return labels, F.adj[labels[g.eu, slot_u], labels[g.ev, slot_v]]
 
 
 def verify_srg_dense(g, block=1024):
@@ -74,7 +103,7 @@ def k4_clique_property_edges(g, quads):
         "ab": (a, b), "ac": (a, c), "ad": (a, d),
         "bc": (b, c), "bd": (b, d), "cd": (c, d),
     }.items():
-        p[name] = g.edge_point[g.edge_index(x, y)]
+        p[name] = g.edge_point[edge_index(g, x, y)]
     tri = [
         ("ab", "ac", "bc"),
         ("ab", "ad", "bd"),
@@ -137,9 +166,9 @@ def triangle_meet_points(g, tris):
     c = tris[:, 2].astype(np.int64)
     return np.stack(
         [
-            g.edge_point[g.edge_index(a, b)],
-            g.edge_point[g.edge_index(a, c)],
-            g.edge_point[g.edge_index(b, c)],
+            g.edge_point[edge_index(g, a, b)],
+            g.edge_point[edge_index(g, a, c)],
+            g.edge_point[edge_index(g, b, c)],
         ],
         axis=1,
     )
@@ -267,7 +296,7 @@ def triangle_edge_matrix(fam):
     b = t[:, 1].astype(np.int64)
     c = t[:, 2].astype(np.int64)
     return np.stack(
-        [g.edge_index(a, b), g.edge_index(a, c), g.edge_index(b, c)], axis=1
+        [edge_index(g, a, b), edge_index(g, a, c), edge_index(g, b, c)], axis=1
     ).astype(np.int32)
 
 
@@ -340,9 +369,9 @@ def classify_triangle(g, a, b, c):
     if not (g.adj[a, b] and g.adj[a, c] and g.adj[b, c]):
         return "not-a-triangle"
     pts = {
-        int(g.edge_point[g.edge_index(min(a, b), max(a, b))]),
-        int(g.edge_point[g.edge_index(min(a, c), max(a, c))]),
-        int(g.edge_point[g.edge_index(min(b, c), max(b, c))]),
+        int(g.edge_point[edge_index(g, min(a, b), max(a, b))]),
+        int(g.edge_point[edge_index(g, min(a, c), max(a, c))]),
+        int(g.edge_point[edge_index(g, min(b, c), max(b, c))]),
     }
     assert len(pts) != 2, "triangle with exactly two distinct meet points"
     return "degenerate" if len(pts) == 1 else "non-degenerate"

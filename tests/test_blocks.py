@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import find_k4, triangle_edge_matrix
+from oracles import find_k4, random_block_incidences, triangle_edge_matrix
 from quasifolkman.blocks import (
     AlonParams,
     ConstructionError,
@@ -130,6 +130,21 @@ def test_random_block_reproducible(g3):
     assert np.array_equal(a.edge_mask, b.edge_mask)
     c = random_block(g3, F, seed=6)
     assert not np.array_equal(a.edge_mask, c.edge_mask)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("name", ["c5", "petersen"])
+def test_random_block_matches_incidence_oracle(g3, q, name):
+    g = g3 if q == 3 else build_graph_for_q(q)
+    F = replacement_registry()[name]
+    # the slot of each clique's point in its members' incidence rows
+    points = np.arange(len(g.cliques))[:, None, None]
+    slot = (g.vertex_cliques[g.cliques] == points).argmax(axis=2)
+    for t in range(20):
+        star = random_block(g, F, instance_seed(11, t))
+        labels, mask = random_block_incidences(g, F, instance_seed(11, t))
+        assert np.array_equal(star.edge_mask, mask)
+        assert np.array_equal(star.labels, labels[g.cliques, slot])
 
 
 def test_star_instance_checks(g3, fam3):

@@ -109,7 +109,7 @@ def _first_concurrent_triangle(g, tris, edges, meet, mask):
 def test_star_check_finds_planted_k4s_and_clique_triangles(graphs_by_q, q, density):
     g = graphs_by_q[q]
     tris = oracles.enumerate_all_triangles_loop(g)
-    edges = np.stack([g.edge_index(tris[:, x].astype(np.int64), tris[:, y].astype(np.int64))
+    edges = np.stack([oracles.edge_index(g, tris[:, x].astype(np.int64), tris[:, y].astype(np.int64))
                       for x, y in ((0, 1), (0, 2), (1, 2))], axis=1)
     meet = oracles.triangle_meet_points(g, tris)
     rng = np.random.default_rng(q * 100 + int(density * 10))

@@ -1,0 +1,66 @@
+"""Golden artifacts: every command at q = 3, compared by SHA-256 digest.
+
+Each run goes through ``cli.main`` in a fresh directory with relative
+paths.  Timestamps (certificate fields and the ``timestamp:`` lines of the
+text certificates) and the ``out`` config field are stripped before
+hashing, so the digests pin everything else the commands write: exports,
+certificates, reports and the coloring file.
+"""
+
+import hashlib
+import json
+
+
+from quasifolkman.cli import main
+
+RUNS = [
+    ["build", "--q", "3"],
+    ["certify", "--q", "3"],
+    ["search", "--q", "3", "--steps", "2000"],
+    ["check-coloring", "--q", "3", "--file", "out/best_coloring_q3.txt"],
+    ["simulate", "--q", "3", "--F", "c5", "--trials", "20"],
+]
+
+GOLDEN = {
+    "best_coloring_q3.txt": "b6042df87731e9d8dc9eee65f713d85107b7075a403511fed226ef8b562a6574",
+    "build_q3.json": "5ab68a3294c8174e32568a35c445b6e9c3b7b909533255529078f24bf5bd2212",
+    "build_q3.txt": "3dd353fbd2c09d063609811d0a0f810cff18d452a8733c69ce35462be3bc69a0",
+    "certify_q3.json": "465b94018365dee58514a57cd163d8ae5fa82ff1724a7c5a03b86fb81444d29e",
+    "certify_q3.txt": "8fa3682f9f8e8eed7239dbee9e5fabf9d753a6286790a6e9d921ab3c5d03ba80",
+    "check_coloring_q3.json": "9d88e53615ee330058b3cf41723065babc4f59d01cb35673fb2e241fbc70e2d0",
+    "check_coloring_q3.txt": "185f6776e25492498a8b8b894380749d5366fdf61731b765ff125d3a95e1c334",
+    "edges_q3.txt": "5e39c0b25cd308dcbe7c7d66b53dda4b4f948f97218afed41736db0626c90a8e",
+    "graph_q3.g6": "15854fe7796915c1514d2cdf213f60c3e83819a1d57f9af5171859c29d9eeb95",
+    "search_q3.json": "8dda0600a6334aead14f97be4ebf297c9b1c88cd2952f6e9678d9f9740bad27e",
+    "simulate_q3_c5.json": "dca4448dba2deb5ad932efff26fc21cc6fde500ce99d73d2d6b37c535341b833",
+    "simulate_q3_c5_certs.json": "6148960c61631f5af266727a30d3c9f28c7bf38b7c64aa2eeb55d8e810eda9fa",
+    "simulate_q3_c5_certs.txt": "17306dedb2c540e5dd2232cc8d0e91cc3208b750f53db5f342bc79f7c74aca12",
+    "unital_q3.txt": "fce60569b4579704fe7169d7ed16f879075fd86fa63c458b5d0cfcc52a0e79f2",
+}
+
+
+def _strip(value):
+    if isinstance(value, dict):
+        return {k: _strip(v) for k, v in value.items() if k != "timestamp"}
+    if isinstance(value, list):
+        return [_strip(v) for v in value]
+    return value
+
+
+def _digest(path):
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        payload = _strip(json.loads(data))
+        payload.get("config", {}).pop("out", None)
+        data = json.dumps(payload, sort_keys=True).encode()
+    elif path.suffix == ".txt":
+        data = b"\n".join(line for line in data.split(b"\n") if not line.startswith(b"timestamp: "))
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_artifacts_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in RUNS:
+        assert main([*argv, "--out", "out"]) in (0, 3), argv
+    digests = {p.name: _digest(p) for p in sorted((tmp_path / "out").iterdir())}
+    assert digests == GOLDEN

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import parse_edge_list, parse_graph6
+from oracles import edge_index, parse_edge_list, parse_graph6
 from quasifolkman.graphs import (
     IntersectionGraph,
     build_graph_for_q,
@@ -74,7 +74,7 @@ def test_srg_parameters(graphs, q, lam, mu):
 
 def test_edge_index_roundtrip(graphs):
     g = graphs[3]
-    idx = g.edge_index(g.eu.astype(np.int64), g.ev.astype(np.int64))
+    idx = edge_index(g, g.eu, g.ev)
     assert np.array_equal(idx, np.arange(g.m))
 
 

@@ -12,6 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from oracles import edge_index
 from quasifolkman.graphs import (
     GraphError,
     IntersectionGraph,
@@ -63,7 +64,6 @@ def graph_arrays_oracle(q, secant_points):
         "eu": eu.astype(np.int32),
         "ev": ev.astype(np.int32),
         "edge_point": owner.astype(np.int32),
-        "_edge_key": key,
         "degree": adj.sum(axis=1).astype(np.int64),
         "m": len(key),
     }
@@ -106,7 +106,7 @@ def clique_edge_matrix_oracle(g):
     rows = []
     for v in range(g.n):
         sc = spanning_cliques_oracle(g, v)
-        rows.append(g.edge_index(np.minimum(v, sc), np.maximum(v, sc)))
+        rows.append(edge_index(g, np.minimum(v, sc), np.maximum(v, sc)))
     return np.concatenate(rows).astype(np.int32)
 
 
@@ -122,15 +122,16 @@ def edge_triangle_index_oracle(g):
     in_clique = np.zeros((len(g.cliques), g.n), dtype=bool)
     for cid, members in enumerate(g.cliques):
         in_clique[cid, members] = True
-    a1 = np.empty((g.m, q * q), dtype=np.int32)
-    a2 = np.empty((g.m, q * q), dtype=np.int32)
+    thirds = np.empty((g.m, q * q), dtype=np.int64)
     for e in range(g.m):
         u, v = int(g.eu[e]), int(g.ev[e])
-        thirds = np.flatnonzero(g.adj[u] & g.adj[v] & ~in_clique[g.edge_point[e]])
-        assert len(thirds) == q * q
-        a1[e] = g.edge_index(np.minimum(u, thirds), np.maximum(u, thirds))
-        a2[e] = g.edge_index(np.minimum(v, thirds), np.maximum(v, thirds))
-    return a1, a2
+        w = np.flatnonzero(g.adj[u] & g.adj[v] & ~in_clique[g.edge_point[e]])
+        assert len(w) == q * q
+        thirds[e] = w
+    u, v = g.eu[:, None], g.ev[:, None]
+    a1 = edge_index(g, np.minimum(u, thirds), np.maximum(u, thirds))
+    a2 = edge_index(g, np.minimum(v, thirds), np.maximum(v, thirds))
+    return a1.astype(np.int32), a2.astype(np.int32)
 
 
 @pytest.fixture(scope="module", params=[2, 3, 4, 5])
@@ -205,6 +206,34 @@ def test_edge_triangle_index_matches_oracle(graph):
     assert a1.dtype == o1.dtype and a2.dtype == o2.dtype
     assert np.array_equal(a1, o1)
     assert np.array_equal(a2, o2)
+
+
+def test_edge_at_matches_binary_search(graph):
+    g = graph
+    x = g.edge_point
+    pts_u, pts_v = g.vertex_cliques[g.eu], g.vertex_cliques[g.ev]
+    # another point of each endpoint: its first point, or its second if the
+    # first is the meet point
+    a = np.where(pts_u[:, 0] == x, pts_u[:, 1], pts_u[:, 0])
+    b = np.where(pts_v[:, 0] == x, pts_v[:, 1], pts_v[:, 0])
+    expect = edge_index(g, g.eu, g.ev)
+    assert np.array_equal(g.edge_at(x, a, b), expect)
+    assert np.array_equal(g.edge_at(x, b, a), expect)
+    iu, iv = np.triu_indices(g.q**2, k=1)
+    assert np.array_equal(g.clique_edges, edge_index(g, g.cliques[:, iu], g.cliques[:, iv]))
+
+
+def test_pos_matches_loop(graph):
+    g = graph
+    npts = len(g.cliques)
+    expect = np.full((npts, npts), -1, dtype=np.int32)
+    for p in range(npts):
+        for i, s in enumerate(g.cliques[p]):
+            for a in g.vertex_cliques[s]:
+                if a != p:
+                    expect[p, a] = i
+    assert g.pos.dtype == expect.dtype
+    assert np.array_equal(g.pos, expect)
 
 
 @pytest.mark.parametrize("corrupt", ["pair_on_two_secants", "pair_on_no_secant"])
