@@ -171,9 +171,9 @@ def min_mono_blowup(F: ReplacementGraph, t: int, mode: str = "formula"):
     """Least monochromatic edge count over vertex 2-colorings of the blowup.
 
     formula: (1 - alpha) m t^2 = (m - maxcut(F)) t^2, exact.
-    exhaustive: brute force over all 2^{nt} colorings (nt <= 25), plus the
-    corner check that a per-class-monochromatic coloring attains the
-    minimum.
+    exhaustive: m t^2 minus the exact max cut of the blowup itself (nt <= 25),
+    plus the corner check that a per-class-monochromatic coloring attains
+    the minimum.
     """
     if mode == "formula":
         return (F.m - F.maxcut) * t * t
@@ -279,8 +279,7 @@ def verify_star_instance(star: StarGraph) -> dict:
     which is the lexicographically first K4 (a triangle before it with one
     would give an earlier K4)."""
     g = star.base
-    adj = star.adjacency()
-    words = packed_rows(adj).view(np.uint64)
+    words = packed_rows(star.adjacency()).view(np.uint64)
     edges = np.stack([g.eu[star.edge_mask], g.ev[star.edge_mask]], axis=1)
     k4 = clique_triangle = None
     for part in row_blocks(edges, words):

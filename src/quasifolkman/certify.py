@@ -204,56 +204,26 @@ def goodman_count_all_triangles(adj: np.ndarray, colors: np.ndarray) -> int:
 # Exact max-cut
 # ----------------------------------------------------------------------
 
-EXHAUSTIVE_MAXCUT_LIMIT = 30
 BNB_MAXCUT_LIMIT = 60
 
 
 def maxcut_exact(adj: np.ndarray) -> tuple[int, np.ndarray]:
-    """Maximum cut and a witness side assignment.
-
-    Exhaustive enumeration up to 30 vertices (vectorized, vertex n-1 pinned);
-    branch and bound with an admissible bound up to 60.
-    """
+    """Maximum cut and a witness side assignment, by branch and bound with an
+    admissible bound; at most BNB_MAXCUT_LIMIT vertices."""
     n = adj.shape[0]
-    eu, ev = canonical_edges(adj)
-    if len(eu) == 0:
+    if not np.triu(adj, 1).any():
         return 0, np.zeros(n, dtype=bool)
-    if n <= EXHAUSTIVE_MAXCUT_LIMIT:
-        best_cut = -1
-        best_mask = 0
-        total = 1 << (n - 1)
-        chunk = 1 << 22
-        for start in range(0, total, chunk):
-            masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-            cuts = np.zeros(len(masks), dtype=np.int32)
-            for u, v in zip(eu, ev):
-                cuts += ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))).astype(np.int32) & 1
-            i = int(np.argmax(cuts))
-            if int(cuts[i]) > best_cut:
-                best_cut = int(cuts[i])
-                best_mask = start + i
-        side = np.array([(best_mask >> i) & 1 for i in range(n)], dtype=bool)
-        return best_cut, side
     if n > BNB_MAXCUT_LIMIT:
         raise ValueError(f"maxcut_exact supports at most {BNB_MAXCUT_LIMIT} vertices, got {n}")
-    return _maxcut_branch_and_bound(adj)
-
-
-def _maxcut_branch_and_bound(adj: np.ndarray) -> tuple[int, np.ndarray]:
-    n = adj.shape[0]
     order = np.argsort(-adj.sum(axis=1))  # high degree first
-    nbrs = [np.flatnonzero(adj[v]) for v in range(n)]
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    best = {"cut": -1, "side": None}
-    side = np.zeros(n, dtype=np.int8) - 1
-
+    weights = adj.astype(np.int64)
     # edges fully among vertices placed at position >= i
-    suffix_edges = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        v = order[i]
-        later = sum(1 for w in nbrs[v] if pos[w] > i)
-        suffix_edges[i] = suffix_edges[i + 1] + later
+    later = np.triu(adj[np.ix_(order, order)], 1).sum(axis=1)
+    suffix_edges = np.append(np.cumsum(later[::-1])[::-1], 0)
+    best = {"cut": -1, "side": None}
+    side = np.full(n, -1, dtype=np.int8)
+    # each vertex's placed neighbours on side 0 and on side 1
+    placed = np.zeros((2, n), dtype=np.int64)
 
     def rec(i: int, cut: int):
         if i == n:
@@ -263,26 +233,15 @@ def _maxcut_branch_and_bound(adj: np.ndarray) -> tuple[int, np.ndarray]:
             return
         # admissible bound: every unplaced-unplaced edge cut, plus each
         # unplaced vertex taking its better side against placed neighbors
-        bound = cut + suffix_edges[i]
-        for j in range(i, n):
-            w = order[j]
-            c0 = c1 = 0
-            for x in nbrs[w]:
-                if side[x] == 0:
-                    c1 += 1
-                elif side[x] == 1:
-                    c0 += 1
-            bound += max(c0, c1)
-        if bound <= best["cut"]:
+        rest = order[i:]
+        if cut + suffix_edges[i] + np.maximum(placed[0, rest], placed[1, rest]).sum() <= best["cut"]:
             return
         v = order[i]
         for s in (0, 1) if i > 0 else (0,):
-            gained = 0
-            for x in nbrs[v]:
-                if side[x] != -1 and side[x] != s:
-                    gained += 1
             side[v] = s
-            rec(i + 1, cut + gained)
+            placed[s] += weights[v]
+            rec(i + 1, cut + int(placed[1 - s, v]))
+            placed[s] -= weights[v]
             side[v] = -1
 
     rec(0, 0)

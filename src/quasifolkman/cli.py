@@ -121,7 +121,7 @@ def cmd_build(args) -> int:
     (out / f"unital_q{args.q}.txt").write_text(unital.export_text())
     with open(out / f"edges_q{args.q}.txt", "w") as fh:
         fh.writelines(edge_list_blocks(g))
-    (out / f"graph_q{args.q}.g6").write_bytes(graph6_bytes(g.n, g.adj))
+    (out / f"graph_q{args.q}.g6").write_bytes(graph6_bytes(g.n, g.eu, g.ev))
     rep = verify_srg(g)
     cert = Certificate(
         claim="intersection graph is strongly regular with the expected parameters",
@@ -354,8 +354,6 @@ def cmd_search(args) -> int:
         raise UsageError(f"search supports q <= {SEARCH_Q_LIMIT} (edge-triangle index memory)")
     if args.restarts < 1:
         raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
-    if args.steps < 0:
-        raise UsageError(f"--steps must be at least 0, got {args.steps:g}")
     out = _out_dir(args)
     g = build_graph_for_q(args.q)
     fam = build_family(g)
@@ -469,7 +467,11 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "search":
+            if not (math.isfinite(args.steps) and args.steps >= 0):
+                raise UsageError(f"--steps must be a finite number >= 0, got {args.steps:g}")
             if not (math.isfinite(args.t0) and args.t0 >= 0):
                 raise UsageError(f"--t0 must be a finite number >= 0, got {args.t0}")
             if not (math.isfinite(args.cooling) and args.cooling > 0):

@@ -53,13 +53,15 @@ class GraphError(RuntimeError):
 
 
 class IntersectionGraph:
-    """Dense-adjacency intersection graph of a unital's secants, read off the
-    secant -> points incidence.
+    """Intersection graph of a unital's secants, read off the secant -> points
+    incidence N.
 
     Attributes
     ----------
     n : vertex count, q^4 - q^3 + q^2.
-    adj : (n, n) bool adjacency matrix.
+    words : (n, ceil(n/64)) uint64, the bit-packed adjacency rows (see
+        packed_rows): row v is the OR of the member masks of v's q+1 point
+        cliques with v's own bit cleared, the bitset form of N N^T - (q+1) I.
     cliques : (q^3+1, q^2) int32, sorted member lists of the point cliques
         (row i = secants through dense unital point i).
     vertex_cliques : (n, q+1) int32, the incidence itself: the sorted dense
@@ -122,12 +124,29 @@ class IntersectionGraph:
         self._pair = np.zeros((k, k), dtype=np.int32)
         self._pair[iu, iv] = self._pair[iv, iu] = np.arange(len(iu))
 
-        self.adj = np.zeros((n, n), dtype=bool)
-        self.adj[self.cliques[:, :, None], self.cliques[:, None, :]] = True
-        np.fill_diagonal(self.adj, False)
+        # row v: the OR of the member masks of v's point cliques, own bit cleared
+        member = np.zeros((npts, n), dtype=bool)
+        member[np.arange(npts)[:, None], self.cliques] = True
+        masks = packed_rows(member).view(np.uint64)
+        del member
+        self.words = masks[self.vertex_cliques[:, 0]]
+        for j in range(1, q + 1):
+            self.words |= masks[self.vertex_cliques[:, j]]
+        own = np.arange(n)
+        self.words.view(np.uint8)[own, own >> 3] &= ~(1 << (own & 7)).astype(np.uint8)
         self._line_of: np.ndarray | None = None
 
     # -- lookups ------------------------------------------------------------
+
+    def adjacent(self, u, v) -> np.ndarray:
+        """Whether u ~ v, elementwise: one bit test of the packed rows."""
+        v = np.asarray(v)
+        return (self.words.view(np.uint8)[u, v >> 3] >> (v & 7).astype(np.uint8) & 1).astype(bool)
+
+    @property
+    def adj(self) -> np.ndarray:
+        """(n, n) bool adjacency, a fresh copy unpacked from words; for small q."""
+        return unpack_rows(self.words, self.n)
 
     def edge_at(self, P, A, B):
         """Id of the edge at unital point P between the secants through
@@ -227,6 +246,11 @@ def packed_rows(adj: np.ndarray) -> np.ndarray:
     return packed
 
 
+def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count bits of each row of packed uint64 words, as bool."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little").view(bool)
+
+
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
     """Set bits per row of a uint8 array, int64."""
     return _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
@@ -285,6 +309,17 @@ def extend_cliques(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
+def is_symmetric(words: np.ndarray, n: int) -> bool:
+    """Whether packed rows are symmetric: row blocks against column blocks."""
+    step = 64 * max(1, SCAN_BLOCK_BYTES // (64 * n))
+    for s in range(0, n, step):
+        rows = unpack_rows(words[s:s + step], n)
+        cols = unpack_rows(words[:, s >> 6:(s + step) >> 6], len(rows))
+        if not np.array_equal(rows, cols.T):
+            return False
+    return True
+
+
 # ----------------------------------------------------------------------
 # Strong regularity
 # ----------------------------------------------------------------------
@@ -316,10 +351,10 @@ class SrgReport:
 
 def verify_srg(g: IntersectionGraph) -> SrgReport:
     """Strong regularity from the unital's design identity, plus a seeded
-    spot check of the dense adjacency.
+    spot check of the packed adjacency rows.
 
     Let N be the (n, q^3+1) secant-point incidence (vertex_cliques).  When
-    adj is exactly the block graph of N, A = N N^T - (q+1) I.  Every secant
+    the rows are exactly the block graph of N, A = N N^T - (q+1) I.  Every secant
     has q+1 points and every pair of unital points lies on exactly one
     secant, so N^T N = J + (q^2-1) I and
 
@@ -328,24 +363,24 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     which gives lambda = 2q^2-2 and mu = (q+1)^2 for every pair at once
     (block graphs of Steiner 2-designs; Brouwer & Van Maldeghem, Strongly
     Regular Graphs).  Those premises are checked exhaustively below.  The
-    spot check counts, in adj itself, the common neighbours of
+    spot check counts, in the rows themselves, the common neighbours of
     SRG_SPOT_PAIRS pairs: half random edges, half random vertex pairs.
     lambda_observed and mu_observed are reported only when all of it holds.
     """
     q = g.q
     n_expected = q**4 - q**3 + q**2
     d_expected = q**3 + q**2 - q - 1
-    packed = packed_rows(g.adj)
+    packed = g.words.view(np.uint8)
     degree = popcount_rows(packed)
     checks: dict[str, bool] = {}
     checks["vertex_count"] = g.n == n_expected
     checks["regular_degree"] = bool(np.all(degree == d_expected))
-    checks["adjacency_symmetric"] = bool(np.array_equal(g.adj, g.adj.T))
-    checks["adjacency_irreflexive"] = not g.adj.diagonal().any()
+    checks["adjacency_symmetric"] = is_symmetric(g.words, g.n)
+    checks["adjacency_irreflexive"] = not g.adjacent(np.arange(g.n), np.arange(g.n)).any()
     checks["edge_count"] = 2 * g.m == g.n * d_expected
-    # with symmetry, every edge of the incidence set in adj and nothing else
-    # set makes adj the block graph of N
-    checks["adjacency_is_block_graph"] = bool(g.adj[g.eu, g.ev].all()) and int(degree.sum()) == 2 * g.m
+    # with symmetry, every edge of the incidence set in the rows and nothing
+    # else set makes them the block graph of N
+    checks["adjacency_is_block_graph"] = bool(g.adjacent(g.eu, g.ev).all()) and int(degree.sum()) == 2 * g.m
 
     # clique family statistics
     cl = g.cliques
@@ -370,7 +405,7 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
         popcount_rows(packed[u[s:s + SAMPLE_BLOCK]] & packed[v[s:s + SAMPLE_BLOCK]])
         for s in range(0, len(u), SAMPLE_BLOCK)
     ])
-    adjacent = g.adj[u, v]
+    adjacent = g.adjacent(u, v)
     checks["lambda"] = bool(np.all(common[adjacent] == lam_expected))
     checks["mu"] = bool(np.all(common[~adjacent] == mu_expected))
     passed = all(checks.values())
@@ -392,12 +427,12 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
 
 def enumerate_all_triangles(g: IntersectionGraph) -> np.ndarray:
     """All triangles (a < b < c), lexicographic: the edge list extended once."""
-    return extend_cliques(packed_rows(g.adj).view(np.uint64), np.stack([g.eu, g.ev], axis=1))
+    return extend_cliques(g.words, np.stack([g.eu, g.ev], axis=1))
 
 
 def enumerate_k4(g: IntersectionGraph) -> np.ndarray:
     """All K4's (a < b < c < d), lexicographic: the triangles extended once."""
-    return extend_cliques(packed_rows(g.adj).view(np.uint64), enumerate_all_triangles(g))
+    return extend_cliques(g.words, enumerate_all_triangles(g))
 
 
 def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
@@ -443,15 +478,14 @@ def sample_k4(g: IntersectionGraph, seed: int, samples: int) -> np.ndarray:
     us = rng.integers(0, g.n, size=samples)
     nbr = neighbor_rows(g)
     picks = rng.integers(0, nbr.shape[1], size=(samples, 2))
-    words = packed_rows(g.adj).view(np.uint64)
     blocks = [np.empty((0, 4), dtype=np.int32)]
     for s in range(0, samples, SAMPLE_BLOCK):
         u = us[s:s + SAMPLE_BLOCK]
         v = nbr[u, picks[s:s + SAMPLE_BLOCK, 0]]
         w = nbr[u, picks[s:s + SAMPLE_BLOCK, 1]]
-        keep = (v != w) & g.adj[v, w]
+        keep = (v != w) & g.adjacent(v, w)
         u, v, w = u[keep], v[keep], w[keep]
-        x, found = lowest_set_bit(common_neighbors(words, np.stack([u, v, w], axis=1)))
+        x, found = lowest_set_bit(common_neighbors(g.words, np.stack([u, v, w], axis=1)))
         quad = np.stack([u, v, w, x], axis=1)[found]
         quad.sort(axis=1)
         blocks.append(quad.astype(np.int32))
@@ -510,18 +544,18 @@ def edge_list_blocks(g: IntersectionGraph):
         yield ("%d %d\n" * (len(uv) // 2)) % tuple(uv)
 
 
-def graph6_bytes(n: int, adj: np.ndarray) -> bytes:
-    """Standard graph6 encoding of an undirected graph."""
+def graph6_bytes(n: int, eu: np.ndarray, ev: np.ndarray) -> bytes:
+    """Standard graph6 encoding of the undirected graph with edges eu < ev."""
     if n <= 62:
         header = bytes([n + 63])
     elif n <= 258047:
         header = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     else:
         raise ValueError("graph too large for 3-byte graph6 header")
-    # graph6 lists adj[i, j] for j ascending and i < j: the strict lower
-    # triangle of adj.T in row-major order
-    bits = adj.T[np.tri(n, k=-1, dtype=bool)]
-    bits = np.concatenate([bits, np.zeros(-len(bits) % 6, dtype=bool)]).reshape(-1, 6)
+    # graph6 lists the pairs i < j with j ascending, then i ascending: edge
+    # (i, j) is bit j(j-1)/2 + i
+    bits = np.zeros(-(-n * (n - 1) // 12) * 6, dtype=bool)
+    bits[ev.astype(np.int64) * (ev - 1) // 2 + eu] = True
     # six bits per byte, most significant first, plus 63
-    vals = np.packbits(bits, axis=1)[:, 0] >> 2
+    vals = np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2
     return header + (vals + 63).tobytes()

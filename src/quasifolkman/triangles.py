@@ -22,7 +22,8 @@ from math import comb
 import numpy as np
 
 from .certificates import Certificate
-from .graphs import IntersectionGraph, enumerate_all_triangles, enumerate_k4, k4_clique_property, k4_violations, row_pairs
+from .graphs import IntersectionGraph, enumerate_all_triangles, enumerate_k4, k4_clique_property, k4_violations
+from .graphs import row_pairs, unpack_rows
 
 EXPLICIT_Q_LIMIT = 4
 #: vertices per spanning-clique block.  It bounds the (block, q^3-q, q+1)
@@ -91,8 +92,8 @@ def build_family(g: IntersectionGraph) -> TriangleFamily:
         sc = g.spanning_cliques(start, stop)
         if sc.shape != (stop - start, q**3 - q, q + 1):
             raise RuntimeError(f"vertices {start}..{stop - 1}: spanning clique index has shape {sc.shape}")
-        v = np.arange(start, stop)[:, None, None]
-        if not g.adj[v, sc].all():
+        rows = unpack_rows(g.words[start:stop], g.n)
+        if not rows[np.arange(stop - start)[:, None, None], sc].all():
             raise RuntimeError(f"vertices {start}..{stop - 1}: a spanning-clique member is not a neighbor")
         total3 += sc.shape[0] * sc.shape[1] * pair_per_clique
     if total3 != g.n * expected_pv:
@@ -124,9 +125,10 @@ def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
     edge's cover count.  A covering pair that is not an edge of N(v) fails
     the check and is reported as outside_witness."""
     q, n = g.q, g.n
-    nbrs = np.flatnonzero(g.adj[v])
-    a, b = np.nonzero(np.triu(g.adj[np.ix_(nbrs, nbrs)], 1))
-    edges = nbrs[a].astype(np.int64) * n + nbrs[b]  # ascending: row-major over ascending nbrs
+    nbrs = np.flatnonzero(unpack_rows(g.words[v:v + 1], n)[0])
+    a, b = row_pairs(nbrs[None])
+    keep = g.adjacent(a, b)
+    edges = a[keep].astype(np.int64) * n + b[keep]  # ascending: row-major over ascending nbrs
 
     big = g.cliques[g.vertex_cliques[v]]
     remnant_sizes = (big != v).sum(axis=1)

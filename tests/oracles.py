@@ -1,14 +1,17 @@
 """Reference implementations that the fast paths in ``src/`` replaced.
 
-They read the dense adjacency, the edge list and Python-int bitmask rows
-directly, so they share no logic with the design-identity SRG proof, the
-clique-extension scan, the bit-packed K4 sampler or the incidence-based
-concurrency predicate.  The per-triangle Goodman count and the edge-list
-parser are the references for the clique-row count and the edge-list
-export.  edge_index finds an edge by binary search over its u*n + v key,
-the reference for IntersectionGraph.edge_at, and random_block_incidences
-labels each (secant, point) incidence in place, the reference for the
-clique-layout labels of blocks.random_block.
+They read the dense adjacency (unpacked from the packed rows, or scattered
+from the point cliques by dense_adjacency), the edge list and Python-int
+bitmask rows directly, so they share no logic with the design-identity SRG
+proof, the clique-extension scan, the bit-packed K4 sampler or the
+incidence-based concurrency predicate.  maxcut_exhaustive enumerates every
+side assignment, the reference for the branch and bound.  The per-triangle
+Goodman count and the edge-list parser are the references for the
+clique-row count and the edge-list export.  edge_index finds an edge by
+binary search over its u*n + v key, the reference for
+IntersectionGraph.edge_at, and random_block_incidences labels each
+(secant, point) incidence in place, the reference for the clique-layout
+labels of blocks.random_block.
 """
 
 import numpy as np
@@ -43,6 +46,20 @@ def random_block_incidences(g, F, seed):
     return labels, F.adj[labels[g.eu, slot_u], labels[g.ev, slot_v]]
 
 
+def dense_adjacency(g):
+    """The (n, n) bool adjacency scattered from the point cliques: every
+    pair of members of one clique, the diagonal cleared."""
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[g.cliques[:, :, None], g.cliques[:, None, :]] = True
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def flip_bit(g, u, v):
+    """Flip bit (u, v) of g's packed adjacency rows in place, one way only."""
+    g.words.view(np.uint8)[u, v >> 3] ^= np.uint8(1 << (v & 7))
+
+
 def verify_srg_dense(g, block=1024):
     """Exhaustive common-neighbour scan over all vertex pairs by blocked
     float32 matrix products (exact for counts below 2^24).  Returns
@@ -52,13 +69,14 @@ def verify_srg_dense(g, block=1024):
     q = g.q
     lam_expected = 2 * q * q - 2
     mu_expected = (q + 1) ** 2
-    A = g.adj.astype(np.float32)
+    adj = g.adj
+    A = adj.astype(np.float32)
     lam_vals: set[int] = set()
     mu_vals: set[int] = set()
     for start in range(0, g.n, block):
         stop = min(start + block, g.n)
         common = (A[start:stop] @ A).astype(np.int64)
-        sub_adj = g.adj[start:stop]
+        sub_adj = adj[start:stop]
         eye = np.zeros_like(sub_adj)
         eye[np.arange(stop - start), np.arange(start, stop)] = True
         lam_vals.update(np.unique(common[sub_adj]).tolist())
@@ -72,7 +90,8 @@ def sampled_k4_quads_loop(g, seed, samples):
     """The sampled K4s of verify_k4_structure, one sample at a time over
     Python-int bitmask rows: the same draws, the lowest-id extension."""
     rng = np.random.default_rng(seed)
-    packed = np.packbits(g.adj, axis=1, bitorder="little")
+    adj = g.adj
+    packed = np.packbits(adj, axis=1, bitorder="little")
     bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
     us = rng.integers(0, g.n, size=samples)
     nbr = neighbor_rows(g)
@@ -82,7 +101,7 @@ def sampled_k4_quads_loop(g, seed, samples):
         u = int(us[t])
         v = int(nbr[u, picks[t, 0]])
         w = int(nbr[u, picks[t, 1]])
-        if v == w or not g.adj[v, w]:
+        if v == w or not adj[v, w]:
             continue
         cm = bits[u] & bits[v] & bits[w]
         if cm == 0:
@@ -332,6 +351,30 @@ def count_mono_triangles_direct(adj, colors):
     tr = int(np.trace(red @ red @ red)) + int(np.trace(blue @ blue @ blue))
     assert tr % 6 == 0
     return tr // 6
+
+
+def maxcut_exhaustive(adj):
+    """Maximum cut by enumerating all 2^(n-1) side assignments (vertex n-1
+    pinned), vectorized; for n <= 30."""
+    n = adj.shape[0]
+    eu, ev = canonical_edges(adj)
+    if len(eu) == 0:
+        return 0, np.zeros(n, dtype=bool)
+    best_cut = -1
+    best_mask = 0
+    total = 1 << (n - 1)
+    chunk = 1 << 22
+    for start in range(0, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        cuts = np.zeros(len(masks), dtype=np.int32)
+        for u, v in zip(eu, ev):
+            cuts += ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))).astype(np.int32) & 1
+        i = int(np.argmax(cuts))
+        if int(cuts[i]) > best_cut:
+            best_cut = int(cuts[i])
+            best_mask = start + i
+    side = np.array([(best_mask >> i) & 1 for i in range(n)], dtype=bool)
+    return best_cut, side
 
 
 def min_mono_edges(adj):

@@ -238,6 +238,10 @@ def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
         (["search", "--q", "3", "--t0", "nan"], "--t0"),
         (["search", "--q", "3", "--t0", "-1"], "--t0"),
         (["search", "--q", "3", "--cooling", "nan"], "--cooling"),
+        (["search", "--q", "3", "--steps", "nan"], "--steps"),
+        (["search", "--q", "3", "--steps", "inf"], "--steps"),
+        (["search", "--q", "3", "--threads", "0"], "--threads"),
+        (["certify", "--q", "3", "--threads", "-2"], "--threads"),
     ],
 )
 def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, flag):
@@ -269,6 +273,10 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["search", "--q", "3", "--t0", "nan"],
         ["search", "--q", "3", "--t0", "-1"],
         ["search", "--q", "3", "--cooling", "nan"],
+        ["search", "--q", "3", "--steps", "nan"],
+        ["search", "--q", "3", "--steps", "inf"],
+        ["search", "--q", "3", "--threads", "0"],
+        ["certify", "--q", "3", "--threads", "-2"],
     ],
 )
 def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):

@@ -91,12 +91,13 @@ def spanning_cliques_oracle(g, v):
     adjacent to v."""
     q = g.q
     own = set(int(c) for c in g.vertex_cliques[v])
+    row = g.adj[v]
     out = []
     for cid in range(len(g.cliques)):
         if cid in own:
             continue
         members = g.cliques[cid]
-        sel = members[g.adj[v][members]]
+        sel = members[row[members]]
         assert len(sel) == q + 1
         out.append(sel)
     return np.array(out, dtype=np.int32)
@@ -122,10 +123,11 @@ def edge_triangle_index_oracle(g):
     in_clique = np.zeros((len(g.cliques), g.n), dtype=bool)
     for cid, members in enumerate(g.cliques):
         in_clique[cid, members] = True
+    adj = g.adj
     thirds = np.empty((g.m, q * q), dtype=np.int64)
     for e in range(g.m):
         u, v = int(g.eu[e]), int(g.ev[e])
-        w = np.flatnonzero(g.adj[u] & g.adj[v] & ~in_clique[g.edge_point[e]])
+        w = np.flatnonzero(adj[u] & adj[v] & ~in_clique[g.edge_point[e]])
         assert len(w) == q * q
         thirds[e] = w
     u, v = g.eu[:, None], g.ev[:, None]

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import k4_clique_property_edges, sampled_k4_quads_loop, verify_srg_dense
+from oracles import dense_adjacency, flip_bit, k4_clique_property_edges, sampled_k4_quads_loop, verify_srg_dense
 from quasifolkman.graphs import (
     build_graph_for_q,
     enumerate_k4,
@@ -38,7 +38,8 @@ def test_srg_rejects_one_flipped_pair(adjacent):
     g = build_graph_for_q(3)
     u = 0
     v = int(np.flatnonzero(g.adj[u] == adjacent)[-1])
-    g.adj[u, v] = g.adj[v, u] = not adjacent
+    flip_bit(g, u, v)
+    flip_bit(g, v, u)
     rep = verify_srg(g)
     assert not rep.passed
     assert rep.lambda_observed is None and rep.mu_observed is None
@@ -46,6 +47,41 @@ def test_srg_rejects_one_flipped_pair(adjacent):
     # the common-neighbour spot check sees it on its own
     assert not (rep.checks["lambda"] and rep.checks["mu"])
     assert verify_srg_dense(g)[2] is False
+
+
+def test_srg_rejects_set_diagonal_bit():
+    g = build_graph_for_q(3)
+    flip_bit(g, 5, 5)
+    rep = verify_srg(g)
+    assert not rep.passed
+    assert not rep.checks["adjacency_irreflexive"]
+    assert rep.checks["adjacency_symmetric"]
+
+
+@pytest.mark.parametrize("first_row", [True, False])
+def test_srg_rejects_one_sided_bit(first_row):
+    # at q = 7 the symmetry check runs in two row blocks; the extra bit sits
+    # in the first or the last row, and its missing mirror in the other block
+    g = build_graph_for_q(7)
+    u = 0 if first_row else g.n - 1
+    v = int(np.flatnonzero(~g.adj[u])[-1 if first_row else 0])
+    assert min(u, v) < 64 and max(u, v) >= g.n - 64
+    flip_bit(g, u, v)
+    rep = verify_srg(g)
+    assert not rep.passed
+    assert not rep.checks["adjacency_symmetric"]
+    assert rep.checks["adjacency_irreflexive"]
+
+
+def test_words_match_dense_clique_scatter(graph):
+    dense = dense_adjacency(graph)
+    assert graph.words.dtype == np.uint64
+    assert graph.words.shape == (graph.n, -(-graph.n // 64))
+    assert np.array_equal(graph.words, packed_rows(dense).view(np.uint64))
+    if graph.q <= 4:
+        assert np.array_equal(graph.adj, dense)
+        u, v = np.divmod(np.arange(graph.n**2), graph.n)
+        assert np.array_equal(graph.adjacent(u, v), dense.ravel())
 
 
 def test_packed_row_helpers_match_dense_rows():
