@@ -43,10 +43,6 @@ SCAN_BLOCK_BYTES = 1 << 22
 #: later peak RSS (q = 7) is 1.6 MB above that at 2^10
 EDGE_TEXT_BLOCK = 1 << 10
 
-# byte tables: number of set bits, and index of the lowest set bit
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-_LOWBIT = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
-
 
 class GraphError(RuntimeError):
     pass
@@ -114,9 +110,11 @@ class IntersectionGraph:
         np.take(a, order, out=self.eu)
         np.take(b, order, out=self.ev)
         del a, b
+        # int32 holds m up to q = 16; the inversion then needs no int64 temporaries
+        order = order.astype(np.int32)
         if np.any((self.eu[1:] == self.eu[:-1]) & (self.ev[1:] == self.ev[:-1])):
             raise GraphError("two secants share more than one unital point")
-        np.floor_divide(order, comb(k, 2), out=self.edge_point, casting="unsafe")
+        np.floor_divide(order, comb(k, 2), out=self.edge_point)
         clique_edges[order] = np.arange(self.m, dtype=np.int32)
         self.clique_edges = clique_edges.reshape(npts, comb(k, 2))
         del order
@@ -171,19 +169,19 @@ class IntersectionGraph:
         off[np.arange(len(vs))[:, None], self.vertex_cliques[vs]] = False
         return np.nonzero(off)[1].reshape(len(vs), npts - self.q - 1)
 
-    def spanning_cliques(self, start: int, stop: int) -> np.ndarray:
-        """Spanning cliques of the vertices in [start, stop): for vertex v and
-        each unital point P off v's secant, the q+1 neighbors of v through P,
-        which are the secants line_of[P, Q] for the points Q of v.  Shape
-        (stop - start, q^3 - q, q+1); rows by point id, members ascending."""
-        pts = self.vertex_cliques[start:stop]
-        sc = self.line_of[self.off_points(np.arange(start, stop))[:, :, None], pts[:, None, :]]
+    def spanning_cliques(self, vs: np.ndarray) -> np.ndarray:
+        """Spanning cliques of the vertices vs: for vertex v and each unital
+        point P off v's secant, the q+1 neighbors of v through P, which are
+        the secants line_of[P, Q] for the points Q of v.  Shape
+        (len(vs), q^3 - q, q+1); rows by point id, members ascending."""
+        pts = self.vertex_cliques[vs]
+        sc = self.line_of[self.off_points(vs)[:, :, None], pts[:, None, :]]
         sc.sort(axis=2)
         return sc
 
     def spanning_cliques_of(self, v: int) -> np.ndarray:
         """The q^3 - q spanning cliques at v; shape (q^3 - q, q+1)."""
-        return self.spanning_cliques(v, v + 1)[0]
+        return self.spanning_cliques(np.array([v]))[0]
 
 
 def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,20 +250,18 @@ def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
 
 
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
-    """Set bits per row of a uint8 array, int64."""
-    return _POPCOUNT[packed].sum(axis=1, dtype=np.int64)
+    """Set bits per row of a uint8 or uint64 array, int64."""
+    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
 
 
 def lowest_set_bit(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(index of the lowest set bit, whether any is set) per row of packed
-    uint64 words: the first nonzero word, its first nonzero byte in memory
-    order, then the byte table."""
-    rows = np.arange(len(words))
+    uint64 words; the index is meaningless in a row with no bit set.  In
+    the first nonzero word w, the bits below the lowest set one are those
+    of (w & -w) - 1."""
     first = (words != 0).argmax(axis=1)
-    word = words[rows, first]
-    octets = word.view(np.uint8).reshape(-1, 8)
-    byte = (octets != 0).argmax(axis=1)
-    return first * 64 + byte * 8 + _LOWBIT[octets[rows, byte]], word != 0
+    word = words[np.arange(len(words)), first]
+    return first * 64 + np.bitwise_count((word & (~word + 1)) - 1), word != 0
 
 
 def common_neighbors(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -307,17 +303,6 @@ def extend_cliques(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
         keep = x > part[r, -1]
         out.append(np.column_stack([part[r[keep]], x[keep]]).astype(np.int32))
     return np.concatenate(out)
-
-
-def is_symmetric(words: np.ndarray, n: int) -> bool:
-    """Whether packed rows are symmetric: row blocks against column blocks."""
-    step = 64 * max(1, SCAN_BLOCK_BYTES // (64 * n))
-    for s in range(0, n, step):
-        rows = unpack_rows(words[s:s + step], n)
-        cols = unpack_rows(words[:, s >> 6:(s + step) >> 6], len(rows))
-        if not np.array_equal(rows, cols.T):
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -366,21 +351,29 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     spot check counts, in the rows themselves, the common neighbours of
     SRG_SPOT_PAIRS pairs: half random edges, half random vertex pairs.
     lambda_observed and mu_observed are reported only when all of it holds.
+
+    Symmetry is read off the edge bits: the m edges eu < ev are distinct, so
+    if both bits of each are set and 2m bits off the diagonal are set in all,
+    the set bits are exactly those, a symmetric set.
     """
     q = g.q
     n_expected = q**4 - q**3 + q**2
     d_expected = q**3 + q**2 - q - 1
-    packed = g.words.view(np.uint8)
-    degree = popcount_rows(packed)
+    degree = popcount_rows(g.words)
+    set_bits = int(degree.sum())
+    diagonal = g.adjacent(np.arange(g.n), np.arange(g.n))
+    edge_bits = bool(g.adjacent(g.eu, g.ev).all())
     checks: dict[str, bool] = {}
     checks["vertex_count"] = g.n == n_expected
     checks["regular_degree"] = bool(np.all(degree == d_expected))
-    checks["adjacency_symmetric"] = is_symmetric(g.words, g.n)
-    checks["adjacency_irreflexive"] = not g.adjacent(np.arange(g.n), np.arange(g.n)).any()
+    checks["adjacency_symmetric"] = (
+        edge_bits and bool(g.adjacent(g.ev, g.eu).all()) and set_bits - int(diagonal.sum()) == 2 * g.m
+    )
+    checks["adjacency_irreflexive"] = not diagonal.any()
     checks["edge_count"] = 2 * g.m == g.n * d_expected
     # with symmetry, every edge of the incidence set in the rows and nothing
     # else set makes them the block graph of N
-    checks["adjacency_is_block_graph"] = bool(g.adjacent(g.eu, g.ev).all()) and int(degree.sum()) == 2 * g.m
+    checks["adjacency_is_block_graph"] = edge_bits and set_bits == 2 * g.m
 
     # clique family statistics
     cl = g.cliques
@@ -402,7 +395,7 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     u = np.concatenate([g.eu[e], a])
     v = np.concatenate([g.ev[e], b])
     common = np.concatenate([
-        popcount_rows(packed[u[s:s + SAMPLE_BLOCK]] & packed[v[s:s + SAMPLE_BLOCK]])
+        popcount_rows(g.words[u[s:s + SAMPLE_BLOCK]] & g.words[v[s:s + SAMPLE_BLOCK]])
         for s in range(0, len(u), SAMPLE_BLOCK)
     ])
     adjacent = g.adjacent(u, v)

@@ -11,7 +11,9 @@ clique-row count and the edge-list export.  edge_index finds an edge by
 binary search over its u*n + v key, the reference for
 IntersectionGraph.edge_at, and random_block_incidences labels each
 (secant, point) incidence in place, the reference for the clique-layout
-labels of blocks.random_block.
+labels of blocks.random_block.  popcount_rows_table and
+lowest_set_bit_table read byte tables, the references for the word
+popcounts of graphs.popcount_rows and graphs.lowest_set_bit.
 """
 
 import numpy as np
@@ -53,6 +55,28 @@ def dense_adjacency(g):
     adj[g.cliques[:, :, None], g.cliques[:, None, :]] = True
     np.fill_diagonal(adj, False)
     return adj
+
+
+#: byte tables: number of set bits, and index of the lowest set bit
+POPCOUNT_TABLE = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+LOWBIT_TABLE = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
+
+
+def popcount_rows_table(packed):
+    """Set bits per row of a uint8 array, int64, by the byte table."""
+    return POPCOUNT_TABLE[packed].sum(axis=1, dtype=np.int64)
+
+
+def lowest_set_bit_table(words):
+    """(index of the lowest set bit, whether any is set) per row of packed
+    uint64 words: the first nonzero word, its first nonzero byte in memory
+    order, then the byte table."""
+    rows = np.arange(len(words))
+    first = (words != 0).argmax(axis=1)
+    word = words[rows, first]
+    octets = word.view(np.uint8).reshape(-1, 8)
+    byte = (octets != 0).argmax(axis=1)
+    return first * 64 + byte * 8 + LOWBIT_TABLE[octets[rows, byte]], word != 0
 
 
 def flip_bit(g, u, v):

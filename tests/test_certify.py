@@ -339,6 +339,31 @@ def test_coloring_roundtrip(setups):
     assert np.array_equal(back.bits, col.bits)
 
 
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from([2, 3]), data=st.data())
+def test_coloring_text_roundtrip_any_bits(setups, q, data):
+    g, _ = setups[q]
+    raw = data.draw(st.binary(min_size=-(-g.m // 8), max_size=-(-g.m // 8)))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=g.m).astype(bool)
+    back = EdgeColoring.from_text(g, EdgeColoring(g, bits).to_text())
+    assert np.array_equal(back.bits, bits)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_coloring_rejects_padding_bit_and_truncated_body(setups, q):
+    g, _ = setups[q]
+    header, body = EdgeColoring.random(g, 0).to_text().split("\n", 1)
+    raw = bytearray(bytes.fromhex(body.replace("\n", "")))
+    if g.m % 8:
+        raw[-1] |= 0x80  # the last padding bit of the last byte
+    else:
+        raw.append(1)  # no padding in the last byte: one more byte
+    with pytest.raises(ColoringFormatError, match="padding"):
+        EdgeColoring.from_text(g, f"{header}\n{raw.hex()}\n")
+    with pytest.raises(ColoringFormatError, match="too short"):
+        EdgeColoring.from_text(g, f"{header}\n{body.replace(chr(10), '')[:-2]}\n")
+
+
 def test_coloring_rejects_wrong_graph(setups):
     g3, _ = setups[3]
     g4, _ = setups[4]

@@ -168,6 +168,9 @@ def test_certify_zero_k4_samples_inconclusive(tmp_path):
     k4 = next(c for c in payload["certificates"] if c["claim"].startswith("every K4"))
     assert k4["quantities"]["k4_checked"] == 0
     assert k4["outcome"] == "inconclusive"
+    family = next(c for c in payload["certificates"] if c["claim"].startswith("non-degenerate triangle family"))
+    assert family["quantities"]["spot_vertices"] == 64
+    assert family["quantities"]["explicit_checked"] is False
 
 
 def test_search_zero_restarts_is_one_line_error(tmp_path, capsys):
@@ -184,6 +187,9 @@ def test_certify_q4_reports_neighborhood_coverage(tmp_path):
     nbhd = next(c for c in payload["certificates"] if c["claim"].startswith("neighborhood"))
     assert nbhd["quantities"]["vertices_checked"] == 3
     assert nbhd["quantities"]["checked_vertices"] == [0, 104, 207]
+    # the explicit classification checks every triangle: no spot count
+    family = next(c for c in payload["certificates"] if c["claim"].startswith("non-degenerate triangle family"))
+    assert "spot_vertices" not in family["quantities"]
 
 
 @pytest.mark.parametrize("content", ["", "# only a comment\n\n"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import edge_index, parse_edge_list, parse_graph6
+from quasifolkman import graphs as graphs_module
 from quasifolkman.graphs import (
     IntersectionGraph,
     build_graph_for_q,
@@ -139,6 +140,20 @@ def test_edge_list_roundtrip(graphs):
     assert n == g.n
     assert len(edges) == g.m
     assert edges == list(zip(map(int, g.eu), map(int, g.ev)))
+
+
+@pytest.mark.parametrize("block", [7, None])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_edge_list_blocks_parse_back_across_blocks(graphs, monkeypatch, q, block):
+    g = graphs[q]
+    if block is not None:
+        monkeypatch.setattr(graphs_module, "EDGE_TEXT_BLOCK", block)
+    blocks = list(edge_list_blocks(g))
+    size = graphs_module.EDGE_TEXT_BLOCK
+    assert len(blocks) == -(-g.m // size)
+    assert all(b.count("\n") == size for b in blocks[:-1])
+    _, edges = parse_edge_list("".join(blocks))
+    assert edges == list(zip(g.eu.tolist(), g.ev.tolist()))
 
 
 def test_graph6_roundtrip(graphs):

@@ -183,7 +183,7 @@ def test_line_of_is_the_secant_through_both_points(graph):
 
 def test_spanning_cliques_match_oracle(graph):
     g = graph
-    block = g.spanning_cliques(0, g.n)
+    block = g.spanning_cliques(np.arange(g.n))
     for v in range(g.n):
         expect = spanning_cliques_oracle(g, v)
         assert np.array_equal(block[v], expect)

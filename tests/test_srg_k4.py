@@ -6,8 +6,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_adjacency, flip_bit, k4_clique_property_edges, sampled_k4_quads_loop, verify_srg_dense
+from oracles import (
+    dense_adjacency,
+    flip_bit,
+    k4_clique_property_edges,
+    lowest_set_bit_table,
+    popcount_rows_table,
+    sampled_k4_quads_loop,
+    verify_srg_dense,
+)
 from quasifolkman.graphs import (
     build_graph_for_q,
     enumerate_k4,
@@ -60,8 +70,8 @@ def test_srg_rejects_set_diagonal_bit():
 
 @pytest.mark.parametrize("first_row", [True, False])
 def test_srg_rejects_one_sided_bit(first_row):
-    # at q = 7 the symmetry check runs in two row blocks; the extra bit sits
-    # in the first or the last row, and its missing mirror in the other block
+    # the extra bit sits in the first or the last row, its missing mirror
+    # at the far end of the rows
     g = build_graph_for_q(7)
     u = 0 if first_row else g.n - 1
     v = int(np.flatnonzero(~g.adj[u])[-1 if first_row else 0])
@@ -94,6 +104,52 @@ def test_packed_row_helpers_match_dense_rows():
     assert np.array_equal(x, g.adj.argmax(axis=1))
     x, found = lowest_set_bit(np.zeros((2, 3), dtype=np.uint64))
     assert not found.any()
+
+
+def test_symmetry_check_never_passes_an_asymmetric_perturbation():
+    # seeded one- and two-bit flips anywhere in the rows, padding included;
+    # half of the two-bit flips are a bit and its mirror
+    g = build_graph_for_q(3)
+    rng = np.random.default_rng(0)
+    passed = 0
+    for t in range(300):
+        flips = [(int(rng.integers(g.n)), int(rng.integers(64 * g.words.shape[1])))]
+        if t % 2:
+            flips.append(flips[0][::-1] if t % 4 == 1 and flips[0][1] < g.n
+                         else (int(rng.integers(g.n)), int(rng.integers(g.n))))
+        for u, v in flips:
+            flip_bit(g, u, v)
+        if verify_srg(g).checks["adjacency_symmetric"]:
+            passed += 1
+            adj = g.adj
+            assert np.array_equal(adj, adj.T), flips
+        for u, v in flips:
+            flip_bit(g, u, v)
+    assert 0 < passed < 300
+    assert verify_srg(g).passed
+
+
+_WORD = st.one_of(
+    st.just(0),
+    st.just(1 << 63),
+    st.integers(0, 63).map(lambda b: 1 << b),
+    st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda w: st.lists(st.lists(_WORD, min_size=w, max_size=w), min_size=1, max_size=16)))
+def test_word_popcounts_match_byte_tables(rows):
+    words = np.array(rows, dtype=np.uint64)
+    expect = popcount_rows_table(words.view(np.uint8))
+    assert np.array_equal(popcount_rows(words), expect)
+    assert np.array_equal(popcount_rows(words.view(np.uint8)), expect)
+    x, found = lowest_set_bit(words)
+    x_table, found_table = lowest_set_bit_table(words)
+    assert x.dtype == x_table.dtype
+    assert np.array_equal(found, found_table)
+    assert np.array_equal(x[found], x_table[found])
 
 
 @pytest.mark.parametrize("q", [5, 7])

@@ -139,6 +139,29 @@ def test_nbhd_decomposition_detects_tampered_adjacency(tamper):
         assert "outside_witness" not in cert.quantities
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_build_family_rejects_non_neighbor_at_spot_vertex(q):
+    # q = 5 has no brute-force classification behind the spot check
+    g = build_graph_for_q(q)
+    v = int(build_family(g).spot_vertices[-1])
+    w = int(g.spanning_cliques_of(v)[-1, 0])
+    flip_bit(g, v, w)
+    flip_bit(g, w, v)
+    with pytest.raises(RuntimeError, match="a spanning-clique member is not a neighbor") as exc:
+        build_family(g)
+    # w's member v lost its bit too; w reports first when it is a spot vertex
+    assert str(exc.value).startswith((f"vertex {v}:", f"vertex {w}:"))
+
+
+def test_spot_vertices_are_fixed():
+    g = build_graph_for_q(5)
+    spot = build_family(g).spot_vertices
+    assert len(spot) == 64 and np.all(np.diff(spot) > 0) and 0 <= spot[0] and spot[-1] < g.n
+    assert np.array_equal(build_family(build_graph_for_q(5)).spot_vertices, spot)
+    # fewer vertices than the sample: every vertex
+    assert np.array_equal(build_family(build_graph_for_q(3)).spot_vertices, np.arange(63))
+
+
 def test_spanning_cliques_edge_disjoint(graphs):
     g = graphs[3]
     for v in (0, 31):
