@@ -110,23 +110,23 @@ class GoodmanTally:
     monochromatic: int
 
 
-def _pair_counts(r: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """C(blue,2) and C(red,2) given blue counts r out of `total` slots."""
-    b = r
-    a = total - r
-    return a * (a - 1) // 2, b * (b - 1) // 2
+def _pairs_table(q: int) -> np.ndarray:
+    """C(b, 2) for b = 0 .. q+1, int32.  A spanning-clique row with b blue
+    edges has C(b, 2) blue pairs and C(q+1-b, 2), the reversed table's
+    entry b, red ones; each count is one gather by b."""
+    b = np.arange(q + 2, dtype=np.int32)
+    return b * (b - 1) // 2
 
 
 def batch_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
     """sum_v same(v) for a batch of colorings, shape (B, m) -> (B,)."""
-    q = fam.q
+    pairs = _pairs_table(fam.q)
     ce = fam.clique_edge_matrix()
     x = colors[:, ce]  # (B, rows, q+1)
     # int32 rows are exact (at most C(q+1, 2) pairs each) and halve the
     # (B, rows)-sized temporaries; the per-coloring sums are int64
     blue = x.sum(axis=2, dtype=np.int32)
-    redp, bluep = _pair_counts(blue, q + 1)
-    return (redp + bluep).sum(axis=1, dtype=np.int64)
+    return (pairs + pairs[::-1])[blue].sum(axis=1, dtype=np.int64)
 
 
 def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
@@ -146,9 +146,9 @@ def goodman_count(fam: TriangleFamily, coloring: EdgeColoring) -> GoodmanTally:
     # a row holds at most C(q+1, 2) pairs, so int32 rows are exact and keep
     # the (rows,)-sized temporaries small; per-vertex sums are int64
     blue = x.sum(axis=1, dtype=np.int32)
-    redp, bluep = _pair_counts(blue, q + 1)
-    red_v = redp.reshape(g.n, rows_per_vertex).sum(axis=1, dtype=np.int64)
-    blue_v = bluep.reshape(g.n, rows_per_vertex).sum(axis=1, dtype=np.int64)
+    pairs = _pairs_table(q)
+    red_v = pairs[::-1][blue].reshape(g.n, rows_per_vertex).sum(axis=1, dtype=np.int64)
+    blue_v = pairs[blue].reshape(g.n, rows_per_vertex).sum(axis=1, dtype=np.int64)
     s = int(red_v.sum() + blue_v.sum())
     diff = s - fam.total
     if diff % 2 or diff < 0:

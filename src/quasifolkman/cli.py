@@ -102,11 +102,21 @@ class UsageError(ValueError):
     """Bad input on the command line; main prints it as one line and exits 1."""
 
 
-def _check_q(q: int) -> None:
+#: the largest q of each command but certify, which runs at every q in
+#: SUPPORTED_Q: search's partner tables scale as m q^2; build, simulate and
+#: check-coloring build the edge tables, and check-coloring's clique-edge
+#: matrix alone would take 3.2 GB at q = 13
+Q_LIMIT = {"build": 11, "simulate": 11, "search": 5, "check-coloring": 11}
+
+
+def _check_q(args) -> None:
+    q = args.q
     if prime_power(q) is None:
         raise UsageError(f"q must be a prime power, got {q}")
     if q not in SUPPORTED_Q:
         raise UsageError(f"q = {q} exceeds the verification range {SUPPORTED_Q}")
+    if q > Q_LIMIT.get(args.command, q):
+        raise UsageError(f"{args.command} supports --q up to {Q_LIMIT[args.command]}, got {q}")
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +124,7 @@ def _check_q(q: int) -> None:
 # ----------------------------------------------------------------------
 
 def cmd_build(args) -> int:
-    _check_q(args.q)
+    _check_q(args)
     out = _out_dir(args)
     unital = build_unital_for_q(args.q)
     g = build_graph(unital)
@@ -146,7 +156,7 @@ def cmd_build(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_certify(args) -> int:
-    _check_q(args.q)
+    _check_q(args)
     if args.samples < 0:
         raise UsageError(f"--samples must be at least 0, got {args.samples}")
     q = args.q
@@ -274,7 +284,7 @@ def cmd_simulate(args) -> int:
         _write_certs(out, f"simulate_alon_k{args.alon_k}_certs", certs, config)
         return _exit_code(certs)
 
-    _check_q(args.q)
+    _check_q(args)
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     try:
@@ -347,13 +357,8 @@ def cmd_simulate(args) -> int:
 # search
 # ----------------------------------------------------------------------
 
-SEARCH_Q_LIMIT = 5  # partner tables scale as m * q^2
-
-
 def cmd_search(args) -> int:
-    _check_q(args.q)
-    if args.q > SEARCH_Q_LIMIT:
-        raise UsageError(f"search supports q <= {SEARCH_Q_LIMIT} (edge-triangle index memory)")
+    _check_q(args)
     if args.restarts < 1:
         raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
     out = _out_dir(args)
@@ -387,7 +392,7 @@ def cmd_search(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_check_coloring(args) -> int:
-    _check_q(args.q)
+    _check_q(args)
     try:
         text = Path(args.file).read_text()
     except (OSError, ValueError) as exc:

@@ -26,8 +26,8 @@ import numpy as np
 from .certificates import Certificate
 from .plane import UnitalIncidence
 
-#: q values the verification commands run at
-SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11)
+#: q values the commands run at; cli.Q_LIMIT caps all but certify lower
+SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 #: vertex pairs in verify_srg's spot check of the adjacency: half random
 #: edges, half random vertex pairs, drawn from SRG_SPOT_SEED
@@ -35,6 +35,8 @@ SRG_SPOT_PAIRS = 100_000
 SRG_SPOT_SEED = 0
 #: rows per batch of gathered bit-packed adjacency rows
 SAMPLE_BLOCK = 1 << 14
+#: vertices per block of neighbor_rows' gather of point cliques
+NEIGHBOR_BLOCK = 1 << 10
 #: bytes of bit-packed adjacency rows that one block of the clique-extension
 #: scan gathers; the rows per block follow from n
 SCAN_BLOCK_BYTES = 1 << 22
@@ -62,13 +64,17 @@ class IntersectionGraph:
         (row i = secants through dense unital point i).
     vertex_cliques : (n, q+1) int32, the incidence itself: the sorted dense
         unital points (equivalently, point-clique ids) of each secant.
+    pos : (q^3+1, q^3+1) int32, pos[P, A] is the position in P's clique of
+        the secant through unital points P and A (-1 on the diagonal).
+
+    The edge tables below are built on first use (edge_tables); certify
+    reads none of them at q >= 5.
+
     eu, ev : (m,) int32 canonical edge list, lexicographic with eu < ev.
     edge_point : (m,) int32, dense unital point id where each edge's
         secants meet (equivalently, the unique clique containing the edge).
     clique_edges : (q^3+1, C(q^2, 2)) int32, the id of the edge between
         each pair of positions in each point clique, pairs in triu order.
-    pos : (q^3+1, q^3+1) int32, pos[P, A] is the position in P's clique of
-        the secant through unital points P and A (-1 on the diagonal).
 
     Every edge lies in exactly one point clique, so it is named by its meet
     point and two clique positions; edge_at turns that name into its id.
@@ -98,26 +104,11 @@ class IntersectionGraph:
         self.pos[p, r] = i
         self.pos[r, p] = j
         del inc, at, p, r, i, j
-
-        # the edges are the secant pairs inside the point cliques, clique-major;
-        # one sort of their keys gives the lexicographic edge list, and its
-        # inverse each clique pair's edge id.  The kept m-sized arrays share one
-        # block taken before the sort's temporaries: certify --q 9 peaks 7 MB lower
-        self.m = npts * comb(k, 2)
-        self.eu, self.ev, self.edge_point, clique_edges = np.empty((4, self.m), dtype=np.int32)
-        a, b = row_pairs(self.cliques)
-        order = np.argsort(a.astype(np.int64) * n + b)
-        np.take(a, order, out=self.eu)
-        np.take(b, order, out=self.ev)
-        del a, b
-        # int32 holds m up to q = 16; the inversion then needs no int64 temporaries
-        order = order.astype(np.int32)
-        if np.any((self.eu[1:] == self.eu[:-1]) & (self.ev[1:] == self.ev[:-1])):
+        # the n C(q+1, 2) = C(q^3+1, 2) secant point pairs fill every
+        # off-diagonal entry only if each is written once
+        if np.count_nonzero(self.pos < 0) != npts:
             raise GraphError("two secants share more than one unital point")
-        np.floor_divide(order, comb(k, 2), out=self.edge_point)
-        clique_edges[order] = np.arange(self.m, dtype=np.int32)
-        self.clique_edges = clique_edges.reshape(npts, comb(k, 2))
-        del order
+        self.m = npts * comb(k, 2)
         iu, iv = np.triu_indices(k, k=1)
         self._pair = np.zeros((k, k), dtype=np.int32)
         self._pair[iu, iv] = self._pair[iv, iu] = np.arange(len(iu))
@@ -133,6 +124,7 @@ class IntersectionGraph:
         own = np.arange(n)
         self.words.view(np.uint8)[own, own >> 3] &= ~(1 << (own & 7)).astype(np.uint8)
         self._line_of: np.ndarray | None = None
+        self._edges: tuple[np.ndarray, ...] | None = None
 
     # -- lookups ------------------------------------------------------------
 
@@ -160,6 +152,33 @@ class IntersectionGraph:
         if self._line_of is None:
             self._line_of = point_pair_secants(self.vertex_cliques, len(self.cliques))
         return self._line_of
+
+    def edge_tables(self) -> tuple[np.ndarray, ...]:
+        """(eu, ev, edge_point, clique_edges), built on first use.  The edges
+        are the secant pairs inside the point cliques, clique-major; one sort
+        of their keys gives the lexicographic edge list, and its inverse each
+        clique pair's edge id.  The four share one block taken before the
+        sort's temporaries."""
+        if self._edges is None:
+            npts = len(self.cliques)
+            pairs = self.m // npts
+            eu, ev, edge_point, clique_edges = np.empty((4, self.m), dtype=np.int32)
+            a, b = row_pairs(self.cliques)
+            order = np.argsort(a.astype(np.int64) * self.n + b)
+            np.take(a, order, out=eu)
+            np.take(b, order, out=ev)
+            del a, b
+            # int32 holds m up to q = 16; the inversion then needs no int64 temporaries
+            order = order.astype(np.int32)
+            np.floor_divide(order, pairs, out=edge_point)
+            clique_edges[order] = np.arange(self.m, dtype=np.int32)
+            self._edges = eu, ev, edge_point, clique_edges.reshape(npts, pairs)
+        return self._edges
+
+    eu = property(lambda self: self.edge_tables()[0])
+    ev = property(lambda self: self.edge_tables()[1])
+    edge_point = property(lambda self: self.edge_tables()[2])
+    clique_edges = property(lambda self: self.edge_tables()[3])
 
     def off_points(self, vs: np.ndarray) -> np.ndarray:
         """The q^3 - q unital points off each secant in vs, ascending; shape
@@ -352,9 +371,11 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     SRG_SPOT_PAIRS pairs: half random edges, half random vertex pairs.
     lambda_observed and mu_observed are reported only when all of it holds.
 
-    Symmetry is read off the edge bits: the m edges eu < ev are distinct, so
-    if both bits of each are set and 2m bits off the diagonal are set in all,
-    the set bits are exactly those, a symmetric set.
+    Symmetry is read off the edge bits.  The m edges are the member pairs
+    a < b of the point cliques, distinct because no two secants share two
+    points (the constructor checks it).  If both bits of each are set and 2m
+    bits off the diagonal are set in all, the set bits are exactly those, a
+    symmetric set.  The pairs are tested a block of cliques at a time.
     """
     q = g.q
     n_expected = q**4 - q**3 + q**2
@@ -362,13 +383,16 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     degree = popcount_rows(g.words)
     set_bits = int(degree.sum())
     diagonal = g.adjacent(np.arange(g.n), np.arange(g.n))
-    edge_bits = bool(g.adjacent(g.eu, g.ev).all())
+    edge_bits = mirror_bits = True
+    step = max(1, (SAMPLE_BLOCK << 4) // comb(g.cliques.shape[1], 2))  # about 2^18 pairs
+    for s in range(0, len(g.cliques), step):
+        a, b = row_pairs(g.cliques[s:s + step])
+        edge_bits &= bool(g.adjacent(a, b).all())
+        mirror_bits &= bool(g.adjacent(b, a).all())
     checks: dict[str, bool] = {}
     checks["vertex_count"] = g.n == n_expected
     checks["regular_degree"] = bool(np.all(degree == d_expected))
-    checks["adjacency_symmetric"] = (
-        edge_bits and bool(g.adjacent(g.ev, g.eu).all()) and set_bits - int(diagonal.sum()) == 2 * g.m
-    )
+    checks["adjacency_symmetric"] = edge_bits and mirror_bits and set_bits - int(diagonal.sum()) == 2 * g.m
     checks["adjacency_irreflexive"] = not diagonal.any()
     checks["edge_count"] = 2 * g.m == g.n * d_expected
     # with symmetry, every edge of the incidence set in the rows and nothing
@@ -389,11 +413,13 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     mu_expected = (q + 1) ** 2
     rng = np.random.default_rng(SRG_SPOT_SEED)
     half = SRG_SPOT_PAIRS // 2
-    e = rng.integers(0, g.m, size=half)
+    # edge e is pair e % C(q^2, 2), in triu order, of point clique e // C(q^2, 2)
+    c, t = np.divmod(rng.integers(0, g.m, size=half), g.m // len(cl))
+    iu, iv = np.triu_indices(cl.shape[1], k=1)
     a = rng.integers(0, g.n, size=half)
     b = (a + rng.integers(1, g.n, size=half)) % g.n
-    u = np.concatenate([g.eu[e], a])
-    v = np.concatenate([g.ev[e], b])
+    u = np.concatenate([cl[c, iu[t]], a])
+    v = np.concatenate([cl[c, iv[t]], b])
     common = np.concatenate([
         popcount_rows(g.words[u[s:s + SAMPLE_BLOCK]] & g.words[v[s:s + SAMPLE_BLOCK]])
         for s in range(0, len(u), SAMPLE_BLOCK)
@@ -433,10 +459,14 @@ def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
     of them pass through one unital point (share a point clique).  Each
     secant lists a point once, so that is a run of length >= 3 in the row's
     sorted incidences.  On a triangle it is the degenerate (concurrent)
-    test."""
-    pts = g.vertex_cliques[rows].reshape(len(rows), rows.shape[1] * g.vertex_cliques.shape[1])
-    pts.sort(axis=1)
-    return (pts[:, 2:] == pts[:, :-2]).any(axis=1)
+    test.  The rows run in blocks of SAMPLE_BLOCK."""
+    out = np.empty(len(rows), dtype=bool)
+    for s in range(0, len(rows), SAMPLE_BLOCK):
+        part = rows[s:s + SAMPLE_BLOCK]
+        pts = g.vertex_cliques[part].reshape(len(part), part.shape[1] * g.vertex_cliques.shape[1])
+        pts.sort(axis=1)
+        out[s:s + SAMPLE_BLOCK] = (pts[:, 2:] == pts[:, :-2]).any(axis=1)
+    return out
 
 
 def k4_violations(g: IntersectionGraph, quads: np.ndarray) -> dict:
@@ -452,11 +482,12 @@ def k4_violations(g: IntersectionGraph, quads: np.ndarray) -> dict:
 def neighbor_rows(g: IntersectionGraph) -> np.ndarray:
     """Each vertex's neighbors, ascending; shape (n, (q+1)(q^2-1)).  They are
     the members of its q+1 point cliques, with the vertex's own copies
-    dropped."""
-    members = g.cliques[g.vertex_cliques].reshape(g.n, -1)
-    own = members == np.arange(g.n)[:, None]
-    nbr = members[~own].reshape(g.n, -1)
-    nbr.sort(axis=1)
+    dropped, gathered NEIGHBOR_BLOCK vertices at a time."""
+    nbr = np.empty((g.n, g.vertex_cliques.shape[1] * (g.cliques.shape[1] - 1)), dtype=np.int32)
+    for s in range(0, g.n, NEIGHBOR_BLOCK):
+        vs = np.arange(s, min(s + NEIGHBOR_BLOCK, g.n))
+        members = g.cliques[g.vertex_cliques[vs]].reshape(len(vs), -1)
+        nbr[vs] = np.sort(members[members != vs[:, None]].reshape(len(vs), -1), axis=1)
     return nbr
 
 
@@ -466,16 +497,16 @@ def sample_k4(g: IntersectionGraph, seed: int, samples: int) -> np.ndarray:
     Sample t draws a vertex u and two of its neighbours v, w; when v and w
     are adjacent the triangle extends to the K4 with the lowest-id common
     neighbour x of all three.  The samples run in blocks over bit-packed
-    adjacency rows: x is the lowest set bit of the AND of three rows."""
+    adjacency rows: x is the lowest set bit of the AND of three rows.  All
+    the u are drawn first, then each block's neighbour picks, an even count
+    of draws, so the stream is that of one (samples, 2) draw."""
     rng = np.random.default_rng(seed)
     us = rng.integers(0, g.n, size=samples)
     nbr = neighbor_rows(g)
-    picks = rng.integers(0, nbr.shape[1], size=(samples, 2))
     blocks = [np.empty((0, 4), dtype=np.int32)]
     for s in range(0, samples, SAMPLE_BLOCK):
         u = us[s:s + SAMPLE_BLOCK]
-        v = nbr[u, picks[s:s + SAMPLE_BLOCK, 0]]
-        w = nbr[u, picks[s:s + SAMPLE_BLOCK, 1]]
+        v, w = nbr[u[:, None], rng.integers(0, nbr.shape[1], size=(len(u), 2))].T
         keep = (v != w) & g.adjacent(v, w)
         u, v, w = u[keep], v[keep], w[keep]
         x, found = lowest_set_bit(common_neighbors(g.words, np.stack([u, v, w], axis=1)))

@@ -25,6 +25,10 @@ import numpy as np
 from .fields import FieldError, QuadraticExtension
 
 
+#: line x unital-point entries per block of build_unital's incidence
+INCIDENCE_BLOCK = 1 << 18
+
+
 class GeometryError(RuntimeError):
     """An incidence count came out impossible; signals an arithmetic bug."""
 
@@ -171,16 +175,23 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
     if len(unital) != q**3 + 1:
         raise GeometryError(f"unital has {len(unital)} points, expected {q**3 + 1}")
 
-    # incidence of every line with every unital point
+    # incidence of every line with every unital point, a block of lines at a
+    # time: per line its count, and the secants' points and per-point tallies
     mul = fld.mul_table
     up = coords[unital]  # (U, 3)
-    la = coords[:, 0][:, None]
-    lb = coords[:, 1][:, None]
-    lc = coords[:, 2][:, None]
-    acc = add[mul[la, up[None, :, 0]], mul[lb, up[None, :, 1]]]
-    acc = add[acc, mul[lc, up[None, :, 2]]]
-    inc = acc == 0  # (lines, unital points)
-    counts = inc.sum(axis=1)
+    counts = np.empty(plane.size, dtype=np.int64)
+    cols = []
+    point_secant_count = np.zeros(len(unital), dtype=np.int64)
+    point_tangent_count = np.zeros(len(unital), dtype=np.int64)
+    step = max(1, INCIDENCE_BLOCK // len(unital))
+    for s in range(0, plane.size, step):
+        la, lb, lc = (coords[s:s + step, i, None] for i in range(3))
+        inc = add[add[mul[la, up[:, 0]], mul[lb, up[:, 1]]], mul[lc, up[:, 2]]] == 0
+        c = counts[s:s + step] = inc.sum(axis=1)
+        sec_inc = inc[c == q + 1]
+        cols.append(np.nonzero(sec_inc)[1])
+        point_secant_count += sec_inc.sum(axis=0)
+        point_tangent_count += inc[c == 1].sum(axis=0)
 
     secant_mask = counts == q + 1
     tangent_mask = counts == 1
@@ -194,13 +205,8 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
     if len(secants) != q**4 - q**3 + q**2:
         raise GeometryError(f"{len(secants)} secants, expected {q**4 - q**3 + q**2}")
 
-    sec_inc = inc[secant_mask]
-    rows, cols = np.nonzero(sec_inc)
-    secant_points = cols.reshape(len(secants), q + 1).astype(np.int64)
+    secant_points = np.concatenate(cols).reshape(len(secants), q + 1)
     secant_points.sort(axis=1)
-
-    point_secant_count = sec_inc.sum(axis=0)
-    point_tangent_count = inc[tangent_mask].sum(axis=0)
 
     return UnitalIncidence(
         q=q,

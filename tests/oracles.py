@@ -14,13 +14,19 @@ IntersectionGraph.edge_at, and random_block_incidences labels each
 labels of blocks.random_block.  popcount_rows_table and
 lowest_set_bit_table read byte tables, the references for the word
 popcounts of graphs.popcount_rows and graphs.lowest_set_bit.
+build_unital_whole, neighbor_rows_whole, k4_clique_property_whole and
+sample_k4_upfront are the unblocked forms of build_unital, neighbor_rows,
+k4_clique_property and sample_k4: one lines x points incidence, one
+n-row gather, one gather of every row, and every neighbour pick drawn up
+front.
 """
 
 import numpy as np
 
 from quasifolkman.blocks import assignment_value
 from quasifolkman.certify import canonical_edges, maxcut_exact
-from quasifolkman.graphs import neighbor_rows
+from quasifolkman.graphs import SAMPLE_BLOCK, common_neighbors, lowest_set_bit, neighbor_rows
+from quasifolkman.plane import GeometryError, UnitalIncidence
 
 
 def edge_index(g, u, v):
@@ -442,3 +448,85 @@ def classify_triangle(g, a, b, c):
     }
     assert len(pts) != 2, "triangle with exactly two distinct meet points"
     return "degenerate" if len(pts) == 1 else "non-degenerate"
+
+
+def build_unital_whole(plane):
+    """plane.build_unital over the whole (lines, unital points) incidence at
+    once."""
+    fld = plane.field
+    q = fld.base_order
+    coords = plane.coord_array()
+    nrm = fld.norm_table
+    add = fld.add_table
+    herm = add[add[nrm[coords[:, 0]], nrm[coords[:, 1]]], nrm[coords[:, 2]]]
+    unital = np.flatnonzero(herm == 0).astype(np.int64)
+    if len(unital) != q**3 + 1:
+        raise GeometryError(f"unital has {len(unital)} points, expected {q**3 + 1}")
+    mul = fld.mul_table
+    up = coords[unital]
+    la = coords[:, 0][:, None]
+    lb = coords[:, 1][:, None]
+    lc = coords[:, 2][:, None]
+    acc = add[mul[la, up[None, :, 0]], mul[lb, up[None, :, 1]]]
+    acc = add[acc, mul[lc, up[None, :, 2]]]
+    inc = acc == 0
+    counts = inc.sum(axis=1)
+    secant_mask = counts == q + 1
+    tangent_mask = counts == 1
+    bad = ~(secant_mask | tangent_mask)
+    if bad.any():
+        lid = int(np.flatnonzero(bad)[0])
+        raise GeometryError(f"line {lid} meets the unital in {int(counts[lid])} points")
+    secants = np.flatnonzero(secant_mask).astype(np.int64)
+    tangents = np.flatnonzero(tangent_mask).astype(np.int64)
+    sec_inc = inc[secant_mask]
+    rows, cols = np.nonzero(sec_inc)
+    secant_points = cols.reshape(len(secants), q + 1).astype(np.int64)
+    secant_points.sort(axis=1)
+    return UnitalIncidence(
+        q=q,
+        plane=plane,
+        unital_points=unital,
+        secants=secants,
+        tangents=tangents,
+        secant_points=secant_points,
+        point_secant_count=sec_inc.sum(axis=0),
+        point_tangent_count=inc[tangent_mask].sum(axis=0),
+    )
+
+
+def neighbor_rows_whole(g):
+    """graphs.neighbor_rows from one gather of every vertex's point cliques."""
+    members = g.cliques[g.vertex_cliques].reshape(g.n, -1)
+    own = members == np.arange(g.n)[:, None]
+    nbr = members[~own].reshape(g.n, -1)
+    nbr.sort(axis=1)
+    return nbr
+
+
+def k4_clique_property_whole(g, rows):
+    """graphs.k4_clique_property from one gather of every row's incidences."""
+    pts = g.vertex_cliques[rows].reshape(len(rows), rows.shape[1] * g.vertex_cliques.shape[1])
+    pts.sort(axis=1)
+    return (pts[:, 2:] == pts[:, :-2]).any(axis=1)
+
+
+def sample_k4_upfront(g, seed, samples):
+    """graphs.sample_k4 with every neighbour pick drawn in one call after
+    the vertices."""
+    rng = np.random.default_rng(seed)
+    us = rng.integers(0, g.n, size=samples)
+    nbr = neighbor_rows_whole(g)
+    picks = rng.integers(0, nbr.shape[1], size=(samples, 2))
+    blocks = [np.empty((0, 4), dtype=np.int32)]
+    for s in range(0, samples, SAMPLE_BLOCK):
+        u = us[s:s + SAMPLE_BLOCK]
+        v = nbr[u, picks[s:s + SAMPLE_BLOCK, 0]]
+        w = nbr[u, picks[s:s + SAMPLE_BLOCK, 1]]
+        keep = (v != w) & g.adjacent(v, w)
+        u, v, w = u[keep], v[keep], w[keep]
+        x, found = lowest_set_bit(common_neighbors(g.words, np.stack([u, v, w], axis=1)))
+        quad = np.stack([u, v, w, x], axis=1)[found]
+        quad.sort(axis=1)
+        blocks.append(quad.astype(np.int32))
+    return np.concatenate(blocks)

@@ -173,6 +173,19 @@ def test_certify_zero_k4_samples_inconclusive(tmp_path):
     assert family["quantities"]["explicit_checked"] is False
 
 
+def test_certify_q13(tmp_path):
+    rc = main(["certify", "--q", "13", "--out", str(tmp_path)])
+    assert rc == EXIT_PASS
+    certs = {c["claim"]: c for c in json.loads((tmp_path / "certify_q13.json").read_text())["certificates"]}
+    assert all(c["outcome"] == "pass" for c in certs.values())
+    k4 = certs["every K4 has >= 3 vertices in a point clique (sampled)"]["quantities"]
+    assert k4["violations"] == 0 and k4["k4_checked"] > 0
+    family = certs["non-degenerate triangle family matches the closed count"]["quantities"]
+    assert family["spot_vertices"] == 64
+    bound = certs["every 2-coloring has at least L(q) monochromatic family triangles"]["quantities"]
+    assert bound["fraction_of_family"] == "5/26"
+
+
 def test_search_zero_restarts_is_one_line_error(tmp_path, capsys):
     rc = main(["search", "--q", "3", "--restarts", "0", "--out", str(tmp_path)])
     assert rc == EXIT_FAIL
@@ -248,6 +261,10 @@ def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
         (["search", "--q", "3", "--steps", "inf"], "--steps"),
         (["search", "--q", "3", "--threads", "0"], "--threads"),
         (["certify", "--q", "3", "--threads", "-2"], "--threads"),
+        (["build", "--q", "13"], "--q"),
+        (["simulate", "--q", "16", "--trials", "2"], "--q"),
+        (["search", "--q", "7"], "--q"),
+        (["check-coloring", "--q", "13", "--file", "no-such-coloring.txt"], "--q"),
     ],
 )
 def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, flag):
@@ -283,6 +300,12 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["search", "--q", "3", "--steps", "inf"],
         ["search", "--q", "3", "--threads", "0"],
         ["certify", "--q", "3", "--threads", "-2"],
+        ["build", "--q", "16"],
+        ["simulate", "--q", "13", "--F", "c5", "--trials", "2"],
+        ["search", "--q", "8"],
+        ["search", "--q", "13"],
+        ["check-coloring", "--q", "16", "--file", "no-such-coloring.txt"],
+        ["certify", "--q", "17"],
     ],
 )
 def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):

@@ -20,6 +20,7 @@ from quasifolkman.graphs import (
     build_graph_for_q,
     neighbor_rows,
     point_pair_secants,
+    row_pairs,
     verify_srg,
 )
 from quasifolkman.plane import build_unital_for_q
@@ -155,6 +156,23 @@ def test_graph_arrays_match_dense_construction(unital, graph):
         got = getattr(graph, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
+
+
+def test_edge_tables_are_built_on_first_use(unital):
+    g = build_graph(unital)
+    assert g._edges is None
+    expect = graph_arrays_oracle(unital.q, unital.secant_points)
+    for name in ("eu", "ev", "edge_point"):
+        got = getattr(g, name)
+        assert got.dtype == expect[name].dtype, name
+        assert np.array_equal(got, expect[name]), name
+    # clique_edges names the edge of each member pair of each point clique
+    a, b = row_pairs(g.cliques)
+    assert g.clique_edges.shape == (len(g.cliques), comb(g.q**2, 2))
+    assert np.array_equal(g.eu[g.clique_edges].ravel(), a)
+    assert np.array_equal(g.ev[g.clique_edges].ravel(), b)
+    assert (g.edge_point[g.clique_edges] == np.arange(len(g.cliques))[:, None]).all()
+    assert g.edge_tables() is g.edge_tables()
 
 
 def test_neighbor_rows_match_oracle(graph):
