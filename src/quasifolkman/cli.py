@@ -71,7 +71,10 @@ OUT_ENV = "QUASIFOLKMAN_OUT"
 
 def _out_dir(args) -> Path:
     out = Path(args.out or os.environ.get(OUT_ENV, "artifacts"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {out} is not a usable directory: {exc.strerror}") from None
     return out
 
 
@@ -241,8 +244,13 @@ def cmd_simulate(args) -> int:
             p = alon_parameters(args.alon_k)
         except ValueError as exc:
             raise UsageError(exc) from None
-        out = _out_dir(args)
         delta = 1.0 if args.delta in (None, "auto") else args.delta_value
+        if p.valid:
+            try:
+                qb = quantitative_bound(p.n, p.m, delta=delta, exact_union=args.exact_union)
+            except RuntimeError as exc:
+                raise UsageError(f"--delta {delta:g} is too small: {exc}") from None
+        out = _out_dir(args)
         report = {
             "alon_k": args.alon_k,
             "smallest_valid_k": smallest_valid_alon_k(),
@@ -255,7 +263,6 @@ def cmd_simulate(args) -> int:
         if p.valid:
             dstar = critical_delta(p.ratio)
             report["critical_delta"] = dstar
-            qb = quantitative_bound(p.n, p.m, delta=delta, exact_union=args.exact_union)
             report.update({f"bound_{k}": v for k, v in qb.items()})
             certs.append(
                 Certificate(

@@ -10,7 +10,7 @@ significant), so element enumeration order is stable across runs.
 Every field is small enough for lookup tables: exp/log tables and the full
 size-by-size add/mul tables (numpy arrays, for vectorized bulk work) are
 always built, which caps the order at ``_MAX_ORDER``.  The largest field the
-pipeline uses is GF(121), for q = 11; q = 16 would need GF(256).
+pipeline uses is GF(256), for q = 16.
 
 Quadratic extensions GF(q^2) used for Hermitian unitals are built as a
 single degree-2k extension of the prime field; the subfield GF(q) is the

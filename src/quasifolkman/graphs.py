@@ -71,13 +71,13 @@ class IntersectionGraph:
     reads none of them at q >= 5.
 
     eu, ev : (m,) int32 canonical edge list, lexicographic with eu < ev.
-    edge_point : (m,) int32, dense unital point id where each edge's
-        secants meet (equivalently, the unique clique containing the edge).
     clique_edges : (q^3+1, C(q^2, 2)) int32, the id of the edge between
         each pair of positions in each point clique, pairs in triu order.
 
     Every edge lies in exactly one point clique, so it is named by its meet
     point and two clique positions; edge_at turns that name into its id.
+    The secant through two distinct unital points P and A is
+    cliques[P, pos[P, A]].
     """
 
     def __init__(self, q: int, secant_points: np.ndarray):
@@ -123,7 +123,6 @@ class IntersectionGraph:
             self.words |= masks[self.vertex_cliques[:, j]]
         own = np.arange(n)
         self.words.view(np.uint8)[own, own >> 3] &= ~(1 << (own & 7)).astype(np.uint8)
-        self._line_of: np.ndarray | None = None
         self._edges: tuple[np.ndarray, ...] | None = None
 
     # -- lookups ------------------------------------------------------------
@@ -144,25 +143,15 @@ class IntersectionGraph:
         distinct unital points."""
         return self.clique_edges[P, self._pair[self.pos[P, A], self.pos[P, B]]]
 
-    @property
-    def line_of(self) -> np.ndarray:
-        """(npts, npts) int32: the secant through two distinct unital points
-        (-1 on the diagonal).  Built on first use from the secant->points
-        incidence; see point_pair_secants."""
-        if self._line_of is None:
-            self._line_of = point_pair_secants(self.vertex_cliques, len(self.cliques))
-        return self._line_of
-
     def edge_tables(self) -> tuple[np.ndarray, ...]:
-        """(eu, ev, edge_point, clique_edges), built on first use.  The edges
-        are the secant pairs inside the point cliques, clique-major; one sort
-        of their keys gives the lexicographic edge list, and its inverse each
-        clique pair's edge id.  The four share one block taken before the
+        """(eu, ev, clique_edges), built on first use.  The edges are the
+        secant pairs inside the point cliques, clique-major; one sort of
+        their keys gives the lexicographic edge list, and its inverse each
+        clique pair's edge id.  The three share one block taken before the
         sort's temporaries."""
         if self._edges is None:
             npts = len(self.cliques)
-            pairs = self.m // npts
-            eu, ev, edge_point, clique_edges = np.empty((4, self.m), dtype=np.int32)
+            eu, ev, clique_edges = np.empty((3, self.m), dtype=np.int32)
             a, b = row_pairs(self.cliques)
             order = np.argsort(a.astype(np.int64) * self.n + b)
             np.take(a, order, out=eu)
@@ -170,15 +159,13 @@ class IntersectionGraph:
             del a, b
             # int32 holds m up to q = 16; the inversion then needs no int64 temporaries
             order = order.astype(np.int32)
-            np.floor_divide(order, pairs, out=edge_point)
             clique_edges[order] = np.arange(self.m, dtype=np.int32)
-            self._edges = eu, ev, edge_point, clique_edges.reshape(npts, pairs)
+            self._edges = eu, ev, clique_edges.reshape(npts, self.m // npts)
         return self._edges
 
     eu = property(lambda self: self.edge_tables()[0])
     ev = property(lambda self: self.edge_tables()[1])
-    edge_point = property(lambda self: self.edge_tables()[2])
-    clique_edges = property(lambda self: self.edge_tables()[3])
+    clique_edges = property(lambda self: self.edge_tables()[2])
 
     def off_points(self, vs: np.ndarray) -> np.ndarray:
         """The q^3 - q unital points off each secant in vs, ascending; shape
@@ -191,10 +178,10 @@ class IntersectionGraph:
     def spanning_cliques(self, vs: np.ndarray) -> np.ndarray:
         """Spanning cliques of the vertices vs: for vertex v and each unital
         point P off v's secant, the q+1 neighbors of v through P, which are
-        the secants line_of[P, Q] for the points Q of v.  Shape
-        (len(vs), q^3 - q, q+1); rows by point id, members ascending."""
-        pts = self.vertex_cliques[vs]
-        sc = self.line_of[self.off_points(vs)[:, :, None], pts[:, None, :]]
+        the secants cliques[P, pos[P, Q]] through P and the points Q of v.
+        Shape (len(vs), q^3 - q, q+1); rows by point id, members ascending."""
+        off = self.off_points(vs)[:, :, None]
+        sc = self.cliques[off, self.pos[off, self.vertex_cliques[vs][:, None, :]]]
         sc.sort(axis=2)
         return sc
 
@@ -216,26 +203,6 @@ def _each_pair_once(p: np.ndarray, r: np.ndarray, npts: int) -> bool:
         return False
     counts = np.bincount(p * npts + r, minlength=npts * npts).reshape(npts, npts)
     return bool(np.all(counts[np.triu_indices(npts, k=1)] == 1))
-
-
-def point_pair_secants(points: np.ndarray, npts: int) -> np.ndarray:
-    """The point-pair -> secant table from each secant's sorted unital points.
-
-    The Hermitian unital is a 2-(q^3+1, q+1, 1) design: every pair of
-    unital points lies on exactly one secant.  The table rests on that, so
-    it is checked here by counting every unordered point pair; a pair on
-    two secants or on none raises GraphError.
-    """
-    p, r = row_pairs(points)
-    if not np.all(p < r):
-        raise GraphError("secant point lists must be strictly increasing")
-    if not _each_pair_once(p, r, npts):
-        raise GraphError("some pair of unital points is not on exactly one secant")
-    line = np.full((npts, npts), -1, dtype=np.int32)
-    sec = np.repeat(np.arange(len(points), dtype=np.int32), comb(points.shape[1], 2))
-    line[p, r] = sec
-    line[r, p] = sec
-    return line
 
 
 def build_graph(unital: UnitalIncidence) -> IntersectionGraph:
@@ -421,8 +388,7 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     u = np.concatenate([cl[c, iu[t]], a])
     v = np.concatenate([cl[c, iv[t]], b])
     common = np.concatenate([
-        popcount_rows(g.words[u[s:s + SAMPLE_BLOCK]] & g.words[v[s:s + SAMPLE_BLOCK]])
-        for s in range(0, len(u), SAMPLE_BLOCK)
+        popcount_rows(common_neighbors(g.words, part)) for part in row_blocks(np.stack([u, v], axis=1), g.words)
     ])
     adjacent = g.adjacent(u, v)
     checks["lambda"] = bool(np.all(common[adjacent] == lam_expected))

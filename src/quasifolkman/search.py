@@ -49,26 +49,24 @@ class AnnealResult:
 
 
 def edge_triangle_index(fam: TriangleFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Partner-edge tables A1, A2 of shape (m, q^2): row e lists, for each
-    non-degenerate triangle {u, v, w} on edge e = (u, v), the indices of
-    edges (u, w) and (v, w)."""
+    """Partner-edge tables A1, A2 of shape (m, q^2): row e lists, ascending,
+    for each non-degenerate triangle {u, v, w} on edge e = (u, v), the
+    indices of edges (u, w) and (v, w).  They invert the Goodman rows, any
+    two entries of which span a family triangle: e lies in q rows of apex u,
+    whose other entries are its A1 partners, and in q of apex v (A2)."""
     g = fam.graph
     q = g.q
-    # the thirds of e = (u, v), meeting at X, are the secants w through P
-    # on u and Q on v, both other than X; w meets u at P and v at Q
-    x = g.edge_point[:, None]
-    pu = g.vertex_cliques[g.eu]
-    pv = g.vertex_cliques[g.ev]
-    on_u, on_v = pu == x, pv == x
-    if not (on_u.sum(axis=1) == 1).all() or not (on_v.sum(axis=1) == 1).all():
-        raise RuntimeError("an edge's meet point is not on both of its secants")
-    pu = pu[~on_u].reshape(g.m, q, 1)
-    pv = pv[~on_v].reshape(g.m, 1, q)
-    x = x[:, :, None]
-    # each row's edges share u (or v), so ascending ids list the thirds ascending
-    a1 = np.sort(g.edge_at(pu, x, pv).reshape(g.m, q * q), axis=1)
-    a2 = np.sort(g.edge_at(pv, x, pu).reshape(g.m, q * q), axis=1)
-    return a1, a2
+    ce = fam.clique_edge_matrix()
+    slots = np.arange(q + 1)
+    others = ce[:, [np.delete(slots, i) for i in slots]].reshape(-1, q)
+    e = ce.ravel()
+    apex = np.arange(len(e)) // (len(e) // g.n)
+    key = 2 * e + (apex != g.eu[e])
+    if not np.array_equal(np.bincount(key, minlength=2 * g.m), np.full(2 * g.m, q)):
+        raise RuntimeError("an edge is not in q Goodman rows at each of its ends")
+    part = others[np.argsort(key, kind="stable")].reshape(g.m, 2, q * q)
+    part.sort(axis=2)
+    return part[:, 0], part[:, 1]
 
 
 def flip_delta(bits: np.ndarray, e: int, a1: np.ndarray, a2: np.ndarray) -> int:

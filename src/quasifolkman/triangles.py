@@ -83,13 +83,13 @@ class TriangleFamily:
 def build_family(g: IntersectionGraph) -> TriangleFamily:
     """Construct the family, its total from the closed formula.
 
-    Spanning-clique members are neighbours by the design: line_of[P, Q],
-    for P off v and Q on v, passes through Q and is not v (line_of checks
-    the 2-design; verify_srg checks that the rows are the block graph).  A
-    fixed seeded sample of VERTEX_BLOCK spot vertices is still tested
-    against the rows, and for q <= EXPLICIT_Q_LIMIT a brute-force
-    classification of all triangles, then kept explicitly, confirms the
-    total."""
+    Spanning-clique members are neighbours by the design: the secant
+    cliques[P, pos[P, Q]], for P off v and Q on v, passes through Q and is
+    not v (the constructor's fill of pos checks the 2-design; verify_srg
+    checks that the rows are the block graph).  A fixed seeded sample of
+    VERTEX_BLOCK spot vertices is still tested against the rows, and for
+    q <= EXPLICIT_Q_LIMIT a brute-force classification of all triangles,
+    then kept explicitly, confirms the total."""
     q = g.q
     expected_total = family_size_formula(q)
     expected_pv = per_vertex_formula(q)

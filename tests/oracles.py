@@ -9,11 +9,14 @@ side assignment, the reference for the branch and bound.  The per-triangle
 Goodman count and the edge-list parser are the references for the
 clique-row count and the edge-list export.  edge_index finds an edge by
 binary search over its u*n + v key, the reference for
-IntersectionGraph.edge_at, and random_block_incidences labels each
-(secant, point) incidence in place, the reference for the clique-layout
-labels of blocks.random_block.  popcount_rows_table and
-lowest_set_bit_table read byte tables, the references for the word
-popcounts of graphs.popcount_rows and graphs.lowest_set_bit.
+IntersectionGraph.edge_at; edge_point scatters each point clique's id over
+its edges, and point_pair_secants fills the point-pair -> secant table by
+counting every pair, the reference for the cliques[P, pos[P, A]] gather.
+random_block_incidences labels each (secant, point) incidence in place,
+the reference for the clique-layout labels of blocks.random_block.
+popcount_rows_table and lowest_set_bit_table read byte tables, the
+references for the word popcounts of graphs.popcount_rows and
+graphs.lowest_set_bit.
 build_unital_whole, neighbor_rows_whole, k4_clique_property_whole and
 sample_k4_upfront are the unblocked forms of build_unital, neighbor_rows,
 k4_clique_property and sample_k4: one lines x points incidence, one
@@ -21,11 +24,21 @@ n-row gather, one gather of every row, and every neighbour pick drawn up
 front.
 """
 
+from math import comb
+
 import numpy as np
 
 from quasifolkman.blocks import assignment_value
 from quasifolkman.certify import canonical_edges, maxcut_exact
-from quasifolkman.graphs import SAMPLE_BLOCK, common_neighbors, lowest_set_bit, neighbor_rows
+from quasifolkman.graphs import (
+    SAMPLE_BLOCK,
+    GraphError,
+    _each_pair_once,
+    common_neighbors,
+    lowest_set_bit,
+    neighbor_rows,
+    row_pairs,
+)
 from quasifolkman.plane import GeometryError, UnitalIncidence
 
 
@@ -38,6 +51,34 @@ def edge_index(g, u, v):
     return idx if idx.ndim else int(idx)
 
 
+def edge_point(g):
+    """(m,) int32: the unital point where each edge's secants meet, i.e. the
+    point clique that holds the edge, scattered through clique_edges."""
+    ep = np.empty(g.m, dtype=np.int32)
+    ep[g.clique_edges] = np.arange(len(g.cliques), dtype=np.int32)[:, None]
+    return ep
+
+
+def point_pair_secants(points, npts):
+    """The point-pair -> secant table from each secant's sorted unital points.
+
+    The Hermitian unital is a 2-(q^3+1, q+1, 1) design: every pair of
+    unital points lies on exactly one secant.  The table rests on that, so
+    it is checked here by counting every unordered point pair; a pair on
+    two secants or on none raises GraphError.
+    """
+    p, r = row_pairs(points)
+    if not np.all(p < r):
+        raise GraphError("secant point lists must be strictly increasing")
+    if not _each_pair_once(p, r, npts):
+        raise GraphError("some pair of unital points is not on exactly one secant")
+    line = np.full((npts, npts), -1, dtype=np.int32)
+    sec = np.repeat(np.arange(len(points), dtype=np.int32), comb(points.shape[1], 2))
+    line[p, r] = sec
+    line[r, p] = sec
+    return line
+
+
 def random_block_incidences(g, F, seed):
     """(labels, edge_mask) of blocks.random_block with the labels in
     incidence layout, (n, q+1) aligned with g.vertex_cliques: each edge
@@ -48,7 +89,7 @@ def random_block_incidences(g, F, seed):
     for v in range(n_atoms):
         for j in range(slots):
             labels[v, j] = assignment_value(seed, int(g.vertex_cliques[v, j]), v, F.n)
-    ep = g.edge_point
+    ep = edge_point(g)
     slot_u = (g.vertex_cliques[g.eu] == ep[:, None]).argmax(axis=1)
     slot_v = (g.vertex_cliques[g.ev] == ep[:, None]).argmax(axis=1)
     return labels, F.adj[labels[g.eu, slot_u], labels[g.ev, slot_v]]
@@ -147,12 +188,13 @@ def k4_clique_property_edges(g, quads):
     if len(quads) == 0:
         return np.empty(0, dtype=bool)
     a, b, c, d = (quads[:, i].astype(np.int64) for i in range(4))
+    ep = edge_point(g)
     p = {}
     for name, (x, y) in {
         "ab": (a, b), "ac": (a, c), "ad": (a, d),
         "bc": (b, c), "bd": (b, d), "cd": (c, d),
     }.items():
-        p[name] = g.edge_point[edge_index(g, x, y)]
+        p[name] = ep[edge_index(g, x, y)]
     tri = [
         ("ab", "ac", "bc"),
         ("ab", "ad", "bd"),
@@ -213,11 +255,12 @@ def triangle_meet_points(g, tris):
     a = tris[:, 0].astype(np.int64)
     b = tris[:, 1].astype(np.int64)
     c = tris[:, 2].astype(np.int64)
+    ep = edge_point(g)
     return np.stack(
         [
-            g.edge_point[edge_index(g, a, b)],
-            g.edge_point[edge_index(g, a, c)],
-            g.edge_point[edge_index(g, b, c)],
+            ep[edge_index(g, a, b)],
+            ep[edge_index(g, a, c)],
+            ep[edge_index(g, b, c)],
         ],
         axis=1,
     )
@@ -441,10 +484,11 @@ def classify_triangle(g, a, b, c):
         raise ValueError("vertices must be distinct")
     if not (g.adj[a, b] and g.adj[a, c] and g.adj[b, c]):
         return "not-a-triangle"
+    ep = edge_point(g)
     pts = {
-        int(g.edge_point[edge_index(g, min(a, b), max(a, b))]),
-        int(g.edge_point[edge_index(g, min(a, c), max(a, c))]),
-        int(g.edge_point[edge_index(g, min(b, c), max(b, c))]),
+        int(ep[edge_index(g, min(a, b), max(a, b))]),
+        int(ep[edge_index(g, min(a, c), max(a, c))]),
+        int(ep[edge_index(g, min(b, c), max(b, c))]),
     }
     assert len(pts) != 2, "triangle with exactly two distinct meet points"
     return "degenerate" if len(pts) == 1 else "non-degenerate"

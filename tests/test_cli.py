@@ -306,6 +306,7 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["search", "--q", "13"],
         ["check-coloring", "--q", "16", "--file", "no-such-coloring.txt"],
         ["certify", "--q", "17"],
+        ["simulate", "--alon-k", "7", "--delta", "1e-200"],
     ],
 )
 def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):
@@ -314,6 +315,16 @@ def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):
     assert rc == EXIT_FAIL
     assert capsys.readouterr().err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_out_naming_a_file_is_a_one_line_error(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    rc = main(["certify", "--q", "3", "--out", str(tmp_path / out)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "--out" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_srg_certificates_name_path_and_coverage(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import edge_index, parse_edge_list, parse_graph6
+from oracles import edge_index, edge_point, parse_edge_list, parse_graph6
 from quasifolkman import graphs as graphs_module
 from quasifolkman.graphs import (
     IntersectionGraph,
@@ -58,9 +58,10 @@ def test_cliques_pairwise_share_one_vertex(graphs, q):
 def test_edge_point_consistency(graphs, q):
     g = graphs[q]
     # the meet point of an edge is a clique containing both endpoints
+    ep = edge_point(g)
     for e in range(0, g.m, max(1, g.m // 200)):
         u, v = int(g.eu[e]), int(g.ev[e])
-        cid = int(g.edge_point[e])
+        cid = int(ep[e])
         members = set(map(int, g.cliques[cid]))
         assert u in members and v in members
 

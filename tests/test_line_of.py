@@ -1,10 +1,10 @@
-"""Differential tests: the incidence-native graph and the point-pair ->
-secant table against the dense oracles.
+"""Differential tests: the incidence-native graph and its point-pair ->
+clique-position table against the dense oracles.
 
 The oracles below are the constructions and the per-vertex and per-edge
 loops that the incidence-native paths replaced.  Apart from the graph
 oracle itself, they read only the dense adjacency and the point cliques, so
-they share no logic with the incidence sort or with ``line_of``.
+they share no logic with the incidence sort or with ``pos``.
 """
 
 from math import comb
@@ -12,14 +12,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import edge_index
+from oracles import edge_index, edge_point, point_pair_secants
 from quasifolkman.graphs import (
     GraphError,
     IntersectionGraph,
     build_graph,
     build_graph_for_q,
     neighbor_rows,
-    point_pair_secants,
     row_pairs,
     verify_srg,
 )
@@ -125,10 +124,11 @@ def edge_triangle_index_oracle(g):
     for cid, members in enumerate(g.cliques):
         in_clique[cid, members] = True
     adj = g.adj
+    ep = edge_point(g)
     thirds = np.empty((g.m, q * q), dtype=np.int64)
     for e in range(g.m):
         u, v = int(g.eu[e]), int(g.ev[e])
-        w = np.flatnonzero(adj[u] & adj[v] & ~in_clique[g.edge_point[e]])
+        w = np.flatnonzero(adj[u] & adj[v] & ~in_clique[ep[e]])
         assert len(w) == q * q
         thirds[e] = w
     u, v = g.eu[:, None], g.ev[:, None]
@@ -153,7 +153,7 @@ def test_graph_arrays_match_dense_construction(unital, graph):
     assert graph.m == expect.pop("m")
     assert np.array_equal(graph.adj.sum(axis=1), expect.pop("degree"))
     for name, want in expect.items():
-        got = getattr(graph, name)
+        got = edge_point(graph) if name == "edge_point" else getattr(graph, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
@@ -163,7 +163,7 @@ def test_edge_tables_are_built_on_first_use(unital):
     assert g._edges is None
     expect = graph_arrays_oracle(unital.q, unital.secant_points)
     for name in ("eu", "ev", "edge_point"):
-        got = getattr(g, name)
+        got = edge_point(g) if name == "edge_point" else getattr(g, name)
         assert got.dtype == expect[name].dtype, name
         assert np.array_equal(got, expect[name]), name
     # clique_edges names the edge of each member pair of each point clique
@@ -171,7 +171,7 @@ def test_edge_tables_are_built_on_first_use(unital):
     assert g.clique_edges.shape == (len(g.cliques), comb(g.q**2, 2))
     assert np.array_equal(g.eu[g.clique_edges].ravel(), a)
     assert np.array_equal(g.ev[g.clique_edges].ravel(), b)
-    assert (g.edge_point[g.clique_edges] == np.arange(len(g.cliques))[:, None]).all()
+    assert (edge_point(g)[g.clique_edges] == np.arange(len(g.cliques))[:, None]).all()
     assert g.edge_tables() is g.edge_tables()
 
 
@@ -188,8 +188,8 @@ def test_srg_clique_intersections_match_oracle(graph):
 
 def test_line_of_is_the_secant_through_both_points(graph):
     g = graph
-    line = g.line_of
     npts = len(g.cliques)
+    line = point_pair_secants(g.vertex_cliques, npts)
     assert line.shape == (npts, npts) and line.dtype == np.int32
     assert (np.diagonal(line) == -1).all()
     p, r = np.triu_indices(npts, k=1)
@@ -197,6 +197,9 @@ def test_line_of_is_the_secant_through_both_points(graph):
     assert np.array_equal(sec, line[r, p])
     pts = g.vertex_cliques[sec]
     assert ((pts == p[:, None]).any(axis=1) & (pts == r[:, None]).any(axis=1)).all()
+    # off the diagonal the clique-position gather is the same table
+    p, r = np.nonzero(~np.eye(npts, dtype=bool))
+    assert np.array_equal(g.cliques[p, g.pos[p, r]], line[p, r])
 
 
 def test_spanning_cliques_match_oracle(graph):
@@ -228,9 +231,17 @@ def test_edge_triangle_index_matches_oracle(graph):
     assert np.array_equal(a2, o2)
 
 
+def test_edge_triangle_index_rejects_a_tampered_goodman_row():
+    fam = build_family(build_graph_for_q(3))
+    ce = fam.clique_edge_matrix()
+    ce[0, 0] = ce[1, 0]
+    with pytest.raises(RuntimeError, match="Goodman rows"):
+        edge_triangle_index(fam)
+
+
 def test_edge_at_matches_binary_search(graph):
     g = graph
-    x = g.edge_point
+    x = edge_point(g)
     pts_u, pts_v = g.vertex_cliques[g.eu], g.vertex_cliques[g.ev]
     # another point of each endpoint: its first point, or its second if the
     # first is the meet point
@@ -264,8 +275,8 @@ def test_line_of_rejects_broken_design(corrupt):
         points[1] = points[0]
     else:
         points = points[1:]
-    with pytest.raises(GraphError, match="exactly one secant"):
-        point_pair_secants(points, len(g.cliques))
+    with pytest.raises(GraphError, match="exactly q\\^2 secants"):
+        IntersectionGraph(g.q, points)
 
 
 def _swap_points(points):
