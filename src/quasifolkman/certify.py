@@ -104,33 +104,28 @@ class EdgeColoring:
 class GoodmanTally:
     """Per-vertex same-color pair counts and the derived exact totals."""
 
-    red_pairs: np.ndarray  # (n,) triangles at v with both v-edges red
-    blue_pairs: np.ndarray
+    same_pairs: np.ndarray  # (n,) family triangles at v whose two v-edges agree
     family_size: int
     monochromatic: int
 
 
-def _pairs_table(q: int) -> np.ndarray:
-    """C(b, 2) for b = 0 .. q+1, int32.  A spanning-clique row with b blue
-    edges has C(b, 2) blue pairs and C(q+1-b, 2), the reversed table's
-    entry b, red ones; each count is one gather by b."""
-    b = np.arange(q + 2, dtype=np.int32)
-    return b * (b - 1) // 2
-
-
-def batch_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
-    """sum_v same(v) for a batch of colorings, shape (B, m) -> (B,)."""
-    pairs = _pairs_table(fam.q)
-    ce = fam.clique_edge_matrix()
-    x = colors[:, ce]  # (B, rows, q+1)
-    # int32 rows are exact (at most C(q+1, 2) pairs each) and halve the
-    # (B, rows)-sized temporaries; the per-coloring sums are int64
-    blue = x.sum(axis=2, dtype=np.int32)
-    return (pairs + pairs[::-1])[blue].sum(axis=1, dtype=np.int64)
+def same_pair_blocks(fam: TriangleFamily, colors: np.ndarray):
+    """Same-colored pairs of each Goodman row under a (B, m) batch of
+    colorings, one (B, rows) block per block of fam.clique_edge_blocks().
+    A row with b blue edges has C(b, 2) blue pairs and C(q+1-b, 2), the
+    reversed table's entry b, red ones; each count is one gather by b."""
+    b = np.arange(fam.q + 2, dtype=np.int32)
+    pairs = b * (b - 1) // 2
+    same = pairs + pairs[::-1]
+    for ce in fam.clique_edge_blocks():
+        # int32 rows are exact (at most C(q+1, 2) pairs each) and halve the
+        # (B, rows)-sized temporaries; callers sum them as int64
+        yield same[colors[:, ce].sum(axis=2, dtype=np.int32)]
 
 
 def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
-    s = batch_same_pairs(fam, colors)
+    """Monochromatic family triangles of each coloring, shape (B, m) -> (B,)."""
+    s = sum(block.sum(axis=1, dtype=np.int64) for block in same_pair_blocks(fam, colors))
     diff = s - fam.total
     if (diff % 2).any() or (diff < 0).any():
         raise RuntimeError("Goodman parity violated (internal bug)")
@@ -139,23 +134,15 @@ def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
 
 def goodman_count(fam: TriangleFamily, coloring: EdgeColoring) -> GoodmanTally:
     """Exact monochromatic count of the family under the coloring."""
-    g, q = fam.graph, fam.q
-    rows_per_vertex = g.q**3 - g.q
-    ce = fam.clique_edge_matrix()
-    x = coloring.bits[ce]
-    # a row holds at most C(q+1, 2) pairs, so int32 rows are exact and keep
-    # the (rows,)-sized temporaries small; per-vertex sums are int64
-    blue = x.sum(axis=1, dtype=np.int32)
-    pairs = _pairs_table(q)
-    red_v = pairs[::-1][blue].reshape(g.n, rows_per_vertex).sum(axis=1, dtype=np.int64)
-    blue_v = pairs[blue].reshape(g.n, rows_per_vertex).sum(axis=1, dtype=np.int64)
-    s = int(red_v.sum() + blue_v.sum())
-    diff = s - fam.total
+    rows_per_vertex = fam.q**3 - fam.q
+    same_v = np.concatenate([
+        block[0].reshape(-1, rows_per_vertex).sum(axis=1, dtype=np.int64)
+        for block in same_pair_blocks(fam, coloring.bits[None])
+    ])
+    diff = int(same_v.sum()) - fam.total
     if diff % 2 or diff < 0:
         raise RuntimeError("Goodman parity violated (internal bug)")
-    return GoodmanTally(
-        red_pairs=red_v, blue_pairs=blue_v, family_size=fam.total, monochromatic=diff // 2
-    )
+    return GoodmanTally(same_pairs=same_v, family_size=fam.total, monochromatic=diff // 2)
 
 
 # ----------------------------------------------------------------------

@@ -133,12 +133,9 @@ class FiniteField:
     ----------
     p : prime characteristic.
     k : extension degree over the prime field.
-    modulus : optional monic irreducible of degree k (little-endian
-        coefficients including the leading 1).  Defaults to the
-        lexicographically smallest monic irreducible.
     """
 
-    def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, k: int):
         if not is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
         if k < 1:
@@ -146,20 +143,10 @@ class FiniteField:
         order = p**k
         if order > _MAX_ORDER:
             raise FieldError(f"field order {order} exceeds supported maximum {_MAX_ORDER}")
-        if modulus is None:
-            modulus = _smallest_irreducible(p, k)
-        else:
-            modulus = _poly_trim(modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree k")
-            if any(c < 0 or c >= p for c in modulus):
-                raise FieldError("modulus coefficients must be reduced mod p")
-            if not _is_irreducible(modulus, p):
-                raise FieldError(f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.order = order
-        self.modulus = tuple(modulus)
+        self.modulus = _smallest_irreducible(p, k)
         self._build_tables()
 
     # -- element codecs -------------------------------------------------

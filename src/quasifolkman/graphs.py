@@ -185,10 +185,6 @@ class IntersectionGraph:
         sc.sort(axis=2)
         return sc
 
-    def spanning_cliques_of(self, v: int) -> np.ndarray:
-        """The q^3 - q spanning cliques at v; shape (q^3 - q, q+1)."""
-        return self.spanning_cliques(np.array([v]))[0]
-
 
 def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair (a, b) of entries a before b inside each row, row-major;

@@ -185,8 +185,8 @@ class RandomColoringStats:
     expected: float = 0.25
 
 
-#: colorings per batch of random_coloring_stats; its (batch, rows) Goodman
-#: temporaries set the peak RSS of search at q = 4
+#: colorings per batch of random_coloring_stats; the shapes of the seeded
+#: draws are part of the stream, so another value can change the statistics
 RANDOM_STATS_BATCH = 64
 
 

@@ -27,9 +27,9 @@ from .graphs import IntersectionGraph, enumerate_all_triangles, enumerate_k4, k4
 from .graphs import row_pairs, unpack_rows
 
 EXPLICIT_Q_LIMIT = 4
-#: vertices per spanning-clique block.  It bounds the (block, q^3-q, q+1)
-#: temporaries: at 256 those of clique_edge_matrix (~16 MB at q = 7) set the
-#: peak RSS of check-coloring; at 64 they stay below the Goodman count's own.
+#: vertices per block of Goodman rows, and the size of build_family's spot
+#: sample.  It bounds the (block, q^3-q, q+1) temporaries that every Goodman
+#: count streams through: 0.7 MB of int32 rows at q = 7, 7.8 MB at q = 13.
 VERTEX_BLOCK = 64
 #: seed of build_family's fixed sample of VERTEX_BLOCK spot vertices
 FAMILY_SPOT_SEED = 0
@@ -56,28 +56,28 @@ class TriangleFamily:
     per_vertex: int
     spot_vertices: np.ndarray  # vertices whose spanning cliques were checked
     triangles: np.ndarray | None = None  # (T, 3) vertex ids, small q only
-    _clique_edges: np.ndarray | None = None
+
+    def clique_edge_blocks(self):
+        """Goodman rows, VERTEX_BLOCK vertices at a time: one row per (vertex,
+        spanning clique) pair, entries the canonical indices of the q+1 edges
+        from the vertex into the clique.  Each block has shape
+        (block * (q^3-q), q+1), rows by vertex, then by point id."""
+        g, q = self.graph, self.q
+        for start in range(0, g.n, VERTEX_BLOCK):
+            stop = min(start + VERTEX_BLOCK, g.n)
+            # v meets its member through (P, Q) at its own point Q, where v
+            # is the secant through Q and another point Q' of v
+            pts = g.vertex_cliques[start:stop, None, :]
+            off = g.off_points(np.arange(start, stop))[:, :, None]
+            e = g.edge_at(pts, np.roll(pts, 1, axis=2), off)
+            # the edges share v, so ascending ids list the members ascending
+            e.sort(axis=2)
+            yield e.reshape(-1, q + 1)
 
     def clique_edge_matrix(self) -> np.ndarray:
-        """Edge indices chi-coloring rows: one row per (vertex, spanning
-        clique) pair, entries the canonical indices of the q+1 edges from
-        the vertex into the clique.  Shape (n*(q^3-q), q+1)."""
-        if self._clique_edges is None:
-            g, q = self.graph, self.q
-            k = q**3 - q
-            rows = np.empty((g.n * k, q + 1), dtype=np.int32)
-            for start in range(0, g.n, VERTEX_BLOCK):
-                stop = min(start + VERTEX_BLOCK, g.n)
-                # v meets its member through (P, Q) at its own point Q, where v
-                # is the secant through Q and another point Q' of v
-                pts = g.vertex_cliques[start:stop, None, :]
-                off = g.off_points(np.arange(start, stop))[:, :, None]
-                e = g.edge_at(pts, np.roll(pts, 1, axis=2), off)
-                # the edges share v, so ascending ids list the members ascending
-                e.sort(axis=2)
-                rows[start * k : stop * k] = e.reshape(-1, q + 1)
-            self._clique_edges = rows
-        return self._clique_edges
+        """All Goodman rows in one array, shape (n*(q^3-q), q+1), built anew
+        on each call."""
+        return np.concatenate(list(self.clique_edge_blocks()))
 
 
 def build_family(g: IntersectionGraph) -> TriangleFamily:
@@ -136,7 +136,7 @@ def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
 
     big = g.cliques[g.vertex_cliques[v]]
     remnant_sizes = (big != v).sum(axis=1)
-    spanning = g.spanning_cliques_of(v)
+    spanning = g.spanning_cliques(np.array([v]))[0]
     (a, b), (c, d) = row_pairs(big), row_pairs(spanning)
     keep = (a != v) & (b != v)
     covering = np.concatenate([a[keep], c]).astype(np.int64) * n + np.concatenate([b[keep], d])

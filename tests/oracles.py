@@ -410,6 +410,17 @@ def same_sum_from_triangles(te, colors):
     return int(s.sum())
 
 
+def same_pairs_from_triangles(fam, colors):
+    """same(v) per vertex over the explicit family list: corner a of a
+    triangle (a, b, c) counts it when edges ab and ac agree, b when ab and
+    bc do, c when ac and bc do."""
+    c = colors[triangle_edge_matrix(fam)]
+    out = np.zeros(fam.graph.n, dtype=np.int64)
+    for corner, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        np.add.at(out, fam.triangles[:, corner], c[:, i] == c[:, j])
+    return out
+
+
 def count_mono_triangles_direct(adj, colors):
     """Trace of the cubed single-color adjacency matrices."""
     n = adj.shape[0]

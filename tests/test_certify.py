@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oracles import (
     goodman_count_direct,
     maxcut_exhaustive,
     min_mono_edges,
+    same_pairs_from_triangles,
     same_sum_from_triangles,
 )
 from quasifolkman.certify import (
@@ -51,7 +53,7 @@ def test_all_red_is_all_monochromatic(setups):
     for q, (g, fam) in setups.items():
         tally = goodman_count(fam, EdgeColoring(g))
         assert tally.monochromatic == fam.total
-        assert tally.blue_pairs.sum() == 0
+        assert (tally.same_pairs == comb(q + 1, 2) * (q**3 - q)).all()
 
 
 def test_goodman_single_triangle_tally():
@@ -92,6 +94,14 @@ def test_goodman_count_matches_per_triangle_count_and_flip_delta(setups, partner
     assert after - before == d
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_same_pairs_match_per_vertex_triangle_count(setups, q):
+    g, fam = setups[q]
+    for seed in range(5):
+        col = EdgeColoring.random(g, seed)
+        assert np.array_equal(goodman_count(fam, col).same_pairs, same_pairs_from_triangles(fam, col.bits))
+
+
 def test_goodman_identities(setups):
     g, fam = setups[3]
     for seed in range(10):
@@ -99,7 +109,7 @@ def test_goodman_identities(setups):
         tally = goodman_count(fam, col)
         mono = tally.monochromatic
         nonmono = fam.total - mono
-        assert int(tally.red_pairs.sum() + tally.blue_pairs.sum()) == 3 * mono + nonmono
+        assert int(tally.same_pairs.sum()) == 3 * mono + nonmono
         # color swap leaves the count unchanged
         assert goodman_count(fam, EdgeColoring(g, ~col.bits)).monochromatic == mono
 
@@ -109,8 +119,7 @@ def test_per_vertex_lower_bound(setups):
     bound = (3**3 - 3) * clique_min_mono(3)["integer"]
     for seed in range(5):
         tally = goodman_count(fam, EdgeColoring.random(g, seed))
-        per_v = tally.red_pairs + tally.blue_pairs
-        assert (per_v >= bound).all()
+        assert (tally.same_pairs >= bound).all()
 
 
 def test_single_clique_brute_force_minimum():

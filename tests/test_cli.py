@@ -264,7 +264,7 @@ def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
         (["build", "--q", "13"], "--q"),
         (["simulate", "--q", "16", "--trials", "2"], "--q"),
         (["search", "--q", "7"], "--q"),
-        (["check-coloring", "--q", "13", "--file", "no-such-coloring.txt"], "--q"),
+        (["check-coloring", "--q", "16", "--file", "no-such-coloring.txt"], "--q"),
     ],
 )
 def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, flag):

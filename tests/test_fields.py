@@ -30,11 +30,6 @@ def test_nonprime_characteristic_rejected():
         FiniteField(6, 2)
 
 
-def test_reducible_modulus_rejected():
-    with pytest.raises(FieldError):
-        FiniteField(2, 2, modulus=(1, 0, 1))  # (x+1)^2
-
-
 def test_gf4_x_times_x():
     f = FiniteField(2, 2)
     x = f.code_of((0, 1))

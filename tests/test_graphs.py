@@ -117,7 +117,7 @@ def test_k4_clique_property_counterexample_detection(graphs):
 
 def test_spanning_cliques_shape(graphs):
     g = graphs[3]
-    sc = g.spanning_cliques_of(0)
+    sc = g.spanning_cliques(np.array([0]))[0]
     assert sc.shape == (3**3 - 3, 4)
     # each is a clique containing only neighbors of 0
     for row in sc:

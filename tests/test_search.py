@@ -1,12 +1,15 @@
 import functools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import goodman_count_direct
 from quasifolkman import search
 from quasifolkman.certify import EdgeColoring, batch_mono_counts, goodman_count
+from quasifolkman.cli import EXIT_PASS, main
 from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.search import (
     AnnealSchedule,
@@ -15,7 +18,7 @@ from quasifolkman.search import (
     flip_delta,
     random_coloring_stats,
 )
-from quasifolkman.triangles import build_family
+from quasifolkman.triangles import TriangleFamily, build_family
 
 
 def oracle_batch_deltas(colors, edges, a1, a2):
@@ -224,6 +227,25 @@ def test_anneal_q4_respects_certified_bound():
     fam = build_family(g)
     res = anneal(g, fam, AnnealSchedule(steps=3000), seed=5, restarts=2)
     assert res.best.objective >= 4160
+
+
+def test_goodman_counts_stream_their_rows(setup3, tmp_path, monkeypatch):
+    # anneal and check-coloring count without the whole Goodman matrix; only
+    # the partner tables, built once before the patch, invert it
+    g, fam, tables = setup3
+
+    def no_matrix(self):
+        raise AssertionError("clique_edge_matrix called")
+
+    monkeypatch.setattr(TriangleFamily, "clique_edge_matrix", no_matrix)
+    monkeypatch.setattr(search, "edge_triangle_index", lambda fam: tables)
+    res = anneal(g, fam, AnnealSchedule(steps=500), seed=4, restarts=3, revalidate_every=100)
+    assert res.best.objective == goodman_count_direct(fam, res.best.coloring)
+    path = tmp_path / "coloring.txt"
+    path.write_text(res.best.coloring.to_text())
+    assert main(["check-coloring", "--q", "3", "--file", str(path), "--out", str(tmp_path / "out")]) == EXIT_PASS
+    cert = json.loads((tmp_path / "out" / "check_coloring_q3.json").read_text())["certificates"][0]
+    assert cert["quantities"]["monochromatic"] == res.best.objective
 
 
 def test_random_coloring_stats_q3(setup3):

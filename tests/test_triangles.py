@@ -144,7 +144,7 @@ def test_build_family_rejects_non_neighbor_at_spot_vertex(q):
     # q = 5 has no brute-force classification behind the spot check
     g = build_graph_for_q(q)
     v = int(build_family(g).spot_vertices[-1])
-    w = int(g.spanning_cliques_of(v)[-1, 0])
+    w = int(g.spanning_cliques(np.array([v]))[0][-1, 0])
     flip_bit(g, v, w)
     flip_bit(g, w, v)
     with pytest.raises(RuntimeError, match="a spanning-clique member is not a neighbor") as exc:
@@ -166,7 +166,7 @@ def test_spanning_cliques_edge_disjoint(graphs):
     g = graphs[3]
     for v in (0, 31):
         seen = set()
-        for row in g.spanning_cliques_of(v):
+        for row in g.spanning_cliques(np.array([v]))[0]:
             for a, b in itertools.combinations(sorted(map(int, row)), 2):
                 assert (a, b) not in seen
                 seen.add((a, b))
