@@ -206,12 +206,6 @@ def _hash64(*parts: int) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
-def assignment_value(seed: int, clique_id: int, vertex_id: int, n: int) -> int:
-    """Label in [0, n) for the (vertex, clique) incidence; order-independent
-    and reproducible given the seed."""
-    return _hash64(seed, clique_id, vertex_id) % n
-
-
 def instance_seed(seed: int, trial: int) -> int:
     return _hash64(seed, 0xB10C, trial)
 
@@ -244,17 +238,23 @@ class StarGraph:
 
 def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGraph:
     """Draw one instance; per-edge survival probability is 2m/n^2."""
-    if _has_triangle(F.adj):
+    adj = F.adj
+    if _has_triangle(adj):
         raise ConstructionError("replacement graph must be triangle-free")
-    labels = np.array(
-        [[assignment_value(seed, p, v, F.n) for v in members] for p, members in enumerate(g.cliques.tolist())],
-        dtype=np.int32,
-    )
+    # the label of incidence (p, v) is _hash64(seed, p, v) % F.n: pack every
+    # 24-byte message in clique layout, then hash the slices in one pass
+    msg = np.empty((g.cliques.size, 3), dtype="<u8")
+    msg[:, 0] = seed & _MASK64
+    msg[:, 1] = np.arange(len(g.cliques)).repeat(g.cliques.shape[1])
+    msg[:, 2] = g.cliques.ravel()
+    buf = msg.tobytes()
+    digests = b"".join(hashlib.blake2b(buf[i:i + 24], digest_size=8).digest() for i in range(0, len(buf), 24))
+    labels = (np.frombuffer(digests, "<u8") % F.n).astype(np.int32).reshape(g.cliques.shape)
     # an edge survives iff the labels at its two positions in its clique
     # form an edge of F
     lu, lv = row_pairs(labels)
     edge_mask = np.empty(g.m, dtype=bool)
-    edge_mask[g.clique_edges.ravel()] = F.adj[lu, lv]
+    edge_mask[g.clique_edges.ravel()] = adj[lu, lv]
     return StarGraph(base=g, F=F, seed=seed, labels=labels, edge_mask=edge_mask)
 
 

@@ -12,8 +12,9 @@ binary search over its u*n + v key, the reference for
 IntersectionGraph.edge_at; edge_point scatters each point clique's id over
 its edges, and point_pair_secants fills the point-pair -> secant table by
 counting every pair, the reference for the cliques[P, pos[P, A]] gather.
-random_block_incidences labels each (secant, point) incidence in place,
-the reference for the clique-layout labels of blocks.random_block.
+random_block_incidences labels each (secant, point) incidence in place
+by one assignment_value call each, the reference for the clique-layout
+labels that blocks.random_block hashes in one pass.
 popcount_rows_table and lowest_set_bit_table read byte tables, the
 references for the word popcounts of graphs.popcount_rows and
 graphs.lowest_set_bit.
@@ -28,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from quasifolkman.blocks import assignment_value
+from quasifolkman.blocks import _hash64
 from quasifolkman.certify import canonical_edges, maxcut_exact
 from quasifolkman.graphs import (
     SAMPLE_BLOCK,
@@ -77,6 +78,12 @@ def point_pair_secants(points, npts):
     line[p, r] = sec
     line[r, p] = sec
     return line
+
+
+def assignment_value(seed, clique_id, vertex_id, n):
+    """Label in [0, n) for the (vertex, clique) incidence, one hash call per
+    incidence; order-independent and reproducible given the seed."""
+    return _hash64(seed, clique_id, vertex_id) % n
 
 
 def random_block_incidences(g, F, seed):

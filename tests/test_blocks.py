@@ -4,12 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import find_k4, random_block_incidences, triangle_edge_matrix
+from oracles import assignment_value, find_k4, random_block_incidences, triangle_edge_matrix
 from quasifolkman.blocks import (
     AlonParams,
     ConstructionError,
     alon_parameters,
-    assignment_value,
     blowup,
     blowup_concentration_log_bound,
     concentration_experiment,
@@ -132,19 +131,30 @@ def test_random_block_reproducible(g3):
     assert not np.array_equal(a.edge_mask, c.edge_mask)
 
 
-@pytest.mark.parametrize("q", [3, 4])
-@pytest.mark.parametrize("name", ["c5", "petersen"])
-def test_random_block_matches_incidence_oracle(g3, q, name):
-    g = g3 if q == 3 else build_graph_for_q(q)
-    F = replacement_registry()[name]
+def _assert_matches_incidence_oracle(g, F, seed):
     # the slot of each clique's point in its members' incidence rows
     points = np.arange(len(g.cliques))[:, None, None]
     slot = (g.vertex_cliques[g.cliques] == points).argmax(axis=2)
+    star = random_block(g, F, seed)
+    labels, mask = random_block_incidences(g, F, seed)
+    assert np.array_equal(star.edge_mask, mask)
+    assert np.array_equal(star.labels, labels[g.cliques, slot])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("name", ["edge", "c5", "petersen"])
+def test_random_block_matches_incidence_oracle(g3, q, name):
+    g = g3 if q == 3 else build_graph_for_q(q)
+    F = replacement_registry()[name]
     for t in range(20):
-        star = random_block(g, F, instance_seed(11, t))
-        labels, mask = random_block_incidences(g, F, instance_seed(11, t))
-        assert np.array_equal(star.edge_mask, mask)
-        assert np.array_equal(star.labels, labels[g.cliques, slot])
+        _assert_matches_incidence_oracle(g, F, instance_seed(11, t))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])
+def test_random_block_masks_seeds_to_64_bits(g3, seed):
+    # the oracle's _hash64 reduces the seed mod 2^64; so must the packed
+    # uint64 messages (numpy 2 refuses to store -1 in a uint64)
+    _assert_matches_incidence_oracle(g3, replacement_registry()["c5"], seed)
 
 
 def test_star_instance_checks(g3, fam3):
