@@ -177,7 +177,7 @@ def cmd_certify(args) -> int:
         )
     )
 
-    mode = "exhaustive" if q <= 4 else "sampled"
+    mode = "exhaustive" if q <= 7 else "sampled"
     certs.append(verify_k4_structure(g, mode=mode, seed=args.seed, samples=args.samples))
 
     fam = build_family(g)  # cross-checks counts internally
@@ -404,13 +404,13 @@ def cmd_check_coloring(args) -> int:
         text = Path(args.file).read_text()
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read coloring: {exc}") from None
+    out = _out_dir(args)
     g = build_graph_for_q(args.q)
     try:
         coloring = EdgeColoring.from_text(g, text)
     except ValueError as exc:
         raise UsageError(f"cannot read coloring: {exc}") from None
     fam = build_family(g)
-    out = _out_dir(args)
     cert = adversarial_color_check(fam, coloring)
     _write_certs(out, f"check_coloring_q{args.q}", [cert], _run_config(args))
     print(
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="full structural + coloring-bound certification")
     common(p)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1_000_000, help="K4 samples when q > 4")
+    p.add_argument("--samples", type=int, default=1 << 14, help="edges drawn for the K4 check when q > 7")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="random block construction experiments")

@@ -9,10 +9,12 @@ the graph is strongly regular with lambda = 2q^2-2 and mu = (q+1)^2.
 Every K4 has at least three vertices inside one point clique: four secants
 pairwise meeting in six distinct unital points would be an O'Nan
 configuration, which Hermitian unitals do not contain.  verify_k4_structure
-checks this exhaustively (or by sampling) and certifies it.
+checks this edge by edge from the incidence alone (edge_k4s); an O'Nan
+configuration shows up at each of its six edges, so running every edge is
+exhaustive.
 
-Triangles and K4's are enumerated by one scan, extend_cliques: each clique
-row gains every common neighbour above its last vertex, read off the AND of
+Triangles are enumerated by one scan, extend_cliques: each clique row gains
+every common neighbour above its last vertex, read off the AND of
 bit-packed adjacency rows.
 """
 
@@ -35,8 +37,8 @@ SRG_SPOT_PAIRS = 100_000
 SRG_SPOT_SEED = 0
 #: rows per batch of gathered bit-packed adjacency rows
 SAMPLE_BLOCK = 1 << 14
-#: vertices per block of neighbor_rows' gather of point cliques
-NEIGHBOR_BLOCK = 1 << 10
+#: edges per block of verify_k4_structure's edge kernel
+K4_EDGE_BLOCK = 1 << 8
 #: bytes of bit-packed adjacency rows that one block of the clique-extension
 #: scan gathers; the rows per block follow from n
 SCAN_BLOCK_BYTES = 1 << 22
@@ -411,11 +413,6 @@ def enumerate_all_triangles(g: IntersectionGraph) -> np.ndarray:
     return extend_cliques(g.words, np.stack([g.eu, g.ev], axis=1))
 
 
-def enumerate_k4(g: IntersectionGraph) -> np.ndarray:
-    """All K4's (a < b < c < d), lexicographic: the triangles extended once."""
-    return extend_cliques(g.words, enumerate_all_triangles(g))
-
-
 def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
     """For each row of secants (a triangle, a K4, any width), whether >= 3
     of them pass through one unital point (share a point clique).  Each
@@ -431,88 +428,89 @@ def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def k4_violations(g: IntersectionGraph, quads: np.ndarray) -> dict:
-    """The number of K4 rows without the clique property and, if any, the
-    first of them as witness."""
-    bad = np.flatnonzero(~k4_clique_property(g, quads))
-    out = {"violations": int(len(bad))}
-    if len(bad):
-        out["witness"] = [int(x) for x in quads[bad[0]]]
-    return out
+def edge_k4s(g: IntersectionGraph, e: np.ndarray, onan_only: bool = True) -> tuple[int, np.ndarray, np.ndarray]:
+    """The K4s {a, b, c, d} through the edges e whose c and d lie off the
+    edge's point clique: the number found, and for each one reported (only
+    the O'Nan ones if onan_only) its row in e and its vertices a, b, c, d.
 
-
-def neighbor_rows(g: IntersectionGraph) -> np.ndarray:
-    """Each vertex's neighbors, ascending; shape (n, (q+1)(q^2-1)).  They are
-    the members of its q+1 point cliques, with the vertex's own copies
-    dropped, gathered NEIGHBOR_BLOCK vertices at a time."""
-    nbr = np.empty((g.n, g.vertex_cliques.shape[1] * (g.cliques.shape[1] - 1)), dtype=np.int32)
-    for s in range(0, g.n, NEIGHBOR_BLOCK):
-        vs = np.arange(s, min(s + NEIGHBOR_BLOCK, g.n))
-        members = g.cliques[g.vertex_cliques[vs]].reshape(len(vs), -1)
-        nbr[vs] = np.sort(members[members != vs[:, None]].reshape(len(vs), -1), axis=1)
-    return nbr
-
-
-def sample_k4(g: IntersectionGraph, seed: int, samples: int) -> np.ndarray:
-    """K4's reached from random triangles, in sample order, rows ascending.
-
-    Sample t draws a vertex u and two of its neighbours v, w; when v and w
-    are adjacent the triangle extends to the K4 with the lowest-id common
-    neighbour x of all three.  The samples run in blocks over bit-packed
-    adjacency rows: x is the lowest set bit of the AND of three rows.  All
-    the u are drawn first, then each block's neighbour picks, an even count
-    of draws, so the stream is that of one (samples, 2) draw."""
-    rng = np.random.default_rng(seed)
-    us = rng.integers(0, g.n, size=samples)
-    nbr = neighbor_rows(g)
-    blocks = [np.empty((0, 4), dtype=np.int32)]
-    for s in range(0, samples, SAMPLE_BLOCK):
-        u = us[s:s + SAMPLE_BLOCK]
-        v, w = nbr[u[:, None], rng.integers(0, nbr.shape[1], size=(len(u), 2))].T
-        keep = (v != w) & g.adjacent(v, w)
-        u, v, w = u[keep], v[keep], w[keep]
-        x, found = lowest_set_bit(common_neighbors(g.words, np.stack([u, v, w], axis=1)))
-        quad = np.stack([u, v, w, x], axis=1)[found]
-        quad.sort(axis=1)
-        blocks.append(quad.astype(np.int32))
-    return np.concatenate(blocks)
+    Edge e is pair e % C(q^2, 2), in triu order, of the point clique of
+    X = e // C(q^2, 2), as in verify_srg's spot check.  With P_i the points
+    of a other than X and Q_j those of b, the q^2 thirds c_ij =
+    cliques[P_i, pos[P_i, Q_j]] are the common neighbours of a and b off X.
+    Two thirds meet where they share a point, so every pair inside a run of
+    the sorted points of an edge's thirds is a K4: concurrent at a run at
+    some P_i or Q_j, an O'Nan configuration at a run anywhere else."""
+    q, k = g.q, g.cliques.shape[1]
+    X, t = np.divmod(e, g.m // len(g.cliques))
+    iu, iv = np.triu_indices(k, k=1)
+    a, b = g.cliques[X, iu[t]], g.cliques[X, iv[t]]
+    P, Q = g.vertex_cliques[a], g.vertex_cliques[b]
+    P = P[P != X[:, None]].reshape(len(e), q, 1)
+    Q = Q[Q != X[:, None]].reshape(len(e), 1, q)
+    thirds = g.cliques[P, g.pos[P, Q]]
+    pts = g.vertex_cliques[thirds]
+    # sort key: the point, then whether it lies on a or b, then the third
+    on_ab = (pts == P[..., None]) | (pts == Q[..., None])
+    key = ((2 * pts + on_ab) * k + np.arange(k, dtype=np.int32).reshape(q, q, 1)).reshape(len(e), -1)
+    key.sort(axis=1)
+    point = key // k
+    r, s = np.nonzero(point[:, 1:] == point[:, :-1])
+    s += 1
+    # run[i]: how many incidences of its run precede incidence (r[i], s[i])
+    flat = r * key.shape[1] + s
+    i = np.arange(len(flat))
+    starts = np.ones(len(flat), dtype=bool)
+    starts[1:] = flat[1:] != flat[:-1] + 1
+    run = i + 1 - np.maximum.accumulate(np.where(starts, i, 0))
+    found = int(run.sum())
+    if onan_only:
+        off = point[r, s] % 2 == 0
+        r, s, run = r[off], s[off], run[off]
+    # pair each incidence with every earlier one in its run
+    rows = np.repeat(r, run)
+    later = np.repeat(s, run)
+    earlier = later - 1 - (np.arange(len(rows)) - np.repeat(np.cumsum(run) - run, run))
+    thirds = thirds.reshape(len(e), k)
+    c, d = (thirds[rows, key[rows, col] % k] for col in (later, earlier))
+    return found, rows, np.stack([a[rows], b[rows], c, d], axis=1)
 
 
 def verify_k4_structure(
     g: IntersectionGraph,
     mode: str = "exhaustive",
     seed: int = 0,
-    samples: int = 1_000_000,
+    samples: int = 1 << 14,
 ) -> Certificate:
-    """Certify that every K4 has >= 3 vertices in one point clique.
-
-    Exhaustive mode enumerates every K4 (intended for q <= 4); sampled mode
-    draws random triangles and extends them to K4's (sample_k4).  A
-    counterexample makes the certificate fail and carries the four vertex
-    ids.
-    """
+    """Certify that every K4 has >= 3 vertices in one point clique by
+    edge_k4s, in blocks of K4_EDGE_BLOCK edges: over every edge, or over
+    `samples` seeded uniform draws.  The violations are the distinct O'Nan
+    quads, the lexicographically first the witness.  Checking no edge is
+    inconclusive."""
     params = {"q": g.q, "mode": mode}
     if mode == "exhaustive":
-        quads = enumerate_k4(g)
+        edges_checked = g.m
+        blocks = (np.arange(s, min(s + K4_EDGE_BLOCK, g.m)) for s in range(0, g.m, K4_EDGE_BLOCK))
     elif mode == "sampled":
         params.update({"seed": seed, "samples": samples})
-        quads = sample_k4(g, seed, samples)
+        edges_checked = samples
+        draws = np.random.default_rng(seed).integers(0, g.m, size=samples)
+        blocks = (draws[s:s + K4_EDGE_BLOCK] for s in range(0, samples, K4_EDGE_BLOCK))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    quantities = {
-        "k4_count" if mode == "exhaustive" else "k4_checked": int(len(quads)),
-        **k4_violations(g, quads),
-    }
-    if quantities["violations"]:
-        outcome = "fail"
-    else:
-        # a sample that reached no K4 checked nothing
-        outcome = "pass" if len(quads) or mode == "exhaustive" else "inconclusive"
+    k4_checked, onan = 0, [np.empty((0, 4), dtype=np.int32)]
+    for e in blocks:
+        found, _, quads = edge_k4s(g, e)
+        k4_checked += found
+        onan.append(quads)
+    onan = np.unique(np.sort(np.concatenate(onan), axis=1), axis=0)
+    quantities = {"edges_checked": edges_checked, "k4_checked": k4_checked, "violations": len(onan)}
+    if len(onan):
+        quantities["witness"] = [int(x) for x in onan[0]]
     return Certificate(
         claim="every K4 has >= 3 vertices in a point clique" + (" (sampled)" if mode == "sampled" else ""),
         params=params,
         quantities=quantities,
-        outcome=outcome,
+        outcome="fail" if len(onan) else "pass" if edges_checked else "inconclusive",
     )
 
 

@@ -23,8 +23,8 @@ from math import comb
 import numpy as np
 
 from .certificates import Certificate
-from .graphs import IntersectionGraph, enumerate_all_triangles, enumerate_k4, k4_clique_property, k4_violations
-from .graphs import row_pairs, unpack_rows
+from .graphs import IntersectionGraph, enumerate_all_triangles, k4_clique_property, row_pairs, unpack_rows
+from .graphs import verify_k4_structure
 
 EXPLICIT_Q_LIMIT = 4
 #: vertices per block of Goodman rows, and the size of build_family's spot
@@ -173,15 +173,14 @@ def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
     )
 
 
-def verify_no_k4_in_family(fam: TriangleFamily, g: IntersectionGraph, quads: np.ndarray | None = None) -> Certificate:
+def verify_no_k4_in_family(fam: TriangleFamily, g: IntersectionGraph) -> Certificate:
     """For every K4, at least one of its four triangles is degenerate (three
-    of its secants are concurrent), so no four family triangles span a K4."""
-    if quads is None:
-        quads = enumerate_k4(g)
-    quantities = {"k4_count": int(len(quads)), **k4_violations(g, quads)}
+    of its secants are concurrent), so no four family triangles span a K4:
+    verify_k4_structure's exhaustive result, restated for the family."""
+    k4 = verify_k4_structure(g, mode="exhaustive")
     return Certificate(
         claim="no four non-degenerate triangles induce a K4",
         params={"q": g.q},
-        quantities=quantities,
-        outcome="fail" if quantities["violations"] else "pass",
+        quantities=k4.quantities,
+        outcome=k4.outcome,
     )

@@ -3,7 +3,7 @@
 They read the dense adjacency (unpacked from the packed rows, or scattered
 from the point cliques by dense_adjacency), the edge list and Python-int
 bitmask rows directly, so they share no logic with the design-identity SRG
-proof, the clique-extension scan, the bit-packed K4 sampler or the
+proof, the clique-extension scan, the K4 edge kernel or the
 incidence-based concurrency predicate.  maxcut_exhaustive enumerates every
 side assignment, the reference for the branch and bound.  The per-triangle
 Goodman count and the edge-list parser are the references for the
@@ -18,11 +18,15 @@ labels that blocks.random_block hashes in one pass.
 popcount_rows_table and lowest_set_bit_table read byte tables, the
 references for the word popcounts of graphs.popcount_rows and
 graphs.lowest_set_bit.
-build_unital_whole, neighbor_rows_whole, k4_clique_property_whole and
-sample_k4_upfront are the unblocked forms of build_unital, neighbor_rows,
-k4_clique_property and sample_k4: one lines x points incidence, one
-n-row gather, one gather of every row, and every neighbour pick drawn up
-front.
+build_unital_whole and k4_clique_property_whole are the unblocked forms of
+build_unital and k4_clique_property: one lines x points incidence and one
+gather of every row.
+enumerate_k4 extends every triangle by the clique-extension scan, and
+k4_violations counts the K4s without the clique property: the exhaustive
+K4 check that graphs.verify_k4_structure's edge kernel replaced.
+buekenhout_metz_unital builds an orthogonal Buekenhout-Metz unital, a
+geometry that is not Hermitian for alpha != 0 and holds O'Nan
+configurations, so the K4 checks have something genuine to find.
 """
 
 from math import comb
@@ -32,12 +36,11 @@ import numpy as np
 from quasifolkman.blocks import _hash64
 from quasifolkman.certify import canonical_edges, maxcut_exact
 from quasifolkman.graphs import (
-    SAMPLE_BLOCK,
     GraphError,
     _each_pair_once,
-    common_neighbors,
-    lowest_set_bit,
-    neighbor_rows,
+    enumerate_all_triangles,
+    extend_cliques,
+    k4_clique_property,
     row_pairs,
 )
 from quasifolkman.plane import GeometryError, UnitalIncidence
@@ -162,31 +165,6 @@ def verify_srg_dense(g, block=1024):
     lam = next(iter(lam_vals)) if len(lam_vals) == 1 else None
     mu = next(iter(mu_vals)) if len(mu_vals) == 1 else None
     return lam, mu, lam == lam_expected and mu == mu_expected
-
-
-def sampled_k4_quads_loop(g, seed, samples):
-    """The sampled K4s of verify_k4_structure, one sample at a time over
-    Python-int bitmask rows: the same draws, the lowest-id extension."""
-    rng = np.random.default_rng(seed)
-    adj = g.adj
-    packed = np.packbits(adj, axis=1, bitorder="little")
-    bits = [int.from_bytes(row.tobytes(), "little") for row in packed]
-    us = rng.integers(0, g.n, size=samples)
-    nbr = neighbor_rows(g)
-    picks = rng.integers(0, nbr.shape[1], size=(samples, 2))
-    quads = []
-    for t in range(samples):
-        u = int(us[t])
-        v = int(nbr[u, picks[t, 0]])
-        w = int(nbr[u, picks[t, 1]])
-        if v == w or not adj[v, w]:
-            continue
-        cm = bits[u] & bits[v] & bits[w]
-        if cm == 0:
-            continue
-        x = (cm & -cm).bit_length() - 1
-        quads.append(sorted((u, v, w, x)))
-    return np.array(quads, dtype=np.int32) if quads else np.empty((0, 4), dtype=np.int32)
 
 
 def k4_clique_property_edges(g, quads):
@@ -524,6 +502,16 @@ def build_unital_whole(plane):
     unital = np.flatnonzero(herm == 0).astype(np.int64)
     if len(unital) != q**3 + 1:
         raise GeometryError(f"unital has {len(unital)} points, expected {q**3 + 1}")
+    return secant_incidence(plane, unital)
+
+
+def secant_incidence(plane, unital):
+    """The lines through the plane points `unital` (ascending ids) classified
+    as secants and tangents over the whole (lines, points) incidence."""
+    fld = plane.field
+    q = fld.base_order
+    coords = plane.coord_array()
+    add = fld.add_table
     mul = fld.mul_table
     up = coords[unital]
     la = coords[:, 0][:, None]
@@ -557,13 +545,22 @@ def build_unital_whole(plane):
     )
 
 
-def neighbor_rows_whole(g):
-    """graphs.neighbor_rows from one gather of every vertex's point cliques."""
-    members = g.cliques[g.vertex_cliques].reshape(g.n, -1)
-    own = members == np.arange(g.n)[:, None]
-    nbr = members[~own].reshape(g.n, -1)
-    nbr.sort(axis=1)
-    return nbr
+def buekenhout_metz_unital(plane, alpha, beta):
+    """The orthogonal Buekenhout-Metz point set {(1, x, alpha x^2 +
+    beta x^(q+1) + r) : x in GF(q^2), r in GF(q)} plus (0, 0, 1), with its
+    secants (Buekenhout 1976; Metz 1979; Baker & Ebert 1992).  alpha and
+    beta are field codes; secant_incidence raises GeometryError when they
+    give no unital.  alpha = 0 with beta off GF(q) is classical (Hermitian);
+    alpha != 0 holds O'Nan configurations."""
+    fld = plane.field
+    s = fld.order
+    add, mul = fld.add_table, fld.mul_table
+    x = np.arange(s)
+    y = add[mul[alpha, mul[x, x]], mul[beta, fld.norm_table[x]]]
+    r = np.flatnonzero(fld.base_subfield_mask)
+    # plane id of (1, x, y) is x s + y; (0, 0, 1) is s^2 + s
+    ids = (x[:, None] * s + add[y[:, None], r[None, :]]).ravel()
+    return secant_incidence(plane, np.sort(np.append(ids, s * s + s)).astype(np.int64))
 
 
 def k4_clique_property_whole(g, rows):
@@ -573,22 +570,16 @@ def k4_clique_property_whole(g, rows):
     return (pts[:, 2:] == pts[:, :-2]).any(axis=1)
 
 
-def sample_k4_upfront(g, seed, samples):
-    """graphs.sample_k4 with every neighbour pick drawn in one call after
-    the vertices."""
-    rng = np.random.default_rng(seed)
-    us = rng.integers(0, g.n, size=samples)
-    nbr = neighbor_rows_whole(g)
-    picks = rng.integers(0, nbr.shape[1], size=(samples, 2))
-    blocks = [np.empty((0, 4), dtype=np.int32)]
-    for s in range(0, samples, SAMPLE_BLOCK):
-        u = us[s:s + SAMPLE_BLOCK]
-        v = nbr[u, picks[s:s + SAMPLE_BLOCK, 0]]
-        w = nbr[u, picks[s:s + SAMPLE_BLOCK, 1]]
-        keep = (v != w) & g.adjacent(v, w)
-        u, v, w = u[keep], v[keep], w[keep]
-        x, found = lowest_set_bit(common_neighbors(g.words, np.stack([u, v, w], axis=1)))
-        quad = np.stack([u, v, w, x], axis=1)[found]
-        quad.sort(axis=1)
-        blocks.append(quad.astype(np.int32))
-    return np.concatenate(blocks)
+def enumerate_k4(g):
+    """All K4's (a < b < c < d), lexicographic: the triangles extended once."""
+    return extend_cliques(g.words, enumerate_all_triangles(g))
+
+
+def k4_violations(g, quads):
+    """The number of K4 rows without the clique property and, if any, the
+    first of them as witness."""
+    bad = np.flatnonzero(~k4_clique_property(g, quads))
+    out = {"violations": int(len(bad))}
+    if len(bad):
+        out["witness"] = [int(x) for x in quads[bad[0]]]
+    return out

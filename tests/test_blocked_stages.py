@@ -1,25 +1,18 @@
-"""Differential tests: the blocked unital incidence, neighbour rows, K4
-clique test and K4 sampler against their unblocked forms in oracles.py,
-and certify's structural path without the edge tables."""
+"""Differential tests: the blocked unital incidence and K4 clique test
+against their unblocked forms in oracles.py, and certify's structural path
+without the edge tables."""
 
 import numpy as np
 import pytest
 
-from oracles import (
-    build_unital_whole,
-    k4_clique_property_whole,
-    neighbor_rows_whole,
-    sample_k4_upfront,
-)
-from quasifolkman import graphs as graphs_module
+from oracles import build_unital_whole, k4_clique_property_whole
 from quasifolkman import plane as plane_module
 from quasifolkman.fields import QuadraticExtension
 from quasifolkman.graphs import (
     SAMPLE_BLOCK,
     build_graph_for_q,
+    extend_cliques,
     k4_clique_property,
-    neighbor_rows,
-    sample_k4,
     verify_k4_structure,
     verify_srg,
 )
@@ -49,29 +42,15 @@ def test_build_unital_matches_whole_incidence(monkeypatch, q, block):
         assert np.array_equal(a, b), name
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_neighbor_rows_match_whole_gather(monkeypatch, graph, block):
-    if block is not None:
-        monkeypatch.setattr(graphs_module, "NEIGHBOR_BLOCK", block)
-    got, want = neighbor_rows(graph), neighbor_rows_whole(graph)
-    assert got.dtype == want.dtype and got.flags.c_contiguous
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 4242])
-@pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK - 1, 3 * SAMPLE_BLOCK + 5])
-def test_sample_k4_matches_upfront_draws(graph, seed, samples):
-    got = sample_k4(graph, seed, samples)
-    want = sample_k4_upfront(graph, seed, samples)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-
-
 @pytest.mark.parametrize("width", [3, 4])
 def test_k4_clique_property_over_several_blocks(graph, width):
     # random rows of vertex ids, most without the property; at width 4 the
-    # sampler's K4s first, all with it
-    quads = sample_k4(graph, 1, 200_000) if width == 4 else np.empty((0, 3), dtype=np.int32)
+    # K4s above a seeded slice of the edge list first, all with it
+    quads = np.empty((0, 3), dtype=np.int32)
+    if width == 4:
+        start = int(np.random.default_rng(1).integers(0, graph.m - 500))
+        edges = np.stack([graph.eu, graph.ev], axis=1)[start:start + 500]
+        quads = extend_cliques(graph.words, extend_cliques(graph.words, edges))
     rng = np.random.default_rng(width)
     rows = np.concatenate([quads, rng.integers(0, graph.n, size=(2 * SAMPLE_BLOCK + 3, width), dtype=np.int32)])
     got = k4_clique_property(graph, rows)

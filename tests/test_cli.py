@@ -162,9 +162,9 @@ def test_identical_configs_reproduce_outputs(tmp_path):
 
 
 def test_certify_zero_k4_samples_inconclusive(tmp_path):
-    rc = main(["certify", "--q", "5", "--samples", "0", "--out", str(tmp_path)])
+    rc = main(["certify", "--q", "8", "--samples", "0", "--out", str(tmp_path)])
     assert rc == EXIT_INCONCLUSIVE
-    payload = json.loads((tmp_path / "certify_q5.json").read_text())
+    payload = json.loads((tmp_path / "certify_q8.json").read_text())
     k4 = next(c for c in payload["certificates"] if c["claim"].startswith("every K4"))
     assert k4["quantities"]["k4_checked"] == 0
     assert k4["outcome"] == "inconclusive"
@@ -321,6 +321,16 @@ def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):
 def test_out_naming_a_file_is_a_one_line_error(tmp_path, capsys, out):
     (tmp_path / "file").write_text("")
     rc = main(["certify", "--q", "3", "--out", str(tmp_path / out)])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "--out" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_check_coloring_out_naming_a_file_fails_before_the_graph(tmp_path, capsys):
+    # the coloring is empty, so parsing it would fail too: --out is checked first
+    (tmp_path / "file").write_text("")
+    rc = main(["check-coloring", "--q", "3", "--file", str(tmp_path / "file"), "--out", str(tmp_path / "file")])
     assert rc == EXIT_FAIL
     err = capsys.readouterr().err
     assert "--out" in err and err.count("\n") == 1

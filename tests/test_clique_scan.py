@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import enumerate_k4
 from quasifolkman import graphs
 from quasifolkman.blocks import StarGraph, instance_seed, random_block, replacement_registry, verify_star_instance
 from quasifolkman.graphs import (
     build_graph_for_q,
     enumerate_all_triangles,
-    enumerate_k4,
     extend_cliques,
     graph6_bytes,
     k4_clique_property,

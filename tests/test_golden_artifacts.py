@@ -25,8 +25,8 @@ GOLDEN = {
     "best_coloring_q3.txt": "b6042df87731e9d8dc9eee65f713d85107b7075a403511fed226ef8b562a6574",
     "build_q3.json": "5ab68a3294c8174e32568a35c445b6e9c3b7b909533255529078f24bf5bd2212",
     "build_q3.txt": "3dd353fbd2c09d063609811d0a0f810cff18d452a8733c69ce35462be3bc69a0",
-    "certify_q3.json": "465b94018365dee58514a57cd163d8ae5fa82ff1724a7c5a03b86fb81444d29e",
-    "certify_q3.txt": "8fa3682f9f8e8eed7239dbee9e5fabf9d753a6286790a6e9d921ab3c5d03ba80",
+    "certify_q3.json": "c84a5cae059f855aef653208b8f6d016fae0a6b6bb76e6508f3677ca8000ee74",
+    "certify_q3.txt": "2470b9823569dbafd8d28ad96431c4f96ad83fe1bb1a3f65abd0ee79355d9121",
     "check_coloring_q3.json": "9d88e53615ee330058b3cf41723065babc4f59d01cb35673fb2e241fbc70e2d0",
     "check_coloring_q3.txt": "185f6776e25492498a8b8b894380749d5366fdf61731b765ff125d3a95e1c334",
     "edges_q3.txt": "5e39c0b25cd308dcbe7c7d66b53dda4b4f948f97218afed41736db0626c90a8e",

@@ -18,7 +18,6 @@ from quasifolkman.graphs import (
     IntersectionGraph,
     build_graph,
     build_graph_for_q,
-    neighbor_rows,
     row_pairs,
     verify_srg,
 )
@@ -67,14 +66,6 @@ def graph_arrays_oracle(q, secant_points):
         "degree": adj.sum(axis=1).astype(np.int64),
         "m": len(key),
     }
-
-
-def neighbor_rows_oracle(g):
-    """Sorted neighbors from the edge list, by one sort of both edge ends."""
-    ends = np.concatenate([g.eu, g.ev])
-    other = np.concatenate([g.ev, g.eu])
-    order = np.argsort(ends * np.int64(g.n) + other, kind="stable")
-    return other[order].reshape(g.n, int(g.adj[0].sum())).astype(np.int32)
 
 
 def cliques_share_one_vertex_oracle(g):
@@ -173,13 +164,6 @@ def test_edge_tables_are_built_on_first_use(unital):
     assert np.array_equal(g.ev[g.clique_edges].ravel(), b)
     assert (edge_point(g)[g.clique_edges] == np.arange(len(g.cliques))[:, None]).all()
     assert g.edge_tables() is g.edge_tables()
-
-
-def test_neighbor_rows_match_oracle(graph):
-    nbr = neighbor_rows(graph)
-    expect = neighbor_rows_oracle(graph)
-    assert nbr.dtype == expect.dtype
-    assert np.array_equal(nbr, expect)
 
 
 def test_srg_clique_intersections_match_oracle(graph):

@@ -1,6 +1,6 @@
-"""Differential tests: strong regularity from the design identity, the
-bit-packed K4 sampler and the incidence-based K4 clique property against
-the dense oracles in oracles.py."""
+"""Differential tests: strong regularity from the design identity and the
+incidence-based K4 clique property against the dense oracles in
+oracles.py."""
 
 from types import SimpleNamespace
 
@@ -11,22 +11,19 @@ from hypothesis import strategies as st
 
 from oracles import (
     dense_adjacency,
+    enumerate_k4,
     flip_bit,
     k4_clique_property_edges,
     lowest_set_bit_table,
     popcount_rows_table,
-    sampled_k4_quads_loop,
     verify_srg_dense,
 )
 from quasifolkman.graphs import (
     build_graph_for_q,
-    enumerate_k4,
     k4_clique_property,
     lowest_set_bit,
     packed_rows,
     popcount_rows,
-    sample_k4,
-    verify_k4_structure,
     verify_srg,
 )
 
@@ -150,19 +147,6 @@ def test_word_popcounts_match_byte_tables(rows):
     assert x.dtype == x_table.dtype
     assert np.array_equal(found, found_table)
     assert np.array_equal(x[found], x_table[found])
-
-
-@pytest.mark.parametrize("q", [5, 7])
-@pytest.mark.parametrize("seed", [1, 4242])
-def test_sampled_k4_matches_loop(q, seed):
-    g = build_graph_for_q(q)
-    quads = sample_k4(g, seed, 100_000)
-    expect = sampled_k4_quads_loop(g, seed, 100_000)
-    assert quads.dtype == expect.dtype
-    assert np.array_equal(quads, expect)
-    assert np.array_equal(k4_clique_property(g, quads), k4_clique_property_edges(g, quads))
-    cert = verify_k4_structure(g, mode="sampled", seed=seed, samples=100_000)
-    assert cert.quantities == {"k4_checked": len(expect), "violations": 0}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

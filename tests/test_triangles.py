@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import classify_triangle, degenerate_mask, flip_bit, triangle_edge_matrix
-from quasifolkman.graphs import build_graph_for_q, enumerate_k4
+from oracles import classify_triangle, degenerate_mask, enumerate_k4, flip_bit, triangle_edge_matrix
+from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.triangles import (
     build_family,
     enumerate_all_triangles,
