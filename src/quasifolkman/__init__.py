@@ -34,7 +34,6 @@ from .certify import (
     adversarial_color_check,
     clique_min_mono,
     goodman_count,
-    goodman_count_all_triangles,
     maxcut_exact,
     quasi_folkman_certificate,
 )
@@ -42,16 +41,13 @@ from .blocks import (
     ReplacementGraph,
     StarGraph,
     alon_parameters,
-    blowup,
     concentration_experiment,
     load_replacement,
-    mcdiarmid_bound,
-    min_mono_blowup,
     quantitative_bound,
     random_block,
     deletion_margin,
 )
-from .search import AnnealSchedule, anneal, flip_delta, random_coloring_stats
+from .search import AnnealSchedule, anneal, random_coloring_stats
 
 __all__ = [
     "__version__",
@@ -63,9 +59,9 @@ __all__ = [
     "TriangleFamily", "build_family",
     "family_size_formula", "verify_nbhd_decomposition", "verify_no_k4_in_family",
     "EdgeColoring", "GoodmanTally", "adversarial_color_check", "clique_min_mono",
-    "goodman_count", "goodman_count_all_triangles", "maxcut_exact", "quasi_folkman_certificate",
-    "ReplacementGraph", "StarGraph", "alon_parameters", "blowup", "concentration_experiment",
-    "load_replacement", "mcdiarmid_bound", "min_mono_blowup", "quantitative_bound",
+    "goodman_count", "maxcut_exact", "quasi_folkman_certificate",
+    "ReplacementGraph", "StarGraph", "alon_parameters", "concentration_experiment",
+    "load_replacement", "quantitative_bound",
     "random_block", "deletion_margin",
-    "AnnealSchedule", "anneal", "flip_delta", "random_coloring_stats",
+    "AnnealSchedule", "anneal", "random_coloring_stats",
 ]

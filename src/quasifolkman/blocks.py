@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .certificates import Certificate
-from .certify import BNB_MAXCUT_LIMIT, canonical_edges, maxcut_exact
+from .certify import BNB_MAXCUT_LIMIT, maxcut_exact
 from .graphs import (
     IntersectionGraph,
     common_neighbors,
@@ -146,52 +146,6 @@ def load_replacement(name_or_path: str) -> ReplacementGraph:
         raise ConstructionError(f"replacement graph file {name_or_path!r} lists no edges")
     n = 1 + max(max(e) for e in edges)
     return replacement_from_edges(name_or_path, n, edges)
-
-
-# ----------------------------------------------------------------------
-# Blowups
-# ----------------------------------------------------------------------
-
-def blowup(F: ReplacementGraph, t: int) -> tuple[int, np.ndarray]:
-    """t-blowup: nt vertices, mt^2 edges; vertex (i, a) -> i*t + a."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    nt = F.n * t
-    adj = np.zeros((nt, nt), dtype=bool)
-    for i, j in F.edges:
-        adj[i * t : (i + 1) * t, j * t : (j + 1) * t] = True
-        adj[j * t : (j + 1) * t, i * t : (i + 1) * t] = True
-    return nt, adj
-
-
-EXHAUSTIVE_BLOWUP_LIMIT = 25
-
-
-def min_mono_blowup(F: ReplacementGraph, t: int, mode: str = "formula"):
-    """Least monochromatic edge count over vertex 2-colorings of the blowup.
-
-    formula: (1 - alpha) m t^2 = (m - maxcut(F)) t^2, exact.
-    exhaustive: m t^2 minus the exact max cut of the blowup itself (nt <= 25),
-    plus the corner check that a per-class-monochromatic coloring attains
-    the minimum.
-    """
-    if mode == "formula":
-        return (F.m - F.maxcut) * t * t
-    if mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
-    nt, adj = blowup(F, t)
-    if nt > EXHAUSTIVE_BLOWUP_LIMIT:
-        raise ValueError(f"exhaustive mode needs nt <= {EXHAUSTIVE_BLOWUP_LIMIT}, got {nt}")
-    eu, ev = canonical_edges(adj)
-    cut, _ = maxcut_exact(adj)
-    exhaustive_min = len(eu) - cut
-    # corner colorings reduce to colorings of F itself
-    corner_min = (F.m - F.maxcut) * t * t
-    if exhaustive_min != corner_min:
-        raise ConstructionError(
-            f"blowup minimum {exhaustive_min} differs from corner minimum {corner_min}"
-        )
-    return exhaustive_min
 
 
 # ----------------------------------------------------------------------
@@ -358,25 +312,8 @@ def concentration_experiment(
 
 
 # ----------------------------------------------------------------------
-# Bounded-differences bound and the margin
+# The deletion margin
 # ----------------------------------------------------------------------
-
-def mcdiarmid_bound(expectation: float, c: np.ndarray | list[float], delta: float) -> tuple[float, float]:
-    """(bound, log_bound) for P[|f - E| >= delta E] <= 2 exp(-2 d^2 E^2 / sum c_i^2)."""
-    if expectation <= 0:
-        raise ValueError("expectation must be positive")
-    c = np.asarray(c, dtype=np.float64)
-    if (c <= 0).any():
-        raise ValueError("difference bounds must be positive")
-    log_bound = math.log(2.0) - 2.0 * delta * delta * expectation * expectation / float((c * c).sum())
-    return math.exp(log_bound), log_bound
-
-
-def blowup_concentration_log_bound(q: int, n: int, m: int, delta: float) -> float:
-    """log of 2 exp(-8 d^2 m^2 (q+1) / (3 n^6)): the bounded-differences
-    bound at expectation 2m(q+1)/n^3 with 3(q+1) unit-effect variables."""
-    return math.log(2.0) - 8.0 * delta * delta * m * m * (q + 1) / (3.0 * n**6)
-
 
 def critical_delta(alpha) -> float:
     """Largest delta with (1-d)^2 (1-alpha) > (1+d)^2 / 3, for alpha < 2/3."""

@@ -146,48 +146,6 @@ def goodman_count(fam: TriangleFamily, coloring: EdgeColoring) -> GoodmanTally:
 
 
 # ----------------------------------------------------------------------
-# All-triangle variant on arbitrary graphs
-# ----------------------------------------------------------------------
-
-def canonical_edges(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eu, ev = np.nonzero(np.triu(adj, 1))
-    return eu, ev
-
-
-def goodman_count_all_triangles(adj: np.ndarray, colors: np.ndarray) -> int:
-    """Monochromatic triangles of an arbitrary graph, by per-vertex counting:
-    (1/2) sum_v (same(v) - e(N(v)) / 3), evaluated exactly as
-    (3 * sum_v same(v) - sum_v e(N(v))) / 6."""
-    n = adj.shape[0]
-    eu, ev = canonical_edges(adj)
-    key = eu.astype(np.int64) * n + ev.astype(np.int64)
-    colors = np.asarray(colors, dtype=bool)
-    if colors.shape != key.shape:
-        raise ValueError("colors must align with the canonical edge list")
-
-    def eidx(u, v):
-        return np.searchsorted(key, u.astype(np.int64) * n + v.astype(np.int64))
-
-    same_total = 0
-    nbhd_edges_total = 0
-    for v in range(n):
-        nbrs = np.flatnonzero(adj[v])
-        if len(nbrs) < 2:
-            continue
-        lo = np.minimum(v, nbrs)
-        hi = np.maximum(v, nbrs)
-        chi = colors[eidx(lo, hi)]
-        sub = np.triu(adj[np.ix_(nbrs, nbrs)], 1)
-        wi, xi = np.nonzero(sub)
-        nbhd_edges_total += len(wi)
-        same_total += int((chi[wi] == chi[xi]).sum())
-    num = 3 * same_total - nbhd_edges_total
-    if num % 6:
-        raise RuntimeError("Goodman all-triangle parity violated (internal bug)")
-    return num // 6
-
-
-# ----------------------------------------------------------------------
 # Exact max-cut
 # ----------------------------------------------------------------------
 

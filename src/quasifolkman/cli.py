@@ -302,8 +302,9 @@ def cmd_simulate(args) -> int:
 
     g = _worker_graph(args.q)
     payloads = [(args.q, F, instance_seed(args.seed, t)) for t in range(args.trials)]
-    if args.threads > 1:
-        with multiprocessing.Pool(args.threads) as pool:
+    workers = min(args.threads, args.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             inst = pool.map(_instance_report, payloads)
     else:
         inst = [_instance_report(p) for p in payloads]
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help=f"output directory (or ${OUT_ENV})")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="worker processes for Monte Carlo scans")
+        p.add_argument("--threads", type=int, default=1, help="worker processes for Monte Carlo scans, at most one per trial and per CPU")
 
     p = sub.add_parser("build", help="construct and export the graph")
     common(p)

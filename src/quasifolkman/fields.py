@@ -207,57 +207,12 @@ class FiniteField:
             rem //= p
         pow_p = p ** np.arange(self.k, dtype=np.int64)
 
-        self.neg_table = (((-digits) % p) * pow_p).sum(axis=1)
         dsum = (digits[:, None, :] + digits[None, :, :]) % p
         self.add_table = (dsum * pow_p).sum(axis=2).astype(np.int32)
         logs = log[1:]
         mul = np.zeros((s, s), dtype=np.int32)
         mul[1:, 1:] = self._exp[(logs[:, None] + logs[None, :]) % (s - 1)]
         self.mul_table = mul
-
-        inv = np.zeros(s, dtype=np.int64)
-        if s > 1:
-            nz = np.arange(1, s)
-            inv[1:] = self._exp[(s - 1 - log[nz]) % (s - 1)]
-        self.inv_table = inv
-
-    # -- scalar arithmetic on codes ---------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in finite field")
-        return int(self.inv_table[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        return int(self._exp[(int(self._log[a]) * e) % (self.order - 1)])
-
-    # -- misc --------------------------------------------------------------
-
-    def __repr__(self) -> str:
-        return f"GF({self.p}^{self.k})" if self.k > 1 else f"GF({self.p})"
 
 
 class QuadraticExtension(FiniteField):

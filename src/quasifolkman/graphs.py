@@ -493,8 +493,10 @@ def verify_k4_structure(
     elif mode == "sampled":
         params.update({"seed": seed, "samples": samples})
         edges_checked = samples
-        draws = np.random.default_rng(seed).integers(0, g.m, size=samples)
-        blocks = (draws[s:s + K4_EDGE_BLOCK] for s in range(0, samples, K4_EDGE_BLOCK))
+        # drawn block by block: the same stream as one draw of all samples
+        rng = np.random.default_rng(seed)
+        blocks = (rng.integers(0, g.m, size=min(K4_EDGE_BLOCK, samples - s))
+                  for s in range(0, samples, K4_EDGE_BLOCK))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     k4_checked, onan = 0, [np.empty((0, 4), dtype=np.int32)]

@@ -18,7 +18,7 @@ plane meets it in exactly 1 point (tangent) or q+1 points (secant).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,29 +43,6 @@ class ProjectivePlane:
         s = fld.order
         self.size = s * s + s + 1
 
-    def coords(self, pid: int) -> tuple[int, int, int]:
-        """Normalized coordinate codes of a point (or line) id."""
-        s = self.field.order
-        if pid < s * s:
-            return (1, pid // s, pid % s)
-        if pid < s * s + s:
-            return (0, 1, pid - s * s)
-        if pid == s * s + s:
-            return (0, 0, 1)
-        raise IndexError(pid)
-
-    def id_of(self, x: int, y: int, z: int) -> int:
-        """Id of the projective class of (x, y, z), any nonzero representative."""
-        f, s = self.field, self.field.order
-        if x != 0:
-            i = f.inv(x)
-            return f.mul(y, i) * s + f.mul(z, i)
-        if y != 0:
-            return s * s + f.mul(z, f.inv(y))
-        if z != 0:
-            return s * s + s
-        raise ValueError("zero vector has no projective class")
-
     def coord_array(self) -> np.ndarray:
         """All normalized triples, shape (size, 3), in id order."""
         s = self.field.order
@@ -80,54 +57,12 @@ class ProjectivePlane:
         out[s * s + s] = (0, 0, 1)
         return out
 
-    def incident(self, pid: int, lid: int) -> bool:
-        f = self.field
-        px, py, pz = self.coords(pid)
-        la, lb, lc = self.coords(lid)
-        acc = f.add(f.add(f.mul(la, px), f.mul(lb, py)), f.mul(lc, pz))
-        return acc == 0
-
-    def line_through(self, pid1: int, pid2: int) -> int:
-        """The unique line through two distinct points (projective cross product)."""
-        if pid1 == pid2:
-            raise ValueError("need two distinct points")
-        f = self.field
-        x1, y1, z1 = self.coords(pid1)
-        x2, y2, z2 = self.coords(pid2)
-        a = f.sub(f.mul(y1, z2), f.mul(z1, y2))
-        b = f.sub(f.mul(z1, x2), f.mul(x1, z2))
-        c = f.sub(f.mul(x1, y2), f.mul(y1, x2))
-        return self.id_of(a, b, c)
-
-    def points_on_line(self, lid: int) -> list[int]:
-        """All s+1 point ids on a line, ascending."""
-        f = self.field
-        a, b, c = self.coords(lid)
-        pts = []
-        # two independent solutions of aX + bY + cZ = 0
-        basis = []
-        for cand in ((f.neg(b), a, 0), (f.neg(c), 0, a), (0, f.neg(c), b)):
-            if any(cand):
-                pid = self.id_of(*cand)
-                if pid not in [q[0] for q in basis]:
-                    basis.append((pid, cand))
-            if len(basis) == 2:
-                break
-        (_, v1), (pid2, v2) = basis
-        pts.append(pid2)
-        for t in range(f.order):
-            w = tuple(f.add(v1[i], f.mul(t, v2[i])) for i in range(3))
-            pts.append(self.id_of(*w))
-        pts = sorted(set(pts))
-        assert len(pts) == f.order + 1
-        return pts
-
 
 @dataclass
 class UnitalIncidence:
-    """The Hermitian unital with its secant/tangent line classification.
+    """The Hermitian unital and its secants.
 
-    unital_points / secants / tangents hold canonical plane ids (ascending).
+    unital_points / secants hold canonical plane ids (ascending).
     secant_points[i] lists, for secant id secants[i], the dense indices
     (0..q^3) of its q+1 unital points; dense index j refers to
     unital_points[j].
@@ -137,10 +72,7 @@ class UnitalIncidence:
     plane: ProjectivePlane
     unital_points: np.ndarray
     secants: np.ndarray
-    tangents: np.ndarray
     secant_points: np.ndarray  # shape (num_secants, q+1), dense unital indices
-    point_secant_count: np.ndarray = field(repr=False, default=None)
-    point_tangent_count: np.ndarray = field(repr=False, default=None)
 
     @property
     def num_points(self) -> int:
@@ -176,32 +108,25 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
         raise GeometryError(f"unital has {len(unital)} points, expected {q**3 + 1}")
 
     # incidence of every line with every unital point, a block of lines at a
-    # time: per line its count, and the secants' points and per-point tallies
+    # time: per line its count, and the secants' points
     mul = fld.mul_table
     up = coords[unital]  # (U, 3)
     counts = np.empty(plane.size, dtype=np.int64)
     cols = []
-    point_secant_count = np.zeros(len(unital), dtype=np.int64)
-    point_tangent_count = np.zeros(len(unital), dtype=np.int64)
     step = max(1, INCIDENCE_BLOCK // len(unital))
     for s in range(0, plane.size, step):
         la, lb, lc = (coords[s:s + step, i, None] for i in range(3))
         inc = add[add[mul[la, up[:, 0]], mul[lb, up[:, 1]]], mul[lc, up[:, 2]]] == 0
         c = counts[s:s + step] = inc.sum(axis=1)
-        sec_inc = inc[c == q + 1]
-        cols.append(np.nonzero(sec_inc)[1])
-        point_secant_count += sec_inc.sum(axis=0)
-        point_tangent_count += inc[c == 1].sum(axis=0)
+        cols.append(np.nonzero(inc[c == q + 1])[1])
 
     secant_mask = counts == q + 1
-    tangent_mask = counts == 1
-    bad = ~(secant_mask | tangent_mask)
+    bad = ~(secant_mask | (counts == 1))
     if bad.any():
         lid = int(np.flatnonzero(bad)[0])
         raise GeometryError(f"line {lid} meets the unital in {int(counts[lid])} points")
 
     secants = np.flatnonzero(secant_mask).astype(np.int64)
-    tangents = np.flatnonzero(tangent_mask).astype(np.int64)
     if len(secants) != q**4 - q**3 + q**2:
         raise GeometryError(f"{len(secants)} secants, expected {q**4 - q**3 + q**2}")
 
@@ -213,10 +138,7 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
         plane=plane,
         unital_points=unital,
         secants=secants,
-        tangents=tangents,
         secant_points=secant_points,
-        point_secant_count=point_secant_count,
-        point_tangent_count=point_tangent_count,
     )
 
 

@@ -69,12 +69,6 @@ def edge_triangle_index(fam: TriangleFamily) -> tuple[np.ndarray, np.ndarray]:
     return part[:, 0], part[:, 1]
 
 
-def flip_delta(bits: np.ndarray, e: int, a1: np.ndarray, a2: np.ndarray) -> int:
-    """Exact objective change from flipping edge e."""
-    unlike = (bits[a1[e]] != bits[e]).sum() + (bits[a2[e]] != bits[e]).sum()
-    return int(unlike) - a1.shape[1]
-
-
 def _step_deltas(flat: np.ndarray, starts: np.ndarray, edges: np.ndarray, part: np.ndarray) -> np.ndarray:
     """delta(edges[j]) in chain j, whose coloring starts at flat[starts[j]]."""
     unlike = flat[starts[:, None] + part[edges]] != flat[starts + edges][:, None]

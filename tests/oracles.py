@@ -1,4 +1,6 @@
-"""Reference implementations that the fast paths in ``src/`` replaced.
+"""Reference implementations: the forms that the fast paths in ``src/``
+replaced, and the library functions no command calls that tests still use
+as references.
 
 They read the dense adjacency (unpacked from the packed rows, or scattered
 from the point cliques by dense_adjacency), the edge list and Python-int
@@ -8,10 +10,10 @@ incidence-based concurrency predicate.  maxcut_exhaustive enumerates every
 side assignment, the reference for the branch and bound.  The per-triangle
 Goodman count and the edge-list parser are the references for the
 clique-row count and the edge-list export.  edge_index finds an edge by
-binary search over its u*n + v key, the reference for
-IntersectionGraph.edge_at; edge_point scatters each point clique's id over
-its edges, and point_pair_secants fills the point-pair -> secant table by
-counting every pair, the reference for the cliques[P, pos[P, A]] gather.
+binary search over its u*n + v key, and edge_point scatters each point
+clique's id over its edges: the references for IntersectionGraph.edge_at.
+point_pair_secants fills the point-pair -> secant table by counting every
+pair, the reference for the cliques[P, pos[P, A]] gather.
 random_block_incidences labels each (secant, point) incidence in place
 by one assignment_value call each, the reference for the clique-layout
 labels that blocks.random_block hashes in one pass.
@@ -21,29 +23,51 @@ graphs.lowest_set_bit.
 build_unital_whole and k4_clique_property_whole are the unblocked forms of
 build_unital and k4_clique_property: one lines x points incidence and one
 gather of every row.
+plane_incidence is the lines x points incidence of the whole plane, its
+products taken through the field's exp/log tables by field_mul, not
+through the mul_table that build_unital reads; it checks the plane axioms
+and the secants.  secant_incidence classifies the lines through a point
+set from it and returns the tangents and per-point tallies that
+UnitalIncidence does not keep.
 enumerate_k4 extends every triangle by the clique-extension scan, and
 k4_violations counts the K4s without the clique property: the exhaustive
 K4 check that graphs.verify_k4_structure's edge kernel replaced.
+sampled_k4_upfront is its sampled mode from one upfront draw of the edges.
 buekenhout_metz_unital builds an orthogonal Buekenhout-Metz unital, a
 geometry that is not Hermitian for alpha != 0 and holds O'Nan
 configurations, so the K4 checks have something genuine to find.
+Moved here from the library, unchanged, because no command calls them:
+canonical_edges and goodman_count_all_triangles, the all-triangle Goodman
+count on an arbitrary graph; flip_delta, one edge's flip delta from the
+search's partner tables; blowup and min_mono_blowup, the t-blowup of a
+replacement graph and its least monochromatic edge count (acceptance
+check 8); mcdiarmid_bound and blowup_concentration_log_bound, the
+bounded-differences tail bound and its closed form for the blocks.
 """
 
+import math
 from math import comb
 
 import numpy as np
 
-from quasifolkman.blocks import _hash64
-from quasifolkman.certify import canonical_edges, maxcut_exact
+from quasifolkman.blocks import ConstructionError, _hash64
+from quasifolkman.certify import maxcut_exact
 from quasifolkman.graphs import (
     GraphError,
     _each_pair_once,
+    edge_k4s,
     enumerate_all_triangles,
     extend_cliques,
     k4_clique_property,
     row_pairs,
 )
 from quasifolkman.plane import GeometryError, UnitalIncidence
+
+
+def canonical_edges(adj):
+    """The edges (u, v), u < v, of a dense adjacency, lexicographic."""
+    eu, ev = np.nonzero(np.triu(adj, 1))
+    return eu, ev
 
 
 def edge_index(g, u, v):
@@ -422,6 +446,46 @@ def count_mono_triangles_direct(adj, colors):
     return tr // 6
 
 
+def goodman_count_all_triangles(adj, colors):
+    """Monochromatic triangles of an arbitrary graph, by per-vertex counting:
+    (1/2) sum_v (same(v) - e(N(v)) / 3), evaluated exactly as
+    (3 * sum_v same(v) - sum_v e(N(v))) / 6."""
+    n = adj.shape[0]
+    eu, ev = canonical_edges(adj)
+    key = eu.astype(np.int64) * n + ev.astype(np.int64)
+    colors = np.asarray(colors, dtype=bool)
+    if colors.shape != key.shape:
+        raise ValueError("colors must align with the canonical edge list")
+
+    def eidx(u, v):
+        return np.searchsorted(key, u.astype(np.int64) * n + v.astype(np.int64))
+
+    same_total = 0
+    nbhd_edges_total = 0
+    for v in range(n):
+        nbrs = np.flatnonzero(adj[v])
+        if len(nbrs) < 2:
+            continue
+        lo = np.minimum(v, nbrs)
+        hi = np.maximum(v, nbrs)
+        chi = colors[eidx(lo, hi)]
+        sub = np.triu(adj[np.ix_(nbrs, nbrs)], 1)
+        wi, xi = np.nonzero(sub)
+        nbhd_edges_total += len(wi)
+        same_total += int((chi[wi] == chi[xi]).sum())
+    num = 3 * same_total - nbhd_edges_total
+    if num % 6:
+        raise RuntimeError("Goodman all-triangle parity violated (internal bug)")
+    return num // 6
+
+
+def flip_delta(bits, e, a1, a2):
+    """Exact objective change from flipping edge e, from the partner tables
+    of search.edge_triangle_index."""
+    unlike = (bits[a1[e]] != bits[e]).sum() + (bits[a2[e]] != bits[e]).sum()
+    return int(unlike) - a1.shape[1]
+
+
 def maxcut_exhaustive(adj):
     """Maximum cut by enumerating all 2^(n-1) side assignments (vertex n-1
     pinned), vectorized; for n <= 30."""
@@ -451,6 +515,65 @@ def min_mono_edges(adj):
     eu, _ = canonical_edges(adj)
     cut, _ = maxcut_exact(adj)
     return len(eu) - cut
+
+
+def blowup(F, t):
+    """t-blowup: nt vertices, mt^2 edges; vertex (i, a) -> i*t + a."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    nt = F.n * t
+    adj = np.zeros((nt, nt), dtype=bool)
+    for i, j in F.edges:
+        adj[i * t : (i + 1) * t, j * t : (j + 1) * t] = True
+        adj[j * t : (j + 1) * t, i * t : (i + 1) * t] = True
+    return nt, adj
+
+
+EXHAUSTIVE_BLOWUP_LIMIT = 25
+
+
+def min_mono_blowup(F, t, mode="formula"):
+    """Least monochromatic edge count over vertex 2-colorings of the blowup.
+
+    formula: (1 - alpha) m t^2 = (m - maxcut(F)) t^2, exact.
+    exhaustive: m t^2 minus the exact max cut of the blowup itself (nt <= 25),
+    plus the corner check that a per-class-monochromatic coloring attains
+    the minimum.
+    """
+    if mode == "formula":
+        return (F.m - F.maxcut) * t * t
+    if mode != "exhaustive":
+        raise ValueError(f"unknown mode {mode!r}")
+    nt, adj = blowup(F, t)
+    if nt > EXHAUSTIVE_BLOWUP_LIMIT:
+        raise ValueError(f"exhaustive mode needs nt <= {EXHAUSTIVE_BLOWUP_LIMIT}, got {nt}")
+    eu, ev = canonical_edges(adj)
+    cut, _ = maxcut_exact(adj)
+    exhaustive_min = len(eu) - cut
+    # corner colorings reduce to colorings of F itself
+    corner_min = (F.m - F.maxcut) * t * t
+    if exhaustive_min != corner_min:
+        raise ConstructionError(
+            f"blowup minimum {exhaustive_min} differs from corner minimum {corner_min}"
+        )
+    return exhaustive_min
+
+
+def mcdiarmid_bound(expectation, c, delta):
+    """(bound, log_bound) for P[|f - E| >= delta E] <= 2 exp(-2 d^2 E^2 / sum c_i^2)."""
+    if expectation <= 0:
+        raise ValueError("expectation must be positive")
+    c = np.asarray(c, dtype=np.float64)
+    if (c <= 0).any():
+        raise ValueError("difference bounds must be positive")
+    log_bound = math.log(2.0) - 2.0 * delta * delta * expectation * expectation / float((c * c).sum())
+    return math.exp(log_bound), log_bound
+
+
+def blowup_concentration_log_bound(q, n, m, delta):
+    """log of 2 exp(-8 d^2 m^2 (q+1) / (3 n^6)): the bounded-differences
+    bound at expectation 2m(q+1)/n^3 with 3(q+1) unit-effect variables."""
+    return math.log(2.0) - 8.0 * delta * delta * m * m * (q + 1) / (3.0 * n**6)
 
 
 def parse_edge_list(text):
@@ -490,9 +613,29 @@ def classify_triangle(g, a, b, c):
     return "degenerate" if len(pts) == 1 else "non-degenerate"
 
 
+def field_mul(fld, a, b):
+    """Products of field codes through the exp/log tables, broadcast; the
+    scalar multiply that mul_table tabulates."""
+    a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
+    prod = fld._exp[fld._log[a] + fld._log[b]]
+    return np.where((a == 0) | (b == 0), 0, prod)
+
+
+def plane_incidence(plane, points=None):
+    """(lines, points) bool incidence of PG(2, q^2): whether line [a, b, c]
+    holds point (X, Y, Z), aX + bY + cZ = 0, for all points or the ids
+    `points`.  The products go through field_mul, so the incidence shares
+    no table with build_unital but add_table."""
+    coords = plane.coord_array()
+    pts = coords if points is None else coords[points]
+    add = plane.field.add_table
+    t = [field_mul(plane.field, coords[:, i, None], pts[None, :, i]) for i in range(3)]
+    return add[add[t[0], t[1]], t[2]] == 0
+
+
 def build_unital_whole(plane):
     """plane.build_unital over the whole (lines, unital points) incidence at
-    once."""
+    once, with secant_incidence's tallies."""
     fld = plane.field
     q = fld.base_order
     coords = plane.coord_array()
@@ -507,19 +650,11 @@ def build_unital_whole(plane):
 
 def secant_incidence(plane, unital):
     """The lines through the plane points `unital` (ascending ids) classified
-    as secants and tangents over the whole (lines, points) incidence."""
-    fld = plane.field
-    q = fld.base_order
-    coords = plane.coord_array()
-    add = fld.add_table
-    mul = fld.mul_table
-    up = coords[unital]
-    la = coords[:, 0][:, None]
-    lb = coords[:, 1][:, None]
-    lc = coords[:, 2][:, None]
-    acc = add[mul[la, up[None, :, 0]], mul[lb, up[None, :, 1]]]
-    acc = add[acc, mul[lc, up[None, :, 2]]]
-    inc = acc == 0
+    as secants and tangents over the whole plane_incidence.  Returns the
+    UnitalIncidence and a dict of what it leaves out: the tangent line ids
+    and, per unital point, the secants and the tangents through it."""
+    q = plane.field.base_order
+    inc = plane_incidence(plane, unital)
     counts = inc.sum(axis=1)
     secant_mask = counts == q + 1
     tangent_mask = counts == 1
@@ -528,21 +663,22 @@ def secant_incidence(plane, unital):
         lid = int(np.flatnonzero(bad)[0])
         raise GeometryError(f"line {lid} meets the unital in {int(counts[lid])} points")
     secants = np.flatnonzero(secant_mask).astype(np.int64)
-    tangents = np.flatnonzero(tangent_mask).astype(np.int64)
     sec_inc = inc[secant_mask]
     rows, cols = np.nonzero(sec_inc)
     secant_points = cols.reshape(len(secants), q + 1).astype(np.int64)
     secant_points.sort(axis=1)
-    return UnitalIncidence(
+    unital_incidence = UnitalIncidence(
         q=q,
         plane=plane,
         unital_points=unital,
         secants=secants,
-        tangents=tangents,
         secant_points=secant_points,
-        point_secant_count=sec_inc.sum(axis=0),
-        point_tangent_count=inc[tangent_mask].sum(axis=0),
     )
+    return unital_incidence, {
+        "tangents": np.flatnonzero(tangent_mask).astype(np.int64),
+        "point_secant_count": sec_inc.sum(axis=0),
+        "point_tangent_count": inc[tangent_mask].sum(axis=0),
+    }
 
 
 def buekenhout_metz_unital(plane, alpha, beta):
@@ -560,7 +696,7 @@ def buekenhout_metz_unital(plane, alpha, beta):
     r = np.flatnonzero(fld.base_subfield_mask)
     # plane id of (1, x, y) is x s + y; (0, 0, 1) is s^2 + s
     ids = (x[:, None] * s + add[y[:, None], r[None, :]]).ravel()
-    return secant_incidence(plane, np.sort(np.append(ids, s * s + s)).astype(np.int64))
+    return secant_incidence(plane, np.sort(np.append(ids, s * s + s)).astype(np.int64))[0]
 
 
 def k4_clique_property_whole(g, rows):
@@ -582,4 +718,16 @@ def k4_violations(g, quads):
     out = {"violations": int(len(bad))}
     if len(bad):
         out["witness"] = [int(x) for x in quads[bad[0]]]
+    return out
+
+
+def sampled_k4_upfront(g, seed, samples):
+    """The quantities of verify_k4_structure's sampled mode from one upfront
+    draw of every edge, all through one edge_k4s call."""
+    e = np.random.default_rng(seed).integers(0, g.m, size=samples)
+    found, _, quads = edge_k4s(g, e)
+    onan = np.unique(np.sort(quads, axis=1), axis=0)
+    out = {"edges_checked": samples, "k4_checked": found, "violations": len(onan)}
+    if len(onan):
+        out["witness"] = [int(x) for x in onan[0]]
     return out

@@ -14,12 +14,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import adj_bits, count_mono_triangles_direct, enumerate_k4, find_k4, goodman_count_direct, verify_srg_dense
+from oracles import (
+    adj_bits,
+    canonical_edges,
+    count_mono_triangles_direct,
+    enumerate_k4,
+    find_k4,
+    flip_delta,
+    goodman_count_all_triangles,
+    goodman_count_direct,
+    min_mono_blowup,
+    verify_srg_dense,
+)
 from quasifolkman.blocks import (
     alon_parameters,
     concentration_experiment,
     instance_seed,
-    min_mono_blowup,
     quantitative_bound,
     random_block,
     replacement_registry,
@@ -28,9 +38,7 @@ from quasifolkman.blocks import (
 from quasifolkman.certify import (
     EdgeColoring,
     batch_mono_counts,
-    canonical_edges,
     goodman_count,
-    goodman_count_all_triangles,
     quasi_folkman_certificate,
     mono_lower_bound,
 )
@@ -41,7 +49,7 @@ from quasifolkman.graphs import (
     verify_srg,
 )
 from quasifolkman.plane import build_unital_for_q
-from quasifolkman.search import AnnealSchedule, anneal, edge_triangle_index, flip_delta, random_coloring_stats
+from quasifolkman.search import AnnealSchedule, anneal, edge_triangle_index, random_coloring_stats
 from quasifolkman.triangles import build_family, family_size_formula, verify_no_k4_in_family
 
 ALL_Q = (2, 3, 4, 5, 7, 8, 9)

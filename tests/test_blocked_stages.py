@@ -19,8 +19,7 @@ from quasifolkman.graphs import (
 from quasifolkman.plane import ProjectivePlane, build_unital
 from quasifolkman.triangles import build_family, verify_nbhd_decomposition
 
-UNITAL_FIELDS = ("unital_points", "secants", "tangents", "secant_points",
-                 "point_secant_count", "point_tangent_count")
+UNITAL_FIELDS = ("unital_points", "secants", "secant_points")
 
 
 @pytest.fixture(scope="module", params=[5, 7])
@@ -35,7 +34,7 @@ def test_build_unital_matches_whole_incidence(monkeypatch, q, block):
     if block is not None:
         monkeypatch.setattr(plane_module, "INCIDENCE_BLOCK", block)
     pl = ProjectivePlane(QuadraticExtension(q))
-    got, want = build_unital(pl), build_unital_whole(pl)
+    got, (want, _) = build_unital(pl), build_unital_whole(pl)
     for name in UNITAL_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name

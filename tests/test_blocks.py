@@ -4,20 +4,26 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import assignment_value, find_k4, random_block_incidences, triangle_edge_matrix
+from oracles import (
+    assignment_value,
+    blowup,
+    blowup_concentration_log_bound,
+    canonical_edges,
+    find_k4,
+    mcdiarmid_bound,
+    min_mono_blowup,
+    random_block_incidences,
+    triangle_edge_matrix,
+)
 from quasifolkman.blocks import (
     AlonParams,
     ConstructionError,
     alon_parameters,
-    blowup,
-    blowup_concentration_log_bound,
     concentration_experiment,
     critical_delta,
     instance_seed,
     least_prime_power_at_least,
     load_replacement,
-    mcdiarmid_bound,
-    min_mono_blowup,
     quantitative_bound,
     random_block,
     replacement_from_edges,
@@ -26,7 +32,6 @@ from quasifolkman.blocks import (
     deletion_margin,
     verify_star_instance,
 )
-from quasifolkman.certify import canonical_edges
 from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.triangles import build_family
 

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    canonical_edges,
     count_mono_triangles_direct,
+    flip_delta,
+    goodman_count_all_triangles,
     goodman_count_direct,
     maxcut_exhaustive,
     min_mono_edges,
@@ -20,16 +23,14 @@ from quasifolkman.certify import (
     EdgeColoring,
     adversarial_color_check,
     batch_mono_counts,
-    canonical_edges,
     clique_min_mono,
     goodman_count,
-    goodman_count_all_triangles,
     maxcut_exact,
     quasi_folkman_certificate,
     mono_lower_bound,
 )
 from quasifolkman.graphs import build_graph_for_q
-from quasifolkman.search import edge_triangle_index, flip_delta
+from quasifolkman.search import edge_triangle_index
 from quasifolkman.triangles import build_family
 
 

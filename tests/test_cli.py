@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from quasifolkman import cli
 from quasifolkman.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
 
 
@@ -98,6 +99,39 @@ def test_simulate_parallel_workers_match_serial(tmp_path):
     assert rc == EXIT_PASS
     ser = json.loads((tmp_path / "simulate_q2_edge.json").read_text())
     assert par["report"]["instances"] == ser["report"]["instances"]
+
+
+def test_simulate_caps_worker_processes_at_the_trials(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    runs = {}
+    for threads in ("64", "1"):
+        out = tmp_path / threads
+        argv = ["simulate", "--q", "2", "--F", "edge", "--trials", "3", "--threads", threads, "--out", str(out)]
+        assert main(argv) == EXIT_INCONCLUSIVE
+        runs[threads] = {
+            "report": json.loads((out / "simulate_q2_edge.json").read_text())["report"],
+            "certs": _strip_timestamps(json.loads((out / "simulate_q2_edge_certs.json").read_text()))["certificates"],
+        }
+    assert sizes == [3]
+    assert runs["64"] == runs["1"]
 
 
 def test_search_q3(tmp_path):

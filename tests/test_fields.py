@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import field_mul
 from quasifolkman.fields import (
     FieldError,
     FiniteField,
@@ -34,28 +35,24 @@ def test_gf4_x_times_x():
     f = FiniteField(2, 2)
     x = f.code_of((0, 1))
     assert x == 2
-    assert f.mul(x, x) == 3 and f.coeffs_of(3) == (1, 1)  # x^2 = x + 1 mod x^2+x+1
+    assert f.mul_table[x, x] == 3 and f.coeffs_of(3) == (1, 1)  # x^2 = x + 1 mod x^2+x+1
 
 
 @pytest.mark.parametrize("make", FIELDS)
 def test_field_axioms_exhaustive(make):
     f = make()
     s = f.order
-    elems = list(range(s))
-    one, zero = 1, 0
-    for a in elems:
-        assert f.add(a, zero) == a
-        assert f.mul(a, one) == a
-        assert f.add(a, f.neg(a)) == zero
-        assert f.sub(a, a) == zero
-        if a != 0:
-            assert f.mul(a, f.inv(a)) == one
-    for a in elems:
-        for b in elems:
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-    # associativity and distributivity via vectorized tables
     add, mul = f.add_table, f.mul_table
+    elems = np.arange(s)
+    # identities 0 and 1, commutativity, and the exp/log products
+    assert np.array_equal(add[:, 0], elems) and np.array_equal(mul[:, 1], elems)
+    assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
+    assert np.array_equal(mul, field_mul(f, elems[:, None], elems[None, :]))
+    # negation: one zero in each row of sums; inverse: one 1 in each row of
+    # products of a nonzero element, none for zero
+    assert ((add == 0).sum(axis=1) == 1).all()
+    assert ((mul[1:] == 1).sum(axis=1) == 1).all() and not (mul[0] == 1).any()
+    # associativity and distributivity
     ab_c = add[add[:, :, None], np.arange(s)[None, None, :]]
     a_bc = add[np.arange(s)[:, None, None], add[None, :, :]]
     assert np.array_equal(ab_c, a_bc)
@@ -72,12 +69,6 @@ def test_orders_above_the_table_limit_are_rejected(make):
     # 2^13 = 8192 and 67^2 = 4489 exceed the 4096 elements the tables allow
     with pytest.raises(FieldError, match="exceeds"):
         make()
-
-
-def test_division_by_zero():
-    f = FiniteField(3, 1)
-    with pytest.raises(ZeroDivisionError):
-        f.div(1, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
@@ -126,12 +117,10 @@ def test_prime_power():
     assert prime_power(49) == (7, 2)
 
 
-def test_coeff_roundtrip_and_repr():
+def test_coeff_roundtrip():
     f = FiniteField(3, 2)
     assert f.code_of((2, 1)) == 5
     assert f.coeffs_of(5) == (2, 1)
     assert all(f.code_of(f.coeffs_of(c)) == c for c in range(f.order))
     with pytest.raises(FieldError):
         f.code_of((3, 0))
-    assert repr(f) == "GF(3^2)"
-    assert repr(FiniteField(7, 1)) == "GF(7)"

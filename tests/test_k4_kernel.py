@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import buekenhout_metz_unital, enumerate_k4, k4_violations
+from oracles import buekenhout_metz_unital, enumerate_k4, k4_violations, sampled_k4_upfront
 from quasifolkman import graphs as graphs_module
 from quasifolkman.cli import main
 from quasifolkman.fields import QuadraticExtension
@@ -94,6 +94,30 @@ def test_certificate_does_not_depend_on_the_block(monkeypatch, block):
     got = [verify_k4_structure(g, mode=mode, seed=5, samples=300).quantities for mode in ("exhaustive", "sampled")]
     assert got == want
     assert want[1]["violations"] > 0
+
+
+@pytest.mark.parametrize("q,bm,block,samples", [(3, True, 97, 1000), (5, False, None, 1000), (5, False, None, 1)])
+def test_sampled_certificate_matches_upfront_draws(monkeypatch, q, bm, block, samples):
+    # the edges are drawn block by block; a short last block must continue
+    # the stream of one upfront draw
+    g = bm_graph(q, 4, 0) if bm else build_graph_for_q(q)
+    if block is not None:
+        monkeypatch.setattr(graphs_module, "K4_EDGE_BLOCK", block)
+    got = verify_k4_structure(g, mode="sampled", seed=3, samples=samples).quantities
+    assert got == sampled_k4_upfront(g, 3, samples)
+
+
+def test_sampled_huge_count_draws_one_block_at_a_time(monkeypatch):
+    class FirstBlock(Exception):
+        pass
+
+    def first_block(g, e, onan_only=True):
+        raise FirstBlock(len(e))
+
+    monkeypatch.setattr(graphs_module, "edge_k4s", first_block)
+    with pytest.raises(FirstBlock) as exc:
+        verify_k4_structure(build_graph_for_q(2), mode="sampled", seed=0, samples=10**12)
+    assert exc.value.args == (graphs_module.K4_EDGE_BLOCK,)
 
 
 def test_buekenhout_metz_q5_fails_with_a_genuine_witness():

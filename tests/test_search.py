@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import goodman_count_direct
+from oracles import flip_delta, goodman_count_direct
 from quasifolkman import search
 from quasifolkman.certify import EdgeColoring, batch_mono_counts, goodman_count
 from quasifolkman.cli import EXIT_PASS, main
@@ -15,7 +15,6 @@ from quasifolkman.search import (
     AnnealSchedule,
     anneal,
     edge_triangle_index,
-    flip_delta,
     random_coloring_stats,
 )
 from quasifolkman.triangles import TriangleFamily, build_family
