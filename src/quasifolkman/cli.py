@@ -177,7 +177,8 @@ def cmd_certify(args) -> int:
         )
     )
 
-    mode = "exhaustive" if q <= 7 else "sampled"
+    # a sample of at least m draws costs more than checking every edge once
+    mode = "exhaustive" if q <= 7 or args.samples >= g.m else "sampled"
     certs.append(verify_k4_structure(g, mode=mode, seed=args.seed, samples=args.samples))
 
     fam = build_family(g)  # cross-checks counts internally
@@ -444,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="full structural + coloring-bound certification")
     common(p)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1 << 14, help="edges drawn for the K4 check when q > 7")
+    p.add_argument("--samples", type=int, default=1 << 14,
+                   help="edges drawn for the K4 check when q > 7; at least the edge count checks every edge instead")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="random block construction experiments")

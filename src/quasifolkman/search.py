@@ -11,12 +11,24 @@ delta(e) and moves delta(f) by +1 for each partner f that had e's old
 color, by -1 for the rest.  The tracked objective is revalidated against the
 Goodman count.  A final greedy descent flips the best-improving edge until a
 local minimum, ties to the lowest edge id: results are bit-reproducible from
-(seed, schedule).
+(seed, schedule).  The step loop runs in C (_anneal.c) when a compiler is
+available, on the same random stream; the numpy loop is its fallback and
+its reference.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import tempfile
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import mul
+from pathlib import Path
 
 import numpy as np
 
@@ -103,30 +115,9 @@ def anneal(
     obj = batch_mono_counts(fam, colors)
     best_obj = obj.copy()
     best_colors = colors.copy()
-    flat = colors.reshape(-1)  # a view: flips through it land in colors
-    starts = np.arange(restarts) * m
-    temp = schedule.initial_temperature
-    accepted = 0
-
-    with np.errstate(over="ignore", under="ignore"):
-        for step in range(schedule.steps):
-            edges = rng.integers(0, m, size=restarts)
-            deltas = _step_deltas(flat, starts, edges, part)
-            u = rng.random(restarts)
-            accept = (deltas <= 0) | (u < np.exp(-deltas / max(temp, 1e-300)))
-            if accept.any():
-                flat[(starts + edges)[accept]] ^= True
-                obj = obj + deltas * accept
-                accepted += int(accept.sum())
-                improved = obj < best_obj
-                if improved.any():
-                    best_obj[improved] = obj[improved]
-                    best_colors[improved] = colors[improved]
-            temp *= schedule.cooling
-            if revalidate_every and (step + 1) % revalidate_every == 0:
-                recount = batch_mono_counts(fam, colors)
-                if not np.array_equal(recount, obj):
-                    raise RuntimeError("incremental objective diverged from full recount")
+    kernel = _load_kernel()
+    loop = _numpy_loop if kernel is None else functools.partial(_compiled_loop, kernel)
+    accepted = loop(rng, fam, part, colors, obj, best_obj, best_colors, schedule, revalidate_every)
 
     if schedule.steps > 0:
         best_colors, best_obj = _greedy_descent(best_colors, best_obj, part)
@@ -154,6 +145,142 @@ def anneal(
         restarts=restarts,
         accepted=accepted,
     )
+
+
+def _numpy_loop(rng, fam, part, colors, obj, best_obj, best_colors, schedule, revalidate_every) -> int:
+    """The anneal steps in numpy: the fallback without a C compiler, and the
+    reference of the compiled loop.  Updates the arrays in place and returns
+    the number of accepted moves."""
+    restarts, m = colors.shape
+    flat = colors.reshape(-1)  # a view: flips through it land in colors
+    starts = np.arange(restarts) * m
+    temp = schedule.initial_temperature
+    accepted = 0
+
+    with np.errstate(over="ignore", under="ignore"):
+        for step in range(schedule.steps):
+            edges = rng.integers(0, m, size=restarts)
+            deltas = _step_deltas(flat, starts, edges, part)
+            u = rng.random(restarts)
+            accept = (deltas <= 0) | (u < np.exp(-deltas / max(temp, 1e-300)))
+            if accept.any():
+                flat[(starts + edges)[accept]] ^= True
+                obj += deltas * accept
+                accepted += int(accept.sum())
+                improved = obj < best_obj
+                if improved.any():
+                    best_obj[improved] = obj[improved]
+                    best_colors[improved] = colors[improved]
+            temp *= schedule.cooling
+            if revalidate_every and (step + 1) % revalidate_every == 0:
+                _revalidate(fam, colors, obj)
+    return accepted
+
+
+def _revalidate(fam, colors, obj):
+    recount = batch_mono_counts(fam, colors)
+    if not np.array_equal(recount, obj):
+        raise RuntimeError("incremental objective diverged from full recount")
+
+
+#: steps per call of the compiled loop; each call takes a table of
+#: ANNEAL_CHUNK x (q^2 + 1) accept thresholds
+ANNEAL_CHUNK = 4096
+
+
+def _compiled_loop(kernel, rng, fam, part, colors, obj, best_obj, best_colors, schedule, revalidate_every) -> int:
+    """_numpy_loop's steps, run by the C kernel in chunks that end at every
+    revalidation.  The kernel draws from rng's own bit generator in numpy's
+    order, and tests u < exp(-d / T) against a table of numpy's exp values
+    for d = 0..q^2, one row per step, so seeded results are bit-identical."""
+    restarts, m = colors.shape
+    if not (obj.dtype == best_obj.dtype == np.int64
+            and colors.flags.c_contiguous and best_colors.flags.c_contiguous):
+        raise TypeError("the compiled loop needs int64 objectives and C-ordered colorings")
+    part = np.ascontiguousarray(part, dtype=np.int32)
+    d = np.arange(part.shape[1] // 2 + 1)
+    edges, u = np.empty(restarts, dtype=np.int64), np.empty(restarts)
+    arrays = [a.ctypes.data for a in (colors, obj, best_obj, best_colors, part)]
+    temp = schedule.initial_temperature
+    accepted = step = 0
+    while step < schedule.steps:
+        n = min(ANNEAL_CHUNK, schedule.steps - step)
+        if revalidate_every:
+            n = min(n, revalidate_every - step % revalidate_every)
+        # the numpy loop's own temp *= cooling sequence
+        *temps, temp = accumulate(repeat(schedule.cooling, n), mul, initial=temp)
+        with np.errstate(over="ignore", under="ignore"):
+            thr = np.exp(-d / np.maximum(temps, 1e-300)[:, None])
+        with rng.bit_generator.lock:
+            accepted += kernel.anneal_steps(
+                rng.bit_generator.ctypes.bit_generator, *arrays, restarts, m,
+                part.shape[1], n, thr.ctypes.data, edges.ctypes.data, u.ctypes.data,
+            )
+        step += n
+        if revalidate_every and step % revalidate_every == 0:
+            _revalidate(fam, colors, obj)
+    return accepted
+
+
+_KERNEL_SOURCE = Path(__file__).with_name("_anneal.c")
+
+
+@functools.cache
+def _load_kernel():
+    """The compiled step loop, built on first use; None without a working
+    C compiler.  The library is cached under $XDG_CACHE_HOME (or ~/.cache)
+    /quasifolkman, keyed by the source, the numpy version and the machine,
+    and written under a temporary name first, so concurrent builds are safe.
+    An unwritable cache gets a build in a per-process temporary directory."""
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+    except OSError:
+        return None
+    key = hashlib.sha256(source + np.__version__.encode() + platform.machine().encode()).hexdigest()
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "quasifolkman"
+    target = cache / f"anneal-{key}.so"
+    if target.exists():
+        return _open_kernel(target)
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        return None
+    try:
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=cache)
+        os.close(fd)
+    except OSError:
+        with tempfile.TemporaryDirectory(prefix="quasifolkman-") as scratch:
+            # the loaded mapping outlives the deleted file
+            path = Path(scratch) / target.name
+            return _open_kernel(path) if _compile(compiler, path) else None
+    if not _compile(compiler, Path(tmp)):
+        Path(tmp).unlink(missing_ok=True)
+        return None
+    os.replace(tmp, target)
+    return _open_kernel(target)
+
+
+def _compile(compiler: str, out: Path) -> bool:
+    import subprocess  # here, so that commands that never build do not load it
+
+    cmd = [compiler, "-O2", "-shared", "-fPIC", "-I", np.get_include(), str(_KERNEL_SOURCE), "-o", str(out)]
+    try:
+        return subprocess.run(cmd, capture_output=True, timeout=120).returncode == 0
+    except (OSError, subprocess.SubprocessError):
+        return False
+
+
+def _open_kernel(path: Path):
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.anneal_steps.restype = i64
+    lib.anneal_steps.argtypes = [ptr] * 6 + [i64] * 4 + [ptr] * 3
+    lib.draw_edges.restype = None
+    lib.draw_edges.argtypes = [ptr, ctypes.c_uint64, i64, ptr]
+    return lib
 
 
 def _greedy_descent(colors, obj, part):

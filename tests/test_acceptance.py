@@ -274,6 +274,8 @@ def test_criterion_11_search_soundness(g3, fam3, g4, fam4):
         seed=2024, restarts=32,
     )
     ok_bound = res.best.objective >= 4160 and int(res.objectives.min()) >= 4160
+    # the seeded run itself, as measured before the loop was compiled
+    ok_pinned = res.best.objective == 4181 and res.accepted == 3_730_921
 
     # 1e5 randomized incremental-vs-recount checks at q=3, recounting
     # after every flip
@@ -291,6 +293,7 @@ def test_criterion_11_search_soundness(g3, fam3, g4, fam4):
             break
     report(
         11,
-        ok_bound and ok_delta,
-        f"anneal best {res.best.objective} >= 4160; 1e5 flips track recounts exactly",
+        ok_bound and ok_pinned and ok_delta,
+        f"anneal best {res.best.objective} >= 4160 with {res.accepted} accepted moves "
+        "(pinned: 4181, 3730921); 1e5 flips track recounts exactly",
     )

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from quasifolkman import cli
+from quasifolkman.certificates import Certificate
 from quasifolkman.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
+from quasifolkman.graphs import build_graph_for_q
 
 
 def test_build_q4(tmp_path):
@@ -206,6 +208,22 @@ def test_certify_zero_k4_samples_inconclusive(tmp_path):
     assert family["quantities"]["spot_vertices"] == 64
     assert family["quantities"]["explicit_checked"] is False
 
+
+
+def test_certify_samples_past_the_edge_count_check_every_edge(tmp_path, monkeypatch):
+    # a sample of m or more draws would cost more than the exhaustive sweep
+    m = build_graph_for_q(8).m
+    calls = []
+
+    def spy(g, mode, seed, samples):
+        calls.append((mode, samples))
+        return Certificate(claim="every K4 has >= 3 vertices in a point clique", params={}, quantities={},
+                           outcome="pass")
+
+    monkeypatch.setattr(cli, "verify_k4_structure", spy)
+    for samples in (m, 10**12, m - 1):
+        assert main(["certify", "--q", "8", "--samples", str(samples), "--out", str(tmp_path)]) == EXIT_PASS
+    assert calls == [("exhaustive", m), ("exhaustive", 10**12), ("sampled", m - 1)]
 
 def test_certify_q13(tmp_path):
     rc = main(["certify", "--q", "13", "--out", str(tmp_path)])
