@@ -105,6 +105,13 @@ class UsageError(ValueError):
     """Bad input on the command line; main prints it as one line and exits 1."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports argparse's own errors as UsageError; subparsers share the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 #: the largest q of each command but certify, which runs at every q in
 #: SUPPORTED_Q: search's partner tables scale as m q^2; build, simulate and
 #: check-coloring build the edge tables, which check-coloring's streamed
@@ -425,7 +432,7 @@ def cmd_check_coloring(args) -> int:
 # ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="quasifolkman",
         description="Verification toolkit for Folkman-type properties of unital intersection graphs",
     )
@@ -480,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.seed < 0:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
         if args.threads < 1:

@@ -54,9 +54,6 @@ class SearchState:
 class AnnealResult:
     best: SearchState
     objectives: np.ndarray  # per restart
-    schedule: AnnealSchedule
-    seed: int
-    restarts: int
     accepted: int
 
 
@@ -85,14 +82,6 @@ def _step_deltas(flat: np.ndarray, starts: np.ndarray, edges: np.ndarray, part: 
     """delta(edges[j]) in chain j, whose coloring starts at flat[starts[j]]."""
     unlike = flat[starts[:, None] + part[edges]] != flat[starts + edges][:, None]
     return unlike.sum(axis=1) - part.shape[1] // 2
-
-
-def _flip(bits: np.ndarray, delta: np.ndarray, e: int, part: np.ndarray) -> None:
-    """Flip edge e of one coloring and update its delta vector in place."""
-    f = part[e]
-    delta[f] += np.where(bits[f] == bits[e], 1, -1)
-    delta[e] = -delta[e]
-    bits[e] ^= True
 
 
 def anneal(
@@ -137,14 +126,7 @@ def anneal(
     best = SearchState(
         coloring=EdgeColoring(g, best_colors[i].copy()), objective=int(best_obj[i])
     )
-    return AnnealResult(
-        best=best,
-        objectives=best_obj,
-        schedule=schedule,
-        seed=seed,
-        restarts=restarts,
-        accepted=accepted,
-    )
+    return AnnealResult(best=best, objectives=best_obj, accepted=accepted)
 
 
 def _numpy_loop(rng, fam, part, colors, obj, best_obj, best_colors, schedule, revalidate_every) -> int:
@@ -284,7 +266,9 @@ def _open_kernel(path: Path):
 
 
 def _greedy_descent(colors, obj, part):
-    """Flip each chain's most-improving edge, lowest id on ties, until none improves."""
+    """Flip each chain's most-improving edge, lowest id on ties, until none
+    improves.  Every live chain flips in the same round; an edge's partners
+    are distinct and never the edge, so no index of the update repeats."""
     delta = np.stack([(bits[part] != bits[:, None]).sum(axis=1) for bits in colors]) - part.shape[1] // 2
     live = np.arange(colors.shape[0])
     while live.size:
@@ -292,18 +276,18 @@ def _greedy_descent(colors, obj, part):
         gain = delta[live, pick]
         move = gain < 0
         live, pick, gain = live[move], pick[move], gain[move]
-        for j, e, d in zip(live, pick, gain):
-            _flip(colors[j], delta[j], e, part)
-            obj[j] += d
+        f = part[pick]
+        delta[live[:, None], f] += np.where(colors[live[:, None], f] == colors[live, pick][:, None], 1, -1)
+        delta[live, pick] = -gain
+        colors[live, pick] ^= True
+        obj[live] += gain
     return colors, obj
 
 
 @dataclass
 class RandomColoringStats:
-    trials: int
     mean_fraction: float
     stderr: float
-    expected: float = 0.25
 
 
 #: colorings per batch of random_coloring_stats; the shapes of the seeded
@@ -329,7 +313,6 @@ def random_coloring_stats(fam: TriangleFamily, trials: int, seed: int) -> Random
         fractions[done : done + b] = counts / fam.total
         done += b
     return RandomColoringStats(
-        trials=trials,
         mean_fraction=float(fractions.mean()),
         stderr=float(fractions.std(ddof=1) / np.sqrt(trials)),
     )

@@ -24,11 +24,13 @@ build_unital_whole and k4_clique_property_whole are the unblocked forms of
 build_unital and k4_clique_property: one lines x points incidence and one
 gather of every row.
 plane_incidence is the lines x points incidence of the whole plane, its
-products taken through the field's exp/log tables by field_mul, not
-through the mul_table that build_unital reads; it checks the plane axioms
-and the secants.  secant_incidence classifies the lines through a point
-set from it and returns the tangents and per-point tallies that
-UnitalIncidence does not keep.
+products taken by field_mul as polynomial products reduced mod the
+field's modulus, not through the mul_table that build_unital reads; it
+checks the plane axioms and the secants.  secant_incidence classifies the
+lines through a point set from it and returns the tangents and per-point
+tallies that UnitalIncidence does not keep.  least_irreducible finds the
+field modulus by trial division, the reference for the zero-divisor test
+with which FiniteField picks it.
 enumerate_k4 extends every triangle by the clique-extension scan, and
 k4_violations counts the K4s without the clique property: the exhaustive
 K4 check that graphs.verify_k4_structure's edge kernel replaced.
@@ -45,6 +47,7 @@ check 8); mcdiarmid_bound and blowup_concentration_log_bound, the
 bounded-differences tail bound and its closed form for the blocks.
 """
 
+import itertools
 import math
 from math import comb
 
@@ -614,11 +617,39 @@ def classify_triangle(g, a, b, c):
 
 
 def field_mul(fld, a, b):
-    """Products of field codes through the exp/log tables, broadcast; the
-    scalar multiply that mul_table tabulates."""
+    """Products of field codes, broadcast: the digit polynomials of a and b
+    multiplied term by term over GF(p) and reduced mod fld.modulus by long
+    division; the product that mul_table tabulates, sharing nothing with it."""
+    p, k, f = fld.p, fld.k, fld.modulus
     a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-    prod = fld._exp[fld._log[a] + fld._log[b]]
-    return np.where((a == 0) | (b == 0), 0, prod)
+    da = [a // p**i % p for i in range(k)]
+    db = [b // p**i % p for i in range(k)]
+    prod = [sum(da[i] * db[d - i] for i in range(k) if 0 <= d - i < k) % p for d in range(2 * k - 1)]
+    for d in range(2 * k - 2, k - 1, -1):  # x^d = x^(d-k) (x^k - f)
+        for j in range(k):
+            prod[d - k + j] = (prod[d - k + j] - prod[d] * f[j]) % p
+    return sum(prod[i] * p**i for i in range(k))
+
+
+def _poly_rem(a, m, p):
+    """Coefficients of a mod the monic m over GF(p), little-endian."""
+    a = list(a)
+    for d in range(len(a) - 1, len(m) - 2, -1):
+        for j in range(len(m)):
+            a[d - len(m) + 1 + j] = (a[d - len(m) + 1 + j] - a[d] * m[j]) % p
+    return a[: len(m) - 1]
+
+
+def least_irreducible(p, k):
+    """The lexicographically least monic irreducible of degree k over GF(p),
+    constant coefficient most significant, little-endian: the first
+    candidate that no monic polynomial of degree 1..k/2 divides."""
+
+    def monic(d):
+        return [lower + (1,) for lower in itertools.product(range(p), repeat=d)]
+
+    divisors = [m for d in range(1, k // 2 + 1) for m in monic(d)]
+    return next(f for f in monic(k) if all(any(_poly_rem(f, m, p)) for m in divisors))
 
 
 def plane_incidence(plane, points=None):

@@ -369,6 +369,19 @@ def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["certify"], ["certify", "--q", "x"], ["search", "--q", "4", "--bogus", "1"], ["frobnicate"]],
+)
+def test_argparse_errors_are_one_line_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    rc = main([*argv, "--out", str(out)])
+    assert rc == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and not captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", ["file", "file/sub"])
 def test_out_naming_a_file_is_a_one_line_error(tmp_path, capsys, out):
     (tmp_path / "file").write_text("")

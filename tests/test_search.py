@@ -33,8 +33,10 @@ def oracle_batch_deltas(colors, edges, a1, a2):
 
 
 def oracle_greedy_descent(colors, obj, a1, a2):
-    """Greedy polish that recomputes every delta of every live chain per move."""
+    """Greedy polish that recomputes every delta of every live chain per
+    move.  Returns the colorings, the objectives and each chain's move count."""
     live = np.ones(colors.shape[0], dtype=bool)
+    moves = np.zeros(colors.shape[0], dtype=np.int64)
     while live.any():
         c1 = colors[live][:, a1]
         c2 = colors[live][:, a2]
@@ -47,9 +49,10 @@ def oracle_greedy_descent(colors, obj, a1, a2):
             if d < 0:
                 colors[j, e] ^= True
                 obj[j] += d
+                moves[j] += 1
             else:
                 live[j] = False
-    return colors, obj
+    return colors, obj, moves
 
 
 def fresh_deltas(bits, a1, a2):
@@ -118,10 +121,18 @@ def _pre_polish_states(q, seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_polish_matches_recompute_all_oracle(q, seed, setup3, setup4):
     g, fam, (a1, a2) = setup3 if q == 3 else setup4
-    colors, obj = _pre_polish_states(q, seed)
-    want_colors, want_obj = oracle_greedy_descent(colors.copy(), obj.copy(), a1, a2)
+    hot, hot_obj = _pre_polish_states(q, seed)
+    # chains that stop at different rounds: the hot-stopped ones, their local
+    # minima (no move at all) and those minima with a few edges flipped
+    minima = oracle_greedy_descent(hot.copy(), hot_obj.copy(), a1, a2)[0]
+    nudged = minima.copy()
+    nudged[:, np.random.default_rng(seed).choice(g.m, 4, replace=False)] ^= True
+    colors = np.vstack((hot, minima, nudged))
+    obj = batch_mono_counts(fam, colors)
+    want_colors, want_obj, moves = oracle_greedy_descent(colors.copy(), obj.copy(), a1, a2)
     got_colors, got_obj = search._greedy_descent(colors.copy(), obj.copy(), np.hstack((a1, a2)))
-    assert not np.array_equal(want_colors, colors)  # the polish had moves to make
+    assert (moves[: len(hot)] > 0).all() and (moves[len(hot) : 2 * len(hot)] == 0).all()
+    assert len(set(moves.tolist())) > 2
     assert np.array_equal(got_colors, want_colors)
     assert np.array_equal(got_obj, want_obj)
     assert np.array_equal(batch_mono_counts(fam, got_colors), got_obj)
@@ -153,7 +164,12 @@ def test_maintained_delta_vector_matches_fresh(setup3, seed, flips):
     for e in (f % g.m for f in flips):
         d = flip_delta(bits, e, a1, a2)
         assert d == delta[e]
-        search._flip(bits, delta, e, part)
+        # the polish's update: delta(e) negates, and each partner moves by
+        # +1 if it had e's old color, by -1 if not
+        f = part[e]
+        delta[f] += np.where(bits[f] == bits[e], 1, -1)
+        delta[e] = -delta[e]
+        bits[e] ^= True
         after = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
         assert after - count == d
         count = after
