@@ -121,9 +121,10 @@ Q_LIMIT = {"build": 11, "simulate": 11, "search": 5, "check-coloring": 13}
 
 def _check_q(args) -> None:
     q = args.q
-    if prime_power(q) is None:
-        raise UsageError(f"q must be a prime power, got {q}")
     if q not in SUPPORTED_Q:
+        # prime_power divides by trial up to sqrt(q): ask it only below the range's end
+        if q < SUPPORTED_Q[-1] and prime_power(q) is None:
+            raise UsageError(f"q must be a prime power, got {q}")
         raise UsageError(f"q = {q} exceeds the verification range {SUPPORTED_Q}")
     if q > Q_LIMIT.get(args.command, q):
         raise UsageError(f"{args.command} supports --q up to {Q_LIMIT[args.command]}, got {q}")
@@ -513,6 +514,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_FAIL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
 

@@ -145,6 +145,23 @@ class IntersectionGraph:
         distinct unital points."""
         return self.clique_edges[P, self._pair[self.pos[P, A], self.pos[P, B]]]
 
+    def edge_ends(self, e):
+        """The meet point X and the ends a < b of the clique-major edges e:
+        edge e is pair e % C(q^2, 2), in triu order, of X = e // C(q^2, 2)."""
+        X, t = np.divmod(e, self.m // len(self.cliques))
+        iu, iv = np.triu_indices(self.cliques.shape[1], k=1)
+        return X, self.cliques[X, iu[t]], self.cliques[X, iv[t]]
+
+    def edge_points(self, e):
+        """edge_ends(e), then the q points P_i of a and Q_j of b other than
+        X, shapes (len(e), q, 1) and (len(e), 1, q).  The q^2 thirds
+        cliques[P, pos[P, Q]] are the common neighbours of a and b off X."""
+        X, a, b = self.edge_ends(e)
+        P, Q = self.vertex_cliques[a], self.vertex_cliques[b]
+        P = P[P != X[:, None]].reshape(len(e), self.q, 1)
+        Q = Q[Q != X[:, None]].reshape(len(e), 1, self.q)
+        return X, a, b, P, Q
+
     def edge_tables(self) -> tuple[np.ndarray, ...]:
         """(eu, ev, clique_edges), built on first use.  The edges are the
         secant pairs inside the point cliques, clique-major; one sort of
@@ -378,13 +395,11 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     mu_expected = (q + 1) ** 2
     rng = np.random.default_rng(SRG_SPOT_SEED)
     half = SRG_SPOT_PAIRS // 2
-    # edge e is pair e % C(q^2, 2), in triu order, of point clique e // C(q^2, 2)
-    c, t = np.divmod(rng.integers(0, g.m, size=half), g.m // len(cl))
-    iu, iv = np.triu_indices(cl.shape[1], k=1)
+    _, eu, ev = g.edge_ends(rng.integers(0, g.m, size=half))
     a = rng.integers(0, g.n, size=half)
     b = (a + rng.integers(1, g.n, size=half)) % g.n
-    u = np.concatenate([cl[c, iu[t]], a])
-    v = np.concatenate([cl[c, iv[t]], b])
+    u = np.concatenate([eu, a])
+    v = np.concatenate([ev, b])
     common = np.concatenate([
         popcount_rows(common_neighbors(g.words, part)) for part in row_blocks(np.stack([u, v], axis=1), g.words)
     ])
@@ -428,51 +443,35 @@ def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def edge_k4s(g: IntersectionGraph, e: np.ndarray, onan_only: bool = True) -> tuple[int, np.ndarray, np.ndarray]:
+def edge_k4s(g: IntersectionGraph, e: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """The K4s {a, b, c, d} through the edges e whose c and d lie off the
-    edge's point clique: the number found, and for each one reported (only
-    the O'Nan ones if onan_only) its row in e and its vertices a, b, c, d.
+    edge's point clique X: the number found, and the row in e and the
+    vertices a, b, c, d of each O'Nan one.
 
-    Edge e is pair e % C(q^2, 2), in triu order, of the point clique of
-    X = e // C(q^2, 2), as in verify_srg's spot check.  With P_i the points
-    of a other than X and Q_j those of b, the q^2 thirds c_ij =
-    cliques[P_i, pos[P_i, Q_j]] are the common neighbours of a and b off X.
-    Two thirds meet where they share a point, so every pair inside a run of
-    the sorted points of an edge's thirds is a K4: concurrent at a run at
-    some P_i or Q_j, an O'Nan configuration at a run anywhere else."""
+    Two of the thirds c_ij (edge_points) meet where they share a point.
+    c_ij meets a only at P_i and b only at Q_j, so the q thirds at each P_i
+    and at each Q_j make the q^2(q-1) concurrent K4s of every edge.  Any
+    two thirds that share one of their q-1 points off a and b are an O'Nan
+    configuration; sorting each edge's (point, third) keys makes them
+    neighbours."""
     q, k = g.q, g.cliques.shape[1]
-    X, t = np.divmod(e, g.m // len(g.cliques))
-    iu, iv = np.triu_indices(k, k=1)
-    a, b = g.cliques[X, iu[t]], g.cliques[X, iv[t]]
-    P, Q = g.vertex_cliques[a], g.vertex_cliques[b]
-    P = P[P != X[:, None]].reshape(len(e), q, 1)
-    Q = Q[Q != X[:, None]].reshape(len(e), 1, q)
-    thirds = g.cliques[P, g.pos[P, Q]]
-    pts = g.vertex_cliques[thirds]
-    # sort key: the point, then whether it lies on a or b, then the third
-    on_ab = (pts == P[..., None]) | (pts == Q[..., None])
-    key = ((2 * pts + on_ab) * k + np.arange(k, dtype=np.int32).reshape(q, q, 1)).reshape(len(e), -1)
+    _, a, b, P, Q = g.edge_points(e)
+    thirds = g.cliques[P, g.pos[P, Q]].reshape(len(e), k)
+    pts = g.vertex_cliques[thirds].reshape(len(e), q, q, q + 1)
+    pts = pts[(pts != P[..., None]) & (pts != Q[..., None])].reshape(len(e), k * (q - 1))
+    key = pts * k + np.arange(k, dtype=np.int32).repeat(q - 1)
     key.sort(axis=1)
     point = key // k
-    r, s = np.nonzero(point[:, 1:] == point[:, :-1])
-    s += 1
-    # run[i]: how many incidences of its run precede incidence (r[i], s[i])
-    flat = r * key.shape[1] + s
-    i = np.arange(len(flat))
-    starts = np.ones(len(flat), dtype=bool)
-    starts[1:] = flat[1:] != flat[:-1] + 1
-    run = i + 1 - np.maximum.accumulate(np.where(starts, i, 0))
-    found = int(run.sum())
-    if onan_only:
-        off = point[r, s] % 2 == 0
-        r, s, run = r[off], s[off], run[off]
-    # pair each incidence with every earlier one in its run
-    rows = np.repeat(r, run)
-    later = np.repeat(s, run)
-    earlier = later - 1 - (np.arange(len(rows)) - np.repeat(np.cumsum(run) - run, run))
-    thirds = thirds.reshape(len(e), k)
+    # the keys s apart share a point for every run longer than s
+    pairs = [np.empty((0, 3), dtype=np.intp)]
+    for s in range(1, key.shape[1]):
+        r, i = np.nonzero(point[:, s:] == point[:, :-s])
+        if not len(r):
+            break
+        pairs.append(np.column_stack([r, i + s, i]))
+    rows, later, earlier = np.concatenate(pairs).T
     c, d = (thirds[rows, key[rows, col] % k] for col in (later, earlier))
-    return found, rows, np.stack([a[rows], b[rows], c, d], axis=1)
+    return len(e) * k * (q - 1) + len(rows), rows, np.stack([a[rows], b[rows], c, d], axis=1)
 
 
 def verify_k4_structure(

@@ -60,22 +60,15 @@ class AnnealResult:
 def edge_triangle_index(fam: TriangleFamily) -> tuple[np.ndarray, np.ndarray]:
     """Partner-edge tables A1, A2 of shape (m, q^2): row e lists, ascending,
     for each non-degenerate triangle {u, v, w} on edge e = (u, v), the
-    indices of edges (u, w) and (v, w).  They invert the Goodman rows, any
-    two entries of which span a family triangle: e lies in q rows of apex u,
-    whose other entries are its A1 partners, and in q of apex v (A2)."""
+    indices of edges (u, w) and (v, w).  The thirds w are those of
+    IntersectionGraph.edge_points: w meets u at P_i and v at Q_j."""
     g = fam.graph
-    q = g.q
-    ce = fam.clique_edge_matrix()
-    slots = np.arange(q + 1)
-    others = ce[:, [np.delete(slots, i) for i in slots]].reshape(-1, q)
-    e = ce.ravel()
-    apex = np.arange(len(e)) // (len(e) // g.n)
-    key = 2 * e + (apex != g.eu[e])
-    if not np.array_equal(np.bincount(key, minlength=2 * g.m), np.full(2 * g.m, q)):
-        raise RuntimeError("an edge is not in q Goodman rows at each of its ends")
-    part = others[np.argsort(key, kind="stable")].reshape(g.m, 2, q * q)
+    X, _, _, P, Q = g.edge_points(np.arange(g.m))
+    X = X[:, None, None]
+    part = np.empty((2, g.m, g.q**2), dtype=np.int32)
+    part[:, g.clique_edges.ravel()] = np.stack([g.edge_at(P, X, Q), g.edge_at(Q, X, P)]).reshape(2, g.m, -1)
     part.sort(axis=2)
-    return part[:, 0], part[:, 1]
+    return part[0], part[1]
 
 
 def _step_deltas(flat: np.ndarray, starts: np.ndarray, edges: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -269,7 +262,9 @@ def _greedy_descent(colors, obj, part):
     """Flip each chain's most-improving edge, lowest id on ties, until none
     improves.  Every live chain flips in the same round; an edge's partners
     are distinct and never the edge, so no index of the update repeats."""
-    delta = np.stack([(bits[part] != bits[:, None]).sum(axis=1) for bits in colors]) - part.shape[1] // 2
+    delta = np.empty(colors.shape, dtype=np.int32)
+    for bits, row in zip(colors, delta):
+        row[:] = (bits[part] != bits[:, None]).sum(axis=1) - part.shape[1] // 2
     live = np.arange(colors.shape[0])
     while live.size:
         pick = delta[live].argmin(axis=1)

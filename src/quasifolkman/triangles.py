@@ -60,8 +60,9 @@ class TriangleFamily:
     def clique_edge_blocks(self):
         """Goodman rows, VERTEX_BLOCK vertices at a time: one row per (vertex,
         spanning clique) pair, entries the canonical indices of the q+1 edges
-        from the vertex into the clique.  Each block has shape
-        (block * (q^3-q), q+1), rows by vertex, then by point id."""
+        from the vertex into the clique, unsorted: the counts read no order.
+        Each block has shape (block * (q^3-q), q+1), rows by vertex, then by
+        point id."""
         g, q = self.graph, self.q
         for start in range(0, g.n, VERTEX_BLOCK):
             stop = min(start + VERTEX_BLOCK, g.n)
@@ -69,10 +70,7 @@ class TriangleFamily:
             # is the secant through Q and another point Q' of v
             pts = g.vertex_cliques[start:stop, None, :]
             off = g.off_points(np.arange(start, stop))[:, :, None]
-            e = g.edge_at(pts, np.roll(pts, 1, axis=2), off)
-            # the edges share v, so ascending ids list the members ascending
-            e.sort(axis=2)
-            yield e.reshape(-1, q + 1)
+            yield g.edge_at(pts, np.roll(pts, 1, axis=2), off).reshape(-1, q + 1)
 
     def clique_edge_matrix(self) -> np.ndarray:
         """All Goodman rows in one array, shape (n*(q^3-q), q+1), built anew

@@ -27,6 +27,24 @@ def test_build_rejects_non_prime_power(tmp_path, capsys):
     assert "prime power" in capsys.readouterr().err
 
 
+def test_q_outside_the_range_is_rejected_before_factoring(tmp_path, capsys, monkeypatch):
+    # 2^61 - 1 is prime: trial division up to its square root would run for hours
+    monkeypatch.setattr(cli, "prime_power", lambda q: pytest.fail(f"prime_power({q}) called"))
+    rc = main(["certify", "--q", str(2**61 - 1), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "exceeds the verification range" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_refused_allocation_is_a_one_line_error(tmp_path, capsys):
+    # 10^12 chains of m = 1008 colour bits: numpy refuses the 917 TiB at once
+    rc = main(["search", "--q", "3", "--restarts", str(10**12), "--out", str(tmp_path)])
+    assert rc == EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err.startswith("out of memory: ") and captured.err.count("\n") == 1
+
+
 def test_build_q3(tmp_path):
     rc = main(["build", "--q", "3", "--out", str(tmp_path)])
     assert rc == EXIT_PASS

@@ -29,9 +29,10 @@ def bm_graph(q, alpha, beta):
     return IntersectionGraph(q, unital.secant_points)
 
 
-def kernel_rows(g, onan_only):
-    """(edge, sorted quad) rows of every K4 the kernel reports, unique."""
-    found, rows, quads = edge_k4s(g, np.arange(g.m), onan_only=onan_only)
+def kernel_rows(g):
+    """The kernel's count at every edge, and the (edge, sorted quad) rows of
+    the O'Nan K4s it reports, unique."""
+    found, rows, quads = edge_k4s(g, np.arange(g.m))
     out = np.unique(np.column_stack([rows, np.sort(quads, axis=1)]), axis=0)
     assert len(out) == len(rows)
     return found, out
@@ -59,10 +60,9 @@ def oracle_rows(g):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_kernel_k4s_match_the_enumeration_at_every_edge(q):
     g = build_graph_for_q(q)
-    found, got = kernel_rows(g, onan_only=False)
-    assert found == len(got) == g.m * 2 * q * comb(q, 2)
-    assert np.array_equal(got, oracle_rows(g))
-    assert len(kernel_rows(g, onan_only=True)[1]) == 0
+    found, got = kernel_rows(g)
+    assert found == len(oracle_rows(g)) == g.m * 2 * q * comb(q, 2)
+    assert len(got) == 0
 
 
 def test_buekenhout_metz_q3_violations_match_the_oracle():
@@ -70,7 +70,7 @@ def test_buekenhout_metz_q3_violations_match_the_oracle():
     quads = enumerate_k4(g)
     want = quads[~k4_clique_property(g, quads)]
     assert len(want) == 324
-    _, got = kernel_rows(g, onan_only=True)
+    _, got = kernel_rows(g)
     assert np.array_equal(np.unique(got[:, 1:], axis=0), want)
     cert = verify_k4_structure(g, mode="exhaustive")
     assert cert.outcome == "fail"
@@ -81,7 +81,7 @@ def test_buekenhout_metz_q3_violations_match_the_oracle():
 def test_classical_buekenhout_metz_q3_has_no_violation():
     g = bm_graph(3, 0, 3)
     assert k4_violations(g, enumerate_k4(g)) == {"violations": 0}
-    assert len(kernel_rows(g, onan_only=True)[1]) == 0
+    assert len(kernel_rows(g)[1]) == 0
     cert = verify_k4_structure(g, mode="exhaustive")
     assert cert.outcome == "pass" and cert.quantities["violations"] == 0
 
@@ -111,7 +111,7 @@ def test_sampled_huge_count_draws_one_block_at_a_time(monkeypatch):
     class FirstBlock(Exception):
         pass
 
-    def first_block(g, e, onan_only=True):
+    def first_block(g, e):
         raise FirstBlock(len(e))
 
     monkeypatch.setattr(graphs_module, "edge_k4s", first_block)
