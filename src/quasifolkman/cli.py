@@ -378,7 +378,6 @@ def cmd_search(args) -> int:
     _check_q(args)
     if args.restarts < 1:
         raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
-    out = _out_dir(args)
     g = build_graph_for_q(args.q)
     fam = build_family(g)
     schedule = AnnealSchedule(
@@ -386,6 +385,8 @@ def cmd_search(args) -> int:
     )
     result = anneal(g, fam, schedule, seed=args.seed, restarts=args.restarts)
     stats = random_coloring_stats(fam, trials=max(args.stat_trials, 2), seed=args.seed)
+    # only now: a search that runs out of memory leaves no directory behind
+    out = _out_dir(args)
     (out / f"best_coloring_q{args.q}.txt").write_text(result.best.coloring.to_text())
     report = {
         "config": _run_config(args),

@@ -7,7 +7,8 @@ irreducible polynomial of degree k over GF(p).  The modulus is chosen
 deterministically (the lexicographically smallest monic irreducible,
 constant coefficient most significant), so element enumeration order is
 stable across runs: candidates are tried in that order, and the first
-whose product table has no zero divisors is irreducible.
+under which no nonzero code of degree <= k/2 is a zero divisor is
+irreducible.
 
 Every field is small enough for lookup tables: the full size-by-size
 add/mul tables (numpy arrays, for vectorized bulk work) are always built,
@@ -47,12 +48,13 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (p, k) if q == 1 else None
 
 
-def _mul_table(digits: np.ndarray, modulus: tuple[int, ...], p: int) -> np.ndarray:
-    """Codes of all products a*b in GF(p)[x]/(modulus) from the (code, i)
-    digit array: a*b is the sum of b_i * (a*x^i), digit by digit mod p."""
+def _mul_table(digits: np.ndarray, modulus: tuple[int, ...], p: int, rows: int | None = None) -> np.ndarray:
+    """Codes of the products a*b in GF(p)[x]/(modulus), for the first `rows`
+    codes a (all by default) and every code b, from the (code, i) digit
+    array: a*b is the sum of b_i * (a*x^i), digit by digit mod p."""
     k = digits.shape[1]
     low = np.array(modulus[:k])
-    shifted = [digits]  # digits of a*x^i for every code a
+    shifted = [digits[:rows]]  # digits of a*x^i for every code a
     for _ in range(k - 1):
         # times x: every digit moves up one place, and x^k = -(low terms)
         d = shifted[-1]
@@ -83,14 +85,15 @@ class FiniteField:
         self.order = order
         digits = np.arange(order)[:, None] // p ** np.arange(k) % p
         self.add_table = sum((digits[:, None, j] + digits[:, j]) % p * p**j for j in range(k)).astype(np.int32)
+        # a reducible modulus has a factor of degree <= k/2, a nonzero code
+        # below p^(k//2+1) that some nonzero code multiplies to 0
         for lower in itertools.product(range(p), repeat=k):
             if k > 1 and lower[0] == 0:
                 continue  # divisible by x
-            mul = _mul_table(digits, lower + (1,), p)
-            if mul[1:, 1:].all():
+            if _mul_table(digits, lower + (1,), p, p ** (k // 2 + 1))[1:, 1:].all():
                 break
         self.modulus = lower + (1,)
-        self.mul_table = mul
+        self.mul_table = _mul_table(digits, self.modulus, p)
 
 
 class QuadraticExtension(FiniteField):

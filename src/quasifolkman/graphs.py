@@ -13,9 +13,12 @@ checks this edge by edge from the incidence alone (edge_k4s); an O'Nan
 configuration shows up at each of its six edges, so running every edge is
 exhaustive.
 
-Triangles are enumerated by one scan, extend_cliques: each clique row gains
-every common neighbour above its last vertex, read off the AND of
-bit-packed adjacency rows.
+The graph is held as its incidence alone: vertex_cliques lists each
+secant's points, cliques each point's secants, and pos the point-pair ->
+secant table.  Adjacency is the meet test on vertex_cliques.  Only the
+triangle enumerations, which run at small q, pack adjacency rows, locally:
+extend_cliques extends each clique row by every common neighbour above its
+last vertex, read off the AND of bit-packed rows.
 """
 
 from __future__ import annotations
@@ -31,16 +34,13 @@ from .plane import UnitalIncidence
 #: q values the commands run at; cli.Q_LIMIT caps all but certify lower
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
-#: vertex pairs in verify_srg's spot check of the adjacency: half random
-#: edges, half random vertex pairs, drawn from SRG_SPOT_SEED
-SRG_SPOT_PAIRS = 100_000
-SRG_SPOT_SEED = 0
-#: rows per batch of gathered bit-packed adjacency rows
+#: rows per batch of k4_clique_property's incidence gathers
 SAMPLE_BLOCK = 1 << 14
 #: edges per block of verify_k4_structure's edge kernel
 K4_EDGE_BLOCK = 1 << 8
-#: bytes of bit-packed adjacency rows that one block of the clique-extension
-#: scan gathers; the rows per block follow from n
+#: bytes of rows that one block gathers: bit-packed adjacency rows in the
+#: clique-extension scan, rows of pos in verify_srg; the rows per block
+#: follow from n
 SCAN_BLOCK_BYTES = 1 << 22
 #: lines per block of the edge-list text.  Each block's Python ints and
 #: strings are freed but leave heap behind: at 2^16 lines check-coloring's
@@ -59,15 +59,15 @@ class IntersectionGraph:
     Attributes
     ----------
     n : vertex count, q^4 - q^3 + q^2.
-    words : (n, ceil(n/64)) uint64, the bit-packed adjacency rows (see
-        packed_rows): row v is the OR of the member masks of v's q+1 point
-        cliques with v's own bit cleared, the bitset form of N N^T - (q+1) I.
     cliques : (q^3+1, q^2) int32, sorted member lists of the point cliques
         (row i = secants through dense unital point i).
     vertex_cliques : (n, q+1) int32, the incidence itself: the sorted dense
         unital points (equivalently, point-clique ids) of each secant.
     pos : (q^3+1, q^3+1) int32, pos[P, A] is the position in P's clique of
         the secant through unital points P and A (-1 on the diagonal).
+
+    No adjacency is stored: adjacent is the meet test on vertex_cliques,
+    and adjacency_rows and adj scatter the point cliques into fresh rows.
 
     The edge tables below are built on first use (edge_tables); certify
     reads none of them at q >= 5.
@@ -114,30 +114,33 @@ class IntersectionGraph:
         iu, iv = np.triu_indices(k, k=1)
         self._pair = np.zeros((k, k), dtype=np.int32)
         self._pair[iu, iv] = self._pair[iv, iu] = np.arange(len(iu))
-
-        # row v: the OR of the member masks of v's point cliques, own bit cleared
-        member = np.zeros((npts, n), dtype=bool)
-        member[np.arange(npts)[:, None], self.cliques] = True
-        masks = packed_rows(member).view(np.uint64)
-        del member
-        self.words = masks[self.vertex_cliques[:, 0]]
-        for j in range(1, q + 1):
-            self.words |= masks[self.vertex_cliques[:, j]]
-        own = np.arange(n)
-        self.words.view(np.uint8)[own, own >> 3] &= ~(1 << (own & 7)).astype(np.uint8)
         self._edges: tuple[np.ndarray, ...] | None = None
 
     # -- lookups ------------------------------------------------------------
 
     def adjacent(self, u, v) -> np.ndarray:
-        """Whether u ~ v, elementwise: one bit test of the packed rows."""
-        v = np.asarray(v)
-        return (self.words.view(np.uint8)[u, v >> 3] >> (v & 7).astype(np.uint8) & 1).astype(bool)
+        """Whether u ~ v, elementwise: distinct secants that share a point."""
+        u, v = np.asarray(u), np.asarray(v)
+        meet = self.vertex_cliques[u][..., :, None] == self.vertex_cliques[v][..., None, :]
+        return (u != v) & meet.any(axis=(-2, -1))
+
+    def adjacency_rows(self, vs) -> np.ndarray:
+        """(len(vs), n) bool adjacency rows of the vertices vs, fresh: the
+        members of each one's q+1 point cliques, itself cleared."""
+        vs = np.asarray(vs)
+        rows = np.zeros((len(vs), self.n), dtype=bool)
+        rows[np.arange(len(vs))[:, None, None], self.cliques[self.vertex_cliques[vs]]] = True
+        rows[np.arange(len(vs)), vs] = False
+        return rows
 
     @property
     def adj(self) -> np.ndarray:
-        """(n, n) bool adjacency, a fresh copy unpacked from words; for small q."""
-        return unpack_rows(self.words, self.n)
+        """(n, n) bool adjacency, a fresh scatter of every point clique's
+        member pairs; for small q."""
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[self.cliques[:, :, None], self.cliques[:, None, :]] = True
+        np.fill_diagonal(adj, False)
+        return adj
 
     def edge_at(self, P, A, B):
         """Id of the edge at unital point P between the secants through
@@ -212,14 +215,6 @@ def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[:, iu].ravel(), rows[:, iv].ravel()
 
 
-def _each_pair_once(p: np.ndarray, r: np.ndarray, npts: int) -> bool:
-    """Whether the pairs (p < r) cover every unordered point pair exactly once."""
-    if not np.all(p < r):
-        return False
-    counts = np.bincount(p * npts + r, minlength=npts * npts).reshape(npts, npts)
-    return bool(np.all(counts[np.triu_indices(npts, k=1)] == 1))
-
-
 def build_graph(unital: UnitalIncidence) -> IntersectionGraph:
     """The intersection graph of the unital's secants, from the incidence data."""
     return IntersectionGraph(unital.q, unital.secant_points)
@@ -232,7 +227,8 @@ def build_graph_for_q(q: int) -> IntersectionGraph:
 
 
 # ----------------------------------------------------------------------
-# Bit-packed adjacency rows and the clique-extension scan
+# Bit-packed adjacency rows and the clique-extension scan, for the
+# triangle enumerations at small q
 # ----------------------------------------------------------------------
 
 def packed_rows(adj: np.ndarray) -> np.ndarray:
@@ -243,16 +239,6 @@ def packed_rows(adj: np.ndarray) -> np.ndarray:
     packed = np.zeros((adj.shape[0], -(-n // 64) * 8), dtype=np.uint8)
     packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
     return packed
-
-
-def unpack_rows(words: np.ndarray, count: int) -> np.ndarray:
-    """The first count bits of each row of packed uint64 words, as bool."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little").view(bool)
-
-
-def popcount_rows(packed: np.ndarray) -> np.ndarray:
-    """Set bits per row of a uint8 or uint64 array, int64."""
-    return np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
 
 
 def lowest_set_bit(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +261,7 @@ def common_neighbors(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def row_blocks(rows: np.ndarray, words: np.ndarray):
     """Consecutive slices of rows, each gathering about SCAN_BLOCK_BYTES of
-    packed rows per vertex column."""
+    rows of words (packed adjacency rows, or pos) per column."""
     step = max(1, SCAN_BLOCK_BYTES // words[0].nbytes)
     for s in range(0, len(rows), step):
         yield rows[s:s + step]
@@ -318,8 +304,7 @@ class SrgReport:
     lambda_observed: int | None
     mu_observed: int | None
     checks: dict[str, bool]
-    spot_pairs_adjacent: int
-    spot_pairs_nonadjacent: int
+    point_pairs: int
 
     @property
     def passed(self) -> bool:
@@ -328,94 +313,62 @@ class SrgReport:
     @property
     def coverage(self) -> dict:
         """How lambda and mu were established, for certificates."""
-        return {
-            "path": "design identity",
-            "spot_pairs_adjacent": self.spot_pairs_adjacent,
-            "spot_pairs_nonadjacent": self.spot_pairs_nonadjacent,
-        }
+        return {"path": "design identity", "point_pairs_checked": self.point_pairs}
 
 
 def verify_srg(g: IntersectionGraph) -> SrgReport:
-    """Strong regularity from the unital's design identity, plus a seeded
-    spot check of the packed adjacency rows.
+    """Strong regularity from the unital's design identity, its premises
+    checked exhaustively on the incidence.
 
-    Let N be the (n, q^3+1) secant-point incidence (vertex_cliques).  When
-    the rows are exactly the block graph of N, A = N N^T - (q+1) I.  Every secant
-    has q+1 points and every pair of unital points lies on exactly one
-    secant, so N^T N = J + (q^2-1) I and
+    Let N be the (n, q^3+1) secant-point incidence (vertex_cliques); the
+    graph is its block graph, A = N N^T - (q+1) I.  When every secant has
+    q+1 points and every pair of unital points lies on exactly one secant,
+    N^T N = J + (q^2-1) I and
 
         A^2 = (q+1)^2 J + (q-3)(q+1) (A + (q+1) I) + (q+1)^2 I,
 
     which gives lambda = 2q^2-2 and mu = (q+1)^2 for every pair at once
     (block graphs of Steiner 2-designs; Brouwer & Van Maldeghem, Strongly
-    Regular Graphs).  Those premises are checked exhaustively below.  The
-    spot check counts, in the rows themselves, the common neighbours of
-    SRG_SPOT_PAIRS pairs: half random edges, half random vertex pairs.
-    lambda_observed and mu_observed are reported only when all of it holds.
+    Regular Graphs).  lambda_observed and mu_observed are reported only when
+    every check holds.
 
-    Symmetry is read off the edge bits.  The m edges are the member pairs
-    a < b of the point cliques, distinct because no two secants share two
-    points (the constructor checks it).  If both bits of each are set and 2m
-    bits off the diagonal are set in all, the set bits are exactly those, a
-    symmetric set.  The pairs are tested a block of cliques at a time.
+    Every secant lists q+1 distinct points, and every member of clique P
+    passes through P.  For all points P != A, the secant cliques[P, pos[P,
+    A]] is then through P, and cliques[A, pos[A, P]] through A; where the
+    two agree, P and A lie on a common secant.  The n C(q+1, 2) = C(q^3+1, 2)
+    secant point pairs then cover every point pair exactly once.  So each
+    clique holds every secant through its point, and two point cliques share
+    exactly one vertex.  The gathers run over blocks of rows of pos,
+    SCAN_BLOCK_BYTES at a time.
     """
     q = g.q
+    cl, pos, vc = g.cliques, g.pos, g.vertex_cliques
+    npts = len(cl)
     n_expected = q**4 - q**3 + q**2
     d_expected = q**3 + q**2 - q - 1
-    degree = popcount_rows(g.words)
-    set_bits = int(degree.sum())
-    diagonal = g.adjacent(np.arange(g.n), np.arange(g.n))
-    edge_bits = mirror_bits = True
-    step = max(1, (SAMPLE_BLOCK << 4) // comb(g.cliques.shape[1], 2))  # about 2^18 pairs
-    for s in range(0, len(g.cliques), step):
-        a, b = row_pairs(g.cliques[s:s + step])
-        edge_bits &= bool(g.adjacent(a, b).all())
-        mirror_bits &= bool(g.adjacent(b, a).all())
+    on_point = share_one = True
+    for P in row_blocks(np.arange(npts), pos):
+        on_point &= bool((vc[cl[P]] == P[:, None, None]).any(axis=2).all())
+        # column P of pos: the position of each point's secant to P
+        share_one &= bool(np.array_equal(cl[P[:, None], pos[P]], cl[np.arange(npts), pos[:, P].T]))
     checks: dict[str, bool] = {}
     checks["vertex_count"] = g.n == n_expected
-    checks["regular_degree"] = bool(np.all(degree == d_expected))
-    checks["adjacency_symmetric"] = edge_bits and mirror_bits and set_bits - int(diagonal.sum()) == 2 * g.m
-    checks["adjacency_irreflexive"] = not diagonal.any()
     checks["edge_count"] = 2 * g.m == g.n * d_expected
-    # with symmetry, every edge of the incidence set in the rows and nothing
-    # else set makes them the block graph of N
-    checks["adjacency_is_block_graph"] = edge_bits and set_bits == 2 * g.m
-
-    # clique family statistics
-    cl = g.cliques
-    checks["clique_count"] = cl.shape[0] == q**3 + 1
+    checks["clique_count"] = npts == q**3 + 1
     checks["clique_order"] = cl.shape[1] == q * q
-    # two point cliques share exactly one vertex iff their two points lie
-    # on exactly one secant
-    checks["cliques_share_one_vertex"] = _each_pair_once(*row_pairs(g.vertex_cliques), len(cl))
-    checks["vertex_in_q_plus_1_cliques"] = g.vertex_cliques.shape[1] == q + 1
+    checks["vertex_in_q_plus_1_cliques"] = vc.shape[1] == q + 1 and bool(np.all(vc[:, :-1] < vc[:, 1:]))
+    checks["clique_members_on_point"] = on_point
+    checks["cliques_share_one_vertex"] = share_one
     checks["edges_partitioned_by_cliques"] = (q**3 + 1) * comb(q * q, 2) == g.m
-
-    lam_expected = 2 * q * q - 2
-    mu_expected = (q + 1) ** 2
-    rng = np.random.default_rng(SRG_SPOT_SEED)
-    half = SRG_SPOT_PAIRS // 2
-    _, eu, ev = g.edge_ends(rng.integers(0, g.m, size=half))
-    a = rng.integers(0, g.n, size=half)
-    b = (a + rng.integers(1, g.n, size=half)) % g.n
-    u = np.concatenate([eu, a])
-    v = np.concatenate([ev, b])
-    common = np.concatenate([
-        popcount_rows(common_neighbors(g.words, part)) for part in row_blocks(np.stack([u, v], axis=1), g.words)
-    ])
-    adjacent = g.adjacent(u, v)
-    checks["lambda"] = bool(np.all(common[adjacent] == lam_expected))
-    checks["mu"] = bool(np.all(common[~adjacent] == mu_expected))
     passed = all(checks.values())
     return SrgReport(
         q=q,
         n=g.n,
-        d=int(degree[0]),
-        lambda_observed=lam_expected if passed else None,
-        mu_observed=mu_expected if passed else None,
+        d=vc.shape[1] * (cl.shape[1] - 1),
+        lambda_observed=2 * q * q - 2 if passed else None,
+        mu_observed=(q + 1) ** 2 if passed else None,
         checks=checks,
-        spot_pairs_adjacent=int(adjacent.sum()),
-        spot_pairs_nonadjacent=int(len(adjacent) - adjacent.sum()),
+        point_pairs=comb(npts, 2),
     )
 
 
@@ -425,7 +378,7 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
 
 def enumerate_all_triangles(g: IntersectionGraph) -> np.ndarray:
     """All triangles (a < b < c), lexicographic: the edge list extended once."""
-    return extend_cliques(g.words, np.stack([g.eu, g.ev], axis=1))
+    return extend_cliques(packed_rows(g.adj).view(np.uint64), np.stack([g.eu, g.ev], axis=1))
 
 
 def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:

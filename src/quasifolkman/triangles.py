@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from .certificates import Certificate
-from .graphs import IntersectionGraph, enumerate_all_triangles, k4_clique_property, row_pairs, unpack_rows
+from .graphs import IntersectionGraph, enumerate_all_triangles, k4_clique_property, row_pairs
 from .graphs import verify_k4_structure
 
 EXPLICIT_Q_LIMIT = 4
@@ -83,9 +83,10 @@ def build_family(g: IntersectionGraph) -> TriangleFamily:
 
     Spanning-clique members are neighbours by the design: the secant
     cliques[P, pos[P, Q]], for P off v and Q on v, passes through Q and is
-    not v (the constructor's fill of pos checks the 2-design; verify_srg
-    checks that the rows are the block graph).  A fixed seeded sample of
-    VERTEX_BLOCK spot vertices is still tested against the rows, and for
+    not v (verify_srg checks the 2-design on cliques and pos).  For a fixed
+    seeded sample of VERTEX_BLOCK spot vertices, every member is still
+    tested against v's adjacency row, the members of the point cliques of
+    v's q+1 points, and for
     q <= EXPLICIT_Q_LIMIT a brute-force classification of all triangles,
     then kept explicitly, confirms the total."""
     q = g.q
@@ -99,8 +100,7 @@ def build_family(g: IntersectionGraph) -> TriangleFamily:
     sc = g.spanning_cliques(spot)
     if sc.shape != (len(spot), q**3 - q, q + 1):
         raise RuntimeError(f"spanning clique index has shape {sc.shape}")
-    # unpacked rows: g.adjacent's larger temporaries left search's peak RSS 2.5 MB higher in 5 of 18 runs
-    member_ok = unpack_rows(g.words[spot], g.n)[np.arange(len(spot))[:, None, None], sc].all(axis=(1, 2))
+    member_ok = g.adjacency_rows(spot)[np.arange(len(spot))[:, None, None], sc].all(axis=(1, 2))
     if not member_ok.all():
         raise RuntimeError(f"vertex {spot[member_ok.argmin()]}: a spanning-clique member is not a neighbor")
 
@@ -117,21 +117,32 @@ def build_family(g: IntersectionGraph) -> TriangleFamily:
                           spot_vertices=spot, triangles=triangles)
 
 
+def neighborhood_edges(g: IntersectionGraph, v: int) -> np.ndarray:
+    """The edges of H[N(v)] as ascending a*n + b keys, a < b, read from the
+    point cliques alone.  N(v) is the members of v's q+1 point cliques other
+    than v, and every edge lies in exactly one point clique, so the edges
+    are the member pairs, both in N(v), of each clique."""
+    hit = g.adjacency_rows([v])[0][g.cliques]
+    members, size = g.cliques[hit], hit.sum(axis=1)  # grouped by clique, ascending within
+    # member i pairs with the `later` members after it in its clique's group
+    later = np.repeat(np.cumsum(size), size) - np.arange(len(members)) - 1
+    i = np.repeat(np.arange(len(members)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    return np.sort(members[i].astype(np.int64) * g.n + members[j])
+
+
 def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
     """Check that H[N(v)] splits into the q+1 point-clique remnants of order
     q^2-1 plus the q^3-q spanning cliques of order q+1, every edge covered
     exactly once.
 
-    N(v)'s edges are sorted a*n + b keys; the cliques' pairs are looked up
-    among them with one searchsorted, and a bincount of the hits gives each
-    edge's cover count.  A covering pair that is not an edge of N(v) fails
-    the check and is reported as outside_witness."""
+    The decomposition's pairs, whose spanning cliques are read through pos,
+    are looked up among neighborhood_edges with one searchsorted, and a
+    bincount of the hits gives each edge's cover count.  A covering pair
+    that is not an edge of N(v) fails the check and is reported as
+    outside_witness."""
     q, n = g.q, g.n
-    nbrs = np.flatnonzero(unpack_rows(g.words[v:v + 1], n)[0])
-    a, b = row_pairs(nbrs[None])
-    keep = g.adjacent(a, b)
-    edges = a[keep].astype(np.int64) * n + b[keep]  # ascending: row-major over ascending nbrs
-
+    edges = neighborhood_edges(g, v)
     big = g.cliques[g.vertex_cliques[v]]
     remnant_sizes = (big != v).sum(axis=1)
     spanning = g.spanning_cliques(np.array([v]))[0]

@@ -2,10 +2,10 @@
 replaced, and the library functions no command calls that tests still use
 as references.
 
-They read the dense adjacency (unpacked from the packed rows, or scattered
-from the point cliques by dense_adjacency), the edge list and Python-int
+They read the dense adjacency (scattered from the point cliques by
+IntersectionGraph.adj or by dense_adjacency), the edge list and Python-int
 bitmask rows directly, so they share no logic with the design-identity SRG
-proof, the clique-extension scan, the K4 edge kernel or the
+proof, the meet test, the clique-extension scan, the K4 edge kernel or the
 incidence-based concurrency predicate.  maxcut_exhaustive enumerates every
 side assignment, the reference for the branch and bound.  The per-triangle
 Goodman count and the edge-list parser are the references for the
@@ -13,13 +13,14 @@ clique-row count and the edge-list export.  edge_index finds an edge by
 binary search over its u*n + v key, and edge_point scatters each point
 clique's id over its edges: the references for IntersectionGraph.edge_at.
 point_pair_secants fills the point-pair -> secant table by counting every
-pair, the reference for the cliques[P, pos[P, A]] gather.
+pair (_each_pair_once), the reference for the cliques[P, pos[P, A]]
+gather.
 random_block_incidences labels each (secant, point) incidence in place
 by one assignment_value call each, the reference for the clique-layout
 labels that blocks.random_block hashes in one pass.
-popcount_rows_table and lowest_set_bit_table read byte tables, the
-references for the word popcounts of graphs.popcount_rows and
-graphs.lowest_set_bit.
+lowest_set_bit_table reads a byte table, the reference for
+graphs.lowest_set_bit, which counts the bits below the lowest set one by
+word popcounts.
 build_unital_whole and k4_clique_property_whole are the unblocked forms of
 build_unital and k4_clique_property: one lines x points incidence and one
 gather of every row.
@@ -31,7 +32,8 @@ lines through a point set from it and returns the tangents and per-point
 tallies that UnitalIncidence does not keep.  least_irreducible finds the
 field modulus by trial division, the reference for the zero-divisor test
 with which FiniteField picks it.
-enumerate_k4 extends every triangle by the clique-extension scan, and
+enumerate_k4 extends every triangle by the clique-extension scan over
+rows it packs itself, and
 k4_violations counts the K4s without the clique property: the exhaustive
 K4 check that graphs.verify_k4_structure's edge kernel replaced.
 sampled_k4_upfront is its sampled mode from one upfront draw of the edges.
@@ -57,11 +59,11 @@ from quasifolkman.blocks import ConstructionError, _hash64
 from quasifolkman.certify import maxcut_exact
 from quasifolkman.graphs import (
     GraphError,
-    _each_pair_once,
     edge_k4s,
     enumerate_all_triangles,
     extend_cliques,
     k4_clique_property,
+    packed_rows,
     row_pairs,
 )
 from quasifolkman.plane import GeometryError, UnitalIncidence
@@ -88,6 +90,14 @@ def edge_point(g):
     ep = np.empty(g.m, dtype=np.int32)
     ep[g.clique_edges] = np.arange(len(g.cliques), dtype=np.int32)[:, None]
     return ep
+
+
+def _each_pair_once(p, r, npts):
+    """Whether the pairs (p < r) cover every unordered point pair exactly once."""
+    if not np.all(p < r):
+        return False
+    counts = np.bincount(p * npts + r, minlength=npts * npts).reshape(npts, npts)
+    return bool(np.all(counts[np.triu_indices(npts, k=1)] == 1))
 
 
 def point_pair_secants(points, npts):
@@ -141,14 +151,8 @@ def dense_adjacency(g):
     return adj
 
 
-#: byte tables: number of set bits, and index of the lowest set bit
-POPCOUNT_TABLE = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+#: byte table: index of the lowest set bit
 LOWBIT_TABLE = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
-
-
-def popcount_rows_table(packed):
-    """Set bits per row of a uint8 array, int64, by the byte table."""
-    return POPCOUNT_TABLE[packed].sum(axis=1, dtype=np.int64)
 
 
 def lowest_set_bit_table(words):
@@ -161,11 +165,6 @@ def lowest_set_bit_table(words):
     octets = word.view(np.uint8).reshape(-1, 8)
     byte = (octets != 0).argmax(axis=1)
     return first * 64 + byte * 8 + LOWBIT_TABLE[octets[rows, byte]], word != 0
-
-
-def flip_bit(g, u, v):
-    """Flip bit (u, v) of g's packed adjacency rows in place, one way only."""
-    g.words.view(np.uint8)[u, v >> 3] ^= np.uint8(1 << (v & 7))
 
 
 def verify_srg_dense(g, block=1024):
@@ -739,7 +738,7 @@ def k4_clique_property_whole(g, rows):
 
 def enumerate_k4(g):
     """All K4's (a < b < c < d), lexicographic: the triangles extended once."""
-    return extend_cliques(g.words, enumerate_all_triangles(g))
+    return extend_cliques(packed_rows(g.adj).view(np.uint64), enumerate_all_triangles(g))
 
 
 def k4_violations(g, quads):

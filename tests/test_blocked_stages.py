@@ -1,18 +1,22 @@
 """Differential tests: the blocked unital incidence and K4 clique test
 against their unblocked forms in oracles.py, and certify's structural path
-without the edge tables."""
+without the edge tables or packed adjacency rows."""
 
 import numpy as np
 import pytest
 
 from oracles import build_unital_whole, k4_clique_property_whole
+from quasifolkman import graphs as graphs_module
 from quasifolkman import plane as plane_module
+from quasifolkman.certify import EdgeColoring
+from quasifolkman.cli import main
 from quasifolkman.fields import QuadraticExtension
 from quasifolkman.graphs import (
     SAMPLE_BLOCK,
     build_graph_for_q,
     extend_cliques,
     k4_clique_property,
+    packed_rows,
     verify_k4_structure,
     verify_srg,
 )
@@ -49,7 +53,8 @@ def test_k4_clique_property_over_several_blocks(graph, width):
     if width == 4:
         start = int(np.random.default_rng(1).integers(0, graph.m - 500))
         edges = np.stack([graph.eu, graph.ev], axis=1)[start:start + 500]
-        quads = extend_cliques(graph.words, extend_cliques(graph.words, edges))
+        words = packed_rows(graph.adj).view(np.uint64)
+        quads = extend_cliques(words, extend_cliques(words, edges))
     rng = np.random.default_rng(width)
     rows = np.concatenate([quads, rng.integers(0, graph.n, size=(2 * SAMPLE_BLOCK + 3, width), dtype=np.int32)])
     got = k4_clique_property(graph, rows)
@@ -69,3 +74,18 @@ def test_certify_structural_path_never_builds_edge_tables():
     # the first reader builds them once
     assert g.edge_tables() is g.edge_tables()
     assert len(g.eu) == g.m
+
+
+@pytest.mark.parametrize("argv", [["certify"], ["build"], ["check-coloring"]], ids=lambda argv: argv[0])
+def test_commands_at_q5_never_pack_rows(monkeypatch, tmp_path, argv):
+    # only the triangle enumerations at q <= 4 pack adjacency rows
+    def refuse(adj):
+        raise AssertionError("packed_rows called")
+
+    monkeypatch.setattr(graphs_module, "packed_rows", refuse)
+    if argv[0] == "check-coloring":
+        g = build_graph_for_q(5)
+        coloring = tmp_path / "coloring.txt"
+        coloring.write_text(EdgeColoring.random(g, 1).to_text())
+        argv = [*argv, "--file", str(coloring)]
+    assert main([*argv, "--q", "5", "--out", str(tmp_path / "out")]) == 0

@@ -377,6 +377,7 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["check-coloring", "--q", "16", "--file", "no-such-coloring.txt"],
         ["certify", "--q", "17"],
         ["simulate", "--alon-k", "7", "--delta", "1e-200"],
+        ["search", "--q", "3", "--restarts", "1000000000000"],
     ],
 )
 def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):
@@ -430,6 +431,6 @@ def test_srg_certificates_name_path_and_coverage(tmp_path):
         assert cert["outcome"] == "pass"
         assert (qty["lambda"], qty["mu"]) == (16, 16)
         assert qty["path"] == "design identity"
-        assert qty["spot_pairs_adjacent"] + qty["spot_pairs_nonadjacent"] == 100_000
-        assert qty["spot_pairs_adjacent"] >= 50_000
-    assert build["quantities"]["check_adjacency_is_block_graph"] is True
+        assert qty["point_pairs_checked"] == 28 * 27 // 2
+    assert build["quantities"]["check_cliques_share_one_vertex"] is True
+    assert build["quantities"]["check_clique_members_on_point"] is True

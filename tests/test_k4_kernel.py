@@ -136,7 +136,6 @@ def test_buekenhout_metz_q5_fails_with_a_genuine_witness():
 
 def test_kernel_reads_only_the_incidence():
     g = build_graph_for_q(5)
-    del g.words
     per_edge = 2 * 5 * comb(5, 2)
     exhaustive = verify_k4_structure(g, mode="exhaustive")
     sampled = verify_k4_structure(g, mode="sampled", seed=1, samples=5000)

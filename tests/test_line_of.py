@@ -168,6 +168,10 @@ def test_edge_tables_are_built_on_first_use(unital):
 
 def test_srg_clique_intersections_match_oracle(graph):
     assert verify_srg(graph).checks["cliques_share_one_vertex"] is cliques_share_one_vertex_oracle(graph)
+    # a secant off point 0 takes the place of a member of its clique
+    g = IntersectionGraph(graph.q, graph.vertex_cliques)
+    g.cliques[0, 0] = next(v for v in range(g.n) if 0 not in g.vertex_cliques[v])
+    assert verify_srg(g).checks["cliques_share_one_vertex"] is cliques_share_one_vertex_oracle(g) is False
 
 
 def test_line_of_is_the_secant_through_both_points(graph):

@@ -1,6 +1,7 @@
-"""Differential tests: strong regularity from the design identity and the
-incidence-based K4 clique property against the dense oracles in
-oracles.py."""
+"""Differential tests: strong regularity from the design identity, the
+meet test and the incidence-based K4 clique property against the dense
+oracles in oracles.py, and the SRG check against tampered point-pair
+tables."""
 
 from types import SimpleNamespace
 
@@ -12,18 +13,16 @@ from hypothesis import strategies as st
 from oracles import (
     dense_adjacency,
     enumerate_k4,
-    flip_bit,
     k4_clique_property_edges,
     lowest_set_bit_table,
-    popcount_rows_table,
     verify_srg_dense,
 )
+from quasifolkman import graphs as graphs_module
 from quasifolkman.graphs import (
     build_graph_for_q,
     k4_clique_property,
     lowest_set_bit,
     packed_rows,
-    popcount_rows,
     verify_srg,
 )
 
@@ -40,90 +39,77 @@ def test_srg_matches_dense_scan(graph):
     assert passed and lam == 2 * graph.q**2 - 2 and mu == (graph.q + 1) ** 2
 
 
-@pytest.mark.parametrize("adjacent", [True, False])
-def test_srg_rejects_one_flipped_pair(adjacent):
+@pytest.mark.parametrize("table", ["pos", "cliques"])
+def test_srg_rejects_two_swapped_entries_of_one_row(table):
+    # pos: two points of different secants through P trade positions;
+    # cliques: two secants through P trade places in P's member list
     g = build_graph_for_q(3)
-    u = 0
-    v = int(np.flatnonzero(g.adj[u] == adjacent)[-1])
-    flip_bit(g, u, v)
-    flip_bit(g, v, u)
+    P = 4
+    row = getattr(g, table)[P]
+    if table == "pos":
+        A = next(a for a in range(len(g.cliques)) if a != P)
+        B = next(b for b in range(len(g.cliques)) if b != P and row[b] != row[A])
+        i, j = A, B
+    else:
+        i, j = 0, len(row) - 1
+    row[[i, j]] = row[[j, i]]
     rep = verify_srg(g)
-    assert not rep.passed
+    assert not rep.passed and not rep.checks["cliques_share_one_vertex"]
     assert rep.lambda_observed is None and rep.mu_observed is None
-    assert not rep.checks["adjacency_is_block_graph"]
-    # the common-neighbour spot check sees it on its own
-    assert not (rep.checks["lambda"] and rep.checks["mu"])
-    assert verify_srg_dense(g)[2] is False
+    assert verify_srg(build_graph_for_q(3)).passed
 
 
-def test_srg_rejects_set_diagonal_bit():
+def test_srg_rejects_a_member_off_its_point():
+    # a secant through another point replaces one member of P's clique
     g = build_graph_for_q(3)
-    flip_bit(g, 5, 5)
+    P = 0
+    g.cliques[P, 0] = next(v for v in range(g.n) if P not in g.vertex_cliques[v])
     rep = verify_srg(g)
-    assert not rep.passed
-    assert not rep.checks["adjacency_irreflexive"]
-    assert rep.checks["adjacency_symmetric"]
+    assert not rep.checks["clique_members_on_point"]
+    assert rep.lambda_observed is None and rep.mu_observed is None
 
 
-@pytest.mark.parametrize("first_row", [True, False])
-def test_srg_rejects_one_sided_bit(first_row):
-    # the extra bit sits in the first or the last row, its missing mirror
-    # at the far end of the rows
-    g = build_graph_for_q(7)
-    u = 0 if first_row else g.n - 1
-    v = int(np.flatnonzero(~g.adj[u])[-1 if first_row else 0])
-    assert min(u, v) < 64 and max(u, v) >= g.n - 64
-    flip_bit(g, u, v)
-    rep = verify_srg(g)
-    assert not rep.passed
-    assert not rep.checks["adjacency_symmetric"]
-    assert rep.checks["adjacency_irreflexive"]
+def test_srg_certificate_counts_the_point_pairs(graph):
+    rep = verify_srg(graph)
+    npts = graph.q**3 + 1
+    assert rep.coverage == {"path": "design identity", "point_pairs_checked": npts * (npts - 1) // 2}
+    assert rep.d == graph.q**3 + graph.q**2 - graph.q - 1
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_srg_does_not_depend_on_the_block(monkeypatch, block):
+    # one point row per block, and ragged blocks
+    g = build_graph_for_q(4)
+    monkeypatch.setattr(graphs_module, "SCAN_BLOCK_BYTES", block * g.pos[0].nbytes)
+    assert verify_srg(g).passed
+    g.pos[len(g.cliques) - 1, :2] = g.pos[len(g.cliques) - 1, 1::-1]
+    assert not verify_srg(g).passed
 
 
 def test_words_match_dense_clique_scatter(graph):
+    # the rows the triangle scans pack, the scatters and the meet test all
+    # give the dense oracle's adjacency: every pair at q <= 5, a stripe of
+    # rows at q = 7
     dense = dense_adjacency(graph)
-    assert graph.words.dtype == np.uint64
-    assert graph.words.shape == (graph.n, -(-graph.n // 64))
-    assert np.array_equal(graph.words, packed_rows(dense).view(np.uint64))
-    if graph.q <= 4:
-        assert np.array_equal(graph.adj, dense)
-        u, v = np.divmod(np.arange(graph.n**2), graph.n)
-        assert np.array_equal(graph.adjacent(u, v), dense.ravel())
+    words = packed_rows(graph.adj).view(np.uint64)
+    assert words.shape == (graph.n, -(-graph.n // 64))
+    assert np.array_equal(words, packed_rows(dense).view(np.uint64))
+    rows = np.arange(graph.n) if graph.q <= 5 else np.arange(0, graph.n, 97)
+    u, v = rows.repeat(graph.n), np.tile(np.arange(graph.n), len(rows))
+    assert np.array_equal(graph.adjacent(u, v), dense[rows].ravel())
+    assert np.array_equal(graph.adjacency_rows(rows), dense[rows])
 
 
 def test_packed_row_helpers_match_dense_rows():
     g = build_graph_for_q(3)
     packed = packed_rows(g.adj)
     assert packed.shape == (g.n, 8) and packed.dtype == np.uint8
-    assert np.array_equal(popcount_rows(packed), g.adj.sum(axis=1))
+    assert np.array_equal(np.unpackbits(packed, axis=1, count=g.n, bitorder="little").view(bool), g.adj)
     x, found = lowest_set_bit(packed.view(np.uint64))
     assert found.all()
     assert np.array_equal(x, g.adj.argmax(axis=1))
     x, found = lowest_set_bit(np.zeros((2, 3), dtype=np.uint64))
     assert not found.any()
-
-
-def test_symmetry_check_never_passes_an_asymmetric_perturbation():
-    # seeded one- and two-bit flips anywhere in the rows, padding included;
-    # half of the two-bit flips are a bit and its mirror
-    g = build_graph_for_q(3)
-    rng = np.random.default_rng(0)
-    passed = 0
-    for t in range(300):
-        flips = [(int(rng.integers(g.n)), int(rng.integers(64 * g.words.shape[1])))]
-        if t % 2:
-            flips.append(flips[0][::-1] if t % 4 == 1 and flips[0][1] < g.n
-                         else (int(rng.integers(g.n)), int(rng.integers(g.n))))
-        for u, v in flips:
-            flip_bit(g, u, v)
-        if verify_srg(g).checks["adjacency_symmetric"]:
-            passed += 1
-            adj = g.adj
-            assert np.array_equal(adj, adj.T), flips
-        for u, v in flips:
-            flip_bit(g, u, v)
-    assert 0 < passed < 300
-    assert verify_srg(g).passed
 
 
 _WORD = st.one_of(
@@ -139,9 +125,6 @@ _WORD = st.one_of(
     lambda w: st.lists(st.lists(_WORD, min_size=w, max_size=w), min_size=1, max_size=16)))
 def test_word_popcounts_match_byte_tables(rows):
     words = np.array(rows, dtype=np.uint64)
-    expect = popcount_rows_table(words.view(np.uint8))
-    assert np.array_equal(popcount_rows(words), expect)
-    assert np.array_equal(popcount_rows(words.view(np.uint8)), expect)
     x, found = lowest_set_bit(words)
     x_table, found_table = lowest_set_bit_table(words)
     assert x.dtype == x_table.dtype

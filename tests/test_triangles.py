@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import classify_triangle, degenerate_mask, enumerate_k4, flip_bit, triangle_edge_matrix
+from oracles import classify_triangle, degenerate_mask, enumerate_k4, triangle_edge_matrix
 from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.triangles import (
     build_family,
     enumerate_all_triangles,
     family_size_formula,
+    neighborhood_edges,
     per_vertex_formula,
     verify_nbhd_decomposition,
     verify_no_k4_in_family,
@@ -113,44 +114,68 @@ def test_nbhd_decomposition_q4_sample(graphs):
         assert cert.quantities["neighborhood_edges"] == 5 * 105 + 60 * 10
 
 
+def test_neighborhood_edges_match_dense_oracle(graphs):
+    for g in graphs.values():
+        adj = g.adj
+        for v in range(g.n):
+            nbrs = np.flatnonzero(adj[v])
+            a, b = np.nonzero(np.triu(adj[np.ix_(nbrs, nbrs)], 1))
+            assert np.array_equal(neighborhood_edges(g, v), nbrs[a].astype(np.int64) * g.n + nbrs[b])
+
+
 @pytest.mark.parametrize("tamper", ["drop_edge", "add_non_edge"])
 def test_nbhd_decomposition_detects_tampered_adjacency(tamper):
-    # a fresh graph, so the module's shared ones stay intact
+    # a fresh graph, so the module's shared ones stay intact.  The graph is
+    # its incidence, so the tampering is in the point cliques' member lists:
+    # drop_edge swaps a spanning-clique member at P for a secant outside
+    # N(v), dropping its q edges to the spanning clique; add_non_edge puts a
+    # secant of N(v) that misses P into P's list, in place of a member
+    # outside N(v)
     g = build_graph_for_q(3)
     v = 5
-    nbrs = np.flatnonzero(g.adj[v])
     assert verify_nbhd_decomposition(g, v).outcome == "pass"
-    sub = np.triu(g.adj[np.ix_(nbrs, nbrs)], 1)
-    if tamper == "add_non_edge":
-        sub = np.triu(~g.adj[np.ix_(nbrs, nbrs)], 1)
-    i, j = np.argwhere(sub)[7]
-    a, b = nbrs[i], nbrs[j]
-    flip_bit(g, a, b)
-    flip_bit(g, b, a)
+    P = int(g.off_points(np.array([v]))[0, 0])
+    row = g.cliques[P]
+    nbhd = g.adj[v]
+    if tamper == "drop_edge":
+        i = int(np.flatnonzero(nbhd[row])[0])
+        x = next(x for x in range(g.n) if x != v and not nbhd[x] and P not in g.vertex_cliques[x])
+    else:
+        i = int(np.flatnonzero(~nbhd[row])[0])
+        x = next(x for x in range(g.n) if nbhd[x] and P not in g.vertex_cliques[x])
+    row[i] = x
     cert = verify_nbhd_decomposition(g, v)
     assert cert.outcome == "fail"
+    qty = cert.quantities
     if tamper == "drop_edge":
-        # the dropped edge is still covered by one clique
-        assert cert.quantities["outside_witness"] == [int(a), int(b)]
-        assert cert.quantities["neighborhood_edges"] == 4 * 28 + 24 * 6 - 1
+        # x is read as a spanning-clique member, outside N(v)
+        assert x in qty["outside_witness"]
+        assert qty["neighborhood_edges"] == 4 * 28 + 24 * 6 - 3
+        assert qty["uncovered"] == 0
     else:
-        assert cert.quantities["uncovered"] == 1
-        assert cert.quantities["uncovered_witness"] == [int(a), int(b)]
-        assert "outside_witness" not in cert.quantities
+        # x's pairs with the spanning clique at P are edges no clique covers
+        assert qty["uncovered"] >= 1 and x in qty["uncovered_witness"]
+        assert "outside_witness" not in qty
 
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_build_family_rejects_non_neighbor_at_spot_vertex(q):
-    # q = 5 has no brute-force classification behind the spot check
+    # q = 5 has no brute-force classification behind the spot check.  Two
+    # points A (on v) and B trade positions in the row of pos at P, so the
+    # spanning clique of v at P takes the secant PB, which misses v
     g = build_graph_for_q(q)
-    v = int(build_family(g).spot_vertices[-1])
-    w = int(g.spanning_cliques(np.array([v]))[0][-1, 0])
-    flip_bit(g, v, w)
-    flip_bit(g, w, v)
+    spot = build_family(g).spot_vertices
+    v = int(spot[-1])
+    P = int(g.off_points(np.array([v]))[0, -1])
+    A = int(g.vertex_cliques[v, 0])
+    B = next(b for b in range(len(g.cliques))
+             if b != P and not np.isin(g.vertex_cliques[g.cliques[P, g.pos[P, b]]], g.vertex_cliques[v]).any())
+    g.pos[P, [A, B]] = g.pos[P, [B, A]]
     with pytest.raises(RuntimeError, match="a spanning-clique member is not a neighbor") as exc:
         build_family(g)
-    # w's member v lost its bit too; w reports first when it is a spot vertex
-    assert str(exc.value).startswith((f"vertex {v}:", f"vertex {w}:"))
+    # the first spot vertex through A or B reports it
+    reported = int(str(exc.value).split(":")[0].removeprefix("vertex "))
+    assert reported in spot and np.isin([A, B], g.vertex_cliques[reported]).any()
 
 
 def test_spot_vertices_are_fixed():
