@@ -32,10 +32,9 @@ from .certify import BNB_MAXCUT_LIMIT, maxcut_exact
 from .graphs import (
     IntersectionGraph,
     common_neighbors,
+    edge_rows,
     extend_cliques,
     k4_clique_property,
-    lowest_set_bit,
-    packed_rows,
     row_blocks,
     row_pairs,
 )
@@ -181,29 +180,14 @@ class StarGraph:
     def survival_rate(self) -> float:
         return float(self.edge_mask.mean())
 
-    def adjacency(self) -> np.ndarray:
-        g = self.base
-        adj = np.zeros((g.n, g.n), dtype=bool)
-        u = g.eu[self.edge_mask]
-        v = g.ev[self.edge_mask]
-        adj[u, v] = adj[v, u] = True
-        return adj
-
 
 def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGraph:
     """Draw one instance; per-edge survival probability is 2m/n^2."""
     adj = F.adj
     if _has_triangle(adj):
         raise ConstructionError("replacement graph must be triangle-free")
-    # the label of incidence (p, v) is _hash64(seed, p, v) % F.n: pack every
-    # 24-byte message in clique layout, then hash the slices in one pass
-    msg = np.empty((g.cliques.size, 3), dtype="<u8")
-    msg[:, 0] = seed & _MASK64
-    msg[:, 1] = np.arange(len(g.cliques)).repeat(g.cliques.shape[1])
-    msg[:, 2] = g.cliques.ravel()
-    buf = msg.tobytes()
-    digests = b"".join(hashlib.blake2b(buf[i:i + 24], digest_size=8).digest() for i in range(0, len(buf), 24))
-    labels = (np.frombuffer(digests, "<u8") % F.n).astype(np.int32).reshape(g.cliques.shape)
+    # one draw of every label, in clique layout
+    labels = np.random.default_rng(int(seed) & _MASK64).integers(F.n, size=g.cliques.shape, dtype=np.int32)
     # an edge survives iff the labels at its two positions in its clique
     # form an edge of F
     lu, lv = row_pairs(labels)
@@ -213,12 +197,13 @@ def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGr
 
 
 def _first_k4(words: np.ndarray, tris: np.ndarray) -> tuple[int, int, int, int] | None:
-    """The first triangle with a common neighbour, extended by the lowest one."""
+    """The first triangle with a common neighbour, extended by the lowest
+    one.  Every common neighbour of that triangle lies above its last
+    vertex: one below would give an earlier triangle that has one."""
     for part in row_blocks(tris, words):
-        x, found = lowest_set_bit(common_neighbors(words, part))
-        if found.any():
-            i = int(found.argmax())
-            return (*map(int, part[i]), int(x[i]))
+        hit = np.flatnonzero(common_neighbors(words, part).any(axis=1))
+        if len(hit):
+            return tuple(map(int, extend_cliques(words, part[hit[:1]])[0]))
     return None
 
 
@@ -233,8 +218,8 @@ def verify_star_instance(star: StarGraph) -> dict:
     which is the lexicographically first K4 (a triangle before it with one
     would give an earlier K4)."""
     g = star.base
-    words = packed_rows(star.adjacency()).view(np.uint64)
     edges = np.stack([g.eu[star.edge_mask], g.ev[star.edge_mask]], axis=1)
+    words = edge_rows(g.n, edges[:, 0], edges[:, 1])
     k4 = clique_triangle = None
     for part in row_blocks(edges, words):
         tris = extend_cliques(words, part)

@@ -16,9 +16,10 @@ exhaustive.
 The graph is held as its incidence alone: vertex_cliques lists each
 secant's points, cliques each point's secants, and pos the point-pair ->
 secant table.  Adjacency is the meet test on vertex_cliques.  Only the
-triangle enumerations, which run at small q, pack adjacency rows, locally:
-extend_cliques extends each clique row by every common neighbour above its
-last vertex, read off the AND of bit-packed rows.
+triangle enumerations, which run at small q or on a star instance, pack
+adjacency rows, from an edge list (edge_rows): extend_cliques extends each
+clique row by every common neighbour above its last vertex, read off the
+AND of bit-packed rows.
 """
 
 from __future__ import annotations
@@ -100,12 +101,14 @@ class IntersectionGraph:
         self.cliques = (inc // (q + 1)).astype(np.int32).reshape(npts, k)
         at = np.empty(len(inc), dtype=np.int32)
         at[inc] = np.arange(len(inc)) % k
-        p, r = row_pairs(self.vertex_cliques)
-        i, j = row_pairs(at.reshape(n, q + 1))
+        del inc
+        # secant s sits at at[s, i] in the clique of its point vc[s, i], so
+        # that is pos[vc[s, i], vc[s, j]] for each of its points vc[s, j]
+        vc = self.vertex_cliques
         self.pos = np.full((npts, npts), -1, dtype=np.int32)
-        self.pos[p, r] = i
-        self.pos[r, p] = j
-        del inc, at, p, r, i, j
+        self.pos[vc[:, :, None], vc[:, None, :]] = at.reshape(n, q + 1)[:, :, None]
+        np.fill_diagonal(self.pos, -1)
+        del at
         # the n C(q+1, 2) = C(q^3+1, 2) secant point pairs fill every
         # off-diagonal entry only if each is written once
         if np.count_nonzero(self.pos < 0) != npts:
@@ -231,24 +234,17 @@ def build_graph_for_q(q: int) -> IntersectionGraph:
 # triangle enumerations at small q
 # ----------------------------------------------------------------------
 
-def packed_rows(adj: np.ndarray) -> np.ndarray:
-    """Adjacency rows bit-packed little-endian (bit v % 8 of byte v // 8 is
-    adj[., v]) and zero-padded to whole 64-bit words; uint8, so that
-    .view(np.uint64) gives the words."""
-    n = adj.shape[1]
-    packed = np.zeros((adj.shape[0], -(-n // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
-    return packed
-
-
-def lowest_set_bit(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index of the lowest set bit, whether any is set) per row of packed
-    uint64 words; the index is meaningless in a row with no bit set.  In
-    the first nonzero word w, the bits below the lowest set one are those
-    of (w & -w) - 1."""
-    first = (words != 0).argmax(axis=1)
-    word = words[np.arange(len(words)), first]
-    return first * 64 + np.bitwise_count((word & (~word + 1)) - 1), word != 0
+def edge_rows(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(n, ceil(n/64)) uint64 adjacency rows of the graph with the distinct
+    edges u-v, u != v: bit b % 64 of word b // 64 of row a is set for every
+    edge a-b.  np.add.at sets the bits; it acts as OR because no bit is
+    added twice."""
+    w = -(-n // 64)
+    words = np.zeros((n, w), dtype=np.uint64)
+    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
+    for a, b in ((u, v), (v, u)):
+        np.add.at(words.ravel(), a * w + (b >> 6), np.left_shift(np.uint64(1), (b & 63).astype(np.uint64)))
+    return words
 
 
 def common_neighbors(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -378,7 +374,7 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
 
 def enumerate_all_triangles(g: IntersectionGraph) -> np.ndarray:
     """All triangles (a < b < c), lexicographic: the edge list extended once."""
-    return extend_cliques(packed_rows(g.adj).view(np.uint64), np.stack([g.eu, g.ev], axis=1))
+    return extend_cliques(edge_rows(g.n, g.eu, g.ev), np.stack([g.eu, g.ev], axis=1))
 
 
 def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:

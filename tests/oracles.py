@@ -15,12 +15,11 @@ clique's id over its edges: the references for IntersectionGraph.edge_at.
 point_pair_secants fills the point-pair -> secant table by counting every
 pair (_each_pair_once), the reference for the cliques[P, pos[P, A]]
 gather.
-random_block_incidences labels each (secant, point) incidence in place
-by one assignment_value call each, the reference for the clique-layout
-labels that blocks.random_block hashes in one pass.
-lowest_set_bit_table reads a byte table, the reference for
-graphs.lowest_set_bit, which counts the bits below the lowest set one by
-word popcounts.
+incidence_edge_mask moves a star's labels into incidence layout and looks
+up each edge's two labels at the slot of its meet point, the reference for
+the surviving-edge scatter of blocks.random_block.
+packbits_words packs dense adjacency rows by np.packbits, the reference
+for graphs.edge_rows.
 build_unital_whole and k4_clique_property_whole are the unblocked forms of
 build_unital and k4_clique_property: one lines x points incidence and one
 gather of every row.
@@ -32,8 +31,7 @@ lines through a point set from it and returns the tangents and per-point
 tallies that UnitalIncidence does not keep.  least_irreducible finds the
 field modulus by trial division, the reference for the zero-divisor test
 with which FiniteField picks it.
-enumerate_k4 extends every triangle by the clique-extension scan over
-rows it packs itself, and
+enumerate_k4 extends every triangle by the clique-extension scan, and
 k4_violations counts the K4s without the clique property: the exhaustive
 K4 check that graphs.verify_k4_structure's edge kernel replaced.
 sampled_k4_upfront is its sampled mode from one upfront draw of the edges.
@@ -55,15 +53,15 @@ from math import comb
 
 import numpy as np
 
-from quasifolkman.blocks import ConstructionError, _hash64
+from quasifolkman.blocks import ConstructionError
 from quasifolkman.certify import maxcut_exact
 from quasifolkman.graphs import (
     GraphError,
     edge_k4s,
+    edge_rows,
     enumerate_all_triangles,
     extend_cliques,
     k4_clique_property,
-    packed_rows,
     row_pairs,
 )
 from quasifolkman.plane import GeometryError, UnitalIncidence
@@ -120,26 +118,19 @@ def point_pair_secants(points, npts):
     return line
 
 
-def assignment_value(seed, clique_id, vertex_id, n):
-    """Label in [0, n) for the (vertex, clique) incidence, one hash call per
-    incidence; order-independent and reproducible given the seed."""
-    return _hash64(seed, clique_id, vertex_id) % n
-
-
-def random_block_incidences(g, F, seed):
-    """(labels, edge_mask) of blocks.random_block with the labels in
-    incidence layout, (n, q+1) aligned with g.vertex_cliques: each edge
-    finds its endpoints' labels at the slot of its meet point in their
-    incidence rows."""
-    n_atoms, slots = g.vertex_cliques.shape
-    labels = np.empty((n_atoms, slots), dtype=np.int32)
-    for v in range(n_atoms):
-        for j in range(slots):
-            labels[v, j] = assignment_value(seed, int(g.vertex_cliques[v, j]), v, F.n)
+def incidence_edge_mask(g, F, labels):
+    """The surviving-edge mask of a star with clique-layout labels, from
+    the labels in incidence layout, (n, q+1) aligned with g.vertex_cliques:
+    each edge finds its endpoints' labels at the slot of its meet point in
+    their incidence rows."""
+    inc = np.empty(g.vertex_cliques.shape, dtype=labels.dtype)
+    for v in range(g.n):
+        for j, P in enumerate(g.vertex_cliques[v]):
+            inc[v, j] = labels[P, np.flatnonzero(g.cliques[P] == v)[0]]
     ep = edge_point(g)
     slot_u = (g.vertex_cliques[g.eu] == ep[:, None]).argmax(axis=1)
     slot_v = (g.vertex_cliques[g.ev] == ep[:, None]).argmax(axis=1)
-    return labels, F.adj[labels[g.eu, slot_u], labels[g.ev, slot_v]]
+    return F.adj[inc[g.eu, slot_u], inc[g.ev, slot_v]]
 
 
 def dense_adjacency(g):
@@ -151,20 +142,13 @@ def dense_adjacency(g):
     return adj
 
 
-#: byte table: index of the lowest set bit
-LOWBIT_TABLE = np.array([(b & -b).bit_length() - 1 if b else 0 for b in range(256)], dtype=np.uint8)
-
-
-def lowest_set_bit_table(words):
-    """(index of the lowest set bit, whether any is set) per row of packed
-    uint64 words: the first nonzero word, its first nonzero byte in memory
-    order, then the byte table."""
-    rows = np.arange(len(words))
-    first = (words != 0).argmax(axis=1)
-    word = words[rows, first]
-    octets = word.view(np.uint8).reshape(-1, 8)
-    byte = (octets != 0).argmax(axis=1)
-    return first * 64 + byte * 8 + LOWBIT_TABLE[octets[rows, byte]], word != 0
+def packbits_words(adj):
+    """Dense adjacency rows bit-packed little-endian by np.packbits and
+    zero-padded to whole 64-bit words, as uint64 words."""
+    n = adj.shape[1]
+    packed = np.zeros((adj.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(adj, axis=1, bitorder="little")
+    return packed.view(np.uint64)
 
 
 def verify_srg_dense(g, block=1024):
@@ -738,7 +722,7 @@ def k4_clique_property_whole(g, rows):
 
 def enumerate_k4(g):
     """All K4's (a < b < c < d), lexicographic: the triangles extended once."""
-    return extend_cliques(packed_rows(g.adj).view(np.uint64), enumerate_all_triangles(g))
+    return extend_cliques(edge_rows(g.n, g.eu, g.ev), enumerate_all_triangles(g))
 
 
 def k4_violations(g, quads):

@@ -1,22 +1,22 @@
 """Differential tests: the blocked unital incidence and K4 clique test
 against their unblocked forms in oracles.py, and certify's structural path
-without the edge tables or packed adjacency rows."""
+without the edge tables; no command builds the dense adjacency."""
 
 import numpy as np
 import pytest
 
 from oracles import build_unital_whole, k4_clique_property_whole
-from quasifolkman import graphs as graphs_module
 from quasifolkman import plane as plane_module
 from quasifolkman.certify import EdgeColoring
 from quasifolkman.cli import main
 from quasifolkman.fields import QuadraticExtension
 from quasifolkman.graphs import (
     SAMPLE_BLOCK,
+    IntersectionGraph,
     build_graph_for_q,
+    edge_rows,
     extend_cliques,
     k4_clique_property,
-    packed_rows,
     verify_k4_structure,
     verify_srg,
 )
@@ -53,7 +53,7 @@ def test_k4_clique_property_over_several_blocks(graph, width):
     if width == 4:
         start = int(np.random.default_rng(1).integers(0, graph.m - 500))
         edges = np.stack([graph.eu, graph.ev], axis=1)[start:start + 500]
-        words = packed_rows(graph.adj).view(np.uint64)
+        words = edge_rows(graph.n, graph.eu, graph.ev)
         quads = extend_cliques(words, extend_cliques(words, edges))
     rng = np.random.default_rng(width)
     rows = np.concatenate([quads, rng.integers(0, graph.n, size=(2 * SAMPLE_BLOCK + 3, width), dtype=np.int32)])
@@ -76,16 +76,20 @@ def test_certify_structural_path_never_builds_edge_tables():
     assert len(g.eu) == g.m
 
 
-@pytest.mark.parametrize("argv", [["certify"], ["build"], ["check-coloring"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [["certify"], ["build"], ["check-coloring"],
+                                  ["simulate", "--F", "c5", "--trials", "2"]], ids=lambda argv: argv[0])
 def test_commands_at_q5_never_pack_rows(monkeypatch, tmp_path, argv):
-    # only the triangle enumerations at q <= 4 pack adjacency rows
-    def refuse(adj):
-        raise AssertionError("packed_rows called")
+    # no command builds the n x n adjacency; simulate packs each instance's
+    # rows from its surviving edges
+    def refuse(g):
+        raise AssertionError("IntersectionGraph.adj read")
 
-    monkeypatch.setattr(graphs_module, "packed_rows", refuse)
+    monkeypatch.setattr(IntersectionGraph, "adj", property(refuse))
     if argv[0] == "check-coloring":
         g = build_graph_for_q(5)
         coloring = tmp_path / "coloring.txt"
         coloring.write_text(EdgeColoring.random(g, 1).to_text())
         argv = [*argv, "--file", str(coloring)]
-    assert main([*argv, "--q", "5", "--out", str(tmp_path / "out")]) == 0
+    # two instances are too few to judge the survival rate
+    expect = 3 if argv[0] == "simulate" else 0
+    assert main([argv[0], "--q", "5", *argv[1:], "--out", str(tmp_path / "out")]) == expect

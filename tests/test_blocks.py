@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import (
-    assignment_value,
     blowup,
     blowup_concentration_log_bound,
     canonical_edges,
     find_k4,
+    incidence_edge_mask,
     mcdiarmid_bound,
     min_mono_blowup,
-    random_block_incidences,
     triangle_edge_matrix,
 )
 from quasifolkman.blocks import (
@@ -113,18 +112,32 @@ def test_blowup_mono_count_swap_symmetric():
 
 # -- assignments and instances -------------------------------------------------
 
-def test_assignment_deterministic():
-    a = assignment_value(42, 7, 13, 5)
-    assert a == assignment_value(42, 7, 13, 5)
-    assert 0 <= a < 5
-    assert assignment_value(43, 7, 13, 5) != a or assignment_value(43, 7, 14, 5) != a
+#: chi-square critical values at p = 1e-6 by degrees of freedom, from
+#: scipy.stats.chi2.isf(1e-6, df)
+CHI2_CRITICAL = {9: 44.81, 24: 72.23}
 
 
-def test_assignment_roughly_uniform():
-    counts = np.zeros(5, dtype=int)
-    for v in range(5000):
-        counts[assignment_value(0, 1, v, 5)] += 1
-    assert counts.min() > 800 and counts.max() < 1200
+def _chi_square(counts):
+    expect = counts.sum() / counts.size
+    return float(((counts - expect) ** 2).sum() / expect)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_labels_uniform_chi_square(g3, q):
+    # each of the 10 Petersen labels is equally likely, and each of the 25
+    # label pairs of disjoint member pairs (0, 1), (2, 3), ... of a clique
+    g = g3 if q == 3 else build_graph_for_q(q)
+    reg = replacement_registry()
+    counts = np.zeros(10, dtype=np.int64)
+    pairs = np.zeros(25, dtype=np.int64)
+    even = g.cliques.shape[1] // 2 * 2
+    for t in range(40):
+        labels = random_block(g, reg["petersen"], instance_seed(5, t)).labels
+        counts += np.bincount(labels.ravel(), minlength=10)
+        lu, lv = random_block(g, reg["c5"], instance_seed(6, t)).labels[:, :even].reshape(-1, 2).T
+        pairs += np.bincount(lu * 5 + lv, minlength=25)
+    assert _chi_square(counts) < CHI2_CRITICAL[9]
+    assert _chi_square(pairs) < CHI2_CRITICAL[24]
 
 
 def test_random_block_reproducible(g3):
@@ -137,13 +150,10 @@ def test_random_block_reproducible(g3):
 
 
 def _assert_matches_incidence_oracle(g, F, seed):
-    # the slot of each clique's point in its members' incidence rows
-    points = np.arange(len(g.cliques))[:, None, None]
-    slot = (g.vertex_cliques[g.cliques] == points).argmax(axis=2)
     star = random_block(g, F, seed)
-    labels, mask = random_block_incidences(g, F, seed)
-    assert np.array_equal(star.edge_mask, mask)
-    assert np.array_equal(star.labels, labels[g.cliques, slot])
+    assert star.labels.shape == g.cliques.shape and star.labels.dtype == np.int32
+    assert star.labels.min() >= 0 and star.labels.max() < F.n
+    assert np.array_equal(star.edge_mask, incidence_edge_mask(g, F, star.labels))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -157,9 +167,11 @@ def test_random_block_matches_incidence_oracle(g3, q, name):
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])
 def test_random_block_masks_seeds_to_64_bits(g3, seed):
-    # the oracle's _hash64 reduces the seed mod 2^64; so must the packed
-    # uint64 messages (numpy 2 refuses to store -1 in a uint64)
-    _assert_matches_incidence_oracle(g3, replacement_registry()["c5"], seed)
+    # the generator is seeded with the seed mod 2^64
+    F = replacement_registry()["c5"]
+    a, b = random_block(g3, F, seed), random_block(g3, F, seed % 2**64)
+    assert np.array_equal(a.labels, b.labels) and np.array_equal(a.edge_mask, b.edge_mask)
+    assert not np.array_equal(a.labels, random_block(g3, F, seed - 1).labels)
 
 
 def test_star_instance_checks(g3, fam3):
@@ -170,7 +182,9 @@ def test_star_instance_checks(g3, fam3):
     assert rep["cliques_triangle_free"]
     # surviving triangles are exactly the family triangles with live edges
     surviving_family_triangles = int(star.edge_mask[triangle_edge_matrix(fam3)].all(axis=1).sum())
-    a = star.adjacency().astype(np.int64)
+    a = np.zeros((g3.n, g3.n), dtype=np.int64)
+    a[g3.eu[star.edge_mask], g3.ev[star.edge_mask]] = 1
+    a += a.T
     surviving_triangles_direct = int(np.trace(a @ a @ a) // 6)
     assert surviving_family_triangles == surviving_triangles_direct
 

@@ -15,11 +15,11 @@ from quasifolkman import graphs
 from quasifolkman.blocks import StarGraph, instance_seed, random_block, replacement_registry, verify_star_instance
 from quasifolkman.graphs import (
     build_graph_for_q,
+    edge_rows,
     enumerate_all_triangles,
     extend_cliques,
     graph6_bytes,
     k4_clique_property,
-    packed_rows,
 )
 
 
@@ -38,8 +38,8 @@ def _random_adj(seed, n, density):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), density=st.floats(0.0, 1.0))
 def test_extension_scan_matches_brute_force(seed, n, density):
     adj = _random_adj(seed, n, density)
-    words = packed_rows(adj).view(np.uint64)
     edges = np.argwhere(np.triu(adj, 1)).astype(np.int32)
+    words = edge_rows(n, edges[:, 0], edges[:, 1])
     tris = extend_cliques(words, edges)
     quads = extend_cliques(words, tris)
     brute = {

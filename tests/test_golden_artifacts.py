@@ -32,9 +32,9 @@ GOLDEN = {
     "edges_q3.txt": "5e39c0b25cd308dcbe7c7d66b53dda4b4f948f97218afed41736db0626c90a8e",
     "graph_q3.g6": "15854fe7796915c1514d2cdf213f60c3e83819a1d57f9af5171859c29d9eeb95",
     "search_q3.json": "8dda0600a6334aead14f97be4ebf297c9b1c88cd2952f6e9678d9f9740bad27e",
-    "simulate_q3_c5.json": "dca4448dba2deb5ad932efff26fc21cc6fde500ce99d73d2d6b37c535341b833",
-    "simulate_q3_c5_certs.json": "6148960c61631f5af266727a30d3c9f28c7bf38b7c64aa2eeb55d8e810eda9fa",
-    "simulate_q3_c5_certs.txt": "17306dedb2c540e5dd2232cc8d0e91cc3208b750f53db5f342bc79f7c74aca12",
+    "simulate_q3_c5.json": "82f93ff1c6d01bb9019749c0f0d9917ce21100df12656781d220f1fb8cda55fc",
+    "simulate_q3_c5_certs.json": "ed2a90c51783fd98889a8fd529ae5a5b17a74776f3971c8cf6e580c03964a543",
+    "simulate_q3_c5_certs.txt": "070456f2c12d9a7eae865f0f3a864025e1cac1e0037b3a9bbc3a15107bf2a3a6",
     "unital_q3.txt": "fce60569b4579704fe7169d7ed16f879075fd86fa63c458b5d0cfcc52a0e79f2",
 }
 

@@ -7,22 +7,19 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from oracles import (
     dense_adjacency,
     enumerate_k4,
     k4_clique_property_edges,
-    lowest_set_bit_table,
+    packbits_words,
     verify_srg_dense,
 )
 from quasifolkman import graphs as graphs_module
 from quasifolkman.graphs import (
     build_graph_for_q,
+    edge_rows,
     k4_clique_property,
-    lowest_set_bit,
-    packed_rows,
     verify_srg,
 )
 
@@ -87,49 +84,33 @@ def test_srg_does_not_depend_on_the_block(monkeypatch, block):
 
 
 def test_words_match_dense_clique_scatter(graph):
-    # the rows the triangle scans pack, the scatters and the meet test all
+    # the rows packed from the edge list, the scatters and the meet test all
     # give the dense oracle's adjacency: every pair at q <= 5, a stripe of
     # rows at q = 7
     dense = dense_adjacency(graph)
-    words = packed_rows(graph.adj).view(np.uint64)
-    assert words.shape == (graph.n, -(-graph.n // 64))
-    assert np.array_equal(words, packed_rows(dense).view(np.uint64))
+    words = edge_rows(graph.n, graph.eu, graph.ev)
+    assert words.shape == (graph.n, -(-graph.n // 64)) and words.dtype == np.uint64
+    assert np.array_equal(words, packbits_words(dense))
     rows = np.arange(graph.n) if graph.q <= 5 else np.arange(0, graph.n, 97)
     u, v = rows.repeat(graph.n), np.tile(np.arange(graph.n), len(rows))
     assert np.array_equal(graph.adjacent(u, v), dense[rows].ravel())
     assert np.array_equal(graph.adjacency_rows(rows), dense[rows])
+    assert np.array_equal(graph.adj, dense)
 
 
 def test_packed_row_helpers_match_dense_rows():
-    g = build_graph_for_q(3)
-    packed = packed_rows(g.adj)
-    assert packed.shape == (g.n, 8) and packed.dtype == np.uint8
-    assert np.array_equal(np.unpackbits(packed, axis=1, count=g.n, bitorder="little").view(bool), g.adj)
-    x, found = lowest_set_bit(packed.view(np.uint64))
-    assert found.all()
-    assert np.array_equal(x, g.adj.argmax(axis=1))
-    x, found = lowest_set_bit(np.zeros((2, 3), dtype=np.uint64))
-    assert not found.any()
-
-
-_WORD = st.one_of(
-    st.just(0),
-    st.just(1 << 63),
-    st.integers(0, 63).map(lambda b: 1 << b),
-    st.integers(0, 2**64 - 1),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda w: st.lists(st.lists(_WORD, min_size=w, max_size=w), min_size=1, max_size=16)))
-def test_word_popcounts_match_byte_tables(rows):
-    words = np.array(rows, dtype=np.uint64)
-    x, found = lowest_set_bit(words)
-    x_table, found_table = lowest_set_bit_table(words)
-    assert x.dtype == x_table.dtype
-    assert np.array_equal(found, found_table)
-    assert np.array_equal(x[found], x_table[found])
+    # random graphs across word boundaries, edges in any order and either
+    # orientation; no edges gives zero rows
+    rng = np.random.default_rng(0)
+    for n in (1, 63, 64, 65, 130):
+        dense = np.triu(rng.random((n, n)) < 0.3, 1)
+        dense |= dense.T
+        u, v = np.nonzero(np.triu(dense, 1))
+        flip = rng.random(len(u)) < 0.5
+        order = rng.permutation(len(u))
+        u, v = np.where(flip, v, u)[order], np.where(flip, u, v)[order]
+        assert np.array_equal(edge_rows(n, u, v), packbits_words(dense))
+        assert not edge_rows(n, u[:0], v[:0]).any()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
