@@ -18,6 +18,8 @@ from .graphs import (
     SrgReport,
     build_graph,
     build_graph_for_q,
+    unital_symmetry,
+    verify_k4_by_symmetry,
     verify_k4_structure,
     verify_srg,
 )
@@ -55,7 +57,7 @@ __all__ = [
     "ProjectivePlane", "UnitalIncidence", "build_unital", "build_unital_for_q",
     "Certificate",
     "IntersectionGraph", "SrgReport", "build_graph", "build_graph_for_q",
-    "verify_k4_structure", "verify_srg",
+    "unital_symmetry", "verify_k4_by_symmetry", "verify_k4_structure", "verify_srg",
     "TriangleFamily", "build_family",
     "family_size_formula", "verify_nbhd_decomposition", "verify_no_k4_in_family",
     "EdgeColoring", "GoodmanTally", "adversarial_color_check", "clique_min_mono",

@@ -8,10 +8,18 @@ the graph is strongly regular with lambda = 2q^2-2 and mu = (q+1)^2.
 
 Every K4 has at least three vertices inside one point clique: four secants
 pairwise meeting in six distinct unital points would be an O'Nan
-configuration, which Hermitian unitals do not contain.  verify_k4_structure
-checks this edge by edge from the incidence alone (edge_k4s); an O'Nan
+configuration, which Hermitian unitals do not contain (O'Nan 1972).
+edge_k4s finds the K4s at an edge from the incidence alone; an O'Nan
 configuration shows up at each of its six edges, so running every edge is
-exhaustive.
+exhaustive.  verify_k4_structure is that direct sweep, over every edge or
+a seeded sample.  verify_k4_by_symmetry covers every edge from one edge per
+orbit instead.  PGU(3, q) preserves the Hermitian form and is 2-transitive
+on the unital's points (O'Nan 1972; Taylor 1974), and an automorphism maps
+the K4s at an edge onto those at its image.  unital_symmetry takes nothing
+about the group on trust: each generator's action on points and secants is
+checked against the incidence, transitivity by a search, and each
+stabiliser element to fix point 0.  When a check fails the caller falls
+back to the direct sweep.
 
 The graph is held as its incidence alone: vertex_cliques lists each
 secant's points, cliques each point's secants, and pos the point-pair ->
@@ -30,6 +38,7 @@ from math import comb
 import numpy as np
 
 from .certificates import Certificate
+from .fields import QuadraticExtension
 from .plane import UnitalIncidence
 
 #: q values the commands run at; cli.Q_LIMIT caps all but certify lower
@@ -434,7 +443,7 @@ def verify_k4_structure(
     `samples` seeded uniform draws.  The violations are the distinct O'Nan
     quads, the lexicographically first the witness.  Checking no edge is
     inconclusive."""
-    params = {"q": g.q, "mode": mode}
+    params = {"q": g.q, "mode": mode, "path": "direct"}
     if mode == "exhaustive":
         edges_checked = g.m
         blocks = (np.arange(s, min(s + K4_EDGE_BLOCK, g.m)) for s in range(0, g.m, K4_EDGE_BLOCK))
@@ -461,6 +470,182 @@ def verify_k4_structure(
         params=params,
         quantities=quantities,
         outcome="fail" if len(onan) else "pass" if edges_checked else "inconclusive",
+    )
+
+
+# ----------------------------------------------------------------------
+# Symmetry: verified unitary automorphisms of the unital
+# ----------------------------------------------------------------------
+
+@dataclass
+class UnitalSymmetry:
+    """Verified automorphisms of a unital's incidence.
+
+    points, secants : each generator's permutation of the dense unital
+        points and of the secants.
+    stabiliser : Schreier elements, point permutations that fix point 0.
+    """
+
+    points: list[np.ndarray]
+    secants: list[np.ndarray]
+    stabiliser: list[np.ndarray]
+
+
+def unitary_generators(fld: QuadraticExtension) -> list[np.ndarray]:
+    """3x3 matrices over GF(q^2), as field codes, that preserve the Hermitian
+    form X^{q+1} + Y^{q+1} + Z^{q+1}, chosen without randomness: the
+    coordinate swap, the 3-cycle, diag(lam, 1, 1) for the least code lam != 1
+    of norm 1, and the blocks [[a, b], [-b^q, a^q]] on X, Y for the first
+    three code pairs with a, b != 0 and N(a) + N(b) = 1.  At q = 2 no such
+    pair exists (a nonzero norm is 1 and 1 + 1 = 0), so there are none."""
+    add, nrm, frob = fld.add_table, fld.norm_table, fld.frobenius_table
+    neg = np.argmax(add == 0, axis=1)
+    lam = 2 + int(np.argmax(nrm[2:] == 1))
+    gens = [np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+            np.diag([lam, 1, 1])]
+    a, b = np.nonzero(add[nrm[:, None], nrm[None, :]] == 1)
+    keep = (a > 0) & (b > 0)
+    for x, y in zip(a[keep][:3], b[keep][:3]):
+        gens.append(np.array([[x, y, 0], [neg[frob[y]], frob[x], 0], [0, 0, 1]]))
+    return gens
+
+
+def point_action(unital: UnitalIncidence, M: np.ndarray) -> np.ndarray | None:
+    """The permutation X -> M X of the unital's dense points, or None when M
+    does not map them bijectively onto themselves.  Images are scaled to a
+    leading 1 (inverses read off mul_table) and named by plane id (plane.py)."""
+    fld = unital.plane.field
+    s, add, mul = fld.order, fld.add_table, fld.mul_table
+    inv = np.argmax(mul == 1, axis=1)
+    x = unital.plane.coord_array()[unital.unital_points]
+    y = np.stack([add[add[mul[M[i, 0], x[:, 0]], mul[M[i, 1], x[:, 1]]], mul[M[i, 2], x[:, 2]]]
+                  for i in range(3)], axis=1)
+    lead = y[np.arange(len(y)), np.argmax(y != 0, axis=1)]
+    y = mul[inv[lead][:, None], y]
+    ids = np.where(y[:, 0] > 0, y[:, 1] * s + y[:, 2], np.where(y[:, 1] > 0, s * s + y[:, 2], s * s + s))
+    # the images must be the unital's points, each once.  A singular M fails:
+    # its nonzero images lie on one line, which holds at most q+1 of them, and
+    # a zero image reads as the one point (0, 0, 1)
+    if not np.array_equal(np.sort(ids), unital.unital_points):
+        return None
+    return np.searchsorted(unital.unital_points, ids).astype(np.int32)
+
+
+def secant_action(g: IntersectionGraph, perm: np.ndarray) -> np.ndarray | None:
+    """The permutation of the secants that the point permutation perm
+    induces, or None when some secant's image points are not a secant: the
+    secant through its first two image points must list all of them."""
+    img = perm[g.vertex_cliques]
+    img.sort(axis=1)
+    sec = g.cliques[img[:, 0], g.pos[img[:, 0], img[:, 1]]]
+    return sec if np.array_equal(g.vertex_cliques[sec], img) else None
+
+
+def orbit_labels(size: int, perms: list[np.ndarray]) -> np.ndarray:
+    """Each of range(size)'s least orbit-mate under the group the
+    permutations perms generate: labels flow to the smaller end of every
+    i -> perm[i], then jump to their own labels, until nothing moves."""
+    lab = np.arange(size)
+    while True:
+        old = lab
+        for p in perms:
+            lab = np.minimum(lab, lab[p])
+            lab[p] = np.minimum(lab[p], lab)
+        lab = lab[lab]
+        if np.array_equal(lab, old):
+            return lab
+
+
+def unital_symmetry(unital: UnitalIncidence, g: IntersectionGraph) -> UnitalSymmetry | None:
+    """The unitary generators' verified actions, or None when any generator
+    is not an automorphism of the incidence or they are not transitive on
+    the points.
+
+    A breadth-first search from point 0 keeps, per point x, the parent and
+    the generator that reached it; the transversal t_x, mapping 0 to x, is
+    read back along that tree.  The Schreier elements t_{g(x)}^-1 g t_x, for
+    every generator g and the last len(gens) points x the search reached,
+    fix point 0, and each is checked to.  Products of verified generators,
+    they are automorphisms too."""
+    points, secants = [], []
+    for M in unitary_generators(unital.plane.field):
+        perm = point_action(unital, M)
+        sec = None if perm is None else secant_action(g, perm)
+        if sec is None:
+            return None
+        points.append(perm)
+        secants.append(sec)
+    npts = len(g.cliques)
+    parent, via = np.full(npts, -1), np.full(npts, -1)
+    parent[0] = 0
+    order = frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        found = []
+        for k, perm in enumerate(points):
+            y = perm[frontier]
+            fresh = parent[y] < 0
+            y, first = np.unique(y[fresh], return_index=True)
+            parent[y], via[y] = frontier[fresh][first], k
+            found.append(y)
+        frontier = np.concatenate(found)
+        order = np.concatenate([order, frontier])
+    if len(order) != npts:
+        return None
+
+    def transversal(x):
+        chain = []
+        while x:
+            chain.append(via[x])
+            x = parent[x]
+        t = np.arange(npts)
+        for k in reversed(chain):
+            t = points[k][t]
+        return t
+
+    stabiliser = []
+    for x in order[-len(points):]:
+        tx = transversal(x)
+        for perm in points:
+            h = np.argsort(transversal(perm[x]))[perm[tx]]
+            if h[0] != 0:
+                return None
+            stabiliser.append(h)
+    return UnitalSymmetry(points=points, secants=secants, stabiliser=stabiliser)
+
+
+def verify_k4_by_symmetry(g: IntersectionGraph, sym: UnitalSymmetry) -> Certificate | None:
+    """verify_k4_structure over every edge, from one edge per orbit.
+
+    The group is transitive on the points, so every edge is the image of an
+    edge at point 0, a pair of positions in its clique; the stabiliser moves
+    those pairs in orbits (orbit_labels).  edge_k4s runs on the least pair
+    of each orbit, and each count weighs orbit size x (q^3+1).  Returns None
+    when a representative holds an O'Nan K4, leaving its count and witness
+    to the direct sweep."""
+    q, (npts, k) = g.q, g.cliques.shape
+    # point 0 is the least point of each secant through it, so column 1 is
+    # another point of it; an element h fixing 0 moves that secant to the
+    # one through 0 and h(other)
+    other = g.vertex_cliques[g.cliques[0], 1]
+    iu, iv = np.triu_indices(k, k=1)
+    moves = [g._pair[p[iu], p[iv]] for p in (g.pos[0, h[other]] for h in sym.stabiliser)]
+    # clique-major edge r is pair r of point 0's clique
+    reps, size = np.unique(orbit_labels(len(iu), moves), return_counts=True)
+    found = 0
+    for s in range(0, len(reps), K4_EDGE_BLOCK):
+        per_block, rows, _ = edge_k4s(g, reps[s:s + K4_EDGE_BLOCK])
+        if len(rows):
+            return None
+        found += per_block
+    weight = size * npts
+    return Certificate(
+        claim="every K4 has >= 3 vertices in a point clique",
+        params={"q": q, "mode": "exhaustive", "path": "symmetry"},
+        quantities={"generators": len(sym.points), "stabiliser_elements": len(sym.stabiliser),
+                    "edge_orbits": len(reps), "edges_covered": int(weight.sum()),
+                    # without O'Nan rows each edge counts its q^2(q-1) concurrent K4s
+                    "k4_checked": int(weight.sum()) * (found // len(reps)), "violations": 0},
+        outcome="pass",
     )
 
 

@@ -38,6 +38,11 @@ sampled_k4_upfront is its sampled mode from one upfront draw of the edges.
 buekenhout_metz_unital builds an orthogonal Buekenhout-Metz unital, a
 geometry that is not Hermitian for alpha != 0 and holds O'Nan
 configurations, so the K4 checks have something genuine to find.
+field_add, field_power and unitary_defect decide M^H M = I by polynomial
+arithmetic, and point_action_loop moves each unital point by M one at a
+time and looks its image up by coordinates: the references for
+graphs.unitary_generators and graphs.point_action.  orbit_labels_loop is a
+union-find over i ~ perm[i], the reference for graphs.orbit_labels.
 Moved here from the library, unchanged, because no command calls them:
 canonical_edges and goodman_count_all_triangles, the all-triangle Goodman
 count on an arbitrary graph; flip_delta, one edge's flip delta from the
@@ -745,3 +750,81 @@ def sampled_k4_upfront(g, seed, samples):
     if len(onan):
         out["witness"] = [int(x) for x in onan[0]]
     return out
+
+
+def field_add(fld, a, b):
+    """Sums of field codes, digit by digit mod p."""
+    p, k = fld.p, fld.k
+    return sum((a // p**i % p + b // p**i % p) % p * p**i for i in range(k))
+
+
+def field_power(fld, a, e):
+    """a^e by repeated field_mul, e >= 1."""
+    out = a
+    for _ in range(e - 1):
+        out = field_mul(fld, out, a)
+    return out
+
+
+def unitary_defect(fld, M):
+    """The entries of M^H M - I that are nonzero, as (i, j) pairs, over
+    GF(q^2) with conjugation x -> x^q: empty when M preserves the Hermitian
+    form X^{q+1} + Y^{q+1} + Z^{q+1}.  Arithmetic by field_add, field_mul."""
+    q = fld.base_order
+    bad = []
+    for i in range(3):
+        for j in range(3):
+            acc = 0
+            for k in range(3):
+                acc = field_add(fld, acc, int(field_mul(fld, field_power(fld, int(M[k, i]), q), int(M[k, j]))))
+            if acc != (i == j):
+                bad.append((i, j))
+    return bad
+
+
+def point_action_loop(unital, M):
+    """graphs.point_action one point at a time: the image M X of each unital
+    point by field_mul and field_add, scaled so its first nonzero
+    coordinate is 1 (the inverse found by search), looked up by its
+    coordinates.  None when some image is not a unital point or two points
+    share an image."""
+    fld = unital.plane.field
+    coords = unital.plane.coord_array()
+    where = {tuple(coords[pid]): j for j, pid in enumerate(unital.unital_points.tolist())}
+    out = []
+    for pid in unital.unital_points.tolist():
+        x = coords[pid].tolist()
+        y = []
+        for i in range(3):
+            acc = 0
+            for k in range(3):
+                acc = field_add(fld, acc, int(field_mul(fld, int(M[i, k]), x[k])))
+            y.append(acc)
+        lead = next((c for c in y if c), None)
+        if lead is None:
+            return None
+        inv = next(c for c in range(1, fld.order) if field_mul(fld, lead, c) == 1)
+        j = where.get(tuple(int(field_mul(fld, inv, c)) for c in y))
+        if j is None:
+            return None
+        out.append(j)
+    return np.array(out) if len(set(out)) == len(out) else None
+
+
+def orbit_labels_loop(size, perms):
+    """Each element's least orbit-mate by union-find over i ~ perm[i]; a
+    union hangs the larger root under the smaller, so every root is its
+    set's least element."""
+    root = list(range(size))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for perm in perms:
+        for i, j in enumerate(perm.tolist()):
+            a, b = find(i), find(j)
+            root[max(a, b)] = min(a, b)
+    return np.array([find(i) for i in range(size)])

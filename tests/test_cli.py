@@ -1,4 +1,5 @@
 import json
+from math import comb
 
 import pytest
 
@@ -65,6 +66,11 @@ def test_certify_q2_inconclusive(tmp_path):
     # the convexity bound degenerates to equality at q=2 as well
     rc = main(["certify", "--q", "2", "--out", str(tmp_path)])
     assert rc == EXIT_INCONCLUSIVE
+    # the three monomial generators split the 12 secants into two orbits
+    payload = json.loads((tmp_path / "certify_q2.json").read_text())
+    nbhd = next(c for c in payload["certificates"] if c["claim"].startswith("neighborhood"))
+    assert nbhd["quantities"]["secant_orbits"] == len(nbhd["quantities"]["checked_vertices"]) == 2
+    assert nbhd["quantities"]["vertices_covered"] == 12
 
 
 def test_simulate_alon(tmp_path):
@@ -105,6 +111,19 @@ def test_simulate_tiny_sample_inconclusive(tmp_path):
         ["simulate", "--q", "2", "--F", "edge", "--trials", "3", "--out", str(tmp_path)]
     )
     assert rc == EXIT_INCONCLUSIVE
+
+
+def test_simulate_single_trial_writes_strict_json(tmp_path):
+    # one instance has no standard error: null, not the non-standard NaN
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    assert main(["simulate", "--q", "3", "--F", "c5", "--trials", "1", "--out", str(tmp_path)]) == EXIT_INCONCLUSIVE
+    report = json.loads((tmp_path / "simulate_q3_c5.json").read_text(), parse_constant=refuse)
+    certs = json.loads((tmp_path / "simulate_q3_c5_certs.json").read_text(), parse_constant=refuse)
+    assert report["report"]["survival_stderr"] is None
+    survival = next(c for c in certs["certificates"] if c["claim"].startswith("edge survival"))
+    assert survival["quantities"]["stderr"] is None and survival["outcome"] == "inconclusive"
 
 
 def test_simulate_parallel_workers_match_serial(tmp_path):
@@ -215,13 +234,20 @@ def test_identical_configs_reproduce_outputs(tmp_path):
     assert pa == pb
 
 
-def test_certify_zero_k4_samples_inconclusive(tmp_path):
+def test_certify_zero_k4_samples_inconclusive(tmp_path, monkeypatch):
+    # --samples sizes the direct sweep, which runs only when the symmetry check fails
+    monkeypatch.setattr(cli, "unital_symmetry", lambda unital, g: None)
     rc = main(["certify", "--q", "8", "--samples", "0", "--out", str(tmp_path)])
     assert rc == EXIT_INCONCLUSIVE
     payload = json.loads((tmp_path / "certify_q8.json").read_text())
     k4 = next(c for c in payload["certificates"] if c["claim"].startswith("every K4"))
     assert k4["quantities"]["k4_checked"] == 0
     assert k4["outcome"] == "inconclusive"
+    assert k4["params"]["path"] == "direct"
+    nbhd = next(c for c in payload["certificates"] if c["claim"].startswith("neighborhood"))
+    assert nbhd["quantities"]["checked_vertices"] == [0, 1824, 3647]
+    assert nbhd["quantities"]["vertices_covered"] == 3
+    assert "secant_orbits" not in nbhd["quantities"]
     family = next(c for c in payload["certificates"] if c["claim"].startswith("non-degenerate triangle family"))
     assert family["quantities"]["spot_vertices"] == 64
     assert family["quantities"]["explicit_checked"] is False
@@ -229,7 +255,9 @@ def test_certify_zero_k4_samples_inconclusive(tmp_path):
 
 
 def test_certify_samples_past_the_edge_count_check_every_edge(tmp_path, monkeypatch):
-    # a sample of m or more draws would cost more than the exhaustive sweep
+    # without the symmetry path, a sample of m or more draws would cost more
+    # than the exhaustive sweep
+    monkeypatch.setattr(cli, "unital_symmetry", lambda unital, g: None)
     m = build_graph_for_q(8).m
     calls = []
 
@@ -243,13 +271,24 @@ def test_certify_samples_past_the_edge_count_check_every_edge(tmp_path, monkeypa
         assert main(["certify", "--q", "8", "--samples", str(samples), "--out", str(tmp_path)]) == EXIT_PASS
     assert calls == [("exhaustive", m), ("exhaustive", 10**12), ("sampled", m - 1)]
 
+
+def test_certify_symmetry_path_ignores_samples(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "verify_k4_structure", lambda *a, **kw: pytest.fail("direct sweep ran"))
+    assert main(["certify", "--q", "8", "--samples", "0", "--out", str(tmp_path)]) == EXIT_PASS
+
+
 def test_certify_q13(tmp_path):
     rc = main(["certify", "--q", "13", "--out", str(tmp_path)])
     assert rc == EXIT_PASS
     certs = {c["claim"]: c for c in json.loads((tmp_path / "certify_q13.json").read_text())["certificates"]}
     assert all(c["outcome"] == "pass" for c in certs.values())
-    k4 = certs["every K4 has >= 3 vertices in a point clique (sampled)"]["quantities"]
+    k4 = certs["every K4 has >= 3 vertices in a point clique"]
+    assert k4["params"] == {"q": 13, "mode": "exhaustive", "path": "symmetry"}
+    k4 = k4["quantities"]
     assert k4["violations"] == 0 and k4["k4_checked"] > 0
+    assert k4["edges_covered"] == (13**3 + 1) * comb(13**2, 2)
+    nbhd = certs["neighborhood decomposes into point-clique remnants plus spanning cliques"]["quantities"]
+    assert nbhd["vertices_covered"] == 13**4 - 13**3 + 13**2
     family = certs["non-degenerate triangle family matches the closed count"]["quantities"]
     assert family["spot_vertices"] == 64
     bound = certs["every 2-coloring has at least L(q) monochromatic family triangles"]["quantities"]
@@ -268,8 +307,10 @@ def test_certify_q4_reports_neighborhood_coverage(tmp_path):
     assert rc == EXIT_PASS
     payload = json.loads((tmp_path / "certify_q4.json").read_text())
     nbhd = next(c for c in payload["certificates"] if c["claim"].startswith("neighborhood"))
-    assert nbhd["quantities"]["vertices_checked"] == 3
-    assert nbhd["quantities"]["checked_vertices"] == [0, 104, 207]
+    # the unitary group is transitive on the secants: one vertex covers all 208
+    assert nbhd["quantities"]["vertices_checked"] == nbhd["quantities"]["secant_orbits"] == 1
+    assert nbhd["quantities"]["checked_vertices"] == [0]
+    assert nbhd["quantities"]["vertices_covered"] == 208
     # the explicit classification checks every triangle: no spot count
     family = next(c for c in payload["certificates"] if c["claim"].startswith("non-degenerate triangle family"))
     assert "spot_vertices" not in family["quantities"]

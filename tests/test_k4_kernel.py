@@ -149,5 +149,5 @@ def test_certify_q5_checks_every_edge(tmp_path):
     assert main(["certify", "--q", "5", "--out", str(tmp_path)]) == 0
     certs = json.loads((tmp_path / "certify_q5.json").read_text())["certificates"]
     k4 = next(c for c in certs if c["claim"] == "every K4 has >= 3 vertices in a point clique")
-    assert k4["params"]["mode"] == "exhaustive"
-    assert k4["quantities"]["edges_checked"] == 126 * comb(25, 2)
+    assert k4["params"] == {"q": 5, "mode": "exhaustive", "path": "symmetry"}
+    assert k4["quantities"]["edges_covered"] == 126 * comb(25, 2)
