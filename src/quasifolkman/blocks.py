@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import graphs
 from .certificates import Certificate
 from .certify import BNB_MAXCUT_LIMIT, maxcut_exact
 from .graphs import (
@@ -242,6 +243,27 @@ def verify_star_instance(star: StarGraph) -> dict:
         "clique_triangle": clique_triangle,
         "cliques_triangle_free": clique_triangle is None,
     }
+
+
+def cliques_triangle_free(star: StarGraph) -> bool:
+    """Whether no point clique holds a triangle of surviving edges.
+
+    Each clique's surviving edges make a symmetric 0/1 matrix A over its q^2
+    positions.  A path i-j-k adds 1 to (A @ A)[i, k] and A[i, k] closes it,
+    so the clique holds a triangle iff (A @ A) * A has a nonzero entry.  The
+    entries are at most q^2, exact in float32.  The cliques run in blocks
+    of about SCAN_BLOCK_BYTES of A."""
+    g = star.base
+    npts, k = g.cliques.shape
+    iu, iv = np.triu_indices(k, k=1)
+    step = max(1, graphs.SCAN_BLOCK_BYTES // (4 * k * k))
+    for s in range(0, npts, step):
+        alive = star.edge_mask[g.clique_edges[s:s + step]]
+        A = np.zeros((len(alive), k, k), dtype=np.float32)
+        A[:, iu, iv] = A[:, iv, iu] = alive
+        if ((A @ A) * A).any():
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------

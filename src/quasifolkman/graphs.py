@@ -49,8 +49,8 @@ SAMPLE_BLOCK = 1 << 14
 #: edges per block of verify_k4_structure's edge kernel
 K4_EDGE_BLOCK = 1 << 8
 #: bytes of rows that one block gathers: bit-packed adjacency rows in the
-#: clique-extension scan, rows of pos in verify_srg; the rows per block
-#: follow from n
+#: clique-extension scan, rows of pos in verify_srg, the cliques' 0/1
+#: matrices in blocks.cliques_triangle_free; the rows per block follow from q
 SCAN_BLOCK_BYTES = 1 << 22
 #: lines per block of the edge-list text.  Each block's Python ints and
 #: strings are freed but leave heap behind: at 2^16 lines check-coloring's

@@ -1,9 +1,12 @@
 import json
 from math import comb
 
+import numpy as np
 import pytest
 
+import oracles
 from quasifolkman import cli
+from quasifolkman.blocks import instance_seed
 from quasifolkman.certificates import Certificate
 from quasifolkman.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
 from quasifolkman.graphs import build_graph_for_q
@@ -127,17 +130,83 @@ def test_simulate_single_trial_writes_strict_json(tmp_path):
 
 
 def test_simulate_parallel_workers_match_serial(tmp_path):
-    rc = main(
-        ["simulate", "--q", "2", "--F", "edge", "--trials", "8", "--threads", "2", "--out", str(tmp_path)]
-    )
+    # at q = 3 the instances past the spot scans reach the workers unscanned
+    for q in (2, 3):
+        runs = {}
+        for threads in ("2", "1"):
+            out = tmp_path / f"q{q}_{threads}"
+            argv = ["simulate", "--q", str(q), "--F", "edge", "--trials", "12", "--threads", threads, "--out", str(out)]
+            assert main(argv) == EXIT_PASS
+            runs[threads] = {
+                "report": json.loads((out / f"simulate_q{q}_edge.json").read_text())["report"],
+                "certs": _strip_timestamps(json.loads((out / f"simulate_q{q}_edge_certs.json").read_text()))["certificates"],
+            }
+        assert runs["2"] == runs["1"]
+        assert runs["1"]["certs"][0]["quantities"]["instances_scanned"] == cli.SPOT_SCANS
+
+
+K4_CLAIM = "random block instances are K4-free"
+CLIQUE_CLAIM = "random block instances have no triangle inside a point clique"
+
+
+def _simulate(out, q, trials, *extra):
+    """Exit code, report and certificates by claim of one c5 simulate run."""
+    rc = main(["simulate", "--q", str(q), "--F", "c5", "--trials", str(trials), *extra, "--out", str(out)])
+    report = json.loads((out / f"simulate_q{q}_c5.json").read_text())["report"]
+    certs = json.loads((out / f"simulate_q{q}_c5_certs.json").read_text())["certificates"]
+    return rc, report, {c["claim"]: c for c in certs}
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_simulate_lemma_path_matches_a_forced_scan(tmp_path, monkeypatch, q, seed):
+    rc, lemma, certs = _simulate(tmp_path / "lemma", q, 400, "--seed", str(seed))
     assert rc == EXIT_PASS
-    par = json.loads((tmp_path / "simulate_q2_edge.json").read_text())
-    rc = main(
-        ["simulate", "--q", "2", "--F", "edge", "--trials", "8", "--threads", "1", "--out", str(tmp_path)]
-    )
+    k4 = certs[K4_CLAIM]["quantities"]
+    assert k4["path"] == "clique lemma" and k4["instances_scanned"] == cli.SPOT_SCANS
+    assert k4["edges_covered"] == (q**3 + 1) * comb(q * q, 2) and k4["edge_orbits"] >= 1
+    assert certs[CLIQUE_CLAIM]["quantities"] == {"violations": 0, "instances_checked": 400}
+    monkeypatch.setattr(cli, "SPOT_SCANS", 400)
+    rc, scan, certs = _simulate(tmp_path / "scan", q, 400, "--seed", str(seed))
     assert rc == EXIT_PASS
-    ser = json.loads((tmp_path / "simulate_q2_edge.json").read_text())
-    assert par["report"]["instances"] == ser["report"]["instances"]
+    assert certs[K4_CLAIM]["quantities"]["instances_scanned"] == 400
+    assert scan == lemma
+
+
+def test_simulate_without_the_lemma_scans_every_instance(tmp_path, monkeypatch):
+    _, lemma, _ = _simulate(tmp_path / "lemma", 3, 12)
+    monkeypatch.setattr(cli, "unital_symmetry", lambda unital, g: None)
+    rc, scan, certs = _simulate(tmp_path / "scan", 3, 12)
+    assert rc == EXIT_PASS
+    assert certs[K4_CLAIM]["quantities"] == {"violations": 0, "path": "scan", "instances_scanned": 12}
+    assert scan == lemma
+
+
+def test_simulate_fails_on_a_clique_triangle_and_scans_that_instance(tmp_path, monkeypatch):
+    # instance 10, past the spot scans, keeps a triangle inside point 2's
+    # clique; the K4 certificate alone passed such a run before the clique one
+    real, target, planted = cli.random_block, instance_seed(0, 10), []
+
+    def random_block(g, F, seed):
+        star = real(g, F, seed)
+        if seed == target:
+            iu, iv = np.triu_indices(g.cliques.shape[1], k=1)
+            pairs = [np.flatnonzero((iu == x) & (iv == y))[0] for x, y in ((0, 1), (0, 2), (1, 2))]
+            star.edge_mask[g.clique_edges[2, pairs]] = True
+            planted.append(star)
+        return star
+
+    monkeypatch.setattr(cli, "random_block", random_block)
+    rc, report, certs = _simulate(tmp_path, 3, 12)
+    assert rc == EXIT_FAIL
+    assert certs[CLIQUE_CLAIM]["outcome"] == "fail" and certs[K4_CLAIM]["outcome"] == "pass"
+    assert certs[CLIQUE_CLAIM]["quantities"] == {"violations": 1, "instances_checked": 12}
+    assert certs[K4_CLAIM]["quantities"]["instances_scanned"] == cli.SPOT_SCANS + 1
+    record, (star,) = report["instances"][10], planted
+    assert record["cliques_triangle_free"] is False
+    # the K4 verdict comes from the scan, not from the failed clique test
+    assert oracles.find_k4(oracles.adj_bits(star), star.base.n) is None
+    assert record["k4_free"] is True
 
 
 def test_simulate_caps_worker_processes_at_the_trials(tmp_path, monkeypatch):

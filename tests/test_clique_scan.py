@@ -1,5 +1,5 @@
 """Differential tests: the clique-extension scan, the concurrency predicate,
-the star-instance check and the graph6 encoder against the loop, meet-point,
+the star-instance checks and the graph6 encoder against the loop, meet-point,
 bitmask and index-array oracles in oracles.py."""
 
 import itertools
@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 import oracles
 from oracles import enumerate_k4
 from quasifolkman import graphs
-from quasifolkman.blocks import StarGraph, instance_seed, random_block, replacement_registry, verify_star_instance
+from quasifolkman.blocks import (
+    StarGraph,
+    cliques_triangle_free,
+    instance_seed,
+    random_block,
+    replacement_registry,
+    verify_star_instance,
+)
 from quasifolkman.graphs import (
     build_graph_for_q,
     edge_rows,
@@ -94,6 +101,7 @@ def test_star_check_matches_bitmask_oracles(graphs_by_q, q, name):
         rep = verify_star_instance(star)
         assert rep["k4_witness"] == oracles.find_k4(oracles.adj_bits(star), g.n)
         assert rep["cliques_triangle_free"] == (oracles.clique_triangle_loop(star) is None)
+        assert cliques_triangle_free(star) == rep["cliques_triangle_free"]
 
 
 def _first_concurrent_triangle(g, tris, edges, meet, mask):
@@ -121,6 +129,7 @@ def test_star_check_finds_planted_k4s_and_clique_triangles(graphs_by_q, q, densi
         assert rep["k4_witness"] == k4 and rep["k4_free"] == (k4 is None)
         assert rep["cliques_triangle_free"] == (oracles.clique_triangle_loop(star) is None)
         assert rep["clique_triangle"] == _first_concurrent_triangle(g, tris, edges, meet, mask)
+        assert cliques_triangle_free(star) == rep["cliques_triangle_free"]
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -135,6 +144,28 @@ def test_star_check_positive_control_every_edge_kept(graphs_by_q, q, monkeypatch
         assert rep["k4_free"] is False
         assert rep["k4_witness"] == first
         assert rep["cliques_triangle_free"] is False
+        assert cliques_triangle_free(star) is False
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_clique_test_sees_each_clique_alone(graphs_by_q, q, monkeypatch):
+    # one triangle in one clique, the rest of that clique's edges dead, and
+    # every clique in its own block: the test must find it in every clique
+    g = graphs_by_q[q]
+    k = g.cliques.shape[1]
+    iu, iv = np.triu_indices(k, k=1)
+    pairs = [int(np.flatnonzero((iu == x) & (iv == y))[0]) for x, y in ((0, 1), (0, 2), (1, 2))]
+    rng = np.random.default_rng(q)
+    for block_bytes in (graphs.SCAN_BLOCK_BYTES, 1):
+        monkeypatch.setattr(graphs, "SCAN_BLOCK_BYTES", block_bytes)
+        for point in rng.choice(len(g.cliques), size=8, replace=False):
+            mask = np.zeros(g.m, dtype=bool)
+            mask[g.clique_edges[point, pairs]] = True
+            star = StarGraph(base=g, F=replacement_registry()["edge"], seed=0, labels=None, edge_mask=mask)
+            assert cliques_triangle_free(star) is False
+            # two of its edges are a path, not a triangle
+            mask[g.clique_edges[point, pairs[2]]] = False
+            assert cliques_triangle_free(star) is True
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -33,8 +33,8 @@ GOLDEN = {
     "graph_q3.g6": "15854fe7796915c1514d2cdf213f60c3e83819a1d57f9af5171859c29d9eeb95",
     "search_q3.json": "8dda0600a6334aead14f97be4ebf297c9b1c88cd2952f6e9678d9f9740bad27e",
     "simulate_q3_c5.json": "82f93ff1c6d01bb9019749c0f0d9917ce21100df12656781d220f1fb8cda55fc",
-    "simulate_q3_c5_certs.json": "ed2a90c51783fd98889a8fd529ae5a5b17a74776f3971c8cf6e580c03964a543",
-    "simulate_q3_c5_certs.txt": "070456f2c12d9a7eae865f0f3a864025e1cac1e0037b3a9bbc3a15107bf2a3a6",
+    "simulate_q3_c5_certs.json": "29ab3e0ad429b56ffcf9caf9b4960609677a51d61b89a76406d7a7117697a508",
+    "simulate_q3_c5_certs.txt": "117e787d0bd3eee51e4db7d19de0f0e0c5d9eeb9966b6539c684bd4eb3ab6d6b",
     "unital_q3.txt": "fce60569b4579704fe7169d7ed16f879075fd86fa63c458b5d0cfcc52a0e79f2",
 }
 
