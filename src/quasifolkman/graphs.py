@@ -38,11 +38,10 @@ from math import comb
 import numpy as np
 
 from .certificates import Certificate
-from .fields import QuadraticExtension
-from .plane import UnitalIncidence
+from .plane import ProjectivePlane, UnitalIncidence
 
 #: q values the commands run at; cli.Q_LIMIT caps all but certify lower
-SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
 
 #: rows per batch of k4_clique_property's incidence gathers
 SAMPLE_BLOCK = 1 << 14
@@ -491,15 +490,15 @@ class UnitalSymmetry:
     stabiliser: list[np.ndarray]
 
 
-def unitary_generators(fld: QuadraticExtension) -> list[np.ndarray]:
+def unitary_generators(plane: ProjectivePlane) -> list[np.ndarray]:
     """3x3 matrices over GF(q^2), as field codes, that preserve the Hermitian
     form X^{q+1} + Y^{q+1} + Z^{q+1}, chosen without randomness: the
     coordinate swap, the 3-cycle, diag(lam, 1, 1) for the least code lam != 1
     of norm 1, and the blocks [[a, b], [-b^q, a^q]] on X, Y for the first
     three code pairs with a, b != 0 and N(a) + N(b) = 1.  At q = 2 no such
     pair exists (a nonzero norm is 1 and 1 + 1 = 0), so there are none."""
-    add, nrm, frob = fld.add_table, fld.norm_table, fld.frobenius_table
-    neg = np.argmax(add == 0, axis=1)
+    fld = plane.field
+    add, nrm, frob, neg = fld.add_table, fld.norm_table, fld.frobenius_table, plane.neg
     lam = 2 + int(np.argmax(nrm[2:] == 1))
     gens = [np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
             np.diag([lam, 1, 1])]
@@ -512,17 +511,13 @@ def unitary_generators(fld: QuadraticExtension) -> list[np.ndarray]:
 
 def point_action(unital: UnitalIncidence, M: np.ndarray) -> np.ndarray | None:
     """The permutation X -> M X of the unital's dense points, or None when M
-    does not map them bijectively onto themselves.  Images are scaled to a
-    leading 1 (inverses read off mul_table) and named by plane id (plane.py)."""
-    fld = unital.plane.field
-    s, add, mul = fld.order, fld.add_table, fld.mul_table
-    inv = np.argmax(mul == 1, axis=1)
-    x = unital.plane.coord_array()[unital.unital_points]
-    y = np.stack([add[add[mul[M[i, 0], x[:, 0]], mul[M[i, 1], x[:, 1]]], mul[M[i, 2], x[:, 2]]]
-                  for i in range(3)], axis=1)
-    lead = y[np.arange(len(y)), np.argmax(y != 0, axis=1)]
-    y = mul[inv[lead][:, None], y]
-    ids = np.where(y[:, 0] > 0, y[:, 1] * s + y[:, 2], np.where(y[:, 1] > 0, s * s + y[:, 2], s * s + s))
+    does not map them bijectively onto themselves.  Images are named by
+    plane id (ProjectivePlane.ids)."""
+    plane = unital.plane
+    add, mul = plane.field.add_table, plane.field.mul_table
+    x = plane.coord_array()[unital.unital_points]
+    ids = plane.ids(np.stack([add[add[mul[M[i, 0], x[:, 0]], mul[M[i, 1], x[:, 1]]], mul[M[i, 2], x[:, 2]]]
+                              for i in range(3)], axis=1))
     # the images must be the unital's points, each once.  A singular M fails:
     # its nonzero images lie on one line, which holds at most q+1 of them, and
     # a zero image reads as the one point (0, 0, 1)
@@ -568,7 +563,7 @@ def unital_symmetry(unital: UnitalIncidence, g: IntersectionGraph) -> UnitalSymm
     fix point 0, and each is checked to.  Products of verified generators,
     they are automorphisms too."""
     points, secants = [], []
-    for M in unitary_generators(unital.plane.field):
+    for M in unitary_generators(unital.plane):
         perm = point_action(unital, M)
         sec = None if perm is None else secant_action(g, perm)
         if sec is None:

@@ -14,6 +14,8 @@ and exports byte-identical across runs.
 
 The unital is the zero set of norm(X) + norm(Y) + norm(Z); every line of the
 plane meets it in exactly 1 point (tangent) or q+1 points (secant).
+build_unital finds which by testing each line against its own s+1 points,
+O(s^3) table lookups in blocks of lines, never against the unital's q^3+1.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 from .fields import FieldError, QuadraticExtension
 
 
-#: line x unital-point entries per block of build_unital's incidence
-INCIDENCE_BLOCK = 1 << 18
+#: (line, point) entries per block of build_unital's line scan
+LINE_BLOCK = 1 << 18
 
 
 class GeometryError(RuntimeError):
@@ -42,6 +44,9 @@ class ProjectivePlane:
         self.field = fld
         s = fld.order
         self.size = s * s + s + 1
+        #: each code's negative and inverse (0 for 0), read off the tables
+        self.neg = np.argmax(fld.add_table == 0, axis=1)
+        self.inv = np.argmax(fld.mul_table == 1, axis=1)
 
     def coord_array(self) -> np.ndarray:
         """All normalized triples, shape (size, 3), in id order."""
@@ -56,6 +61,14 @@ class ProjectivePlane:
         out[s * s : s * s + s, 2] = np.arange(s)
         out[s * s + s] = (0, 0, 1)
         return out
+
+    def ids(self, triples: np.ndarray) -> np.ndarray:
+        """Plane ids of the rows of triples, shape (n, 3), each scaled to a
+        leading 1 first; a zero row reads as the point (0, 0, 1)."""
+        s, mul = self.field.order, self.field.mul_table
+        lead = triples[np.arange(len(triples)), np.argmax(triples != 0, axis=1)]
+        y = mul[self.inv[lead][:, None], triples]
+        return np.where(y[:, 0] > 0, y[:, 1] * s + y[:, 2], np.where(y[:, 1] > 0, s * s + y[:, 2], s * s + s))
 
 
 @dataclass
@@ -98,27 +111,52 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
     GeometryError (impossible for Hermitian unitals; would signal a bug).
     """
     fld = plane.field
-    q = fld.base_order
+    q, s = fld.base_order, fld.order
+    add, mul, nrm, neg = fld.add_table, fld.mul_table, fld.norm_table, plane.neg
     coords = plane.coord_array()
-    nrm = fld.norm_table
-    add = fld.add_table
     herm = add[add[nrm[coords[:, 0]], nrm[coords[:, 1]]], nrm[coords[:, 2]]]
     unital = np.flatnonzero(herm == 0).astype(np.int64)
     if len(unital) != q**3 + 1:
         raise GeometryError(f"unital has {len(unital)} points, expected {q**3 + 1}")
 
-    # incidence of every line with every unital point, a block of lines at a
-    # time: per line its count, and the secants' points
-    mul = fld.mul_table
-    up = coords[unital]  # (U, 3)
-    counts = np.empty(plane.size, dtype=np.int64)
-    cols = []
-    step = max(1, INCIDENCE_BLOCK // len(unital))
-    for s in range(0, plane.size, step):
-        la, lb, lc = (coords[s:s + step, i, None] for i in range(3))
-        inc = add[add[mul[la, up[:, 0]], mul[lb, up[:, 1]]], mul[lc, up[:, 2]]] == 0
-        c = counts[s:s + step] = inc.sum(axis=1)
-        cols.append(np.nonzero(inc[c == q + 1])[1])
+    index = np.full(plane.size, -1)
+    index[unital] = np.arange(len(unital))
+
+    def dense(triples):
+        return index[plane.ids(triples)]
+
+    # the line [1, b, c], id b s + c, holds (-(b + c t), 1, t) for t in GF(s)
+    # and (-c, 0, 1), read as t = s: the first is on the unital iff
+    # N(-(b + c t)) = -(1 + N(t)), the second iff N(-c) = -1.  Per block of
+    # b, one lookup per (line, point): per line its count, and the secants'
+    # points
+    nrm_neg = nrm[neg]
+    target = neg[add[1, nrm]]
+    far = nrm_neg == neg[1]
+    counts, cols = [], []
+    step = max(1, LINE_BLOCK // (s * s))
+    for b0 in range(0, s, step):
+        b = np.arange(b0, min(b0 + step, s))
+        hit = np.take(nrm_neg[add[b]], mul, axis=1) == target  # (b, c, t)
+        cnt = np.count_nonzero(hit, axis=2) + far
+        bi, ci = np.nonzero(cnt == q + 1)
+        # each secant's points: (-(b + c t), 1, t) at its hits t < s, then
+        # (-c, 0, 1) at t = s if it holds it
+        r, t = np.divmod(np.flatnonzero(np.hstack([hit[bi, ci], far[ci, None]])), s + 1)
+        bb, cc, aff = b[bi[r]], ci[r], t < s
+        x = neg[np.where(aff, add[bb, mul[cc, t % s]], cc)]
+        counts.append(cnt.ravel())
+        cols.append(dense(np.stack([x, aff, np.where(aff, t, 1)], axis=1)).reshape(-1, q + 1))
+
+    # permuting coordinates fixes the unital, so [0, 1, c] and [0, 0, 1] meet
+    # it as [1, 0, c] and [1, 0, 0] do, at their points with X, Y and with
+    # X, Z swapped
+    first = counts[0][:s]
+    lines0 = cols[0][:np.count_nonzero(first == q + 1)]
+    up = coords[unital]
+    counts += [first, first[:1]]
+    cols += [dense(up[:, [1, 0, 2]])[lines0], dense(up[:, [2, 1, 0]])[lines0[:int(first[0] == q + 1)]]]
+    counts = np.concatenate(counts)
 
     secant_mask = counts == q + 1
     bad = ~(secant_mask | (counts == 1))
@@ -130,7 +168,7 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
     if len(secants) != q**4 - q**3 + q**2:
         raise GeometryError(f"{len(secants)} secants, expected {q**4 - q**3 + q**2}")
 
-    secant_points = np.concatenate(cols).reshape(len(secants), q + 1)
+    secant_points = np.concatenate(cols)
     secant_points.sort(axis=1)
 
     return UnitalIncidence(

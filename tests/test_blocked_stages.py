@@ -1,4 +1,4 @@
-"""Differential tests: the blocked unital incidence and K4 clique test
+"""Differential tests: the blocked unital line scan and K4 clique test
 against their unblocked forms in oracles.py, and certify's structural path
 without the edge tables; no command builds the dense adjacency."""
 
@@ -32,11 +32,13 @@ def graph(request):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
-@pytest.mark.parametrize("block", [None, 97])
+@pytest.mark.parametrize("block", [None, 97, 2 * 49**2 + 1])
 def test_build_unital_matches_whole_incidence(monkeypatch, q, block):
-    # 97 entries per block: one line per block at q >= 4, ragged blocks below
+    # by default the whole line scan is one block up to q = 8; 97 entries
+    # scan one b per block from q = 3 on, and 2 * 49^2 + 1 entries leave a
+    # ragged last block at q = 5 and 7
     if block is not None:
-        monkeypatch.setattr(plane_module, "INCIDENCE_BLOCK", block)
+        monkeypatch.setattr(plane_module, "LINE_BLOCK", block)
     pl = ProjectivePlane(QuadraticExtension(q))
     got, (want, _) = build_unital(pl), build_unital_whole(pl)
     for name in UNITAL_FIELDS:

@@ -485,7 +485,7 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["search", "--q", "8"],
         ["search", "--q", "13"],
         ["check-coloring", "--q", "16", "--file", "no-such-coloring.txt"],
-        ["certify", "--q", "17"],
+        ["certify", "--q", "25"],
         ["simulate", "--alon-k", "7", "--delta", "1e-200"],
         ["search", "--q", "3", "--restarts", "1000000000000"],
     ],

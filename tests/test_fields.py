@@ -13,7 +13,7 @@ from quasifolkman.fields import (
 from quasifolkman.graphs import SUPPORTED_Q
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]  # orders 2..9
-# plus every field the pipeline builds: GF(q^2) for each supported q, up to GF(121)
+# plus every field the pipeline builds: GF(q^2) for each supported q, up to GF(529)
 FIELDS = [pytest.param(lambda p=p, k=k: FiniteField(p, k), id=f"{p}-{k}") for p, k in SMALL_FIELDS] + [
     pytest.param(lambda q=q: QuadraticExtension(q), id=f"q{q}") for q in SUPPORTED_Q
 ]
@@ -71,6 +71,21 @@ GOLDEN_TABLES = {
         "1e68d74358ba6268aa44dc257924e1ffdf8d6a7bfde55ad6b8ba827d99e09829",
         "f003bf5b5f0129689a427a36a0a65475e43c2a2b913536dfdde026d478e49414",
     ),
+    17: (
+        "fc4890a7d03e6df0832faddad6b62a6929ec2e04d0280286e8ea98dd5296ba67",
+        "ed07bcc13f85c630a3285ccabccf57c218dbea2c0e3f4f2df386bbf0cf556d96",
+        "4962bed430a14fcae960e1c3868dadd94178a4b540495c72804ae2d1e2caa315",
+    ),
+    19: (
+        "fe30ba91f40a81c800c624bce39f8d30518827a948dcde43bf42fe19b8b70bdc",
+        "1c2d99a32d3c959a77c18fad7bf5f80d2a551257a5ad083378264f8e1e355533",
+        "1e859e344d1f40fa815b914d7c0ad1a68ddd98b6583e8420874a42f5bcf87c3d",
+    ),
+    23: (
+        "53859876bf606879be194d6701d8b30e7fb214b0642fc531ac9bffb71f255404",
+        "d1e6928588efb28f39a9406b7ae830bbc978fe73c874acfdb7f59684068549b2",
+        "b23cad80e7a1745c4698db55780f26a2e241abaeebf2ba4bf4c7d232ac9431c6",
+    ),
 }
 
 
@@ -125,16 +140,17 @@ def test_field_axioms_exhaustive(make):
     # products of a nonzero element, none for zero
     assert ((add == 0).sum(axis=1) == 1).all()
     assert ((mul[1:] == 1).sum(axis=1) == 1).all() and not (mul[0] == 1).any()
-    # associativity and distributivity
-    ab_c = add[add[:, :, None], np.arange(s)[None, None, :]]
-    a_bc = add[np.arange(s)[:, None, None], add[None, :, :]]
-    assert np.array_equal(ab_c, a_bc)
-    mab_c = mul[mul[:, :, None], np.arange(s)[None, None, :]]
-    ma_bc = mul[np.arange(s)[:, None, None], mul[None, :, :]]
-    assert np.array_equal(mab_c, ma_bc)
-    dist_l = mul[np.arange(s)[:, None, None], add[None, :, :]]
-    dist_r = add[mul[:, :, None], mul[:, None, :]]
-    assert np.array_equal(dist_l, dist_r)
+    # associativity and distributivity over every triple (a, b, c), about
+    # 2^22 at a time, up to order 256; above it over 2^22 seeded random
+    # triples, since mul already equals field_mul on every pair
+    if s <= 256:
+        triples = [(a[:, None, None], elems[:, None], elems) for a in np.array_split(elems, -(-s**3 // (1 << 22)))]
+    else:
+        triples = [np.random.default_rng(s).integers(0, s, size=(3, 1 << 22))]
+    for a, b, c in triples:
+        assert np.array_equal(add[add[a, b], c], add[a, add[b, c]])
+        assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])
+        assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]])
 
 
 @pytest.mark.parametrize("make", [lambda: FiniteField(2, 13), lambda: QuadraticExtension(67)])

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import build_unital_whole, plane_incidence
 from quasifolkman.fields import QuadraticExtension
-from quasifolkman.plane import ProjectivePlane, build_unital_for_q
+from quasifolkman.plane import GeometryError, ProjectivePlane, build_unital, build_unital_for_q
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,21 @@ def test_id_coord_roundtrip(planes, q):
     assert len(np.unique(c, axis=0)) == pl.size
     ids = np.where(c[:, 0] == 1, c[:, 1] * s + c[:, 2], np.where(c[:, 1] == 1, s * s + c[:, 2], s * s + s))
     assert np.array_equal(ids, np.arange(pl.size))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_ids_of_scaled_triples(q):
+    # every nonzero multiple of a point's triple names that point, and the
+    # negation and inverse tables invert add and mul
+    pl = ProjectivePlane(QuadraticExtension(q))
+    add, mul = pl.field.add_table, pl.field.mul_table
+    c = pl.coord_array()
+    codes = np.arange(pl.field.order)
+    assert (add[codes, pl.neg] == 0).all()
+    assert (mul[codes[1:], pl.inv[1:]] == 1).all() and pl.inv[0] == 0
+    for lam in codes[1:]:
+        assert np.array_equal(pl.ids(mul[lam, c]), np.arange(pl.size))
+    assert np.array_equal(pl.ids(np.zeros((2, 3), dtype=np.int64)), [pl.size - 1] * 2)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -96,3 +111,36 @@ def test_export_deterministic():
     a = build_unital_for_q(3).export_text()
     b = build_unital_for_q(3).export_text()
     assert a == b
+
+
+def doctored_plane(q, norm_of):
+    """PG(2, q^2) over GF(q^2) with norm_table replaced by norm_of(field)."""
+    fld = QuadraticExtension(q)
+    fld.norm_table = norm_of(fld)
+    return ProjectivePlane(fld)
+
+
+def test_a_wrong_unital_size_raises():
+    # with x -> x^q for the norm, the "unital" is the line X + Y + Z = 0
+    pl = doctored_plane(3, lambda fld: fld.frobenius_table)
+    for build in (build_unital, build_unital_whole):
+        with pytest.raises(GeometryError, match="unital has 10 points, expected 28"):
+            build(pl)
+
+
+@pytest.mark.parametrize("q, swap", [(3, (2, 4)), (4, (2, 3)), (5, (2, 7))])
+def test_a_line_meeting_the_point_set_wrongly_raises(q, swap):
+    # N(pi(x)) for a transposition pi of two codes of different norm: pi fixes
+    # 0 and 1 and is not semilinear, so the normalized triples it moves the
+    # unital to are q^3 + 1 points but no unital.  This N is not
+    # multiplicative, so build_unital, which reads the points of [1, b, c]
+    # unscaled, and the oracle, which reads them scaled, may name different
+    # first lines
+    pi = np.arange(q * q)
+    pi[list(swap)] = swap[::-1]
+    pl = doctored_plane(q, lambda fld: fld.norm_table[pi])
+    nrm, add, c = pl.field.norm_table, pl.field.add_table, pl.coord_array()
+    assert np.count_nonzero(add[add[nrm[c[:, 0]], nrm[c[:, 1]]], nrm[c[:, 2]]] == 0) == q**3 + 1
+    for build in (build_unital, build_unital_whole):
+        with pytest.raises(GeometryError, match="meets the unital in"):
+            build(pl)

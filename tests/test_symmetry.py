@@ -42,7 +42,7 @@ def hermitian(request):
 def test_generators_are_unitary_and_act_as_the_oracle(hermitian):
     unital, g = hermitian
     fld = unital.plane.field
-    gens = unitary_generators(fld)
+    gens = unitary_generators(unital.plane)
     # no a, b != 0 has N(a) + N(b) = 1 at q = 2
     assert len(gens) == (3 if g.q == 2 else 6)
     for M in gens:
@@ -141,14 +141,14 @@ def test_relabelled_incidence_fails_the_generator_check():
                               secants=unital.secants, secant_points=pts)
     g = build_graph(swapped)
     assert unital_symmetry(swapped, g) is None
-    assert any(secant_action(g, point_action(unital, M)) is None for M in unitary_generators(unital.plane.field))
+    assert any(secant_action(g, point_action(unital, M)) is None for M in unitary_generators(unital.plane))
 
 
 def test_generators_that_are_not_transitive_are_turned_down(monkeypatch):
     # the swap, the 3-cycle and the diagonal keep the count of zero coordinates
     unital = build_unital_for_q(3)
     g = build_graph(unital)
-    monkeypatch.setattr(graphs_module, "unitary_generators", lambda fld: unitary_generators(fld)[:3])
+    monkeypatch.setattr(graphs_module, "unitary_generators", lambda plane: unitary_generators(plane)[:3])
     assert unital_symmetry(unital, g) is None
 
 
