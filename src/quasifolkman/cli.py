@@ -120,7 +120,7 @@ class _Parser(argparse.ArgumentParser):
 #: SUPPORTED_Q: search's partner tables scale as m q^2; build, simulate and
 #: check-coloring build the edge tables, which check-coloring's streamed
 #: Goodman rows read without holding a clique-edge matrix
-Q_LIMIT = {"build": 11, "simulate": 11, "search": 5, "check-coloring": 13}
+Q_LIMIT = {"build": 11, "simulate": 11, "search": 7, "check-coloring": 13}
 
 
 def _check_q(args) -> None:
@@ -436,7 +436,7 @@ def cmd_search(args) -> int:
         initial_temperature=args.t0, cooling=args.cooling, steps=int(args.steps)
     )
     result = anneal(g, fam, schedule, seed=args.seed, restarts=args.restarts)
-    stats = random_coloring_stats(fam, trials=max(args.stat_trials, 2), seed=args.seed)
+    stats = random_coloring_stats(fam, trials=args.stat_trials, seed=args.seed)
     # only now: a search that runs out of memory leaves no directory behind
     out = _out_dir(args)
     (out / f"best_coloring_q{args.q}.txt").write_text(result.best.coloring.to_text())
@@ -549,8 +549,10 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise UsageError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "search":
-            if not (math.isfinite(args.steps) and args.steps >= 0):
-                raise UsageError(f"--steps must be a finite number >= 0, got {args.steps:g}")
+            if not (math.isfinite(args.steps) and args.steps >= 0 and args.steps.is_integer()):
+                raise UsageError(f"--steps must be a finite whole number >= 0, got {args.steps:g}")
+            if args.stat_trials < 2:
+                raise UsageError(f"--stat-trials must be at least 2, got {args.stat_trials}")
             if not (math.isfinite(args.t0) and args.t0 >= 0):
                 raise UsageError(f"--t0 must be a finite number >= 0, got {args.t0}")
             if not (math.isfinite(args.cooling) and args.cooling > 0):

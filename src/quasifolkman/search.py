@@ -11,9 +11,12 @@ delta(e) and moves delta(f) by +1 for each partner f that had e's old
 color, by -1 for the rest.  The tracked objective is revalidated against the
 Goodman count.  A final greedy descent flips the best-improving edge until a
 local minimum, ties to the lowest edge id: results are bit-reproducible from
-(seed, schedule).  The step loop runs in C (_anneal.c) when a compiler is
-available, on the same random stream; the numpy loop is its fallback and
-its reference.
+(seed, schedule).  The step loop and the descent run in C (_anneal.c) when a
+compiler is available, on the same random stream.  There each chain keeps
+its delta table, so a step reads delta(e) in O(1), the best coloring is
+synced from a journal of the flips made since the last best, and the
+descent finds its move at the root of a tournament tree over (delta, id).
+The numpy loop and descent are their fallback and their reference.
 """
 
 from __future__ import annotations
@@ -159,23 +162,34 @@ def _revalidate(fam, colors, obj):
 
 
 #: steps per call of the compiled loop; each call takes a table of
-#: ANNEAL_CHUNK x (q^2 + 1) accept thresholds
-ANNEAL_CHUNK = 4096
+#: ANNEAL_CHUNK x (q^2 + 1) accept thresholds and draws ANNEAL_CHUNK x
+#: restarts edges and doubles up front.  Longer chunks run each chain
+#: longer in cache (at q = 7, 4096 steps beat 1024 by about a quarter),
+#: but at q = 4 their 1.5 MB of draws would raise search's peak by 2 %.
+ANNEAL_CHUNK = 1024
 
 
-def _compiled_loop(kernel, rng, fam, part, colors, obj, best_obj, best_colors, schedule, revalidate_every) -> int:
+def _compiled_loop(kernel, rng, fam, part, colors, obj, best_obj, best_colors, schedule, revalidate_every,
+                   journal_capacity=None) -> int:
     """_numpy_loop's steps, run by the C kernel in chunks that end at every
     revalidation.  The kernel draws from rng's own bit generator in numpy's
     order, and tests u < exp(-d / T) against a table of numpy's exp values
-    for d = 0..q^2, one row per step, so seeded results are bit-identical."""
+    for d = 0..q^2, one row per step, so seeded results are bit-identical.
+    Each chain's delta table and flip journal (journal_capacity entries,
+    m // 8 by default) live across the chunks; the journal starts full, so a
+    chain's first new best copies its whole coloring."""
     restarts, m = colors.shape
     if not (obj.dtype == best_obj.dtype == np.int64
             and colors.flags.c_contiguous and best_colors.flags.c_contiguous):
         raise TypeError("the compiled loop needs int64 objectives and C-ordered colorings")
     part = np.ascontiguousarray(part, dtype=np.int32)
+    capacity = m // 8 if journal_capacity is None else journal_capacity
+    delta = _kernel_deltas(kernel, colors, part)
+    journal = np.empty((restarts, capacity), dtype=np.int32)
+    journal_len = np.full(restarts, capacity + 1, dtype=np.int64)
     d = np.arange(part.shape[1] // 2 + 1)
-    edges, u = np.empty(restarts, dtype=np.int64), np.empty(restarts)
-    arrays = [a.ctypes.data for a in (colors, obj, best_obj, best_colors, part)]
+    edges, u = np.empty((ANNEAL_CHUNK, restarts), dtype=np.uint32), np.empty((ANNEAL_CHUNK, restarts))
+    arrays = [a.ctypes.data for a in (colors, delta, obj, best_obj, best_colors, journal, journal_len)]
     temp = schedule.initial_temperature
     accepted = step = 0
     while step < schedule.steps:
@@ -188,8 +202,8 @@ def _compiled_loop(kernel, rng, fam, part, colors, obj, best_obj, best_colors, s
             thr = np.exp(-d / np.maximum(temps, 1e-300)[:, None])
         with rng.bit_generator.lock:
             accepted += kernel.anneal_steps(
-                rng.bit_generator.ctypes.bit_generator, *arrays, restarts, m,
-                part.shape[1], n, thr.ctypes.data, edges.ctypes.data, u.ctypes.data,
+                rng.bit_generator.ctypes.bit_generator, *arrays, capacity, part.ctypes.data,
+                restarts, m, part.shape[1], n, thr.ctypes.data, edges.ctypes.data, u.ctypes.data,
             )
         step += n
         if revalidate_every and step % revalidate_every == 0:
@@ -197,16 +211,24 @@ def _compiled_loop(kernel, rng, fam, part, colors, obj, best_obj, best_colors, s
     return accepted
 
 
+def _kernel_deltas(kernel, colors, part):
+    """The kernel's delta table of each coloring, int16 (|delta| <= q^2)."""
+    delta = np.empty(colors.shape, dtype=np.int16)
+    kernel.fill_deltas(colors.ctypes.data, part.ctypes.data, *colors.shape, part.shape[1], delta.ctypes.data)
+    return delta
+
+
 _KERNEL_SOURCE = Path(__file__).with_name("_anneal.c")
 
 
 @functools.cache
 def _load_kernel():
-    """The compiled step loop, built on first use; None without a working
-    C compiler.  The library is cached under $XDG_CACHE_HOME (or ~/.cache)
-    /quasifolkman, keyed by the source, the numpy version and the machine,
-    and written under a temporary name first, so concurrent builds are safe.
-    An unwritable cache gets a build in a per-process temporary directory."""
+    """The compiled step loop and polish, built on first use; None without
+    a working C compiler.  The library is cached under $XDG_CACHE_HOME (or
+    ~/.cache)/quasifolkman, keyed by the source, the numpy version and the
+    machine, and written under a temporary name first, so concurrent builds
+    are safe.  An unwritable cache gets a build in a per-process temporary
+    directory."""
     try:
         source = _KERNEL_SOURCE.read_bytes()
     except OSError:
@@ -252,16 +274,39 @@ def _open_kernel(path: Path):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.anneal_steps.restype = i64
-    lib.anneal_steps.argtypes = [ptr] * 6 + [i64] * 4 + [ptr] * 3
+    lib.anneal_steps.argtypes = [ptr] * 8 + [i64, ptr] + [i64] * 4 + [ptr] * 3
     lib.draw_edges.restype = None
     lib.draw_edges.argtypes = [ptr, ctypes.c_uint64, i64, ptr]
+    lib.fill_deltas.restype = None
+    lib.fill_deltas.argtypes = [ptr, ptr, i64, i64, i64, ptr]
+    lib.polish.restype = None
+    lib.polish.argtypes = [ptr] * 3 + [i64] * 3 + [ptr] * 2 + [i64]
     return lib
 
 
 def _greedy_descent(colors, obj, part):
     """Flip each chain's most-improving edge, lowest id on ties, until none
-    improves.  Every live chain flips in the same round; an edge's partners
-    are distinct and never the edge, so no index of the update repeats."""
+    improves; in the C kernel when it loads, else by _numpy_polish.  Updates
+    the arrays in place and returns them."""
+    kernel = _load_kernel()
+    if kernel is None:
+        return _numpy_polish(colors, obj, part)
+    chains, m = colors.shape
+    if not (obj.dtype == np.int64 and colors.flags.c_contiguous):
+        raise TypeError("the compiled polish needs int64 objectives and C-ordered colorings")
+    part = np.ascontiguousarray(part, dtype=np.int32)
+    size = 1 << max(m - 1, 1).bit_length()  # tournament tree leaves: a power of two >= m, >= 2
+    delta, tree = np.empty(m, dtype=np.int16), np.empty(size, dtype=np.uint64)
+    kernel.polish(colors.ctypes.data, obj.ctypes.data, part.ctypes.data, chains, m, part.shape[1],
+                  delta.ctypes.data, tree.ctypes.data, size)
+    return colors, obj
+
+
+def _numpy_polish(colors, obj, part):
+    """The greedy descent in numpy: the fallback without a C compiler, and
+    the reference of the compiled polish.  Every live chain flips in the same
+    round; an edge's partners are distinct and never the edge, so no index
+    of the update repeats."""
     delta = np.empty(colors.shape, dtype=np.int32)
     for bits, row in zip(colors, delta):
         row[:] = (bits[part] != bits[:, None]).sum(axis=1) - part.shape[1] // 2

@@ -50,6 +50,9 @@ search's partner tables; blowup and min_mono_blowup, the t-blowup of a
 replacement graph and its least monochromatic edge count (acceptance
 check 8); mcdiarmid_bound and blowup_concentration_log_bound, the
 bounded-differences tail bound and its closed form for the blocks.
+batch_deltas counts each flip delta triangle by triangle, and
+fresh_deltas applies it to every edge of one coloring: the references for
+the search's step deltas and the compiled kernel's delta table.
 """
 
 import itertools
@@ -475,6 +478,24 @@ def flip_delta(bits, e, a1, a2):
     of search.edge_triangle_index."""
     unlike = (bits[a1[e]] != bits[e]).sum() + (bits[a2[e]] != bits[e]).sum()
     return int(unlike) - a1.shape[1]
+
+
+def batch_deltas(colors, edges, a1, a2):
+    """Flip deltas from the triangle-by-triangle rule: +1 for each triangle
+    whose other two edges agree with each other but not with edges[j], -1 for
+    each whose other two edges agree with it."""
+    rows = np.arange(colors.shape[0])[:, None]
+    c1 = colors[rows, a1[edges]]
+    c2 = colors[rows, a2[edges]]
+    agree = c1 == c2
+    ce = colors[np.arange(colors.shape[0]), edges][:, None]
+    return (agree & (c1 != ce)).sum(axis=1).astype(np.int64) - (agree & (c1 == ce)).sum(axis=1)
+
+
+def fresh_deltas(bits, a1, a2):
+    """batch_deltas of every edge of one coloring."""
+    m = bits.shape[0]
+    return batch_deltas(np.broadcast_to(bits, (m, m)), np.arange(m), a1, a2)
 
 
 def maxcut_exhaustive(adj):

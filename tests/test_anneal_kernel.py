@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from oracles import fresh_deltas
 from quasifolkman import search
 from quasifolkman.certify import batch_mono_counts
 from quasifolkman.cli import EXIT_PASS, main
@@ -74,17 +75,26 @@ def test_compiled_loop_equals_numpy_loop(setups, kernel, monkeypatch, q, seed, n
     revalidate = search._revalidate
     monkeypatch.setattr(search, "_revalidate", lambda *a: recounts.append(1) or revalidate(*a))
 
-    ref = _start(g, fam, seed, restarts)
-    got = _start(g, fam, seed, restarts)
-    want_accepted = search._numpy_loop(ref[0], fam, part, *ref[1:], schedule, revalidate_every)
-    got_accepted = search._compiled_loop(kernel, got[0], fam, part, *got[1:], schedule, revalidate_every)
+    tables = []
+    kernel_deltas = search._kernel_deltas
+    monkeypatch.setattr(search, "_kernel_deltas", lambda *a: tables.append(kernel_deltas(*a)) or tables[-1])
 
-    assert got_accepted == want_accepted
-    assert got[0].bit_generator.state == ref[0].bit_generator.state
-    for a, b in zip(got[1:], ref[1:]):  # colors, obj, best_obj, best_colors
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    ref = _start(g, fam, seed, restarts)
+    want_accepted = search._numpy_loop(ref[0], fam, part, *ref[1:], schedule, revalidate_every)
+    a1, a2 = np.hsplit(part, 2)
+    # journals that overflow at every flip, at every second one, and hardly
+    for capacity in (0, 1, None):
+        got = _start(g, fam, seed, restarts)
+        got_accepted = search._compiled_loop(kernel, got[0], fam, part, *got[1:], schedule, revalidate_every,
+                                             journal_capacity=capacity)
+        assert got_accepted == want_accepted
+        assert got[0].bit_generator.state == ref[0].bit_generator.state
+        for a, b in zip(got[1:], ref[1:]):  # colors, obj, best_obj, best_colors
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # the delta table the kernel kept through every chunk is still exact
+        assert all(np.array_equal(row, fresh_deltas(bits, a1, a2)) for row, bits in zip(tables.pop(), got[1]))
     if revalidate_every:
-        assert len(recounts) == 2 * (schedule.steps // revalidate_every)
+        assert len(recounts) == 4 * (schedule.steps // revalidate_every)
     if schedule.steps and name != "cold":
         assert want_accepted > 0
 

@@ -443,8 +443,11 @@ def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
         (["certify", "--q", "3", "--threads", "-2"], "--threads"),
         (["build", "--q", "13"], "--q"),
         (["simulate", "--q", "16", "--trials", "2"], "--q"),
-        (["search", "--q", "7"], "--q"),
+        (["search", "--q", "8"], "--q"),
         (["check-coloring", "--q", "16", "--file", "no-such-coloring.txt"], "--q"),
+        (["search", "--q", "3", "--steps", "2.7"], "--steps"),
+        (["search", "--q", "3", "--stat-trials", "1"], "--stat-trials"),
+        (["search", "--q", "3", "--stat-trials", "-4"], "--stat-trials"),
     ],
 )
 def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, flag):
@@ -488,6 +491,9 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["certify", "--q", "25"],
         ["simulate", "--alon-k", "7", "--delta", "1e-200"],
         ["search", "--q", "3", "--restarts", "1000000000000"],
+        ["search", "--q", "3", "--steps", "2.7"],
+        ["search", "--q", "3", "--stat-trials", "1"],
+        ["search", "--q", "3", "--steps", "2.7", "--stat-trials", "-4"],
     ],
 )
 def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):

@@ -1,12 +1,13 @@
 import functools
 import json
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flip_delta, goodman_count_direct
+from oracles import batch_deltas, flip_delta, fresh_deltas, goodman_count_direct
 from quasifolkman import search
 from quasifolkman.certify import EdgeColoring, batch_mono_counts, goodman_count
 from quasifolkman.cli import EXIT_PASS, main
@@ -18,18 +19,6 @@ from quasifolkman.search import (
     random_coloring_stats,
 )
 from quasifolkman.triangles import TriangleFamily, build_family
-
-
-def oracle_batch_deltas(colors, edges, a1, a2):
-    """Flip deltas from the triangle-by-triangle rule: +1 for each triangle
-    whose other two edges agree with each other but not with edges[j], -1 for
-    each whose other two edges agree with it."""
-    rows = np.arange(colors.shape[0])[:, None]
-    c1 = colors[rows, a1[edges]]
-    c2 = colors[rows, a2[edges]]
-    agree = c1 == c2
-    ce = colors[np.arange(colors.shape[0]), edges][:, None]
-    return (agree & (c1 != ce)).sum(axis=1).astype(np.int64) - (agree & (c1 == ce)).sum(axis=1)
 
 
 def oracle_greedy_descent(colors, obj, a1, a2):
@@ -53,11 +42,6 @@ def oracle_greedy_descent(colors, obj, a1, a2):
             else:
                 live[j] = False
     return colors, obj, moves
-
-
-def fresh_deltas(bits, a1, a2):
-    m = bits.shape[0]
-    return oracle_batch_deltas(np.broadcast_to(bits, (m, m)), np.arange(m), a1, a2)
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +114,35 @@ def test_polish_matches_recompute_all_oracle(q, seed, setup3, setup4):
     colors = np.vstack((hot, minima, nudged))
     obj = batch_mono_counts(fam, colors)
     want_colors, want_obj, moves = oracle_greedy_descent(colors.copy(), obj.copy(), a1, a2)
-    got_colors, got_obj = search._greedy_descent(colors.copy(), obj.copy(), np.hstack((a1, a2)))
     assert (moves[: len(hot)] > 0).all() and (moves[len(hot) : 2 * len(hot)] == 0).all()
     assert len(set(moves.tolist())) > 2
-    assert np.array_equal(got_colors, want_colors)
-    assert np.array_equal(got_obj, want_obj)
-    assert np.array_equal(batch_mono_counts(fam, got_colors), got_obj)
+    for polish in _polishes():
+        got_colors, got_obj = polish(colors.copy(), obj.copy(), np.hstack((a1, a2)))
+        assert np.array_equal(got_colors, want_colors)
+        assert np.array_equal(got_obj, want_obj)
+        assert np.array_equal(batch_mono_counts(fam, got_colors), got_obj)
+
+
+def _polishes():
+    """The polish entry point, which runs the C polish wherever a compiler
+    is on PATH, and the numpy polish it falls back to."""
+    if shutil.which("cc") or shutil.which("gcc"):
+        assert search._load_kernel() is not None, "a C compiler is on PATH but the kernel did not build"
+    return search._greedy_descent, search._numpy_polish
+
+
+def test_polish_breaks_ties_to_the_lowest_edge_id(setup3):
+    # all red: every edge has delta -q^2, so the tie rule alone picks the
+    # first move, edge 0, which the descent never flips back
+    g, fam, (a1, a2) = setup3
+    colors = np.zeros((1, g.m), dtype=bool)
+    assert (fresh_deltas(colors[0], a1, a2) == -9).all()
+    obj = batch_mono_counts(fam, colors)
+    want_colors, want_obj, _ = oracle_greedy_descent(colors.copy(), obj.copy(), a1, a2)
+    for polish in _polishes():
+        got_colors, got_obj = polish(colors.copy(), obj.copy(), np.hstack((a1, a2)))
+        assert np.array_equal(got_colors, want_colors) and np.array_equal(got_obj, want_obj)
+        assert got_colors[0, 0]
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -149,7 +156,7 @@ def test_step_deltas_match_oracle(q, seed, setup3, setup4):
     for _ in range(200):
         edges = rng.integers(0, g.m, size=colors.shape[0])
         got = search._step_deltas(colors.reshape(-1), rows * g.m, edges, part)
-        assert np.array_equal(got, oracle_batch_deltas(colors, edges, a1, a2))
+        assert np.array_equal(got, batch_deltas(colors, edges, a1, a2))
         colors[rows, edges] ^= rng.random(colors.shape[0]) < 0.5
 
 
