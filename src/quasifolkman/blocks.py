@@ -166,20 +166,20 @@ def instance_seed(seed: int, trial: int) -> int:
 
 @dataclass
 class StarGraph:
-    """One instance of the construction: the surviving edge subset."""
+    """One instance of the construction: its labels and surviving edges, in clique layout."""
 
     base: IntersectionGraph
     F: ReplacementGraph
     seed: int
     labels: np.ndarray  # (q^3+1, q^2), aligned with base.cliques
-    edge_mask: np.ndarray  # (m,) bool over canonical edges
+    alive: np.ndarray  # (q^3+1, C(q^2, 2)) bool, each clique's pairs in triu order
 
     @property
     def num_edges(self) -> int:
-        return int(self.edge_mask.sum())
+        return int(self.alive.sum())
 
     def survival_rate(self) -> float:
-        return float(self.edge_mask.mean())
+        return float(self.alive.mean())
 
 
 def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGraph:
@@ -191,10 +191,8 @@ def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGr
     labels = np.random.default_rng(int(seed) & _MASK64).integers(F.n, size=g.cliques.shape, dtype=np.int32)
     # an edge survives iff the labels at its two positions in its clique
     # form an edge of F
-    lu, lv = row_pairs(labels)
-    edge_mask = np.empty(g.m, dtype=bool)
-    edge_mask[g.clique_edges.ravel()] = adj[lu, lv]
-    return StarGraph(base=g, F=F, seed=seed, labels=labels, edge_mask=edge_mask)
+    alive = adj[row_pairs(labels)].reshape(len(labels), -1)
+    return StarGraph(base=g, F=F, seed=seed, labels=labels, alive=alive)
 
 
 def _first_k4(words: np.ndarray, tris: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -219,7 +217,9 @@ def verify_star_instance(star: StarGraph) -> dict:
     which is the lexicographically first K4 (a triangle before it with one
     would give an earlier K4)."""
     g = star.base
-    edges = np.stack([g.eu[star.edge_mask], g.ev[star.edge_mask]], axis=1)
+    # the surviving member pairs of the cliques, in lexicographic order
+    edges = np.stack(row_pairs(g.cliques), axis=1)[star.alive.ravel()]
+    edges = edges[np.argsort(edges[:, 0].astype(np.int64) * g.n + edges[:, 1])]
     words = edge_rows(g.n, edges[:, 0], edges[:, 1])
     k4 = clique_triangle = None
     for part in row_blocks(edges, words):
@@ -238,8 +238,6 @@ def verify_star_instance(star: StarGraph) -> dict:
     return {
         "k4_witness": k4,
         "k4_free": k4 is None,
-        "num_edges": star.num_edges,
-        "survival_rate": star.survival_rate(),
         "clique_triangle": clique_triangle,
         "cliques_triangle_free": clique_triangle is None,
     }
@@ -258,7 +256,7 @@ def cliques_triangle_free(star: StarGraph) -> bool:
     iu, iv = np.triu_indices(k, k=1)
     step = max(1, graphs.SCAN_BLOCK_BYTES // (4 * k * k))
     for s in range(0, npts, step):
-        alive = star.edge_mask[g.clique_edges[s:s + step]]
+        alive = star.alive[s:s + step]
         A = np.zeros((len(alive), k, k), dtype=np.float32)
         A[:, iu, iv] = A[:, iv, iu] = alive
         if ((A @ A) * A).any():
@@ -292,11 +290,11 @@ def concentration_experiment(
         cliq = rng.integers(0, q**3 - q, size=samples_per_trial)
         lab = rng.integers(0, F.n, size=samples_per_trial)
         # spanning clique cliq of v lives at v's cliq-th off point P; its
-        # member through P and v's point A meets v at A, where v is the
-        # secant through A and another point of v, and sits at pos[P, A]
+        # member through P and v's point A sits at pos[P, A] and meets v in
+        # A's clique: it at pos[A, P], v at pos[A, A'] (A' another point of v)
         point = g.off_points(vs)[np.arange(samples_per_trial), cliq][:, None]
         pts = g.vertex_cliques[vs]
-        alive = star.edge_mask[g.edge_at(pts, np.roll(pts, 1, axis=1), point)]
+        alive = F.adj[star.labels[pts, g.pos[pts, np.roll(pts, 1, axis=1)]], star.labels[pts, g.pos[pts, point]]]
         values.append((alive & (star.labels[point, g.pos[point, pts]] == lab[:, None])).sum(axis=1))
     values = np.concatenate(values).astype(np.float64)
     mean = float(values.mean())
@@ -348,12 +346,7 @@ def deletion_margin(q: int, n: int, m: int, alpha, delta) -> Certificate:
     upper = Fraction(1, 3) * blocks * ((1 + delta) * base) ** 2
     margin = Fraction(1, 2) * n_v * (lower - upper)
     dstar = critical_delta(alpha)
-    if margin > 0:
-        outcome = "pass"
-    elif margin == 0:
-        outcome = "inconclusive"
-    else:
-        outcome = "fail"
+    outcome = "pass" if margin > 0 else "inconclusive" if margin == 0 else "fail"
     return Certificate(
         claim="deletion construction keeps a positive monochromatic-triangle margin",
         params={"q": q, "F_vertices": n, "F_edges": m, "alpha": alpha, "delta": delta},
@@ -400,9 +393,7 @@ def alon_parameters(k: int) -> AlonParams:
 
 def smallest_valid_alon_k(limit: int = 30) -> int:
     for k in range(1, limit + 1):
-        if k % 3 == 0:
-            continue
-        if alon_parameters(k).valid:
+        if k % 3 and alon_parameters(k).valid:
             return k
     raise RuntimeError(f"no valid k up to {limit}")
 

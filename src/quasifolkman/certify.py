@@ -93,10 +93,10 @@ class EdgeColoring:
         except ValueError as exc:
             raise ColoringFormatError("body is not hex") from exc
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        if len(bits) < m:
-            raise ColoringFormatError("coloring body too short")
         if bits[m:].any():
             raise ColoringFormatError("nonzero padding bits")
+        if len(raw) != -(-m // 8):
+            raise ColoringFormatError(f"coloring body too {'short' if len(bits) < m else 'long'}")
         return cls(graph, bits[:m].astype(bool))
 
 

@@ -73,8 +73,16 @@ EXIT_INCONCLUSIVE = 3
 OUT_ENV = "QUASIFOLKMAN_OUT"
 
 
-def _out_dir(args) -> Path:
+def _out_path(args) -> Path:
+    """--out or its default, refused when it is or lies under a file; _out_dir creates it."""
     out = Path(args.out or os.environ.get(OUT_ENV, "artifacts"))
+    if not os.path.isdir(next(p for p in (out, *out.parents) if os.path.exists(p))):
+        raise UsageError(f"--out {out} is not a usable directory: it is or lies under a file")
+    return out
+
+
+def _out_dir(args) -> Path:
+    out = _out_path(args)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -117,9 +125,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: the largest q of each command but certify, which runs at every q in
-#: SUPPORTED_Q: search's partner tables scale as m q^2; build, simulate and
+#: SUPPORTED_Q: search's partner tables scale as m q^2; build and
 #: check-coloring build the edge tables, which check-coloring's streamed
-#: Goodman rows read without holding a clique-edge matrix
+#: Goodman rows read without holding a clique-edge matrix; simulate's spot
+#: scans pack every surviving edge of an instance
 Q_LIMIT = {"build": 11, "simulate": 11, "search": 7, "check-coloring": 13}
 
 
@@ -301,8 +310,7 @@ def cmd_simulate(args) -> int:
         }
         certs = []
         if p.valid:
-            dstar = critical_delta(p.ratio)
-            report["critical_delta"] = dstar
+            report["critical_delta"] = critical_delta(p.ratio)
             report.update({f"bound_{k}": v for k, v in qb.items()})
             certs.append(
                 Certificate(
@@ -467,12 +475,13 @@ def cmd_check_coloring(args) -> int:
         text = Path(args.file).read_text()
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read coloring: {exc}") from None
-    out = _out_dir(args)
+    _out_path(args)  # a bad --out fails before the graph, a bad coloring leaves no directory
     g = build_graph_for_q(args.q)
     try:
         coloring = EdgeColoring.from_text(g, text)
     except ValueError as exc:
         raise UsageError(f"cannot read coloring: {exc}") from None
+    out = _out_dir(args)
     fam = build_family(g)
     cert = adversarial_color_check(fam, coloring)
     _write_certs(out, f"check_coloring_q{args.q}", [cert], _run_config(args))

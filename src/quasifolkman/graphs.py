@@ -79,7 +79,7 @@ class IntersectionGraph:
     and adjacency_rows and adj scatter the point cliques into fresh rows.
 
     The edge tables below are built on first use (edge_tables); certify
-    reads none of them at q >= 5.
+    and simulate read none of them at q >= 5.
 
     eu, ev : (m,) int32 canonical edge list, lexicographic with eu < ev.
     clique_edges : (q^3+1, C(q^2, 2)) int32, the id of the edge between

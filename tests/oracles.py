@@ -17,7 +17,9 @@ pair (_each_pair_once), the reference for the cliques[P, pos[P, A]]
 gather.
 incidence_edge_mask moves a star's labels into incidence layout and looks
 up each edge's two labels at the slot of its meet point, the reference for
-the surviving-edge scatter of blocks.random_block.
+the surviving-edge mask of blocks.random_block.  edge_mask and
+star_from_mask are the one conversion between a star's clique layout and
+the lexicographic edge ids, through clique_edges.
 packbits_words packs dense adjacency rows by np.packbits, the reference
 for graphs.edge_rows.
 build_unital_whole and k4_clique_property_whole are the unblocked forms of
@@ -61,7 +63,7 @@ from math import comb
 
 import numpy as np
 
-from quasifolkman.blocks import ConstructionError
+from quasifolkman.blocks import ConstructionError, StarGraph, replacement_registry
 from quasifolkman.certify import maxcut_exact
 from quasifolkman.graphs import (
     GraphError,
@@ -139,6 +141,20 @@ def incidence_edge_mask(g, F, labels):
     slot_u = (g.vertex_cliques[g.eu] == ep[:, None]).argmax(axis=1)
     slot_v = (g.vertex_cliques[g.ev] == ep[:, None]).argmax(axis=1)
     return F.adj[inc[g.eu, slot_u], inc[g.ev, slot_v]]
+
+
+def edge_mask(star):
+    """A star's surviving edges as an (m,) bool mask over the lexicographic
+    edge ids: its clique-layout alive scattered through clique_edges."""
+    mask = np.empty(star.base.m, dtype=bool)
+    mask[star.base.clique_edges] = star.alive
+    return mask
+
+
+def star_from_mask(g, mask):
+    """The star instance (with no labels) whose surviving edges are the
+    lexicographic (m,) bool mask: the inverse of edge_mask."""
+    return StarGraph(base=g, F=replacement_registry()["edge"], seed=0, labels=None, alive=mask[g.clique_edges])
 
 
 def dense_adjacency(g):
@@ -278,9 +294,9 @@ def degenerate_mask(g, tris):
 def adj_bits(star):
     """A star instance's surviving adjacency as Python-int bitmask rows,
     built one edge at a time."""
-    g = star.base
+    g, mask = star.base, edge_mask(star)
     rows = [0] * g.n
-    for u, v in zip(g.eu[star.edge_mask], g.ev[star.edge_mask]):
+    for u, v in zip(g.eu[mask], g.ev[mask]):
         rows[int(u)] |= 1 << int(v)
         rows[int(v)] |= 1 << int(u)
     return rows

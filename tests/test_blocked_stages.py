@@ -1,6 +1,7 @@
 """Differential tests: the blocked unital line scan and K4 clique test
 against their unblocked forms in oracles.py, and certify's structural path
-without the edge tables; no command builds the dense adjacency."""
+and simulate without the edge tables; no command builds the dense
+adjacency."""
 
 import numpy as np
 import pytest
@@ -76,6 +77,17 @@ def test_certify_structural_path_never_builds_edge_tables():
     # the first reader builds them once
     assert g.edge_tables() is g.edge_tables()
     assert len(g.eu) == g.m
+
+
+def test_simulate_never_builds_edge_tables(monkeypatch, tmp_path):
+    # both instances run the spot scan as well as the clique test; two
+    # instances are too few to judge the survival rate
+    def refuse(g):
+        raise AssertionError("IntersectionGraph.edge_tables called")
+
+    monkeypatch.setattr(IntersectionGraph, "edge_tables", refuse)
+    argv = ["simulate", "--q", "5", "--F", "c5", "--trials", "2", "--out", str(tmp_path)]
+    assert main(argv) == 3
 
 
 @pytest.mark.parametrize("argv", [["certify"], ["build"], ["check-coloring"],

@@ -8,6 +8,7 @@ from oracles import (
     blowup,
     blowup_concentration_log_bound,
     canonical_edges,
+    edge_mask,
     find_k4,
     incidence_edge_mask,
     mcdiarmid_bound,
@@ -144,16 +145,17 @@ def test_random_block_reproducible(g3):
     F = replacement_registry()["edge"]
     a = random_block(g3, F, seed=5)
     b = random_block(g3, F, seed=5)
-    assert np.array_equal(a.edge_mask, b.edge_mask)
+    assert np.array_equal(a.alive, b.alive)
     c = random_block(g3, F, seed=6)
-    assert not np.array_equal(a.edge_mask, c.edge_mask)
+    assert not np.array_equal(a.alive, c.alive)
 
 
 def _assert_matches_incidence_oracle(g, F, seed):
     star = random_block(g, F, seed)
     assert star.labels.shape == g.cliques.shape and star.labels.dtype == np.int32
     assert star.labels.min() >= 0 and star.labels.max() < F.n
-    assert np.array_equal(star.edge_mask, incidence_edge_mask(g, F, star.labels))
+    assert star.alive.shape == g.clique_edges.shape and star.alive.dtype == bool
+    assert np.array_equal(edge_mask(star), incidence_edge_mask(g, F, star.labels))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -170,7 +172,7 @@ def test_random_block_masks_seeds_to_64_bits(g3, seed):
     # the generator is seeded with the seed mod 2^64
     F = replacement_registry()["c5"]
     a, b = random_block(g3, F, seed), random_block(g3, F, seed % 2**64)
-    assert np.array_equal(a.labels, b.labels) and np.array_equal(a.edge_mask, b.edge_mask)
+    assert np.array_equal(a.labels, b.labels) and np.array_equal(a.alive, b.alive)
     assert not np.array_equal(a.labels, random_block(g3, F, seed - 1).labels)
 
 
@@ -181,9 +183,10 @@ def test_star_instance_checks(g3, fam3):
     assert rep["k4_free"], rep["k4_witness"]
     assert rep["cliques_triangle_free"]
     # surviving triangles are exactly the family triangles with live edges
-    surviving_family_triangles = int(star.edge_mask[triangle_edge_matrix(fam3)].all(axis=1).sum())
+    mask = edge_mask(star)
+    surviving_family_triangles = int(mask[triangle_edge_matrix(fam3)].all(axis=1).sum())
     a = np.zeros((g3.n, g3.n), dtype=np.int64)
-    a[g3.eu[star.edge_mask], g3.ev[star.edge_mask]] = 1
+    a[g3.eu[mask], g3.ev[mask]] = 1
     a += a.T
     surviving_triangles_direct = int(np.trace(a @ a @ a) // 6)
     assert surviving_family_triangles == surviving_triangles_direct
@@ -214,7 +217,7 @@ def test_expected_surviving_triangles(g3, fam3):
     for t in range(60):
         star = random_block(g3, F, instance_seed(9, t))
         te = triangle_edge_matrix(fam3)
-        counts.append(int(star.edge_mask[te].all(axis=1).sum()))
+        counts.append(int(edge_mask(star)[te].all(axis=1).sum()))
     counts = np.array(counts, dtype=float)
     expect = (2 * F.m / F.n**2) ** 3 * fam3.total  # (1/2)^3 * 3024
     stderr = counts.std(ddof=1) / math.sqrt(len(counts))

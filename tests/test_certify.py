@@ -374,6 +374,16 @@ def test_coloring_rejects_padding_bit_and_truncated_body(setups, q):
         EdgeColoring.from_text(g, f"{header}\n{body.replace(chr(10), '')[:-2]}\n")
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("extra", [1, 500])
+def test_coloring_rejects_zero_bytes_past_the_body(setups, q, extra):
+    # q = 2 has padding bits in the last byte (m = 78), q = 3 none (m = 1008)
+    g, _ = setups[q]
+    text = EdgeColoring.random(g, 0).to_text()
+    with pytest.raises(ColoringFormatError, match="too long"):
+        EdgeColoring.from_text(g, text + "00" * extra + "\n")
+
+
 def test_coloring_rejects_wrong_graph(setups):
     g3, _ = setups[3]
     g4, _ = setups[4]

@@ -192,7 +192,7 @@ def test_simulate_fails_on_a_clique_triangle_and_scans_that_instance(tmp_path, m
         if seed == target:
             iu, iv = np.triu_indices(g.cliques.shape[1], k=1)
             pairs = [np.flatnonzero((iu == x) & (iv == y))[0] for x, y in ((0, 1), (0, 2), (1, 2))]
-            star.edge_mask[g.clique_edges[2, pairs]] = True
+            star.alive[2, pairs] = True
             planted.append(star)
         return star
 
@@ -281,6 +281,16 @@ def test_check_coloring_roundtrip(tmp_path):
 def test_check_coloring_missing_file(tmp_path, capsys):
     rc = main(["check-coloring", "--q", "3", "--file", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert rc == EXIT_FAIL
+
+
+def test_check_coloring_unparsable_file_creates_no_output_dir(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("coloring q=3 edges=5 graph=abc\n")
+    out = tmp_path / "out"
+    rc = main(["check-coloring", "--q", "3", "--file", str(bad), "--out", str(out)])
+    assert rc == EXIT_FAIL
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
 
 
 def _strip_timestamps(payload):

@@ -13,7 +13,6 @@ import oracles
 from oracles import enumerate_k4
 from quasifolkman import graphs
 from quasifolkman.blocks import (
-    StarGraph,
     cliques_triangle_free,
     instance_seed,
     random_block,
@@ -123,7 +122,7 @@ def test_star_check_finds_planted_k4s_and_clique_triangles(graphs_by_q, q, densi
     rng = np.random.default_rng(q * 100 + int(density * 10))
     for _ in range(10):
         mask = rng.random(g.m) < density
-        star = StarGraph(base=g, F=replacement_registry()["edge"], seed=0, labels=None, edge_mask=mask)
+        star = oracles.star_from_mask(g, mask)
         rep = verify_star_instance(star)
         k4 = oracles.find_k4(oracles.adj_bits(star), g.n)
         assert rep["k4_witness"] == k4 and rep["k4_free"] == (k4 is None)
@@ -135,8 +134,7 @@ def test_star_check_finds_planted_k4s_and_clique_triangles(graphs_by_q, q, densi
 @pytest.mark.parametrize("q", [3, 4])
 def test_star_check_positive_control_every_edge_kept(graphs_by_q, q, monkeypatch):
     g = graphs_by_q[q]
-    star = StarGraph(base=g, F=replacement_registry()["edge"], seed=0, labels=None,
-                     edge_mask=np.ones(g.m, dtype=bool))
+    star = oracles.star_from_mask(g, np.ones(g.m, dtype=bool))
     first = tuple(int(x) for x in enumerate_k4(g)[0])
     for block_bytes in (graphs.SCAN_BLOCK_BYTES, 1):
         monkeypatch.setattr(graphs, "SCAN_BLOCK_BYTES", block_bytes)
@@ -159,12 +157,11 @@ def test_clique_test_sees_each_clique_alone(graphs_by_q, q, monkeypatch):
     for block_bytes in (graphs.SCAN_BLOCK_BYTES, 1):
         monkeypatch.setattr(graphs, "SCAN_BLOCK_BYTES", block_bytes)
         for point in rng.choice(len(g.cliques), size=8, replace=False):
-            mask = np.zeros(g.m, dtype=bool)
-            mask[g.clique_edges[point, pairs]] = True
-            star = StarGraph(base=g, F=replacement_registry()["edge"], seed=0, labels=None, edge_mask=mask)
+            star = oracles.star_from_mask(g, np.zeros(g.m, dtype=bool))
+            star.alive[point, pairs] = True
             assert cliques_triangle_free(star) is False
             # two of its edges are a path, not a triangle
-            mask[g.clique_edges[point, pairs[2]]] = False
+            star.alive[point, pairs[2]] = False
             assert cliques_triangle_free(star) is True
 
 
