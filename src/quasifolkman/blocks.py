@@ -380,19 +380,19 @@ class AlonParams:
 
 def alon_parameters(k: int) -> AlonParams:
     """Parameters of the optimally pseudorandom triangle-free graphs on
-    2^{3k} vertices (defined for k not divisible by 3)."""
-    if k < 1 or k % 3 == 0:
-        raise ValueError("k must be a positive integer with k % 3 != 0")
+    2^{3k} vertices (defined for k not divisible by 3; at k = 1 they have
+    no edges, so no max-cut ratio)."""
+    if k < 2 or k % 3 == 0:
+        raise ValueError("k must be an integer >= 2 with k % 3 != 0")
     n = 2 ** (3 * k)
     half = 2 ** (k - 1)
     m = 2 ** (4 * k - 2) * (half - 1)
     maxcut_upper = 0.25 * n * (half * (half - 1) + 9 * 2**k + 3 * 2 ** (k / 2) + 0.25)
-    ratio = maxcut_upper / m if m else float("inf")
-    return AlonParams(k=k, n=n, m=m, maxcut_upper=maxcut_upper, ratio=ratio)
+    return AlonParams(k=k, n=n, m=m, maxcut_upper=maxcut_upper, ratio=maxcut_upper / m)
 
 
 def smallest_valid_alon_k(limit: int = 30) -> int:
-    for k in range(1, limit + 1):
+    for k in range(2, limit + 1):
         if k % 3 and alon_parameters(k).valid:
             return k
     raise RuntimeError(f"no valid k up to {limit}")

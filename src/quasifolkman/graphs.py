@@ -75,8 +75,8 @@ class IntersectionGraph:
     pos : (q^3+1, q^3+1) int32, pos[P, A] is the position in P's clique of
         the secant through unital points P and A (-1 on the diagonal).
 
-    No adjacency is stored: adjacent is the meet test on vertex_cliques,
-    and adjacency_rows and adj scatter the point cliques into fresh rows.
+    No adjacency is stored: two secants are adjacent when they share a
+    point, and adj scatters the point cliques into a fresh n x n copy.
 
     The edge tables below are built on first use (edge_tables); certify
     and simulate read none of them at q >= 5.
@@ -128,21 +128,6 @@ class IntersectionGraph:
         self._edges: tuple[np.ndarray, ...] | None = None
 
     # -- lookups ------------------------------------------------------------
-
-    def adjacent(self, u, v) -> np.ndarray:
-        """Whether u ~ v, elementwise: distinct secants that share a point."""
-        u, v = np.asarray(u), np.asarray(v)
-        meet = self.vertex_cliques[u][..., :, None] == self.vertex_cliques[v][..., None, :]
-        return (u != v) & meet.any(axis=(-2, -1))
-
-    def adjacency_rows(self, vs) -> np.ndarray:
-        """(len(vs), n) bool adjacency rows of the vertices vs, fresh: the
-        members of each one's q+1 point cliques, itself cleared."""
-        vs = np.asarray(vs)
-        rows = np.zeros((len(vs), self.n), dtype=bool)
-        rows[np.arange(len(vs))[:, None, None], self.cliques[self.vertex_cliques[vs]]] = True
-        rows[np.arange(len(vs)), vs] = False
-        return rows
 
     @property
     def adj(self) -> np.ndarray:

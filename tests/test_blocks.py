@@ -329,8 +329,11 @@ def test_alon_k7():
 
 
 def test_alon_invalid_ks():
-    for k in (1, 2, 4, 5):
+    for k in (2, 4, 5):
         assert not alon_parameters(k).valid
+    # at k = 1 the graphs have no edges, so no max-cut ratio
+    with pytest.raises(ValueError):
+        alon_parameters(1)
     with pytest.raises(ValueError):
         alon_parameters(3)
     with pytest.raises(ValueError):

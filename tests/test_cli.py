@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from quasifolkman import cli
+from quasifolkman import cli, triangles
 from quasifolkman.blocks import instance_seed
 from quasifolkman.certificates import Certificate
 from quasifolkman.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
@@ -328,9 +328,22 @@ def test_certify_zero_k4_samples_inconclusive(tmp_path, monkeypatch):
     assert nbhd["quantities"]["vertices_covered"] == 3
     assert "secant_orbits" not in nbhd["quantities"]
     family = next(c for c in payload["certificates"] if c["claim"].startswith("non-degenerate triangle family"))
-    assert family["quantities"]["spot_vertices"] == 64
+    assert family["quantities"]["vertices_covered"] == 3
     assert family["quantities"]["explicit_checked"] is False
+    no_k4 = next(c for c in payload["certificates"] if c["claim"].startswith("no four"))
+    assert no_k4["outcome"] == "inconclusive"
 
+
+def test_certify_sampled_k4_leaves_the_family_claim_inconclusive(tmp_path, monkeypatch):
+    # a passing sample says nothing about the K4s through the edges it missed
+    monkeypatch.setattr(cli, "unital_symmetry", lambda unital, g: None)
+    rc = main(["certify", "--q", "8", "--samples", "1000", "--out", str(tmp_path)])
+    assert rc == EXIT_INCONCLUSIVE
+    certs = {c["claim"]: c for c in json.loads((tmp_path / "certify_q8.json").read_text())["certificates"]}
+    assert certs["every K4 has >= 3 vertices in a point clique (sampled)"]["outcome"] == "pass"
+    no_k4 = certs["no four non-degenerate triangles induce a K4"]
+    assert no_k4["outcome"] == "inconclusive"
+    assert no_k4["quantities"]["edges_checked"] == 1000
 
 
 def test_certify_samples_past_the_edge_count_check_every_edge(tmp_path, monkeypatch):
@@ -342,12 +355,13 @@ def test_certify_samples_past_the_edge_count_check_every_edge(tmp_path, monkeypa
 
     def spy(g, mode, seed, samples):
         calls.append((mode, samples))
-        return Certificate(claim="every K4 has >= 3 vertices in a point clique", params={}, quantities={},
-                           outcome="pass")
+        return Certificate(claim="every K4 has >= 3 vertices in a point clique", params={"q": 8, "mode": mode},
+                           quantities={}, outcome="pass")
 
     monkeypatch.setattr(cli, "verify_k4_structure", spy)
-    for samples in (m, 10**12, m - 1):
-        assert main(["certify", "--q", "8", "--samples", str(samples), "--out", str(tmp_path)]) == EXIT_PASS
+    # a passing sample leaves the family's no-K4 claim inconclusive
+    for samples, rc in ((m, EXIT_PASS), (10**12, EXIT_PASS), (m - 1, EXIT_INCONCLUSIVE)):
+        assert main(["certify", "--q", "8", "--samples", str(samples), "--out", str(tmp_path)]) == rc
     assert calls == [("exhaustive", m), ("exhaustive", 10**12), ("sampled", m - 1)]
 
 
@@ -369,7 +383,8 @@ def test_certify_q13(tmp_path):
     nbhd = certs["neighborhood decomposes into point-clique remnants plus spanning cliques"]["quantities"]
     assert nbhd["vertices_covered"] == 13**4 - 13**3 + 13**2
     family = certs["non-degenerate triangle family matches the closed count"]["quantities"]
-    assert family["spot_vertices"] == 64
+    assert family["vertices_covered"] == 13**4 - 13**3 + 13**2
+    assert certs["no four non-degenerate triangles induce a K4"]["quantities"] == k4
     bound = certs["every 2-coloring has at least L(q) monochromatic family triangles"]["quantities"]
     assert bound["fraction_of_family"] == "5/26"
 
@@ -393,6 +408,17 @@ def test_certify_q4_reports_neighborhood_coverage(tmp_path):
     # the explicit classification checks every triangle: no spot count
     family = next(c for c in payload["certificates"] if c["claim"].startswith("non-degenerate triangle family"))
     assert "spot_vertices" not in family["quantities"]
+
+
+def test_certify_q4_restates_the_k4_certificate_for_the_family(tmp_path, monkeypatch):
+    # the symmetry path's certificate covers every edge: no second sweep runs
+    monkeypatch.setattr(triangles, "verify_k4_structure", lambda *a, **kw: pytest.fail("second sweep ran"))
+    assert main(["certify", "--q", "4", "--out", str(tmp_path)]) == EXIT_PASS
+    certs = {c["claim"]: c for c in json.loads((tmp_path / "certify_q4.json").read_text())["certificates"]}
+    no_k4 = certs["no four non-degenerate triangles induce a K4"]
+    assert no_k4["outcome"] == "pass"
+    assert no_k4["quantities"] == certs["every K4 has >= 3 vertices in a point clique"]["quantities"]
+    assert no_k4["quantities"]["edges_covered"] == 65 * comb(16, 2)
 
 
 @pytest.mark.parametrize("content", ["", "# only a comment\n\n"])
@@ -504,6 +530,7 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["search", "--q", "3", "--steps", "2.7"],
         ["search", "--q", "3", "--stat-trials", "1"],
         ["search", "--q", "3", "--steps", "2.7", "--stat-trials", "-4"],
+        ["simulate", "--alon-k", "1"],
     ],
 )
 def test_rejected_runs_create_no_output_dir(tmp_path, capsys, argv):

@@ -22,6 +22,7 @@ from quasifolkman.graphs import (
     verify_k4_structure,
 )
 from quasifolkman.plane import ProjectivePlane
+from quasifolkman.triangles import no_k4_in_family
 
 
 def bm_graph(q, alpha, beta):
@@ -86,6 +87,18 @@ def test_classical_buekenhout_metz_q3_has_no_violation():
     assert cert.outcome == "pass" and cert.quantities["violations"] == 0
 
 
+def test_family_restatement_follows_the_k4_certificate():
+    # a K4 of four family triangles is an O'Nan K4: a failing certificate,
+    # sampled or not, fails the family claim, and a passing sample leaves it open
+    g = bm_graph(3, 4, 0)
+    for mode in ("exhaustive", "sampled"):
+        cert = verify_k4_structure(g, mode=mode, seed=5, samples=300)
+        family = no_k4_in_family(cert)
+        assert family.outcome == "fail" and family.quantities == cert.quantities
+    sample = verify_k4_structure(build_graph_for_q(3), mode="sampled", samples=300)
+    assert sample.outcome == "pass" and no_k4_in_family(sample).outcome == "inconclusive"
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_certificate_does_not_depend_on_the_block(monkeypatch, block):
     g = bm_graph(3, 4, 0)
@@ -128,7 +141,7 @@ def test_buekenhout_metz_q5_fails_with_a_genuine_witness():
         assert cert.outcome == "fail"
         w = np.array(cert.quantities["witness"])
         i, j = np.triu_indices(4, k=1)
-        assert np.all(w[:-1] < w[1:]) and g.adjacent(w[i], w[j]).all()
+        assert np.all(w[:-1] < w[1:]) and g.adj[w[i], w[j]].all()
         assert not k4_clique_property(g, w[None])[0]
     assert 0 < sampled.quantities["violations"] <= exhaustive.quantities["violations"]
     assert sampled.quantities["edges_checked"] == 1 << 14

@@ -84,17 +84,12 @@ def test_srg_does_not_depend_on_the_block(monkeypatch, block):
 
 
 def test_words_match_dense_clique_scatter(graph):
-    # the rows packed from the edge list, the scatters and the meet test all
-    # give the dense oracle's adjacency: every pair at q <= 5, a stripe of
-    # rows at q = 7
+    # the rows packed from the edge list and the dense scatter both give the
+    # dense oracle's adjacency
     dense = dense_adjacency(graph)
     words = edge_rows(graph.n, graph.eu, graph.ev)
     assert words.shape == (graph.n, -(-graph.n // 64)) and words.dtype == np.uint64
     assert np.array_equal(words, packbits_words(dense))
-    rows = np.arange(graph.n) if graph.q <= 5 else np.arange(0, graph.n, 97)
-    u, v = rows.repeat(graph.n), np.tile(np.arange(graph.n), len(rows))
-    assert np.array_equal(graph.adjacent(u, v), dense[rows].ravel())
-    assert np.array_equal(graph.adjacency_rows(rows), dense[rows])
     assert np.array_equal(graph.adj, dense)
 
 

@@ -158,35 +158,6 @@ def test_nbhd_decomposition_detects_tampered_adjacency(tamper):
         assert "outside_witness" not in qty
 
 
-@pytest.mark.parametrize("q", [3, 5])
-def test_build_family_rejects_non_neighbor_at_spot_vertex(q):
-    # q = 5 has no brute-force classification behind the spot check.  Two
-    # points A (on v) and B trade positions in the row of pos at P, so the
-    # spanning clique of v at P takes the secant PB, which misses v
-    g = build_graph_for_q(q)
-    spot = build_family(g).spot_vertices
-    v = int(spot[-1])
-    P = int(g.off_points(np.array([v]))[0, -1])
-    A = int(g.vertex_cliques[v, 0])
-    B = next(b for b in range(len(g.cliques))
-             if b != P and not np.isin(g.vertex_cliques[g.cliques[P, g.pos[P, b]]], g.vertex_cliques[v]).any())
-    g.pos[P, [A, B]] = g.pos[P, [B, A]]
-    with pytest.raises(RuntimeError, match="a spanning-clique member is not a neighbor") as exc:
-        build_family(g)
-    # the first spot vertex through A or B reports it
-    reported = int(str(exc.value).split(":")[0].removeprefix("vertex "))
-    assert reported in spot and np.isin([A, B], g.vertex_cliques[reported]).any()
-
-
-def test_spot_vertices_are_fixed():
-    g = build_graph_for_q(5)
-    spot = build_family(g).spot_vertices
-    assert len(spot) == 64 and np.all(np.diff(spot) > 0) and 0 <= spot[0] and spot[-1] < g.n
-    assert np.array_equal(build_family(build_graph_for_q(5)).spot_vertices, spot)
-    # fewer vertices than the sample: every vertex
-    assert np.array_equal(build_family(build_graph_for_q(3)).spot_vertices, np.arange(63))
-
-
 def test_spanning_cliques_edge_disjoint(graphs):
     g = graphs[3]
     for v in (0, 31):
