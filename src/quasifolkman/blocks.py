@@ -190,8 +190,12 @@ def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGr
     # one draw of every label, in clique layout
     labels = np.random.default_rng(int(seed) & _MASK64).integers(F.n, size=g.cliques.shape, dtype=np.int32)
     # an edge survives iff the labels at its two positions in its clique
-    # form an edge of F
-    alive = adj[row_pairs(labels)].reshape(len(labels), -1)
+    # form an edge of F; the cliques run in blocks of about SCAN_BLOCK_BYTES
+    # of int32 label pairs
+    alive = np.empty((len(labels), math.comb(labels.shape[1], 2)), dtype=bool)
+    step = max(1, graphs.SCAN_BLOCK_BYTES // (8 * alive.shape[1]))
+    for s in range(0, len(labels), step):
+        alive[s:s + step] = adj[row_pairs(labels[s:s + step])].reshape(-1, alive.shape[1])
     return StarGraph(base=g, F=F, seed=seed, labels=labels, alive=alive)
 
 

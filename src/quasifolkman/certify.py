@@ -41,7 +41,7 @@ def graph_checksum(g: IntersectionGraph) -> str:
     """The first 16 hex digits of the SHA-256 of the edge-list text."""
     h = hashlib.sha256()
     for block in edge_list_blocks(g):
-        h.update(block.encode())
+        h.update(block)
     return h.hexdigest()[:16]
 
 
@@ -109,40 +109,72 @@ class GoodmanTally:
     monochromatic: int
 
 
-def same_pair_blocks(fam: TriangleFamily, colors: np.ndarray):
-    """Same-colored pairs of each Goodman row under a (B, m) batch of
-    colorings, one (B, rows) block per block of fam.clique_edge_blocks().
-    A row with b blue edges has C(b, 2) blue pairs and C(q+1-b, 2), the
-    reversed table's entry b, red ones; each count is one gather by b."""
-    b = np.arange(fam.q + 2, dtype=np.int32)
+#: bytes per block of columns P in vertex_same_pairs, counting per vertex
+#: and column an int32 index and 4 bytes of colours and counts per
+#: coloring: one coloring at q = 7 takes 3 blocks, 64 of them 115
+GOODMAN_BLOCK_BYTES = 1 << 21
+
+
+def vertex_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
+    """same(v) of every vertex under each of a (B, m) batch of colorings,
+    shape (B, n), int64.
+
+    v meets the member of its spanning clique at P through its own point Q
+    (the secant cliques[P, pos[P, Q]]) in Q's clique, where v sits at i_Q and
+    the member at pos[Q, P].  With C_Q the q^2 x q^2 colour matrix of Q's
+    clique, the spanning clique at P holds b(v, P) = sum_Q C_Q[i_Q, pos[Q, P]]
+    blue edges from v, hence C(b, 2) + C(q+1-b, 2) same-coloured pairs.
+    Per block of columns P, one flat index into the matrices per point of v
+    is shared by the batch, whose colourings lie innermost, so each gather
+    copies B bytes and b is q+1 row adds.  The q+1 columns P on v hold no
+    spanning clique (there pos is -1 or v's own position), and the mask gives
+    them no pairs."""
+    g, q = fam.graph, fam.q
+    k, npts, nb = q * q, len(g.cliques), len(colors)
+    # C[Q, i, j, c] is the colour in coloring c of the edge between positions
+    # i and j of Q's clique; the diagonal is never read unmasked
+    bits = np.ascontiguousarray(colors.T, dtype=np.uint8)
+    C = bits[g.clique_edges][:, g._pair].reshape(npts * k * k, nb)
+    del bits
+    vc = g.vertex_cliques.T
+    # v sits at pos[Q, Q'] in the clique of its point Q, for another point Q'
+    rows = (vc * k + g.pos[vc, np.roll(vc, 1, axis=0)]) * k
+    b = np.arange(q + 2)
     pairs = b * (b - 1) // 2
-    same = pairs + pairs[::-1]
-    for ce in fam.clique_edge_blocks():
-        # int32 rows are exact (at most C(q+1, 2) pairs each) and halve the
-        # (B, rows)-sized temporaries; callers sum them as int64
-        yield same[colors[:, ce].sum(axis=2, dtype=np.int32)]
+    # entry q + 2 is the masked columns'
+    same = np.append(pairs + pairs[::-1], 0).astype(np.uint16)
+    out = np.zeros((g.n, nb), dtype=np.int64)
+    step = max(1, GOODMAN_BLOCK_BYTES // (g.n * (4 + 4 * nb)))
+    for s in range(0, npts, step):
+        cols = g.pos[:, s:s + step]
+        blue = np.zeros((g.n, cols.shape[1], nb), dtype=np.uint8)
+        for Q, row in zip(vc, rows):
+            at = cols[Q]
+            at += row[:, None]
+            blue += C[at]
+        blue[g.cliques[s:s + step].T, np.arange(cols.shape[1])] = q + 2
+        out += same[blue].sum(axis=1, dtype=np.int64)
+    return out.T
 
 
-def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
-    """Monochromatic family triangles of each coloring, shape (B, m) -> (B,)."""
-    s = sum(block.sum(axis=1, dtype=np.int64) for block in same_pair_blocks(fam, colors))
-    diff = s - fam.total
-    if (diff % 2).any() or (diff < 0).any():
+def _monochromatic(fam: TriangleFamily, same_sum):
+    """(sum_v same(v) - |family|) / 2, checking that it is a whole number >= 0."""
+    diff = same_sum - fam.total
+    if np.any(diff % 2) or np.any(diff < 0):
         raise RuntimeError("Goodman parity violated (internal bug)")
     return diff // 2
 
 
+def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
+    """Monochromatic family triangles of each coloring, shape (B, m) -> (B,)."""
+    return _monochromatic(fam, vertex_same_pairs(fam, colors).sum(axis=1))
+
+
 def goodman_count(fam: TriangleFamily, coloring: EdgeColoring) -> GoodmanTally:
     """Exact monochromatic count of the family under the coloring."""
-    rows_per_vertex = fam.q**3 - fam.q
-    same_v = np.concatenate([
-        block[0].reshape(-1, rows_per_vertex).sum(axis=1, dtype=np.int64)
-        for block in same_pair_blocks(fam, coloring.bits[None])
-    ])
-    diff = int(same_v.sum()) - fam.total
-    if diff % 2 or diff < 0:
-        raise RuntimeError("Goodman parity violated (internal bug)")
-    return GoodmanTally(same_pairs=same_v, family_size=fam.total, monochromatic=diff // 2)
+    same_v = vertex_same_pairs(fam, coloring.bits[None])[0]
+    mono = _monochromatic(fam, int(same_v.sum()))
+    return GoodmanTally(same_pairs=same_v, family_size=fam.total, monochromatic=mono)
 
 
 # ----------------------------------------------------------------------

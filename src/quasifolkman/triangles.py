@@ -26,9 +26,11 @@ from .graphs import IntersectionGraph, enumerate_all_triangles, k4_clique_proper
 from .graphs import verify_k4_structure
 
 EXPLICIT_Q_LIMIT = 4
-#: vertices per block of Goodman rows.  It bounds the (block, q^3-q, q+1)
-#: temporaries that every Goodman count streams through: 0.7 MB of int32
-#: rows at q = 7, 7.8 MB at q = 13.
+#: vertices per block of clique_edge_blocks' Goodman rows: 0.7 MB of
+#: int32 rows at q = 7, 7.8 MB at q = 13.  No command reads the rows: the
+#: Goodman count (certify.vertex_same_pairs) reads the point cliques' colour
+#: matrices.  The rows remain for perfbench/traced.py and as the tests'
+#: reference count.
 VERTEX_BLOCK = 64
 
 

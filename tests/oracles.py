@@ -8,8 +8,11 @@ bitmask rows directly, so they share no logic with the design-identity SRG
 proof, the meet test, the clique-extension scan, the K4 edge kernel or the
 incidence-based concurrency predicate.  maxcut_exhaustive enumerates every
 side assignment, the reference for the branch and bound.  The per-triangle
-Goodman count and the edge-list parser are the references for the
-clique-row count and the edge-list export.  edge_index finds an edge by
+Goodman count is the reference for the Goodman count at q <= 4, and
+same_pairs_by_rows, the count over the Goodman rows that the colour
+matrices replaced, at every q.  The edge-list parser and edge_list_text, one
+'%d %d' format over the edge list, are the references for the edge-list
+export.  edge_index finds an edge by
 binary search over its u*n + v key, and edge_point scatters each point
 clique's id over its edges: the references for IntersectionGraph.edge_at.
 point_pair_secants fills the point-pair -> secant table by counting every
@@ -417,6 +420,27 @@ def goodman_count_direct(fam, coloring):
     c = coloring.bits[te]
     mono = (c[:, 0] == c[:, 1]) & (c[:, 0] == c[:, 2])
     return int(mono.sum())
+
+
+def same_pairs_by_rows(fam, colors):
+    """same(v) of every vertex under each of a (B, m) batch of colorings,
+    shape (B, n), from the Goodman rows of fam.clique_edge_blocks: a row
+    with b blue edges holds C(b, 2) + C(q+1-b, 2) same-coloured pairs.  The
+    reference for certify.vertex_same_pairs, which reads no rows."""
+    q = fam.q
+    b = np.arange(q + 2)
+    pairs = b * (b - 1) // 2
+    same = pairs + pairs[::-1]
+    per_vertex = [same[colors[:, ce].sum(axis=2)].reshape(len(colors), -1, q**3 - q).sum(axis=2)
+                  for ce in fam.clique_edge_blocks()]
+    return np.concatenate(per_vertex, axis=1).astype(np.int64)
+
+
+def edge_list_text(g):
+    """The edge-list text by one '%d %d' format over every edge: the
+    reference for graphs.edge_list_blocks."""
+    uv = np.stack([g.eu, g.ev], axis=1).ravel().tolist()
+    return ("%d %d\n" * g.m) % tuple(uv)
 
 
 def same_sum_from_triangles(te, colors):

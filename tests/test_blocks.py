@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,8 @@ from quasifolkman.blocks import (
     deletion_margin,
     verify_star_instance,
 )
-from quasifolkman.graphs import build_graph_for_q
+from quasifolkman import graphs as graphs_module
+from quasifolkman.graphs import build_graph_for_q, row_pairs
 from quasifolkman.triangles import build_family
 
 
@@ -165,6 +167,25 @@ def test_random_block_matches_incidence_oracle(g3, q, name):
     F = replacement_registry()[name]
     for t in range(20):
         _assert_matches_incidence_oracle(g, F, instance_seed(11, t))
+
+
+def test_random_block_gathers_label_pairs_by_block(monkeypatch):
+    # at q = 7 a 2^18-byte budget takes 27 cliques of label pairs per block,
+    # 13 blocks in all; one gather of every pair would peak 5 MB above the result
+    g = build_graph_for_q(7)
+    F = replacement_registry()["c5"]
+    monkeypatch.setattr(graphs_module, "SCAN_BLOCK_BYTES", 1 << 18)
+    pair_bytes = 8 * math.comb(g.cliques.shape[1], 2)
+    block = (graphs_module.SCAN_BLOCK_BYTES // pair_bytes) * pair_bytes
+    random_block(g, F, 1)  # first calls allocate lasting caches
+    tracemalloc.start()
+    try:
+        star = random_block(g, F, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= star.labels.nbytes + star.alive.nbytes + 2 * block
+    assert np.array_equal(star.alive.ravel(), F.adj[row_pairs(star.labels)])
 
 
 @pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import edge_index, edge_point, enumerate_k4, parse_edge_list, parse_graph6
+from oracles import edge_index, edge_list_text, edge_point, enumerate_k4, parse_edge_list, parse_graph6
 from quasifolkman import graphs as graphs_module
 from quasifolkman.graphs import (
     IntersectionGraph,
@@ -126,7 +126,7 @@ def test_spanning_cliques_shape(graphs):
 
 def test_edge_list_roundtrip(graphs):
     g = graphs[2]
-    text = "".join(edge_list_blocks(g))
+    text = b"".join(edge_list_blocks(g)).decode()
     n, edges = parse_edge_list(text)
     assert n == g.n
     assert len(edges) == g.m
@@ -142,9 +142,19 @@ def test_edge_list_blocks_parse_back_across_blocks(graphs, monkeypatch, q, block
     blocks = list(edge_list_blocks(g))
     size = graphs_module.EDGE_TEXT_BLOCK
     assert len(blocks) == -(-g.m // size)
-    assert all(b.count("\n") == size for b in blocks[:-1])
-    _, edges = parse_edge_list("".join(blocks))
+    assert all(b.count(b"\n") == size for b in blocks[:-1])
+    _, edges = parse_edge_list(b"".join(blocks).decode())
     assert edges == list(zip(g.eu.tolist(), g.ev.tolist()))
+
+
+@pytest.mark.parametrize("block", [7, 1000, None])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_edge_list_bytes_match_format_oracle(monkeypatch, q, block):
+    # vertex ids of one to four digits: n is 12, 63, 208, 525 and 2107
+    g = build_graph_for_q(q)
+    if block is not None:
+        monkeypatch.setattr(graphs_module, "EDGE_TEXT_BLOCK", block)
+    assert b"".join(edge_list_blocks(g)) == edge_list_text(g).encode()
 
 
 def test_graph6_roundtrip(graphs):

@@ -252,16 +252,18 @@ def test_anneal_q4_respects_certified_bound():
 
 
 def test_goodman_counts_stream_their_rows(setup3, tmp_path, monkeypatch):
-    # anneal, its partner tables and check-coloring never build the whole
-    # Goodman matrix
+    # anneal, its partner tables, random_coloring_stats and check-coloring
+    # read no Goodman rows: neither the whole matrix nor its blocks
     g, fam, _ = setup3
 
-    def no_matrix(self):
-        raise AssertionError("clique_edge_matrix called")
+    def no_rows(self):
+        raise AssertionError("Goodman rows built")
 
-    monkeypatch.setattr(TriangleFamily, "clique_edge_matrix", no_matrix)
+    monkeypatch.setattr(TriangleFamily, "clique_edge_matrix", no_rows)
+    monkeypatch.setattr(TriangleFamily, "clique_edge_blocks", no_rows)
     res = anneal(g, fam, AnnealSchedule(steps=500), seed=4, restarts=3, revalidate_every=100)
     assert res.best.objective == goodman_count_direct(fam, res.best.coloring)
+    random_coloring_stats(fam, trials=2, seed=0)
     path = tmp_path / "coloring.txt"
     path.write_text(res.best.coloring.to_text())
     assert main(["check-coloring", "--q", "3", "--file", str(path), "--out", str(tmp_path / "out")]) == EXIT_PASS
