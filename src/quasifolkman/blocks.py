@@ -38,6 +38,7 @@ from .graphs import (
     k4_clique_property,
     row_blocks,
     row_pairs,
+    triu_pairs,
 )
 
 
@@ -257,7 +258,7 @@ def cliques_triangle_free(star: StarGraph) -> bool:
     of about SCAN_BLOCK_BYTES of A."""
     g = star.base
     npts, k = g.cliques.shape
-    iu, iv = np.triu_indices(k, k=1)
+    iu, iv = triu_pairs(k)
     step = max(1, graphs.SCAN_BLOCK_BYTES // (4 * k * k))
     for s in range(0, npts, step):
         alive = star.alive[s:s + step]

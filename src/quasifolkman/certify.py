@@ -37,28 +37,79 @@ class ColoringFormatError(ValueError):
     pass
 
 
-def graph_checksum(g: IntersectionGraph) -> str:
-    """The first 16 hex digits of the SHA-256 of the edge-list text."""
+def graph_checksum(g: IntersectionGraph, blocks=None) -> str:
+    """The first 16 hex digits of the SHA-256 of the edge-list text, laid out
+    from the edge stream's blocks (by default g.edge_blocks())."""
     h = hashlib.sha256()
-    for block in edge_list_blocks(g):
+    for block in edge_list_blocks(g, blocks):
         h.update(block)
     return h.hexdigest()[:16]
+
+
+def _scatter(bits: np.ndarray, out: np.ndarray, blocks):
+    """Pass the edge stream's blocks on, writing the lexicographic bits of
+    each block's edges to out[X, t] on the way."""
+    s = 0
+    for block in blocks:
+        _, _, X, t = block
+        out[X, t] = bits[s:s + len(X)]
+        s += len(X)
+        yield block
+
+
+def _body_bits(lines: list[str], m: int) -> np.ndarray:
+    """The m bits of a coloring file's hex body, lines joined."""
+    try:
+        raw = bytes.fromhex("".join(lines))
+    except ValueError as exc:
+        raise ColoringFormatError("body is not hex") from exc
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    if bits[m:].any():
+        raise ColoringFormatError("nonzero padding bits")
+    if len(raw) != -(-m // 8):
+        raise ColoringFormatError(f"coloring body too {'short' if len(bits) < m else 'long'}")
+    return bits[:m].view(bool)
 
 
 class EdgeColoring:
     """Total two-coloring of the edges, one bit per canonical edge.
 
-    Bit 0 is red, bit 1 is blue.
+    Bit 0 is red, bit 1 is blue.  The bits are held in lexicographic edge
+    order (bits), in the point cliques' layout (clique_bits, shape (q^3+1,
+    C(q^2, 2)): pair t, in triu order, of clique X at [X, t]), or both;
+    either is read off the other through the edge stream on first use.
     """
 
-    def __init__(self, graph: IntersectionGraph, bits: np.ndarray | None = None):
+    def __init__(self, graph: IntersectionGraph, bits: np.ndarray | None = None,
+                 clique_bits: np.ndarray | None = None):
         self.graph = graph
-        if bits is None:
+        if bits is None and clique_bits is None:
             bits = np.zeros(graph.m, dtype=bool)
-        bits = np.asarray(bits, dtype=bool)
-        if bits.shape != (graph.m,):
-            raise ColoringFormatError(f"need {graph.m} bits, got shape {bits.shape}")
-        self.bits = bits
+        if bits is not None:
+            bits = np.asarray(bits, dtype=bool)
+            if bits.shape != (graph.m,):
+                raise ColoringFormatError(f"need {graph.m} bits, got shape {bits.shape}")
+        self._bits, self._clique_bits = bits, clique_bits
+
+    @property
+    def bits(self) -> np.ndarray:
+        if self._bits is None:
+            self._bits = np.empty(self.graph.m, dtype=bool)
+            s = 0
+            for _, _, X, t in self.graph.edge_blocks():
+                self._bits[s:s + len(X)] = self._clique_bits[X, t]
+                s += len(X)
+        return self._bits
+
+    @property
+    def clique_bits(self) -> np.ndarray:
+        if self._clique_bits is None:
+            g = self.graph
+            out = np.empty(g.m, dtype=bool).reshape(len(g.cliques), -1)
+            for _ in _scatter(self._bits, out, g.edge_blocks()):
+                pass
+            self._clique_bits = out
+        return self._clique_bits
 
     @classmethod
     def random(cls, graph: IntersectionGraph, seed: int) -> "EdgeColoring":
@@ -76,6 +127,9 @@ class EdgeColoring:
 
     @classmethod
     def from_text(cls, graph: IntersectionGraph, text: str) -> "EdgeColoring":
+        """Parse a coloring file into clique layout.  One pass over the edge
+        stream both hashes the edge list for the checksum and scatters the
+        body's bits; a bad body is reported after a checksum mismatch."""
         lines = [l for l in text.strip().split("\n") if l.strip()]
         if not lines or not lines[0].startswith("coloring "):
             raise ColoringFormatError("missing coloring header")
@@ -86,18 +140,19 @@ class EdgeColoring:
             raise ColoringFormatError(f"malformed header: {lines[0]!r}") from exc
         if q != graph.q or m != graph.m:
             raise ColoringFormatError(f"coloring is for q={q}, m={m}; graph has q={graph.q}, m={graph.m}")
-        if chk != graph_checksum(graph):
-            raise ColoringFormatError("graph checksum mismatch")
         try:
-            raw = bytes.fromhex("".join(lines[1:]))
-        except ValueError as exc:
-            raise ColoringFormatError("body is not hex") from exc
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        if bits[m:].any():
-            raise ColoringFormatError("nonzero padding bits")
-        if len(raw) != -(-m // 8):
-            raise ColoringFormatError(f"coloring body too {'short' if len(bits) < m else 'long'}")
-        return cls(graph, bits[:m].astype(bool))
+            bits, bad_body = _body_bits(lines[1:], m), None
+        except ColoringFormatError as exc:
+            bad_body = exc
+        blocks = graph.edge_blocks()
+        if bad_body is None:
+            clique_bits = np.empty(graph.m, dtype=bool).reshape(len(graph.cliques), -1)
+            blocks = _scatter(bits, clique_bits, blocks)
+        if chk != graph_checksum(graph, blocks):
+            raise ColoringFormatError("graph checksum mismatch")
+        if bad_body is not None:
+            raise bad_body
+        return cls(graph, clique_bits=clique_bits)
 
 
 @dataclass
@@ -116,8 +171,10 @@ GOODMAN_BLOCK_BYTES = 1 << 21
 
 
 def vertex_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
-    """same(v) of every vertex under each of a (B, m) batch of colorings,
-    shape (B, n), int64.
+    """same(v) of every vertex under each of a batch of B colorings, shape
+    (B, n), int64.  colors is bool or uint8 in clique layout with the batch
+    innermost, shape (q^3+1, C(q^2, 2), B): [X, t, c] is the colour in
+    coloring c of pair t, in triu order, of X's clique.
 
     v meets the member of its spanning clique at P through its own point Q
     (the secant cliques[P, pos[P, Q]]) in Q's clique, where v sits at i_Q and
@@ -129,13 +186,16 @@ def vertex_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
     copies B bytes and b is q+1 row adds.  The q+1 columns P on v hold no
     spanning clique (there pos is -1 or v's own position), and the mask gives
     them no pairs."""
+    return _same_pairs(fam, colors.view(np.uint8)[:, fam.graph._pair])
+
+
+def _same_pairs(fam: TriangleFamily, C: np.ndarray) -> np.ndarray:
+    """vertex_same_pairs from the colour matrices, uint8, shape (q^3+1, q^2,
+    q^2, B): C[Q, i, j, c] is the colour in coloring c of the edge between
+    positions i and j of Q's clique; the diagonal is never read unmasked."""
     g, q = fam.graph, fam.q
-    k, npts, nb = q * q, len(g.cliques), len(colors)
-    # C[Q, i, j, c] is the colour in coloring c of the edge between positions
-    # i and j of Q's clique; the diagonal is never read unmasked
-    bits = np.ascontiguousarray(colors.T, dtype=np.uint8)
-    C = bits[g.clique_edges][:, g._pair].reshape(npts * k * k, nb)
-    del bits
+    npts, k, _, nb = C.shape
+    C = C.reshape(npts * k * k, nb)
     vc = g.vertex_cliques.T
     # v sits at pos[Q, Q'] in the clique of its point Q, for another point Q'
     rows = (vc * k + g.pos[vc, np.roll(vc, 1, axis=0)]) * k
@@ -166,13 +226,17 @@ def _monochromatic(fam: TriangleFamily, same_sum):
 
 
 def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
-    """Monochromatic family triangles of each coloring, shape (B, m) -> (B,)."""
-    return _monochromatic(fam, vertex_same_pairs(fam, colors).sum(axis=1))
+    """Monochromatic family triangles of each coloring, shape (B, m) -> (B,);
+    one gather through clique_edges takes the lexicographic batch straight
+    into the colour matrices, so no copy of it outlives the gather."""
+    g = fam.graph
+    C = np.ascontiguousarray(colors.T, dtype=np.uint8)[g.clique_edges[:, g._pair]]
+    return _monochromatic(fam, _same_pairs(fam, C).sum(axis=1))
 
 
 def goodman_count(fam: TriangleFamily, coloring: EdgeColoring) -> GoodmanTally:
     """Exact monochromatic count of the family under the coloring."""
-    same_v = vertex_same_pairs(fam, coloring.bits[None])[0]
+    same_v = vertex_same_pairs(fam, coloring.clique_bits[:, :, None])[0]
     mono = _monochromatic(fam, int(same_v.sum()))
     return GoodmanTally(same_pairs=same_v, family_size=fam.total, monochromatic=mono)
 

@@ -57,6 +57,7 @@ from .graphs import (
     edge_list_blocks,
     graph6_bytes,
     orbit_labels,
+    row_pairs,
     unital_symmetry,
     verify_k4_by_symmetry,
     verify_k4_structure,
@@ -125,12 +126,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: the largest q of each command but certify, which runs at every q in
-#: SUPPORTED_Q: search's partner tables scale as m q^2; build and
-#: check-coloring build the edge tables, whose sort sets check-coloring's
-#: 0.93 GB peak at q = 13; its Goodman count adds the point cliques' colour
-#: matrices, (q^3+1) q^4 bytes (63 MB at q = 13); simulate's spot scans
-#: pack every surviving edge of an instance
-Q_LIMIT = {"build": 11, "simulate": 11, "search": 7, "check-coloring": 13}
+#: SUPPORTED_Q: search's partner tables scale as m q^2; check-coloring
+#: streams the edge order (IntersectionGraph.edge_blocks) and holds no
+#: m-long edge table, so its Goodman count's colour matrices, (q^3+1) q^4
+#: bytes, and the coloring in clique layout set its peak: 233 MB and 18 s
+#: at q = 13, 807 MB and 163 s at q = 16 on a 2-core x86-64 host; build's
+#: edge list would be 1.6 GB of text at q = 16, and graph6's bit array
+#: 1.9 GB; simulate's spot scans pack every surviving edge of an instance
+Q_LIMIT = {"build": 11, "simulate": 11, "search": 7, "check-coloring": 16}
 
 
 def _check_q(args) -> None:
@@ -156,7 +159,8 @@ def cmd_build(args) -> int:
     (out / f"unital_q{args.q}.txt").write_text(unital.export_text())
     with open(out / f"edges_q{args.q}.txt", "wb") as fh:
         fh.writelines(edge_list_blocks(g))
-    (out / f"graph_q{args.q}.g6").write_bytes(graph6_bytes(g.n, g.eu, g.ev))
+    # graph6 reads no edge order: ascending clique rows give each pair i < j
+    (out / f"graph_q{args.q}.g6").write_bytes(graph6_bytes(g.n, *row_pairs(g.cliques)))
     rep = verify_srg(g)
     cert = Certificate(
         claim="intersection graph is strongly regular with the expected parameters",
@@ -212,7 +216,8 @@ def cmd_certify(args) -> int:
     fam = build_family(g)  # cross-checks counts internally
     # one vertex per orbit of the verified secant permutations covers them all
     if sym is not None:
-        nbhd_vertices = np.unique(orbit_labels(g.n, sym.secants)).tolist()
+        # each orbit's least member is the one labelled by itself
+        nbhd_vertices = np.flatnonzero(orbit_labels(g.n, sym.secants) == np.arange(g.n)).tolist()
         coverage = {"secant_orbits": len(nbhd_vertices), "vertices_covered": g.n}
     else:
         nbhd_vertices = list(range(g.n)) if q <= 3 else [0, g.n // 2, g.n - 1]

@@ -33,6 +33,7 @@ AND of bit-packed rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -51,12 +52,10 @@ K4_EDGE_BLOCK = 1 << 8
 #: clique-extension scan, rows of pos in verify_srg, the cliques' 0/1
 #: matrices in blocks.cliques_triangle_free; the rows per block follow from q
 SCAN_BLOCK_BYTES = 1 << 22
-#: lines per block of the edge-list text, laid out in numpy at 2w + 2
-#: bytes a line for w-digit ids: 160 KB at q = 7.  On a 2-core Xeon, 2^14
-#: lines hashed the q = 7 edge list in 0.024 s (2^10: 0.041 s, 2^18:
-#: 0.028 s) and the q = 11 one in 0.76 s (2^10: 0.92 s), and
-#: check-coloring's peak RSS at q = 7 read the same from 2^10 to 2^16
-EDGE_TEXT_BLOCK = 1 << 14
+#: bytes of int64 candidate keys per block of IntersectionGraph.edge_blocks,
+#: (q+1) q^2 keys a vertex: 83 vertices and about 16,000 edges a block at
+#: q = 7, 7 vertices at q = 16.  The edge-list text follows its blocks
+EDGE_BLOCK_BYTES = 1 << 18
 
 
 class GraphError(RuntimeError):
@@ -76,12 +75,19 @@ class IntersectionGraph:
         unital points (equivalently, point-clique ids) of each secant.
     pos : (q^3+1, q^3+1) int32, pos[P, A] is the position in P's clique of
         the secant through unital points P and A (-1 on the diagonal).
+    at : (n, q+1) int32, at[s, j] is the position of secant s in the clique
+        of its point vertex_cliques[s, j].
 
     No adjacency is stored: two secants are adjacent when they share a
     point, and adj scatters the point cliques into a fresh n x n copy.
 
-    The edge tables below are built on first use (edge_tables); certify
-    and simulate read none of them at q >= 5.
+    The canonical edges, lexicographic with a < b, are streamed a block of
+    vertices at a time (edge_blocks): the edge-list text, the graph
+    checksum and the coloring files read that stream and hold no m-long
+    table, and so does the triangle enumeration behind the q <= 4 family.
+    The edge tables below are scattered from it on first use (edge_tables)
+    for search's partner tables and batched Goodman counts; build, certify,
+    simulate and check-coloring read none of them.
 
     eu, ev : (m,) int32 canonical edge list, lexicographic with eu < ev.
     clique_edges : (q^3+1, C(q^2, 2)) int32, the id of the edge between
@@ -112,19 +118,19 @@ class IntersectionGraph:
         at = np.empty(len(inc), dtype=np.int32)
         at[inc] = np.arange(len(inc)) % k
         del inc
+        self.at = at.reshape(n, q + 1)
         # secant s sits at at[s, i] in the clique of its point vc[s, i], so
         # that is pos[vc[s, i], vc[s, j]] for each of its points vc[s, j]
         vc = self.vertex_cliques
         self.pos = np.full((npts, npts), -1, dtype=np.int32)
-        self.pos[vc[:, :, None], vc[:, None, :]] = at.reshape(n, q + 1)[:, :, None]
+        self.pos[vc[:, :, None], vc[:, None, :]] = self.at[:, :, None]
         np.fill_diagonal(self.pos, -1)
-        del at
         # the n C(q+1, 2) = C(q^3+1, 2) secant point pairs fill every
         # off-diagonal entry only if each is written once
         if np.count_nonzero(self.pos < 0) != npts:
             raise GraphError("two secants share more than one unital point")
         self.m = npts * comb(k, 2)
-        iu, iv = np.triu_indices(k, k=1)
+        iu, iv = triu_pairs(k)
         self._pair = np.zeros((k, k), dtype=np.int32)
         self._pair[iu, iv] = self._pair[iv, iu] = np.arange(len(iu))
         self._edges: tuple[np.ndarray, ...] | None = None
@@ -150,7 +156,7 @@ class IntersectionGraph:
         """The meet point X and the ends a < b of the clique-major edges e:
         edge e is pair e % C(q^2, 2), in triu order, of X = e // C(q^2, 2)."""
         X, t = np.divmod(e, self.m // len(self.cliques))
-        iu, iv = np.triu_indices(self.cliques.shape[1], k=1)
+        iu, iv = triu_pairs(self.cliques.shape[1])
         return X, self.cliques[X, iu[t]], self.cliques[X, iv[t]]
 
     def edge_points(self, e):
@@ -163,23 +169,50 @@ class IntersectionGraph:
         Q = Q[Q != X[:, None]].reshape(len(e), 1, self.q)
         return X, a, b, P, Q
 
+    def edge_blocks(self):
+        """The canonical edges in lexicographic order, as consecutive blocks
+        (a, b, X, t) of int32 arrays: edge a-b, a < b, is pair t, in triu
+        order, of the point clique X.
+
+        Vertex a's edges to larger vertices are the members after a in its
+        q+1 point cliques, a's own position being at[a].  A block takes
+        about EDGE_BLOCK_BYTES of candidate keys, whole vertices at a time,
+        and sorts them: each key packs a's offset in the block, b, X and t
+        into bit fields of one int64, in that order, so the sorted keys are
+        the block's edges in order and their fields the four outputs.  No
+        m-long array is built."""
+        (npts, k), n = self.cliques.shape, self.n
+        widths = [(comb(k, 2) - 1).bit_length(), (npts - 1).bit_length(), (n - 1).bit_length()]
+        tb, xb, bb = widths
+        step = max(1, EDGE_BLOCK_BYTES // (8 * (self.q + 1) * k))
+        for s in range(0, n, step):
+            X, at = self.vertex_cliques[s:s + step], self.at[s:s + step]
+            key = self.cliques[X].astype(np.int64) << xb
+            key |= X[:, :, None]
+            key <<= tb
+            key |= self._pair[at]
+            key |= (np.arange(len(X), dtype=np.int64) << (bb + xb + tb))[:, None, None]
+            key = key[np.arange(k) > at[:, :, None]]
+            key.sort()
+            fields = []
+            for width in widths:
+                fields.append((key & (1 << width) - 1).astype(np.int32))
+                key >>= width
+            t, X, b = fields
+            yield key.astype(np.int32) + s, b, X, t
+
     def edge_tables(self) -> tuple[np.ndarray, ...]:
-        """(eu, ev, clique_edges), built on first use.  The edges are the
-        secant pairs inside the point cliques, clique-major; one sort of
-        their keys gives the lexicographic edge list, and its inverse each
-        clique pair's edge id.  The three share one block taken before the
-        sort's temporaries."""
+        """(eu, ev, clique_edges), built on first use from edge_blocks: the
+        blocks fill eu and ev in order and scatter their ids into
+        clique_edges, with no sort."""
         if self._edges is None:
             npts = len(self.cliques)
             eu, ev, clique_edges = np.empty((3, self.m), dtype=np.int32)
-            a, b = row_pairs(self.cliques)
-            order = np.argsort(a.astype(np.int64) * self.n + b)
-            np.take(a, order, out=eu)
-            np.take(b, order, out=ev)
-            del a, b
-            # int32 holds m up to q = 16; the inversion then needs no int64 temporaries
-            order = order.astype(np.int32)
-            clique_edges[order] = np.arange(self.m, dtype=np.int32)
+            s = 0
+            for a, b, X, t in self.edge_blocks():
+                eu[s:s + len(a)], ev[s:s + len(a)] = a, b
+                clique_edges[X * (self.m // npts) + t] = np.arange(s, s + len(a), dtype=np.int32)
+                s += len(a)
             self._edges = eu, ev, clique_edges.reshape(npts, self.m // npts)
         return self._edges
 
@@ -206,10 +239,18 @@ class IntersectionGraph:
         return sc
 
 
+@cache
+def triu_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(k, 1), built once per k; the arrays are read-only."""
+    iu, iv = np.triu_indices(k, k=1)
+    iu.flags.writeable = iv.flags.writeable = False
+    return iu, iv
+
+
 def row_pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair (a, b) of entries a before b inside each row, row-major;
     ascending rows give a < b."""
-    iu, iv = np.triu_indices(rows.shape[1], k=1)
+    iu, iv = triu_pairs(rows.shape[1])
     return rows[:, iu].ravel(), rows[:, iv].ravel()
 
 
@@ -368,8 +409,10 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
 # ----------------------------------------------------------------------
 
 def enumerate_all_triangles(g: IntersectionGraph) -> np.ndarray:
-    """All triangles (a < b < c), lexicographic: the edge list extended once."""
-    return extend_cliques(edge_rows(g.n, g.eu, g.ev), np.stack([g.eu, g.ev], axis=1))
+    """All triangles (a < b < c), lexicographic: the edge list, read from
+    the edge stream, extended once."""
+    edges = np.concatenate([np.stack([a, b], axis=1) for a, b, _, _ in g.edge_blocks()])
+    return extend_cliques(edge_rows(g.n, *edges.T), edges)
 
 
 def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
@@ -609,7 +652,7 @@ def verify_k4_by_symmetry(g: IntersectionGraph, sym: UnitalSymmetry) -> Certific
     # another point of it; an element h fixing 0 moves that secant to the
     # one through 0 and h(other)
     other = g.vertex_cliques[g.cliques[0], 1]
-    iu, iv = np.triu_indices(k, k=1)
+    iu, iv = triu_pairs(k)
     moves = [g._pair[p[iu], p[iv]] for p in (g.pos[0, h[other]] for h in sym.stabiliser)]
     # clique-major edge r is pair r of point 0's clique
     reps, size = np.unique(orbit_labels(len(iu), moves), return_counts=True)
@@ -635,9 +678,10 @@ def verify_k4_by_symmetry(g: IntersectionGraph, sym: UnitalSymmetry) -> Certific
 # Serialization: edge list and graph6
 # ----------------------------------------------------------------------
 
-def edge_list_blocks(g: IntersectionGraph):
+def edge_list_blocks(g: IntersectionGraph, blocks=None):
     """The edge-list text, one 'u v' line per canonical edge, as consecutive
-    bytes blocks of at most EDGE_TEXT_BLOCK lines.
+    bytes blocks, one per block of the edge stream (blocks, by default
+    g.edge_blocks()).
 
     A table holds each vertex id's decimal digits at a fixed width,
     right-aligned after zero bytes; each block lays its lines out at that
@@ -647,8 +691,7 @@ def edge_list_blocks(g: IntersectionGraph):
     scale = 10 ** np.arange(width - 1, -1, -1)
     digits = (ord("0") + ids // scale % 10).astype(np.uint8)
     digits[(ids < scale) & (scale > 1)] = 0
-    for s in range(0, g.m, EDGE_TEXT_BLOCK):
-        u, v = g.eu[s:s + EDGE_TEXT_BLOCK], g.ev[s:s + EDGE_TEXT_BLOCK]
+    for u, v, _, _ in g.edge_blocks() if blocks is None else blocks:
         lines = np.empty((len(u), 2 * width + 2), dtype=np.uint8)
         lines[:, :width] = digits[u]
         lines[:, width] = ord(" ")

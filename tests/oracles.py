@@ -11,8 +11,11 @@ side assignment, the reference for the branch and bound.  The per-triangle
 Goodman count is the reference for the Goodman count at q <= 4, and
 same_pairs_by_rows, the count over the Goodman rows that the colour
 matrices replaced, at every q.  The edge-list parser and edge_list_text, one
-'%d %d' format over the edge list, are the references for the edge-list
-export.  edge_index finds an edge by
+'%d %d' format over the sorted edge list, are the references for the
+edge-list export.  edge_tables_sorted sorts every clique pair's a*n + b key
+at once, the form IntersectionGraph.edge_tables took before the edge
+stream: the reference for IntersectionGraph.edge_blocks and for the tables
+rebuilt from it.  edge_index finds an edge by
 binary search over its u*n + v key, and edge_point scatters each point
 clique's id over its edges: the references for IntersectionGraph.edge_at.
 point_pair_secants fills the point-pair -> secant table by counting every
@@ -84,6 +87,16 @@ def canonical_edges(adj):
     """The edges (u, v), u < v, of a dense adjacency, lexicographic."""
     eu, ev = np.nonzero(np.triu(adj, 1))
     return eu, ev
+
+
+def edge_tables_sorted(g):
+    """(eu, ev, clique_edges), int32, from one argsort of the clique-major
+    pairs' a*n + b keys and its inverse."""
+    a, b = row_pairs(g.cliques)
+    order = np.argsort(a.astype(np.int64) * g.n + b)
+    clique_edges = np.empty(g.m, dtype=np.int32)
+    clique_edges[order] = np.arange(g.m, dtype=np.int32)
+    return a[order], b[order], clique_edges.reshape(len(g.cliques), -1)
 
 
 def edge_index(g, u, v):
@@ -439,7 +452,7 @@ def same_pairs_by_rows(fam, colors):
 def edge_list_text(g):
     """The edge-list text by one '%d %d' format over every edge: the
     reference for graphs.edge_list_blocks."""
-    uv = np.stack([g.eu, g.ev], axis=1).ravel().tolist()
+    uv = np.stack(edge_tables_sorted(g)[:2], axis=1).ravel().tolist()
     return ("%d %d\n" * g.m) % tuple(uv)
 
 

@@ -1,7 +1,7 @@
 """Differential tests: the blocked unital line scan and K4 clique test
-against their unblocked forms in oracles.py, and certify's structural path
-and simulate without the edge tables; no command builds the dense
-adjacency."""
+against their unblocked forms in oracles.py, and certify's structural path,
+simulate, build and check-coloring without the edge tables; no command
+builds the dense adjacency."""
 
 import numpy as np
 import pytest
@@ -88,6 +88,23 @@ def test_simulate_never_builds_edge_tables(monkeypatch, tmp_path):
     monkeypatch.setattr(IntersectionGraph, "edge_tables", refuse)
     argv = ["simulate", "--q", "5", "--F", "c5", "--trials", "2", "--out", str(tmp_path)]
     assert main(argv) == 3
+
+
+@pytest.mark.parametrize("command", ["build", "check-coloring"])
+def test_build_and_check_coloring_never_build_edge_tables(monkeypatch, tmp_path, command):
+    # the edge list, graph6, checksum and coloring file read the edge stream
+    # or the point cliques instead
+    argv = [command, "--q", "5", "--out", str(tmp_path / "out")]
+    if command == "check-coloring":
+        coloring = tmp_path / "coloring.txt"
+        coloring.write_text(EdgeColoring.random(build_graph_for_q(5), 1).to_text())
+        argv += ["--file", str(coloring)]
+
+    def refuse(g):
+        raise AssertionError("IntersectionGraph.edge_tables called")
+
+    monkeypatch.setattr(IntersectionGraph, "edge_tables", refuse)
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize("argv", [["certify"], ["build"], ["check-coloring"],

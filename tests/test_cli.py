@@ -480,7 +480,7 @@ def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
         (["build", "--q", "13"], "--q"),
         (["simulate", "--q", "16", "--trials", "2"], "--q"),
         (["search", "--q", "8"], "--q"),
-        (["check-coloring", "--q", "16", "--file", "no-such-coloring.txt"], "--q"),
+        (["check-coloring", "--q", "17", "--file", "no-such-coloring.txt"], "--q"),
         (["search", "--q", "3", "--steps", "2.7"], "--steps"),
         (["search", "--q", "3", "--stat-trials", "1"], "--stat-trials"),
         (["search", "--q", "3", "--stat-trials", "-4"], "--stat-trials"),
@@ -523,7 +523,7 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["simulate", "--q", "13", "--F", "c5", "--trials", "2"],
         ["search", "--q", "8"],
         ["search", "--q", "13"],
-        ["check-coloring", "--q", "16", "--file", "no-such-coloring.txt"],
+        ["check-coloring", "--q", "17", "--file", "no-such-coloring.txt"],
         ["certify", "--q", "25"],
         ["simulate", "--alon-k", "7", "--delta", "1e-200"],
         ["search", "--q", "3", "--restarts", "1000000000000"],

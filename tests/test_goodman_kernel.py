@@ -20,6 +20,12 @@ def family(q):
     return build_family(build_graph_for_q(q))
 
 
+def clique_layout(g, colors):
+    """A (B, m) batch of lexicographic colorings in vertex_same_pairs'
+    layout, (q^3+1, C(q^2, 2), B), through clique_edges."""
+    return colors.T[g.clique_edges]
+
+
 def colorings(m, kind, count=3):
     if kind == "red":
         return np.zeros((1, m), dtype=bool)
@@ -33,7 +39,7 @@ def colorings(m, kind, count=3):
 def test_same_pairs_match_explicit_triangles(q, kind):
     fam = family(q)
     colors = colorings(fam.graph.m, kind)
-    got = vertex_same_pairs(fam, colors)
+    got = vertex_same_pairs(fam, clique_layout(fam.graph, colors))
     assert got.shape == (len(colors), fam.graph.n) and got.dtype == np.int64
     for bits, row, mono in zip(colors, got, batch_mono_counts(fam, colors)):
         assert np.array_equal(row, same_pairs_from_triangles(fam, bits))
@@ -45,7 +51,7 @@ def test_same_pairs_match_goodman_rows(q):
     fam = family(q)
     colors = np.concatenate([colorings(fam.graph.m, "random", 2), colorings(fam.graph.m, "blue")])
     expect = same_pairs_by_rows(fam, colors)
-    assert np.array_equal(vertex_same_pairs(fam, colors), expect)
+    assert np.array_equal(vertex_same_pairs(fam, clique_layout(fam.graph, colors)), expect)
     for bits, row in zip(colors, expect):
         tally = goodman_count(fam, EdgeColoring(fam.graph, bits))
         assert np.array_equal(tally.same_pairs, row)
@@ -62,7 +68,7 @@ def test_batch_equals_single_across_column_blocks(monkeypatch, batch, columns):
     if columns is not None:
         monkeypatch.setattr(certify, "GOODMAN_BLOCK_BYTES", columns * g.n * (4 + 4 * batch))
     colors = colorings(g.m, "random", batch)
-    got = vertex_same_pairs(fam, colors)
+    got = vertex_same_pairs(fam, clique_layout(g, colors))
     singles = [goodman_count(fam, EdgeColoring(g, bits)) for bits in colors]
     assert np.array_equal(got, np.stack([t.same_pairs for t in singles]))
     assert batch_mono_counts(fam, colors).tolist() == [t.monochromatic for t in singles]

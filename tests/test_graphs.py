@@ -136,13 +136,20 @@ def test_edge_list_roundtrip(graphs):
 @pytest.mark.parametrize("block", [7, None])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_edge_list_blocks_parse_back_across_blocks(graphs, monkeypatch, q, block):
+    # the text follows the edge stream's blocks of whole vertices; a budget
+    # of 7 bytes holds one vertex a block, so block a lists a's edges to
+    # larger vertices (none for the last vertex)
     g = graphs[q]
     if block is not None:
-        monkeypatch.setattr(graphs_module, "EDGE_TEXT_BLOCK", block)
+        monkeypatch.setattr(graphs_module, "EDGE_BLOCK_BYTES", block)
     blocks = list(edge_list_blocks(g))
-    size = graphs_module.EDGE_TEXT_BLOCK
-    assert len(blocks) == -(-g.m // size)
-    assert all(b.count(b"\n") == size for b in blocks[:-1])
+    step = max(1, graphs_module.EDGE_BLOCK_BYTES // (8 * (q + 1) * q * q))
+    assert len(blocks) == -(-g.n // step)
+    if block is not None:
+        for a, text in enumerate(blocks):
+            lines = text.decode().splitlines()
+            assert len(lines) == np.count_nonzero(g.eu == a)
+            assert all(line.split()[0] == str(a) for line in lines)
     _, edges = parse_edge_list(b"".join(blocks).decode())
     assert edges == list(zip(g.eu.tolist(), g.ev.tolist()))
 
@@ -150,10 +157,12 @@ def test_edge_list_blocks_parse_back_across_blocks(graphs, monkeypatch, q, block
 @pytest.mark.parametrize("block", [7, 1000, None])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_edge_list_bytes_match_format_oracle(monkeypatch, q, block):
-    # vertex ids of one to four digits: n is 12, 63, 208, 525 and 2107
+    # vertex ids of one to four digits: n is 12, 63, 208, 525 and 2107.  An
+    # edge-stream budget of 7 bytes is one vertex a block; 1000 bytes is
+    # ten vertices at q = 2 and three at q = 3, one from q = 4 on
     g = build_graph_for_q(q)
     if block is not None:
-        monkeypatch.setattr(graphs_module, "EDGE_TEXT_BLOCK", block)
+        monkeypatch.setattr(graphs_module, "EDGE_BLOCK_BYTES", block)
     assert b"".join(edge_list_blocks(g)) == edge_list_text(g).encode()
 
 
