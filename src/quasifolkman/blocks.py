@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import graphs
+from .budget import slices
 from .certificates import Certificate
 from .certify import BNB_MAXCUT_LIMIT, maxcut_exact
 from .graphs import (
@@ -36,8 +36,8 @@ from .graphs import (
     edge_rows,
     extend_cliques,
     k4_clique_property,
-    row_blocks,
     row_pairs,
+    scan_bytes,
     triu_pairs,
 )
 
@@ -191,12 +191,11 @@ def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGr
     # one draw of every label, in clique layout
     labels = np.random.default_rng(int(seed) & _MASK64).integers(F.n, size=g.cliques.shape, dtype=np.int32)
     # an edge survives iff the labels at its two positions in its clique
-    # form an edge of F; the cliques run in blocks of about SCAN_BLOCK_BYTES
-    # of int32 label pairs
+    # form an edge of F
     alive = np.empty((len(labels), math.comb(labels.shape[1], 2)), dtype=bool)
-    step = max(1, graphs.SCAN_BLOCK_BYTES // (8 * alive.shape[1]))
-    for s in range(0, len(labels), step):
-        alive[s:s + step] = adj[row_pairs(labels[s:s + step])].reshape(-1, alive.shape[1])
+    # per clique pair: two int32 labels and a bool, 12 bytes as measured
+    for block in slices(len(labels), 12 * alive.shape[1]):
+        alive[block] = adj[row_pairs(labels[block])].reshape(-1, alive.shape[1])
     return StarGraph(base=g, F=F, seed=seed, labels=labels, alive=alive)
 
 
@@ -204,7 +203,8 @@ def _first_k4(words: np.ndarray, tris: np.ndarray) -> tuple[int, int, int, int] 
     """The first triangle with a common neighbour, extended by the lowest
     one.  Every common neighbour of that triangle lies above its last
     vertex: one below would give an earlier triangle that has one."""
-    for part in row_blocks(tris, words):
+    for block in slices(len(tris), scan_bytes(words)):
+        part = tris[block]
         hit = np.flatnonzero(common_neighbors(words, part).any(axis=1))
         if len(hit):
             return tuple(map(int, extend_cliques(words, part[hit[:1]])[0]))
@@ -227,8 +227,8 @@ def verify_star_instance(star: StarGraph) -> dict:
     edges = edges[np.argsort(edges[:, 0].astype(np.int64) * g.n + edges[:, 1])]
     words = edge_rows(g.n, edges[:, 0], edges[:, 1])
     k4 = clique_triangle = None
-    for part in row_blocks(edges, words):
-        tris = extend_cliques(words, part)
+    for block in slices(len(edges), scan_bytes(words)):
+        tris = extend_cliques(words, edges[block])
         if clique_triangle is None:
             conc = np.flatnonzero(k4_clique_property(g, tris))
             if len(conc):
@@ -254,14 +254,13 @@ def cliques_triangle_free(star: StarGraph) -> bool:
     Each clique's surviving edges make a symmetric 0/1 matrix A over its q^2
     positions.  A path i-j-k adds 1 to (A @ A)[i, k] and A[i, k] closes it,
     so the clique holds a triangle iff (A @ A) * A has a nonzero entry.  The
-    entries are at most q^2, exact in float32.  The cliques run in blocks
-    of about SCAN_BLOCK_BYTES of A."""
+    entries are at most q^2, exact in float32."""
     g = star.base
     npts, k = g.cliques.shape
     iu, iv = triu_pairs(k)
-    step = max(1, graphs.SCAN_BLOCK_BYTES // (4 * k * k))
-    for s in range(0, npts, step):
-        alive = star.alive[s:s + step]
+    # per clique: A and A @ A, float32; the product reuses A @ A's buffer
+    for block in slices(npts, 8 * k * k):
+        alive = star.alive[block]
         A = np.zeros((len(alive), k, k), dtype=np.float32)
         A[:, iu, iv] = A[:, iv, iu] = alive
         if ((A @ A) * A).any():
@@ -296,10 +295,10 @@ def concentration_experiment(
         lab = rng.integers(0, F.n, size=samples_per_trial)
         # spanning clique cliq of v lives at v's cliq-th off point P; its
         # member through P and v's point A sits at pos[P, A] and meets v in
-        # A's clique: it at pos[A, P], v at pos[A, A'] (A' another point of v)
+        # A's clique: it at pos[A, P], v at its own position at[v]
         point = g.off_points(vs)[np.arange(samples_per_trial), cliq][:, None]
         pts = g.vertex_cliques[vs]
-        alive = F.adj[star.labels[pts, g.pos[pts, np.roll(pts, 1, axis=1)]], star.labels[pts, g.pos[pts, point]]]
+        alive = F.adj[star.labels[pts, g.at[vs]], star.labels[pts, g.pos[pts, point]]]
         values.append((alive & (star.labels[point, g.pos[point, pts]] == lab[:, None])).sum(axis=1))
     values = np.concatenate(values).astype(np.float64)
     mean = float(values.mean())

@@ -28,6 +28,7 @@ from math import comb
 
 import numpy as np
 
+from .budget import slices
 from .certificates import Certificate
 from .graphs import IntersectionGraph, edge_list_blocks
 from .triangles import TriangleFamily, family_size_formula
@@ -57,10 +58,10 @@ def _scatter(bits: np.ndarray, out: np.ndarray, blocks):
         yield block
 
 
-def _body_bits(lines: list[str], m: int) -> np.ndarray:
-    """The m bits of a coloring file's hex body, lines joined."""
+def _body_bits(body: str, m: int) -> np.ndarray:
+    """The m bits of a coloring file's hex body, its lines joined."""
     try:
-        raw = bytes.fromhex("".join(lines))
+        raw = bytes.fromhex(body)
     except ValueError as exc:
         raise ColoringFormatError("body is not hex") from exc
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
@@ -129,7 +130,8 @@ class EdgeColoring:
     def from_text(cls, graph: IntersectionGraph, text: str) -> "EdgeColoring":
         """Parse a coloring file into clique layout.  One pass over the edge
         stream both hashes the edge list for the checksum and scatters the
-        body's bits; a bad body is reported after a checksum mismatch."""
+        body's bits; a bad body is reported after a checksum mismatch.  The
+        line list and the joined body are dropped before that pass."""
         lines = [l for l in text.strip().split("\n") if l.strip()]
         if not lines or not lines[0].startswith("coloring "):
             raise ColoringFormatError("missing coloring header")
@@ -140,10 +142,13 @@ class EdgeColoring:
             raise ColoringFormatError(f"malformed header: {lines[0]!r}") from exc
         if q != graph.q or m != graph.m:
             raise ColoringFormatError(f"coloring is for q={q}, m={m}; graph has q={graph.q}, m={graph.m}")
+        body = "".join(lines[1:])
+        del lines
         try:
-            bits, bad_body = _body_bits(lines[1:], m), None
+            bits, bad_body = _body_bits(body, m), None
         except ColoringFormatError as exc:
             bad_body = exc
+        del body
         blocks = graph.edge_blocks()
         if bad_body is None:
             clique_bits = np.empty(graph.m, dtype=bool).reshape(len(graph.cliques), -1)
@@ -162,12 +167,6 @@ class GoodmanTally:
     same_pairs: np.ndarray  # (n,) family triangles at v whose two v-edges agree
     family_size: int
     monochromatic: int
-
-
-#: bytes per block of columns P in vertex_same_pairs, counting per vertex
-#: and column an int32 index and 4 bytes of colours and counts per
-#: coloring: one coloring at q = 7 takes 3 blocks, 64 of them 115
-GOODMAN_BLOCK_BYTES = 1 << 21
 
 
 def vertex_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
@@ -197,22 +196,22 @@ def _same_pairs(fam: TriangleFamily, C: np.ndarray) -> np.ndarray:
     npts, k, _, nb = C.shape
     C = C.reshape(npts * k * k, nb)
     vc = g.vertex_cliques.T
-    # v sits at pos[Q, Q'] in the clique of its point Q, for another point Q'
-    rows = (vc * k + g.pos[vc, np.roll(vc, 1, axis=0)]) * k
+    # v sits at at[v, j] in the clique of its j-th point
+    rows = (vc * k + g.at.T) * k
     b = np.arange(q + 2)
     pairs = b * (b - 1) // 2
     # entry q + 2 is the masked columns'
     same = np.append(pairs + pairs[::-1], 0).astype(np.uint16)
     out = np.zeros((g.n, nb), dtype=np.int64)
-    step = max(1, GOODMAN_BLOCK_BYTES // (g.n * (4 + 4 * nb)))
-    for s in range(0, npts, step):
-        cols = g.pos[:, s:s + step]
+    # per column P: an int32 index and 4 bytes a coloring per vertex
+    for block in slices(npts, g.n * (4 + 4 * nb)):
+        cols = g.pos[:, block]
         blue = np.zeros((g.n, cols.shape[1], nb), dtype=np.uint8)
         for Q, row in zip(vc, rows):
             at = cols[Q]
             at += row[:, None]
             blue += C[at]
-        blue[g.cliques[s:s + step].T, np.arange(cols.shape[1])] = q + 2
+        blue[g.cliques[block].T, np.arange(cols.shape[1])] = q + 2
         out += same[blue].sum(axis=1, dtype=np.int64)
     return out.T
 

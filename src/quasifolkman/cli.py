@@ -484,6 +484,7 @@ def cmd_check_coloring(args) -> int:
         coloring = EdgeColoring.from_text(g, text)
     except ValueError as exc:
         raise UsageError(f"cannot read coloring: {exc}") from None
+    del text  # the clique layout is all the count reads
     out = _out_dir(args)
     fam = build_family(g)
     cert = adversarial_color_check(fam, coloring)

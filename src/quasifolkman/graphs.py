@@ -22,40 +22,29 @@ stabiliser element to fix point 0.  When a check fails the caller falls
 back to the direct sweep.
 
 The graph is held as its incidence alone: vertex_cliques lists each
-secant's points, cliques each point's secants, and pos the point-pair ->
-secant table.  Adjacency is the meet test on vertex_cliques.  Only the
-triangle enumerations, which run at small q or on a star instance, pack
-adjacency rows, from an edge list (edge_rows): extend_cliques extends each
-clique row by every common neighbour above its last vertex, read off the
-AND of bit-packed rows.
+secant's points, cliques each point's secants, at each secant's position in
+the cliques of its points, and pos the point-pair -> secant table.  No
+adjacency is stored: two secants are adjacent when they share a point.
+Only the triangle enumerations, which run at small q or on a star instance,
+pack adjacency rows, from an edge list (edge_rows): extend_cliques extends
+each clique row by every common neighbour above its last vertex, read off
+the AND of bit-packed rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 import numpy as np
 
+from .budget import slices
 from .certificates import Certificate
 from .plane import ProjectivePlane, UnitalIncidence
 
 #: q values the commands run at; cli.Q_LIMIT caps all but certify lower
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
-
-#: rows per batch of k4_clique_property's incidence gathers
-SAMPLE_BLOCK = 1 << 14
-#: edges per block of verify_k4_structure's edge kernel
-K4_EDGE_BLOCK = 1 << 8
-#: bytes of rows that one block gathers: bit-packed adjacency rows in the
-#: clique-extension scan, rows of pos in verify_srg, the cliques' 0/1
-#: matrices in blocks.cliques_triangle_free; the rows per block follow from q
-SCAN_BLOCK_BYTES = 1 << 22
-#: bytes of int64 candidate keys per block of IntersectionGraph.edge_blocks,
-#: (q+1) q^2 keys a vertex: 83 vertices and about 16,000 edges a block at
-#: q = 7, 7 vertices at q = 16.  The edge-list text follows its blocks
-EDGE_BLOCK_BYTES = 1 << 18
 
 
 class GraphError(RuntimeError):
@@ -85,13 +74,13 @@ class IntersectionGraph:
     vertices at a time (edge_blocks): the edge-list text, the graph
     checksum and the coloring files read that stream and hold no m-long
     table, and so does the triangle enumeration behind the q <= 4 family.
-    The edge tables below are scattered from it on first use (edge_tables)
-    for search's partner tables and batched Goodman counts; build, certify,
-    simulate and check-coloring read none of them.
+    The one m-long table is scattered from it on first use for search's
+    partner tables and batched Goodman counts; build, certify, simulate and
+    check-coloring never read it.
 
-    eu, ev : (m,) int32 canonical edge list, lexicographic with eu < ev.
-    clique_edges : (q^3+1, C(q^2, 2)) int32, the id of the edge between
-        each pair of positions in each point clique, pairs in triu order.
+    clique_edges : (q^3+1, C(q^2, 2)) int32, the lexicographic id of the
+        edge between each pair of positions in each point clique, pairs in
+        triu order.
 
     Every edge lies in exactly one point clique, so it is named by its meet
     point and two clique positions; edge_at turns that name into its id.
@@ -133,7 +122,6 @@ class IntersectionGraph:
         iu, iv = triu_pairs(k)
         self._pair = np.zeros((k, k), dtype=np.int32)
         self._pair[iu, iv] = self._pair[iv, iu] = np.arange(len(iu))
-        self._edges: tuple[np.ndarray, ...] | None = None
 
     # -- lookups ------------------------------------------------------------
 
@@ -176,17 +164,17 @@ class IntersectionGraph:
 
         Vertex a's edges to larger vertices are the members after a in its
         q+1 point cliques, a's own position being at[a].  A block takes
-        about EDGE_BLOCK_BYTES of candidate keys, whole vertices at a time,
-        and sorts them: each key packs a's offset in the block, b, X and t
-        into bit fields of one int64, in that order, so the sorted keys are
-        the block's edges in order and their fields the four outputs.  No
-        m-long array is built."""
+        whole vertices and sorts their candidate keys: each key packs a's
+        offset in the block, b, X and t into bit fields of one int64, in
+        that order, so the sorted keys are the block's edges in order and
+        their fields the four outputs.  No m-long array is built."""
         (npts, k), n = self.cliques.shape, self.n
         widths = [(comb(k, 2) - 1).bit_length(), (npts - 1).bit_length(), (n - 1).bit_length()]
         tb, xb, bb = widths
-        step = max(1, EDGE_BLOCK_BYTES // (8 * (self.q + 1) * k))
-        for s in range(0, n, step):
-            X, at = self.vertex_cliques[s:s + step], self.at[s:s + step]
+        # per vertex: its (q+1) q^2 candidate keys, about 40 bytes each with
+        # their gathers, mask and fields
+        for part in slices(n, 40 * (self.q + 1) * k):
+            X, at = self.vertex_cliques[part], self.at[part]
             key = self.cliques[X].astype(np.int64) << xb
             key |= X[:, :, None]
             key <<= tb
@@ -199,26 +187,19 @@ class IntersectionGraph:
                 fields.append((key & (1 << width) - 1).astype(np.int32))
                 key >>= width
             t, X, b = fields
-            yield key.astype(np.int32) + s, b, X, t
+            yield key.astype(np.int32) + part.start, b, X, t
 
-    def edge_tables(self) -> tuple[np.ndarray, ...]:
-        """(eu, ev, clique_edges), built on first use from edge_blocks: the
-        blocks fill eu and ev in order and scatter their ids into
-        clique_edges, with no sort."""
-        if self._edges is None:
-            npts = len(self.cliques)
-            eu, ev, clique_edges = np.empty((3, self.m), dtype=np.int32)
-            s = 0
-            for a, b, X, t in self.edge_blocks():
-                eu[s:s + len(a)], ev[s:s + len(a)] = a, b
-                clique_edges[X * (self.m // npts) + t] = np.arange(s, s + len(a), dtype=np.int32)
-                s += len(a)
-            self._edges = eu, ev, clique_edges.reshape(npts, self.m // npts)
-        return self._edges
-
-    eu = property(lambda self: self.edge_tables()[0])
-    ev = property(lambda self: self.edge_tables()[1])
-    clique_edges = property(lambda self: self.edge_tables()[2])
+    @cached_property
+    def clique_edges(self) -> np.ndarray:
+        """Built on first use: the edge stream's blocks scatter their ids
+        to their pairs, with no sort."""
+        npts = len(self.cliques)
+        clique_edges = np.empty(self.m, dtype=np.int32)
+        s = 0
+        for _, _, X, t in self.edge_blocks():
+            clique_edges[X * (self.m // npts) + t] = np.arange(s, s + len(X), dtype=np.int32)
+            s += len(X)
+        return clique_edges.reshape(npts, self.m // npts)
 
     def off_points(self, vs: np.ndarray) -> np.ndarray:
         """The q^3 - q unital points off each secant in vs, ascending; shape
@@ -291,12 +272,11 @@ def common_neighbors(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return cm
 
 
-def row_blocks(rows: np.ndarray, words: np.ndarray):
-    """Consecutive slices of rows, each gathering about SCAN_BLOCK_BYTES of
-    rows of words (packed adjacency rows, or pos) per column."""
-    step = max(1, SCAN_BLOCK_BYTES // words[0].nbytes)
-    for s in range(0, len(rows), step):
-        yield rows[s:s + step]
+def scan_bytes(words: np.ndarray) -> int:
+    """The bytes a clique row touches in extend_cliques, as measured on the
+    whole graph at q = 4: per word, the AND and its operand, the candidate
+    bits unpacked at 64 bytes, and the indices of the set ones."""
+    return 192 * words.shape[1]
 
 
 def extend_cliques(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -310,7 +290,8 @@ def extend_cliques(words: np.ndarray, rows: np.ndarray) -> np.ndarray:
     neighbourhood are unpacked.
     """
     out = [np.empty((0, rows.shape[1] + 1), dtype=np.int32)]
-    for part in row_blocks(rows, words):
+    for block in slices(len(rows), scan_bytes(words)):
+        part = rows[block]
         cm = common_neighbors(words, part)
         # words wholly below a row's last vertex hold no extension of it
         cm[np.arange(cm.shape[1]) < part[:, -1:] >> 6] = 0
@@ -370,8 +351,7 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     two agree, P and A lie on a common secant.  The n C(q+1, 2) = C(q^3+1, 2)
     secant point pairs then cover every point pair exactly once.  So each
     clique holds every secant through its point, and two point cliques share
-    exactly one vertex.  The gathers run over blocks of rows of pos,
-    SCAN_BLOCK_BYTES at a time.
+    exactly one vertex.  The gathers run over blocks of rows of pos.
     """
     q = g.q
     cl, pos, vc = g.cliques, g.pos, g.vertex_cliques
@@ -379,7 +359,9 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     n_expected = q**4 - q**3 + q**2
     d_expected = q**3 + q**2 - q - 1
     on_point = share_one = True
-    for P in row_blocks(np.arange(npts), pos):
+    # per point row: about three rows of pos, in gathers and intp indices
+    for block in slices(npts, 12 * npts):
+        P = np.arange(npts)[block]
         on_point &= bool((vc[cl[P]] == P[:, None, None]).any(axis=2).all())
         # column P of pos: the position of each point's secant to P
         share_one &= bool(np.array_equal(cl[P[:, None], pos[P]], cl[np.arange(npts), pos[:, P].T]))
@@ -420,13 +402,15 @@ def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
     of them pass through one unital point (share a point clique).  Each
     secant lists a point once, so that is a run of length >= 3 in the row's
     sorted incidences.  On a triangle it is the degenerate (concurrent)
-    test.  The rows run in blocks of SAMPLE_BLOCK."""
+    test.  The rows run in blocks."""
     out = np.empty(len(rows), dtype=bool)
-    for s in range(0, len(rows), SAMPLE_BLOCK):
-        part = rows[s:s + SAMPLE_BLOCK]
-        pts = g.vertex_cliques[part].reshape(len(part), part.shape[1] * g.vertex_cliques.shape[1])
+    width = rows.shape[1] * g.vertex_cliques.shape[1]
+    # per row: its intp indices, the int32 point gather and the bool compare
+    for block in slices(len(rows), 8 * rows.shape[1] + 5 * width):
+        part = rows[block]
+        pts = g.vertex_cliques[part].reshape(len(part), width)
         pts.sort(axis=1)
-        out[s:s + SAMPLE_BLOCK] = (pts[:, 2:] == pts[:, :-2]).any(axis=1)
+        out[block] = (pts[:, 2:] == pts[:, :-2]).any(axis=1)
     return out
 
 
@@ -461,6 +445,12 @@ def edge_k4s(g: IntersectionGraph, e: np.ndarray) -> tuple[int, np.ndarray, np.n
     return len(e) * k * (q - 1) + len(rows), rows, np.stack([a[rows], b[rows], c, d], axis=1)
 
 
+def k4_edge_bytes(g: IntersectionGraph) -> int:
+    """The bytes an edge touches in edge_k4s: 8 for each of the k(q+1)
+    points of its thirds and each of the k(q-1) keys, k = q^2."""
+    return 16 * g.q**3
+
+
 def verify_k4_structure(
     g: IntersectionGraph,
     mode: str = "exhaustive",
@@ -468,21 +458,21 @@ def verify_k4_structure(
     samples: int = 1 << 14,
 ) -> Certificate:
     """Certify that every K4 has >= 3 vertices in one point clique by
-    edge_k4s, in blocks of K4_EDGE_BLOCK edges: over every edge, or over
+    edge_k4s, a block of edges at a time: over every edge, or over
     `samples` seeded uniform draws.  The violations are the distinct O'Nan
     quads, the lexicographically first the witness.  Checking no edge is
     inconclusive."""
     params = {"q": g.q, "mode": mode, "path": "direct"}
     if mode == "exhaustive":
         edges_checked = g.m
-        blocks = (np.arange(s, min(s + K4_EDGE_BLOCK, g.m)) for s in range(0, g.m, K4_EDGE_BLOCK))
+        blocks = (np.arange(block.start, block.stop) for block in slices(g.m, k4_edge_bytes(g)))
     elif mode == "sampled":
         params.update({"seed": seed, "samples": samples})
         edges_checked = samples
         # drawn block by block: the same stream as one draw of all samples
         rng = np.random.default_rng(seed)
-        blocks = (rng.integers(0, g.m, size=min(K4_EDGE_BLOCK, samples - s))
-                  for s in range(0, samples, K4_EDGE_BLOCK))
+        blocks = (rng.integers(0, g.m, size=block.stop - block.start)
+                  for block in slices(samples, k4_edge_bytes(g)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     k4_checked, onan = 0, [np.empty((0, 4), dtype=np.int32)]
@@ -657,8 +647,8 @@ def verify_k4_by_symmetry(g: IntersectionGraph, sym: UnitalSymmetry) -> Certific
     # clique-major edge r is pair r of point 0's clique
     reps, size = np.unique(orbit_labels(len(iu), moves), return_counts=True)
     found = 0
-    for s in range(0, len(reps), K4_EDGE_BLOCK):
-        per_block, rows, _ = edge_k4s(g, reps[s:s + K4_EDGE_BLOCK])
+    for block in slices(len(reps), k4_edge_bytes(g)):
+        per_block, rows, _ = edge_k4s(g, reps[block])
         if len(rows):
             return None
         found += per_block

@@ -24,11 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import slices
 from .fields import FieldError, QuadraticExtension
-
-
-#: (line, point) entries per block of build_unital's line scan
-LINE_BLOCK = 1 << 18
 
 
 class GeometryError(RuntimeError):
@@ -134,9 +131,9 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
     target = neg[add[1, nrm]]
     far = nrm_neg == neg[1]
     counts, cols = [], []
-    step = max(1, LINE_BLOCK // (s * s))
-    for b0 in range(0, s, step):
-        b = np.arange(b0, min(b0 + step, s))
+    # per b: the (s, s) int64 take and its bool compare
+    for part in slices(s, 9 * s * s):
+        b = np.arange(s)[part]
         hit = np.take(nrm_neg[add[b]], mul, axis=1) == target  # (b, c, t)
         cnt = np.count_nonzero(hit, axis=2) + far
         bi, ci = np.nonzero(cnt == q + 1)

@@ -21,17 +21,12 @@ from math import comb
 
 import numpy as np
 
+from .budget import slices
 from .certificates import Certificate
 from .graphs import IntersectionGraph, enumerate_all_triangles, k4_clique_property, row_pairs
 from .graphs import verify_k4_structure
 
 EXPLICIT_Q_LIMIT = 4
-#: vertices per block of clique_edge_blocks' Goodman rows: 0.7 MB of
-#: int32 rows at q = 7, 7.8 MB at q = 13.  No command reads the rows: the
-#: Goodman count (certify.vertex_same_pairs) reads the point cliques' colour
-#: matrices.  The rows remain for perfbench/traced.py and as the tests'
-#: reference count.
-VERTEX_BLOCK = 64
 
 
 def family_size_formula(q: int) -> int:
@@ -56,18 +51,21 @@ class TriangleFamily:
     triangles: np.ndarray | None = None  # (T, 3) vertex ids, small q only
 
     def clique_edge_blocks(self):
-        """Goodman rows, VERTEX_BLOCK vertices at a time: one row per (vertex,
+        """Goodman rows, a block of vertices at a time: one row per (vertex,
         spanning clique) pair, entries the canonical indices of the q+1 edges
         from the vertex into the clique, unsorted: the counts read no order.
         Each block has shape (block * (q^3-q), q+1), rows by vertex, then by
-        point id."""
+        point id.  No command reads the rows: the Goodman count
+        (certify.vertex_same_pairs) reads the point cliques' colour
+        matrices.  They remain for perfbench/traced.py and as the tests'
+        reference count."""
         g, q = self.graph, self.q
-        for start in range(0, g.n, VERTEX_BLOCK):
-            stop = min(start + VERTEX_BLOCK, g.n)
+        # per vertex: its (q^3-q)(q+1) int32 entries and edge_at's gathers
+        for block in slices(g.n, 16 * (q**3 - q) * (q + 1)):
             # v meets its member through (P, Q) at its own point Q, where v
             # is the secant through Q and another point Q' of v
-            pts = g.vertex_cliques[start:stop, None, :]
-            off = g.off_points(np.arange(start, stop))[:, :, None]
+            pts = g.vertex_cliques[block, None, :]
+            off = g.off_points(np.arange(g.n)[block])[:, :, None]
             yield g.edge_at(pts, np.roll(pts, 1, axis=2), off).reshape(-1, q + 1)
 
     def clique_edge_matrix(self) -> np.ndarray:

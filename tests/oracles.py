@@ -13,9 +13,10 @@ same_pairs_by_rows, the count over the Goodman rows that the colour
 matrices replaced, at every q.  The edge-list parser and edge_list_text, one
 '%d %d' format over the sorted edge list, are the references for the
 edge-list export.  edge_tables_sorted sorts every clique pair's a*n + b key
-at once, the form IntersectionGraph.edge_tables took before the edge
-stream: the reference for IntersectionGraph.edge_blocks and for the tables
-rebuilt from it.  edge_index finds an edge by
+at once, the form the edge tables took before the edge stream: the
+reference for IntersectionGraph.edge_blocks and for the clique_edges
+rebuilt from it, and the lexicographic edge list (eu, ev) that the tests
+read, which the library does not keep.  edge_index finds an edge by
 binary search over its u*n + v key, and edge_point scatters each point
 clique's id over its edges: the references for IntersectionGraph.edge_at.
 point_pair_secants fills the point-pair -> secant table by counting every
@@ -103,7 +104,8 @@ def edge_index(g, u, v):
     """Lexicographic id of edge(s) (u, v) with u < v, by one searchsorted over
     the sorted u*n + v keys of the edge list; vectorized.  A non-edge maps to
     an arbitrary id."""
-    keys = g.eu.astype(np.int64) * g.n + g.ev
+    eu, ev, _ = edge_tables_sorted(g)
+    keys = eu.astype(np.int64) * g.n + ev
     idx = np.searchsorted(keys, np.asarray(u, dtype=np.int64) * g.n + np.asarray(v, dtype=np.int64))
     return idx if idx.ndim else int(idx)
 
@@ -154,9 +156,10 @@ def incidence_edge_mask(g, F, labels):
         for j, P in enumerate(g.vertex_cliques[v]):
             inc[v, j] = labels[P, np.flatnonzero(g.cliques[P] == v)[0]]
     ep = edge_point(g)
-    slot_u = (g.vertex_cliques[g.eu] == ep[:, None]).argmax(axis=1)
-    slot_v = (g.vertex_cliques[g.ev] == ep[:, None]).argmax(axis=1)
-    return F.adj[inc[g.eu, slot_u], inc[g.ev, slot_v]]
+    eu, ev, _ = edge_tables_sorted(g)
+    slot_u = (g.vertex_cliques[eu] == ep[:, None]).argmax(axis=1)
+    slot_v = (g.vertex_cliques[ev] == ep[:, None]).argmax(axis=1)
+    return F.adj[inc[eu, slot_u], inc[ev, slot_v]]
 
 
 def edge_mask(star):
@@ -246,8 +249,9 @@ def enumerate_all_triangles_loop(g):
     """All triangles (a < b < c), via common neighborhoods above each edge."""
     rows = []
     A = g.adj
+    eu, ev, _ = edge_tables_sorted(g)
     for e in range(g.m):
-        a, b = int(g.eu[e]), int(g.ev[e])
+        a, b = int(eu[e]), int(ev[e])
         cm = np.flatnonzero(A[a] & A[b])
         cm = cm[cm > b]
         if len(cm):
@@ -264,9 +268,10 @@ def enumerate_k4_loop(g):
     pairs inside the common neighborhood above b."""
     quads = []
     A = g.adj
+    eu, ev, _ = edge_tables_sorted(g)
     for e in range(g.m):
-        a = int(g.eu[e])
-        b = int(g.ev[e])
+        a = int(eu[e])
+        b = int(ev[e])
         cm = np.flatnonzero(A[a] & A[b])
         cm = cm[cm > b]
         if len(cm) < 2:
@@ -311,8 +316,9 @@ def adj_bits(star):
     """A star instance's surviving adjacency as Python-int bitmask rows,
     built one edge at a time."""
     g, mask = star.base, edge_mask(star)
+    eu, ev, _ = edge_tables_sorted(g)
     rows = [0] * g.n
-    for u, v in zip(g.eu[mask], g.ev[mask]):
+    for u, v in zip(eu[mask], ev[mask]):
         rows[int(u)] |= 1 << int(v)
         rows[int(v)] |= 1 << int(u)
     return rows
@@ -801,7 +807,7 @@ def k4_clique_property_whole(g, rows):
 
 def enumerate_k4(g):
     """All K4's (a < b < c < d), lexicographic: the triangles extended once."""
-    return extend_cliques(edge_rows(g.n, g.eu, g.ev), enumerate_all_triangles(g))
+    return extend_cliques(edge_rows(g.n, *edge_tables_sorted(g)[:2]), enumerate_all_triangles(g))
 
 
 def k4_violations(g, quads):

@@ -1,21 +1,26 @@
 """Differential tests: the blocked unital line scan and K4 clique test
 against their unblocked forms in oracles.py, and certify's structural path,
-simulate, build and check-coloring without the edge tables; no command
-builds the dense adjacency."""
+simulate, build and check-coloring without the m-long clique_edges table;
+no command builds the dense adjacency.  Each blocked stage's working set
+stays within two blocks' budget."""
+
+import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import build_unital_whole, k4_clique_property_whole
-from quasifolkman import plane as plane_module
-from quasifolkman.certify import EdgeColoring
+from oracles import build_unital_whole, edge_tables_sorted, k4_clique_property_whole
+from quasifolkman import budget
+from quasifolkman.blocks import cliques_triangle_free, random_block, replacement_registry
+from quasifolkman.certify import EdgeColoring, vertex_same_pairs
 from quasifolkman.cli import main
 from quasifolkman.fields import QuadraticExtension
 from quasifolkman.graphs import (
-    SAMPLE_BLOCK,
     IntersectionGraph,
     build_graph_for_q,
     edge_rows,
+    enumerate_all_triangles,
     extend_cliques,
     k4_clique_property,
     verify_k4_structure,
@@ -35,11 +40,12 @@ def graph(request):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 @pytest.mark.parametrize("block", [None, 97, 2 * 49**2 + 1])
 def test_build_unital_matches_whole_incidence(monkeypatch, q, block):
-    # by default the whole line scan is one block up to q = 8; 97 entries
-    # scan one b per block from q = 3 on, and 2 * 49^2 + 1 entries leave a
-    # ragged last block at q = 5 and 7
+    # a value b of the line scan touches 9 s^2 bytes, so by default the
+    # whole scan is one block up to q = 7; 97 bytes scan one b per block,
+    # and 2 * 49^2 + 1 bytes, six b at q = 3 and two at q = 4, leave a
+    # ragged last block at q = 3
     if block is not None:
-        monkeypatch.setattr(plane_module, "LINE_BLOCK", block)
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block)
     pl = ProjectivePlane(QuadraticExtension(q))
     got, (want, _) = build_unital(pl), build_unital_whole(pl)
     for name in UNITAL_FIELDS:
@@ -49,17 +55,19 @@ def test_build_unital_matches_whole_incidence(monkeypatch, q, block):
 
 
 @pytest.mark.parametrize("width", [3, 4])
-def test_k4_clique_property_over_several_blocks(graph, width):
+def test_k4_clique_property_over_several_blocks(monkeypatch, graph, width):
     # random rows of vertex ids, most without the property; at width 4 the
-    # K4s above a seeded slice of the edge list first, all with it
+    # K4s above a seeded slice of the edge list first, all with it.  A
+    # 2^15-byte budget takes 170 to 287 rows a block, the last one ragged
     quads = np.empty((0, 3), dtype=np.int32)
     if width == 4:
         start = int(np.random.default_rng(1).integers(0, graph.m - 500))
-        edges = np.stack([graph.eu, graph.ev], axis=1)[start:start + 500]
-        words = edge_rows(graph.n, graph.eu, graph.ev)
-        quads = extend_cliques(words, extend_cliques(words, edges))
+        eu, ev, _ = edge_tables_sorted(graph)
+        words = edge_rows(graph.n, eu, ev)
+        quads = extend_cliques(words, extend_cliques(words, np.stack([eu, ev], axis=1)[start:start + 500]))
     rng = np.random.default_rng(width)
-    rows = np.concatenate([quads, rng.integers(0, graph.n, size=(2 * SAMPLE_BLOCK + 3, width), dtype=np.int32)])
+    rows = np.concatenate([quads, rng.integers(0, graph.n, size=(2003, width), dtype=np.int32)])
+    monkeypatch.setattr(budget, "BLOCK_BYTES", 1 << 15)
     got = k4_clique_property(graph, rows)
     assert np.array_equal(got, k4_clique_property_whole(graph, rows))
     assert got[:len(quads)].all() and got.any() and not got.all()
@@ -73,19 +81,20 @@ def test_certify_structural_path_never_builds_edge_tables():
     build_family(g)
     for v in (0, g.n // 2, g.n - 1):
         assert verify_nbhd_decomposition(g, v).outcome == "pass"
-    assert g._edges is None
-    # the first reader builds them once
-    assert g.edge_tables() is g.edge_tables()
-    assert len(g.eu) == g.m
+    assert "clique_edges" not in vars(g)
+    # the first reader builds it once
+    assert g.clique_edges is g.clique_edges
+    assert g.clique_edges.size == g.m
+
+
+def refuse_clique_edges(g):
+    raise AssertionError("IntersectionGraph.clique_edges read")
 
 
 def test_simulate_never_builds_edge_tables(monkeypatch, tmp_path):
     # both instances run the spot scan as well as the clique test; two
     # instances are too few to judge the survival rate
-    def refuse(g):
-        raise AssertionError("IntersectionGraph.edge_tables called")
-
-    monkeypatch.setattr(IntersectionGraph, "edge_tables", refuse)
+    monkeypatch.setattr(IntersectionGraph, "clique_edges", property(refuse_clique_edges))
     argv = ["simulate", "--q", "5", "--F", "c5", "--trials", "2", "--out", str(tmp_path)]
     assert main(argv) == 3
 
@@ -99,11 +108,7 @@ def test_build_and_check_coloring_never_build_edge_tables(monkeypatch, tmp_path,
         coloring = tmp_path / "coloring.txt"
         coloring.write_text(EdgeColoring.random(build_graph_for_q(5), 1).to_text())
         argv += ["--file", str(coloring)]
-
-    def refuse(g):
-        raise AssertionError("IntersectionGraph.edge_tables called")
-
-    monkeypatch.setattr(IntersectionGraph, "edge_tables", refuse)
+    monkeypatch.setattr(IntersectionGraph, "clique_edges", property(refuse_clique_edges))
     assert main(argv) == 0
 
 
@@ -124,3 +129,54 @@ def test_commands_at_q5_never_pack_rows(monkeypatch, tmp_path, argv):
     # two instances are too few to judge the survival rate
     expect = 3 if argv[0] == "simulate" else 0
     assert main([argv[0], "--q", "5", *argv[1:], "--out", str(tmp_path / "out")]) == expect
+
+
+graph_for = functools.cache(build_graph_for_q)
+
+
+def fields(obj, *names):
+    return [getattr(obj, name) for name in names]
+
+
+def stage_call(stage, q):
+    """A call of the blocked stage at q on inputs built here; it returns the
+    arrays of the stage's result."""
+    if stage == "build_unital":
+        plane = ProjectivePlane(QuadraticExtension(q))
+        return lambda: fields(build_unital(plane), *UNITAL_FIELDS)
+    g = graph_for(q)
+    if stage == "enumerate_all_triangles":
+        return lambda: [enumerate_all_triangles(g)]
+    if stage == "k4_clique_property":
+        tris = enumerate_all_triangles(g)
+        return lambda: [k4_clique_property(g, tris)]
+    if stage == "verify_srg":
+        return lambda: [] if verify_srg(g).passed else None
+    if stage == "edge_blocks":
+        return lambda: [] if sum(len(a) for a, _, _, _ in g.edge_blocks()) == g.m else None
+    if stage == "vertex_same_pairs":
+        fam = build_family(g)
+        colors = EdgeColoring.random(g, 1).clique_bits[:, :, None]
+        return lambda: [vertex_same_pairs(fam, colors)]
+    star = random_block(g, replacement_registry()["c5"], 1)
+    if stage == "random_block":
+        return lambda: fields(random_block(g, star.F, 1), "labels", "alive")
+    return lambda: [] if cliques_triangle_free(star) else None
+
+
+@pytest.mark.parametrize("stage,q", [
+    ("build_unital", 9), ("enumerate_all_triangles", 4), ("k4_clique_property", 4), ("verify_srg", 9),
+    ("edge_blocks", 7), ("vertex_same_pairs", 7), ("random_block", 7), ("cliques_triangle_free", 7),
+])
+def test_blocked_stage_peaks_within_two_blocks_above_its_result(stage, q):
+    # each block touches about BLOCK_BYTES, so with the inputs and the
+    # result held elsewhere a stage's peak stays within two blocks' budget
+    call = stage_call(stage, q)
+    assert call() is not None  # and first calls allocate lasting caches
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(array.nbytes for array in result) <= 2 * budget.BLOCK_BYTES

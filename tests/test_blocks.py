@@ -10,6 +10,7 @@ from oracles import (
     blowup_concentration_log_bound,
     canonical_edges,
     edge_mask,
+    edge_tables_sorted,
     find_k4,
     incidence_edge_mask,
     mcdiarmid_bound,
@@ -33,7 +34,7 @@ from quasifolkman.blocks import (
     deletion_margin,
     verify_star_instance,
 )
-from quasifolkman import graphs as graphs_module
+from quasifolkman import budget
 from quasifolkman.graphs import build_graph_for_q, row_pairs
 from quasifolkman.triangles import build_family
 
@@ -170,13 +171,11 @@ def test_random_block_matches_incidence_oracle(g3, q, name):
 
 
 def test_random_block_gathers_label_pairs_by_block(monkeypatch):
-    # at q = 7 a 2^18-byte budget takes 27 cliques of label pairs per block,
-    # 13 blocks in all; one gather of every pair would peak 5 MB above the result
+    # at q = 7 a 2^18-byte budget takes 18 cliques of label pairs per block,
+    # 20 blocks in all; one gather of every pair would peak 5 MB above the result
     g = build_graph_for_q(7)
     F = replacement_registry()["c5"]
-    monkeypatch.setattr(graphs_module, "SCAN_BLOCK_BYTES", 1 << 18)
-    pair_bytes = 8 * math.comb(g.cliques.shape[1], 2)
-    block = (graphs_module.SCAN_BLOCK_BYTES // pair_bytes) * pair_bytes
+    monkeypatch.setattr(budget, "BLOCK_BYTES", 1 << 18)
     random_block(g, F, 1)  # first calls allocate lasting caches
     tracemalloc.start()
     try:
@@ -184,7 +183,7 @@ def test_random_block_gathers_label_pairs_by_block(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= star.labels.nbytes + star.alive.nbytes + 2 * block
+    assert peak <= star.labels.nbytes + star.alive.nbytes + 2 * budget.BLOCK_BYTES
     assert np.array_equal(star.alive.ravel(), F.adj[row_pairs(star.labels)])
 
 
@@ -207,7 +206,8 @@ def test_star_instance_checks(g3, fam3):
     mask = edge_mask(star)
     surviving_family_triangles = int(mask[triangle_edge_matrix(fam3)].all(axis=1).sum())
     a = np.zeros((g3.n, g3.n), dtype=np.int64)
-    a[g3.eu[mask], g3.ev[mask]] = 1
+    eu, ev, _ = edge_tables_sorted(g3)
+    a[eu[mask], ev[mask]] = 1
     a += a.T
     surviving_triangles_direct = int(np.trace(a @ a @ a) // 6)
     assert surviving_family_triangles == surviving_triangles_direct

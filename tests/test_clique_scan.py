@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import enumerate_k4
-from quasifolkman import graphs
+from quasifolkman import budget
 from quasifolkman.blocks import (
     cliques_triangle_free,
     instance_seed,
@@ -75,7 +75,7 @@ def test_enumerations_match_loop_oracles(graphs_by_q, q):
 def test_enumerations_do_not_depend_on_the_block(graphs_by_q, q, monkeypatch):
     g = graphs_by_q[q]
     tris, quads = enumerate_all_triangles(g), enumerate_k4(g)
-    monkeypatch.setattr(graphs, "SCAN_BLOCK_BYTES", 1)  # one row per block
+    monkeypatch.setattr(budget, "BLOCK_BYTES", 1)  # one row per block
     assert np.array_equal(enumerate_all_triangles(g), tris)
     assert np.array_equal(enumerate_k4(g), quads)
 
@@ -136,8 +136,8 @@ def test_star_check_positive_control_every_edge_kept(graphs_by_q, q, monkeypatch
     g = graphs_by_q[q]
     star = oracles.star_from_mask(g, np.ones(g.m, dtype=bool))
     first = tuple(int(x) for x in enumerate_k4(g)[0])
-    for block_bytes in (graphs.SCAN_BLOCK_BYTES, 1):
-        monkeypatch.setattr(graphs, "SCAN_BLOCK_BYTES", block_bytes)
+    for block_bytes in (budget.BLOCK_BYTES, 1):
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block_bytes)
         rep = verify_star_instance(star)
         assert rep["k4_free"] is False
         assert rep["k4_witness"] == first
@@ -154,8 +154,8 @@ def test_clique_test_sees_each_clique_alone(graphs_by_q, q, monkeypatch):
     iu, iv = np.triu_indices(k, k=1)
     pairs = [int(np.flatnonzero((iu == x) & (iv == y))[0]) for x, y in ((0, 1), (0, 2), (1, 2))]
     rng = np.random.default_rng(q)
-    for block_bytes in (graphs.SCAN_BLOCK_BYTES, 1):
-        monkeypatch.setattr(graphs, "SCAN_BLOCK_BYTES", block_bytes)
+    for block_bytes in (budget.BLOCK_BYTES, 1):
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block_bytes)
         for point in rng.choice(len(g.cliques), size=8, replace=False):
             star = oracles.star_from_mask(g, np.zeros(g.m, dtype=bool))
             star.alive[point, pairs] = True
@@ -168,7 +168,7 @@ def test_clique_test_sees_each_clique_alone(graphs_by_q, q, monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_graph6_matches_index_array_encoder(graphs_by_q, q):
     g = graphs_by_q[q]
-    assert graph6_bytes(g.n, g.eu, g.ev) == oracles.graph6_bytes_indexed(g.n, g.adj)
+    assert graph6_bytes(g.n, *oracles.edge_tables_sorted(g)[:2]) == oracles.graph6_bytes_indexed(g.n, g.adj)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 62, 63, 64, 131, 300])

@@ -1,5 +1,5 @@
 """The lexicographic edge stream (IntersectionGraph.edge_blocks) and the
-edge tables rebuilt from it, against one sort of every clique pair's key
+clique_edges table rebuilt from it, against one sort of every clique pair's key
 (oracles.edge_tables_sorted); coloring files parsed into clique layout
 through it; and the memory of parsing and counting a coloring at q = 7."""
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import edge_tables_sorted
-from quasifolkman import graphs as graphs_module
+from quasifolkman import budget
 from quasifolkman.certify import ColoringFormatError, EdgeColoring, goodman_count
 from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.triangles import build_family
@@ -36,18 +36,18 @@ def test_stream_and_rebuilt_tables_match_sorted_tables(q):
     assert np.array_equal(a, eu) and np.array_equal(b, ev)
     # edge e is pair t[e] of clique X[e]
     assert np.array_equal(clique_edges[X, t], np.arange(g.m))
-    assert g._edges is None
-    for got, want in zip(g.edge_tables(), (eu, ev, clique_edges)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
+    assert "clique_edges" not in vars(g)
+    got = g.clique_edges
+    assert got.dtype == clique_edges.dtype and got.shape == clique_edges.shape
+    assert np.array_equal(got, clique_edges)
 
 
 @pytest.mark.parametrize("vertices", [1, 3, 40])
 def test_stream_blocks_hold_whole_vertices_at_any_budget(monkeypatch, vertices):
-    # q = 5 (n = 525): budgets of 1, 3 and 40 vertices' keys give 525, 175
-    # and 14 blocks, the last one ragged at 40
+    # q = 5 (n = 525): budgets of 1, 3 and 40 vertices' keys, at 40 bytes a
+    # key, give 525, 175 and 14 blocks, the last one ragged at 40
     g = graph(5)
-    monkeypatch.setattr(graphs_module, "EDGE_BLOCK_BYTES", vertices * 8 * 6 * 25)
+    monkeypatch.setattr(budget, "BLOCK_BYTES", vertices * 40 * 6 * 25)
     blocks, (a, b, X, t) = stream(g)
     eu, ev, clique_edges = edge_tables_sorted(g)
     assert len(blocks) == -(-g.n // vertices)
@@ -83,7 +83,7 @@ def test_from_text_reports_the_checksum_before_a_bad_body():
 
 def test_parse_and_count_at_q7_hold_no_edge_table():
     # the sort the edge tables took holds 16m bytes of int64 keys and order
-    # alone, the tables 12m more; parsing and counting stay under 12m
+    # alone, and clique_edges 4m more; parsing and counting stay under 12m
     g = graph(7)
     fam = build_family(g)
     text = EdgeColoring.random(g, 1).to_text()
@@ -93,6 +93,6 @@ def test_parse_and_count_at_q7_hold_no_edge_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g._edges is None
+    assert "clique_edges" not in vars(g)
     assert peak < 12 * g.m, peak
     assert tally.monochromatic == 1652668

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import goodman_count_direct, same_pairs_by_rows, same_pairs_from_triangles
-from quasifolkman import certify
+from quasifolkman import budget
 from quasifolkman.certify import EdgeColoring, batch_mono_counts, goodman_count, vertex_same_pairs
 from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.triangles import build_family
@@ -66,7 +66,7 @@ def test_batch_equals_single_across_column_blocks(monkeypatch, batch, columns):
     fam = family(4)
     g = fam.graph
     if columns is not None:
-        monkeypatch.setattr(certify, "GOODMAN_BLOCK_BYTES", columns * g.n * (4 + 4 * batch))
+        monkeypatch.setattr(budget, "BLOCK_BYTES", columns * g.n * (4 + 4 * batch))
     colors = colorings(g.m, "random", batch)
     got = vertex_same_pairs(fam, clique_layout(g, colors))
     singles = [goodman_count(fam, EdgeColoring(g, bits)) for bits in colors]

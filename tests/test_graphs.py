@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import edge_index, edge_list_text, edge_point, enumerate_k4, parse_edge_list, parse_graph6
-from quasifolkman import graphs as graphs_module
+from oracles import (
+    edge_index,
+    edge_list_text,
+    edge_point,
+    edge_tables_sorted,
+    enumerate_k4,
+    parse_edge_list,
+    parse_graph6,
+)
+from quasifolkman import budget
 from quasifolkman.graphs import (
     IntersectionGraph,
     build_graph_for_q,
@@ -57,8 +65,9 @@ def test_edge_point_consistency(graphs, q):
     g = graphs[q]
     # the meet point of an edge is a clique containing both endpoints
     ep = edge_point(g)
+    eu, ev, _ = edge_tables_sorted(g)
     for e in range(0, g.m, max(1, g.m // 200)):
-        u, v = int(g.eu[e]), int(g.ev[e])
+        u, v = int(eu[e]), int(ev[e])
         cid = int(ep[e])
         members = set(map(int, g.cliques[cid]))
         assert u in members and v in members
@@ -74,7 +83,7 @@ def test_srg_parameters(graphs, q, lam, mu):
 
 def test_edge_index_roundtrip(graphs):
     g = graphs[3]
-    idx = edge_index(g, g.eu, g.ev)
+    idx = edge_index(g, *edge_tables_sorted(g)[:2])
     assert np.array_equal(idx, np.arange(g.m))
 
 
@@ -130,45 +139,48 @@ def test_edge_list_roundtrip(graphs):
     n, edges = parse_edge_list(text)
     assert n == g.n
     assert len(edges) == g.m
-    assert edges == list(zip(map(int, g.eu), map(int, g.ev)))
+    eu, ev, _ = edge_tables_sorted(g)
+    assert edges == list(zip(map(int, eu), map(int, ev)))
 
 
 @pytest.mark.parametrize("block", [7, None])
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_edge_list_blocks_parse_back_across_blocks(graphs, monkeypatch, q, block):
-    # the text follows the edge stream's blocks of whole vertices; a budget
-    # of 7 bytes holds one vertex a block, so block a lists a's edges to
-    # larger vertices (none for the last vertex)
+    # the text follows the edge stream's blocks of whole vertices, 40 bytes
+    # a candidate key; a budget of 7 bytes holds one vertex a block, so
+    # block a lists a's edges to larger vertices (none for the last vertex)
     g = graphs[q]
+    eu, ev, _ = edge_tables_sorted(g)
     if block is not None:
-        monkeypatch.setattr(graphs_module, "EDGE_BLOCK_BYTES", block)
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block)
     blocks = list(edge_list_blocks(g))
-    step = max(1, graphs_module.EDGE_BLOCK_BYTES // (8 * (q + 1) * q * q))
+    step = max(1, budget.BLOCK_BYTES // (40 * (q + 1) * q * q))
     assert len(blocks) == -(-g.n // step)
     if block is not None:
         for a, text in enumerate(blocks):
             lines = text.decode().splitlines()
-            assert len(lines) == np.count_nonzero(g.eu == a)
+            assert len(lines) == np.count_nonzero(eu == a)
             assert all(line.split()[0] == str(a) for line in lines)
     _, edges = parse_edge_list(b"".join(blocks).decode())
-    assert edges == list(zip(g.eu.tolist(), g.ev.tolist()))
+    assert edges == list(zip(eu.tolist(), ev.tolist()))
 
 
 @pytest.mark.parametrize("block", [7, 1000, None])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_edge_list_bytes_match_format_oracle(monkeypatch, q, block):
-    # vertex ids of one to four digits: n is 12, 63, 208, 525 and 2107.  An
-    # edge-stream budget of 7 bytes is one vertex a block; 1000 bytes is
-    # ten vertices at q = 2 and three at q = 3, one from q = 4 on
+    # vertex ids of one to four digits: n is 12, 63, 208, 525 and 2107.  At
+    # 40 bytes a candidate key, a budget of 7 bytes is one vertex a block,
+    # 1000 bytes two vertices at q = 2 and one from q = 3 on, and the
+    # default 133 vertices at q = 7, the last block ragged
     g = build_graph_for_q(q)
     if block is not None:
-        monkeypatch.setattr(graphs_module, "EDGE_BLOCK_BYTES", block)
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block)
     assert b"".join(edge_list_blocks(g)) == edge_list_text(g).encode()
 
 
 def test_graph6_roundtrip(graphs):
     g = graphs[2]
-    data = graph6_bytes(g.n, g.eu, g.ev)
+    data = graph6_bytes(g.n, *edge_tables_sorted(g)[:2])
     back = parse_graph6(data)
     assert np.array_equal(back, g.adj)
 
@@ -176,7 +188,7 @@ def test_graph6_roundtrip(graphs):
 def test_graph6_matches_networkx(graphs):
     nx = pytest.importorskip("networkx")
     g = graphs[3]
-    data = graph6_bytes(g.n, g.eu, g.ev)
+    data = graph6_bytes(g.n, *edge_tables_sorted(g)[:2])
     h = nx.from_graph6_bytes(data)
     assert h.number_of_nodes() == g.n
     assert h.number_of_edges() == g.m

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import buekenhout_metz_unital, enumerate_k4, k4_violations, sampled_k4_upfront
+from quasifolkman import budget
 from quasifolkman import graphs as graphs_module
 from quasifolkman.cli import main
 from quasifolkman.fields import QuadraticExtension
@@ -18,6 +19,7 @@ from quasifolkman.graphs import (
     build_graph_for_q,
     edge_k4s,
     k4_clique_property,
+    k4_edge_bytes,
     row_pairs,
     verify_k4_structure,
 )
@@ -101,9 +103,10 @@ def test_family_restatement_follows_the_k4_certificate():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_certificate_does_not_depend_on_the_block(monkeypatch, block):
+    # blocks of one edge, and of seven with a ragged last block
     g = bm_graph(3, 4, 0)
     want = [verify_k4_structure(g, mode=mode, seed=5, samples=300).quantities for mode in ("exhaustive", "sampled")]
-    monkeypatch.setattr(graphs_module, "K4_EDGE_BLOCK", block)
+    monkeypatch.setattr(budget, "BLOCK_BYTES", block * k4_edge_bytes(g))
     got = [verify_k4_structure(g, mode=mode, seed=5, samples=300).quantities for mode in ("exhaustive", "sampled")]
     assert got == want
     assert want[1]["violations"] > 0
@@ -115,7 +118,7 @@ def test_sampled_certificate_matches_upfront_draws(monkeypatch, q, bm, block, sa
     # the stream of one upfront draw
     g = bm_graph(q, 4, 0) if bm else build_graph_for_q(q)
     if block is not None:
-        monkeypatch.setattr(graphs_module, "K4_EDGE_BLOCK", block)
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block * k4_edge_bytes(g))
     got = verify_k4_structure(g, mode="sampled", seed=3, samples=samples).quantities
     assert got == sampled_k4_upfront(g, 3, samples)
 
@@ -128,9 +131,10 @@ def test_sampled_huge_count_draws_one_block_at_a_time(monkeypatch):
         raise FirstBlock(len(e))
 
     monkeypatch.setattr(graphs_module, "edge_k4s", first_block)
+    g = build_graph_for_q(2)
     with pytest.raises(FirstBlock) as exc:
-        verify_k4_structure(build_graph_for_q(2), mode="sampled", seed=0, samples=10**12)
-    assert exc.value.args == (graphs_module.K4_EDGE_BLOCK,)
+        verify_k4_structure(g, mode="sampled", seed=0, samples=10**12)
+    assert exc.value.args == (budget.BLOCK_BYTES // k4_edge_bytes(g),)
 
 
 def test_buekenhout_metz_q5_fails_with_a_genuine_witness():
@@ -155,7 +159,7 @@ def test_kernel_reads_only_the_incidence():
     assert exhaustive.outcome == sampled.outcome == "pass"
     assert exhaustive.quantities == {"edges_checked": g.m, "k4_checked": g.m * per_edge, "violations": 0}
     assert sampled.quantities == {"edges_checked": 5000, "k4_checked": 5000 * per_edge, "violations": 0}
-    assert g._edges is None
+    assert "clique_edges" not in vars(g)
 
 
 def test_certify_q5_checks_every_edge(tmp_path):

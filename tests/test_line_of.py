@@ -12,7 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import edge_index, edge_point, point_pair_secants
+from oracles import edge_index, edge_point, edge_tables_sorted, point_pair_secants
 from quasifolkman.graphs import (
     GraphError,
     IntersectionGraph,
@@ -117,12 +117,13 @@ def edge_triangle_index_oracle(g):
     adj = g.adj
     ep = edge_point(g)
     thirds = np.empty((g.m, q * q), dtype=np.int64)
+    eu, ev, _ = edge_tables_sorted(g)
     for e in range(g.m):
-        u, v = int(g.eu[e]), int(g.ev[e])
+        u, v = int(eu[e]), int(ev[e])
         w = np.flatnonzero(adj[u] & adj[v] & ~in_clique[ep[e]])
         assert len(w) == q * q
         thirds[e] = w
-    u, v = g.eu[:, None], g.ev[:, None]
+    u, v = eu[:, None], ev[:, None]
     a1 = edge_index(g, np.minimum(u, thirds), np.maximum(u, thirds))
     a2 = edge_index(g, np.minimum(v, thirds), np.maximum(v, thirds))
     return a1.astype(np.int32), a2.astype(np.int32)
@@ -138,32 +139,41 @@ def graph(unital):
     return build_graph(unital)
 
 
+def graph_arrays(g, name):
+    """The graph's array of that name, the lexicographic ends eu and ev
+    joined from its edge stream, or edge_point through clique_edges."""
+    if name in ("eu", "ev"):
+        eu, ev, _, _ = (np.concatenate(field) for field in zip(*g.edge_blocks()))
+        return eu if name == "eu" else ev
+    return edge_point(g) if name == "edge_point" else getattr(g, name)
+
+
 def test_graph_arrays_match_dense_construction(unital, graph):
     expect = graph_arrays_oracle(unital.q, unital.secant_points)
     assert graph.n == len(unital.secant_points)
     assert graph.m == expect.pop("m")
     assert np.array_equal(graph.adj.sum(axis=1), expect.pop("degree"))
     for name, want in expect.items():
-        got = edge_point(graph) if name == "edge_point" else getattr(graph, name)
+        got = graph_arrays(graph, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got, want), name
 
 
 def test_edge_tables_are_built_on_first_use(unital):
     g = build_graph(unital)
-    assert g._edges is None
+    assert "clique_edges" not in vars(g)
     expect = graph_arrays_oracle(unital.q, unital.secant_points)
     for name in ("eu", "ev", "edge_point"):
-        got = edge_point(g) if name == "edge_point" else getattr(g, name)
+        got = graph_arrays(g, name)
         assert got.dtype == expect[name].dtype, name
         assert np.array_equal(got, expect[name]), name
     # clique_edges names the edge of each member pair of each point clique
     a, b = row_pairs(g.cliques)
     assert g.clique_edges.shape == (len(g.cliques), comb(g.q**2, 2))
-    assert np.array_equal(g.eu[g.clique_edges].ravel(), a)
-    assert np.array_equal(g.ev[g.clique_edges].ravel(), b)
+    assert np.array_equal(expect["eu"][g.clique_edges].ravel(), a)
+    assert np.array_equal(expect["ev"][g.clique_edges].ravel(), b)
     assert (edge_point(g)[g.clique_edges] == np.arange(len(g.cliques))[:, None]).all()
-    assert g.edge_tables() is g.edge_tables()
+    assert g.clique_edges is g.clique_edges
 
 
 def test_srg_clique_intersections_match_oracle(graph):
@@ -246,12 +256,13 @@ def test_edge_points_thirds_are_the_common_neighbours_off_the_meet_point(q):
 def test_edge_at_matches_binary_search(graph):
     g = graph
     x = edge_point(g)
-    pts_u, pts_v = g.vertex_cliques[g.eu], g.vertex_cliques[g.ev]
+    eu, ev, _ = edge_tables_sorted(g)
+    pts_u, pts_v = g.vertex_cliques[eu], g.vertex_cliques[ev]
     # another point of each endpoint: its first point, or its second if the
     # first is the meet point
     a = np.where(pts_u[:, 0] == x, pts_u[:, 1], pts_u[:, 0])
     b = np.where(pts_v[:, 0] == x, pts_v[:, 1], pts_v[:, 0])
-    expect = edge_index(g, g.eu, g.ev)
+    expect = edge_index(g, eu, ev)
     assert np.array_equal(g.edge_at(x, a, b), expect)
     assert np.array_equal(g.edge_at(x, b, a), expect)
     iu, iv = np.triu_indices(g.q**2, k=1)

@@ -10,12 +10,13 @@ import pytest
 
 from oracles import (
     dense_adjacency,
+    edge_tables_sorted,
     enumerate_k4,
     k4_clique_property_edges,
     packbits_words,
     verify_srg_dense,
 )
-from quasifolkman import graphs as graphs_module
+from quasifolkman import budget
 from quasifolkman.graphs import (
     build_graph_for_q,
     edge_rows,
@@ -75,9 +76,10 @@ def test_srg_certificate_counts_the_point_pairs(graph):
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_srg_does_not_depend_on_the_block(monkeypatch, block):
-    # one point row per block, and ragged blocks
+    # one point row per block, and ragged blocks: a row touches about three
+    # rows of pos
     g = build_graph_for_q(4)
-    monkeypatch.setattr(graphs_module, "SCAN_BLOCK_BYTES", block * g.pos[0].nbytes)
+    monkeypatch.setattr(budget, "BLOCK_BYTES", block * 3 * g.pos[0].nbytes)
     assert verify_srg(g).passed
     g.pos[len(g.cliques) - 1, :2] = g.pos[len(g.cliques) - 1, 1::-1]
     assert not verify_srg(g).passed
@@ -87,7 +89,7 @@ def test_words_match_dense_clique_scatter(graph):
     # the rows packed from the edge list and the dense scatter both give the
     # dense oracle's adjacency
     dense = dense_adjacency(graph)
-    words = edge_rows(graph.n, graph.eu, graph.ev)
+    words = edge_rows(graph.n, *edge_tables_sorted(graph)[:2])
     assert words.shape == (graph.n, -(-graph.n // 64)) and words.dtype == np.uint64
     assert np.array_equal(words, packbits_words(dense))
     assert np.array_equal(graph.adj, dense)

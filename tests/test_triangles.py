@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import classify_triangle, degenerate_mask, enumerate_k4, triangle_edge_matrix
+from oracles import classify_triangle, degenerate_mask, edge_tables_sorted, enumerate_k4, triangle_edge_matrix
 from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.triangles import (
     build_family,
@@ -193,7 +193,8 @@ def test_triangle_edge_matrix(families):
     assert te.shape == (fam.total, 3)
     # edges recovered match the triangle's vertex pairs
     t0 = fam.triangles[0]
-    pairs = {(int(g.eu[e]), int(g.ev[e])) for e in te[0]}
+    eu, ev, _ = edge_tables_sorted(g)
+    pairs = {(int(eu[e]), int(ev[e])) for e in te[0]}
     expect = {
         (int(t0[0]), int(t0[1])),
         (int(t0[0]), int(t0[2])),
