@@ -15,6 +15,13 @@ concentration of the surviving spanning-clique blocks around 2m(q+1)/n^3
 positive monochromatic-triangle bound for large q.  No known small F beats
 alpha = 2/3, so at desk scale the margin arithmetic is validated through
 the formula path while the construction itself is validated by Monte Carlo.
+
+The Monte Carlo draws and tests its instances a block of trials at a time
+(instance_blocks): each instance's labels come from its own generator, and
+the rows of the block, (instance, clique) pairs, go through the surviving
+edge gather and the clique-triangle test together, in blocks of the one
+budget, so an instance larger than a block is split over its cliques.  The
+concentration sample reads the labels the pass drew.
 """
 
 from __future__ import annotations
@@ -113,25 +120,31 @@ def _petersen_edges():
     return outer + spokes + inner
 
 
+#: the named replacement graphs, as (vertices, edges); each is built and
+#: checked, with its exact max cut, only when asked for
+_REGISTRY = {
+    "edge": (2, [(0, 1)]),
+    "path4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "c5": (5, [(i, (i + 1) % 5) for i in range(5)]),
+    "petersen": (10, _petersen_edges()),
+}
+
+
 def replacement_registry() -> dict[str, ReplacementGraph]:
-    return {
-        "edge": replacement_from_edges("edge", 2, [(0, 1)]),
-        "path4": replacement_from_edges("path4", 4, [(0, 1), (1, 2), (2, 3)]),
-        "c5": replacement_from_edges("c5", 5, [(i, (i + 1) % 5) for i in range(5)]),
-        "petersen": replacement_from_edges("petersen", 10, _petersen_edges()),
-    }
+    return {name: replacement_from_edges(name, n, edges) for name, (n, edges) in _REGISTRY.items()}
 
 
 def load_replacement(name_or_path: str) -> ReplacementGraph:
     """Registry name, or a path to an edge-list file (one 'u v' per line)."""
-    reg = replacement_registry()
-    if name_or_path in reg:
-        return reg[name_or_path]
+    if name_or_path in _REGISTRY:
+        return replacement_from_edges(name_or_path, *_REGISTRY[name_or_path])
     try:
-        with open(name_or_path) as fh:
+        with open(name_or_path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConstructionError(f"unknown replacement graph {name_or_path!r}") from exc
+    except UnicodeDecodeError:
+        raise ConstructionError(f"replacement graph file {name_or_path!r} is not UTF-8 text") from None
     edges = []
     for lineno, line in enumerate(text.split("\n"), 1):
         if not line.strip() or line.startswith("#"):
@@ -183,20 +196,58 @@ class StarGraph:
         return float(self.alive.mean())
 
 
-def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGraph:
-    """Draw one instance; per-edge survival probability is 2m/n^2."""
+def checked_adj(F: ReplacementGraph) -> np.ndarray:
+    """F's adjacency matrix, once checked triangle-free."""
     adj = F.adj
     if _has_triangle(adj):
         raise ConstructionError("replacement graph must be triangle-free")
-    # one draw of every label, in clique layout
-    labels = np.random.default_rng(int(seed) & _MASK64).integers(F.n, size=g.cliques.shape, dtype=np.int32)
-    # an edge survives iff the labels at its two positions in its clique
-    # form an edge of F
-    alive = np.empty((len(labels), math.comb(labels.shape[1], 2)), dtype=bool)
-    # per clique pair: two int32 labels and a bool, 12 bytes as measured
-    for block in slices(len(labels), 12 * alive.shape[1]):
-        alive[block] = adj[row_pairs(labels[block])].reshape(-1, alive.shape[1])
+    return adj
+
+
+def instance_labels(g: IntersectionGraph, n: int, seed: int) -> np.ndarray:
+    """One instance's labels in [n], in clique layout: one draw of every
+    label from the instance's own generator, seeded with seed mod 2^64."""
+    return np.random.default_rng(int(seed) & _MASK64).integers(n, size=g.cliques.shape, dtype=np.int32)
+
+
+def clique_adjacency(adj: np.ndarray, labels: np.ndarray, out=None) -> np.ndarray:
+    """The surviving edges among each label row's k positions, as a
+    (rows, k, k) float32 0/1 matrix: an edge survives iff the labels at its
+    two positions in its clique form an edge of F.
+
+    With X the one-hot matrix of a row's labels, the matrix is
+    adj[labels] @ X^T; each entry sums one product, so it is exact.  out,
+    if given, is three float32 buffers of at least len(labels) rows,
+    (rows, k, n) twice and (rows, k, k), which it fills and returns the
+    last of."""
+    n, rows = len(adj), len(labels)
+    gathers, A = (None, None), None
+    if out is not None:
+        gathers, A = [buf[:rows] for buf in out[:2]], out[2][:rows]
+    # labels lie in [0, n), so clipping never moves one; unlike the default
+    # mode it writes straight into out
+    idx = labels.astype(np.intp)
+    Y = np.take(adj.astype(np.float32), idx, axis=0, out=gathers[0], mode="clip")
+    X = np.take(np.eye(n, dtype=np.float32), idx, axis=0, out=gathers[1], mode="clip")
+    return np.matmul(Y, X.transpose(0, 2, 1), out=A)
+
+
+def star_instance(g: IntersectionGraph, F: ReplacementGraph, adj: np.ndarray, seed: int,
+                  labels: np.ndarray) -> StarGraph:
+    """The instance with these labels; adj is checked_adj(F)."""
+    k = labels.shape[1]
+    iu, iv = triu_pairs(k)
+    alive = np.empty((len(labels), math.comb(k, 2)), dtype=bool)
+    # per clique: its labels as intp and the one-hot gathers (8 k + 8 k n),
+    # the float32 matrix (4 k^2), and its pairs, a float32 and a bool each
+    for block in slices(len(labels), 8 * k + 8 * k * len(adj) + 4 * k * k + 5 * len(iu)):
+        alive[block] = clique_adjacency(adj, labels[block])[:, iu, iv] != 0
     return StarGraph(base=g, F=F, seed=seed, labels=labels, alive=alive)
+
+
+def random_block(g: IntersectionGraph, F: ReplacementGraph, seed: int) -> StarGraph:
+    """Draw one instance; per-edge survival probability is 2m/n^2."""
+    return star_instance(g, F, checked_adj(F), seed, instance_labels(g, F.n, seed))
 
 
 def _first_k4(words: np.ndarray, tris: np.ndarray) -> tuple[int, int, int, int] | None:
@@ -222,8 +273,11 @@ def verify_star_instance(star: StarGraph) -> dict:
     which is the lexicographically first K4 (a triangle before it with one
     would give an earlier K4)."""
     g = star.base
-    # the surviving member pairs of the cliques, in lexicographic order
-    edges = np.stack(row_pairs(g.cliques), axis=1)[star.alive.ravel()]
+    # the surviving member pairs of the cliques, a block of cliques at a
+    # time (per member pair: the two int32 members, their stack, its intp
+    # mask index and the kept pair, 32 bytes), in lexicographic order
+    edges = np.concatenate([np.stack(row_pairs(g.cliques[block]), axis=1)[star.alive[block].ravel()]
+                            for block in slices(len(g.cliques), 32 * star.alive.shape[1])])
     edges = edges[np.argsort(edges[:, 0].astype(np.int64) * g.n + edges[:, 1])]
     words = edge_rows(g.n, edges[:, 0], edges[:, 1])
     k4 = clique_triangle = None
@@ -248,24 +302,74 @@ def verify_star_instance(star: StarGraph) -> dict:
     }
 
 
-def cliques_triangle_free(star: StarGraph) -> bool:
-    """Whether no point clique holds a triangle of surviving edges.
+def clique_triangles(A: np.ndarray, out=None) -> np.ndarray:
+    """Which of the (rows, k, k) symmetric 0/1 float32 matrices hold a
+    triangle; out, if given, is a float32 buffer shaped like A.
 
-    Each clique's surviving edges make a symmetric 0/1 matrix A over its q^2
-    positions.  A path i-j-k adds 1 to (A @ A)[i, k] and A[i, k] closes it,
-    so the clique holds a triangle iff (A @ A) * A has a nonzero entry.  The
-    entries are at most q^2, exact in float32."""
-    g = star.base
-    npts, k = g.cliques.shape
+    A path i-j-l adds 1 to (A @ A)[i, l] and A[i, l] closes it, so A holds
+    a triangle iff (A @ A) * A has a nonzero entry.  The entries are at most
+    k, exact in float32."""
+    AA = np.matmul(A, A, out=out)
+    AA *= A
+    return AA.any(axis=(1, 2))
+
+
+def cliques_triangle_free(star: StarGraph) -> bool:
+    """Whether no point clique holds a triangle of surviving edges: the
+    clique test of the pass, on one instance."""
+    k = star.base.cliques.shape[1]
     iu, iv = triu_pairs(k)
-    # per clique: A and A @ A, float32; the product reuses A @ A's buffer
-    for block in slices(npts, 8 * k * k):
+    # per clique: A and A @ A, float32
+    for block in slices(len(star.alive), 8 * k * k):
         alive = star.alive[block]
         A = np.zeros((len(alive), k, k), dtype=np.float32)
         A[:, iu, iv] = A[:, iv, iu] = alive
-        if ((A @ A) * A).any():
+        if clique_triangles(A).any():
             return False
     return True
+
+
+def _pass_row_bytes(k: int, n: int) -> int:
+    """The bytes one (instance, clique) row of the pass touches: its labels,
+    drawn, stacked and as intp (16 k); its one-hot gathers (8 k n) and A and
+    A @ A (8 k^2), float32; its edge count and verdict."""
+    return 16 * k + 8 * k * n + 8 * k * k + 14
+
+
+def trial_blocks(g: IntersectionGraph, n: int, trials: int):
+    """Consecutive slices of range(trials), each as many whole instances
+    with labels in [n] as one block's budget holds, and at least one."""
+    npts, k = g.cliques.shape
+    return slices(trials, npts * _pass_row_bytes(k, n))
+
+
+def instance_blocks(g: IntersectionGraph, adj: np.ndarray, seeds):
+    """Draw and test the instances of seeds, one per seed, a block of trials
+    (trial_blocks) at a time; adj is checked_adj(F).
+
+    Yields each block's labels, (instances, q^3+1, q^2) int32, surviving
+    edge counts, and whether each instance is clique-triangle-free.  The
+    rows are (instance, clique) pairs, stacked instance-major.  The
+    surviving edges and the clique test take them a block at a time, in
+    float32 buffers that every block reuses, so an instance larger than one
+    block is split over its cliques."""
+    npts, k = g.cliques.shape
+    n = len(adj)
+    work = None
+    for trials in trial_blocks(g, n, len(seeds)):
+        labels = np.concatenate([instance_labels(g, n, seed) for seed in seeds[trials]])
+        edges = np.empty(len(labels), dtype=np.int64)
+        triangle = np.empty(len(labels), dtype=bool)
+        for rows in slices(len(labels), _pass_row_bytes(k, n)):
+            if work is None:  # the first block of rows is the longest
+                size = rows.stop - rows.start
+                work = [np.empty((size, k, n), dtype=np.float32) for _ in range(2)] + [
+                    np.empty((size, k, k), dtype=np.float32) for _ in range(2)]
+            A = clique_adjacency(adj, labels[rows], work)
+            edges[rows] = A.sum(axis=(1, 2)) // 2
+            triangle[rows] = clique_triangles(A, work[3][:len(A)])
+        yield (labels.reshape(-1, npts, k), edges.reshape(-1, npts).sum(axis=1),
+               ~triangle.reshape(-1, npts).any(axis=1))
 
 
 # ----------------------------------------------------------------------
@@ -279,27 +383,35 @@ def concentration_experiment(
     samples_per_trial: int = 50,
     delta: float = 0.5,
     seed: int = 0,
+    labels=None,
 ) -> dict:
     """Measure |V_i(C) ∩ N*(v)| over sampled (v, spanning clique, label)
-    triples across independent instances and compare with 2m(q+1)/n^3."""
+    triples across independent instances and compare with 2m(q+1)/n^3.
+
+    labels are the first trials instances' labels, as instance_blocks
+    gives them; without them each is drawn from instance_labels."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     q = g.q
+    adj = checked_adj(F)
+    if labels is None:
+        labels = (instance_labels(g, F.n, instance_seed(seed, t)) for t in range(trials))
     rng = np.random.default_rng(seed)
     expectation = 2 * F.m * (q + 1) / F.n**3
     values = []
-    for t in range(trials):
-        star = random_block(g, F, instance_seed(seed, t))
+    for lab in labels:
         vs = rng.integers(0, g.n, size=samples_per_trial)
         cliq = rng.integers(0, q**3 - q, size=samples_per_trial)
-        lab = rng.integers(0, F.n, size=samples_per_trial)
+        draw = rng.integers(0, F.n, size=samples_per_trial)
         # spanning clique cliq of v lives at v's cliq-th off point P; its
         # member through P and v's point A sits at pos[P, A] and meets v in
         # A's clique: it at pos[A, P], v at its own position at[v]
         point = g.off_points(vs)[np.arange(samples_per_trial), cliq][:, None]
         pts = g.vertex_cliques[vs]
-        alive = F.adj[star.labels[pts, g.at[vs]], star.labels[pts, g.pos[pts, point]]]
-        values.append((alive & (star.labels[point, g.pos[point, pts]] == lab[:, None])).sum(axis=1))
+        alive = adj[lab[pts, g.at[vs]], lab[pts, g.pos[pts, point]]]
+        values.append((alive & (lab[point, g.pos[point, pts]] == draw[:, None])).sum(axis=1))
+    if len(values) != trials:
+        raise ValueError(f"labels of {len(values)} instances for {trials} trials")
     values = np.concatenate(values).astype(np.float64)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else float("nan")

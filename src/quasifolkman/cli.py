@@ -32,15 +32,17 @@ from . import __version__
 from .blocks import (
     ConstructionError,
     alon_parameters,
-    cliques_triangle_free,
+    checked_adj,
     concentration_experiment,
     critical_delta,
+    instance_blocks,
     instance_seed,
     load_replacement,
     quantitative_bound,
-    random_block,
     smallest_valid_alon_k,
+    star_instance,
     deletion_margin,
+    trial_blocks,
     verify_star_instance,
 )
 from .certificates import Certificate
@@ -259,24 +261,31 @@ def cmd_certify(args) -> int:
 SPOT_SCANS = 8
 
 
-def _instance_report(payload):
-    """One instance's record, and whether the clique-extension scan ran.
+def _trials_report(payload):
+    """Records of a run of consecutive trials, how many ran the
+    clique-extension scan, and the labels of the first keep of them.
 
     Every K4 of the graph has three vertices in one point clique (the K4
     lemma), so an instance with no triangle inside a point clique is
-    K4-free.  The scan runs when the payload asks for it and on any
+    K4-free.  The scan runs where the payload asks for it and on any
     instance that fails the clique test, so that its K4 verdict is exact."""
-    q, F, seed, scan = payload
+    q, F, adj, seeds, scans, keep = payload
     g = _worker_graph(q)
-    star = random_block(g, F, seed)
-    k4_free = clique_free = cliques_triangle_free(star)
-    scan = scan or not clique_free
-    if scan:
-        rep = verify_star_instance(star)
-        k4_free, clique_free = rep["k4_free"], rep["cliques_triangle_free"]
-    record = {"seed": seed, "k4_free": k4_free, "cliques_triangle_free": clique_free,
-              "survival_rate": star.survival_rate(), "num_edges": star.num_edges}
-    return record, scan
+    records, scanned, kept = [], 0, []
+    for labels, edges, clique_free in instance_blocks(g, adj, seeds):
+        for lab, num, free in zip(labels, edges.tolist(), clique_free.tolist()):
+            t = len(records)
+            k4_free = free
+            if scans[t] or not free:
+                rep = verify_star_instance(star_instance(g, F, adj, seeds[t], lab))
+                k4_free, free = rep["k4_free"], rep["cliques_triangle_free"]
+                scanned += 1
+            # every edge lies in exactly one point clique
+            records.append({"seed": seeds[t], "k4_free": k4_free, "cliques_triangle_free": free,
+                            "survival_rate": num / g.m, "num_edges": num})
+            if t < keep:
+                kept.append(lab.copy())
+    return records, scanned, kept
 
 
 _GRAPH_CACHE: dict[int, object] = {}
@@ -356,25 +365,31 @@ def cmd_simulate(args) -> int:
     sym = unital_symmetry(unital, g)
     del unital
     lemma = verify_k4_by_symmetry(g, sym) if sym is not None else None
+    adj = checked_adj(F)
+    seeds = [instance_seed(args.seed, t) for t in range(args.trials)]
     # without the lemma every instance is scanned
-    payloads = [(args.q, F, instance_seed(args.seed, t), lemma is None or t < SPOT_SCANS)
-                for t in range(args.trials)]
-    workers = min(args.threads, args.trials, os.cpu_count() or 1)
+    scans = [lemma is None or t < SPOT_SCANS for t in range(args.trials)]
+    blocks = list(trial_blocks(g, F.n, args.trials))
+    workers = min(args.threads, len(blocks), os.cpu_count() or 1)
+    # the pool takes blocks of trials, one process all of them in one pass;
+    # the concentration sample reads the first 40 instances' labels
+    runs = blocks if workers > 1 else [slice(0, args.trials)]
+    payloads = [(args.q, F, adj, seeds[r], scans[r], max(0, min(r.stop, 40) - r.start)) for r in runs]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_instance_report, payloads)
+            results = pool.map(_trials_report, payloads)
     else:
-        results = [_instance_report(p) for p in payloads]
-    inst = [r for r, _ in results]
-    scanned = sum(s for _, s in results)
+        results = [_trials_report(p) for p in payloads]
+    inst = [r for records, _, _ in results for r in records]
+    scanned = sum(s for _, s, _ in results)
+    labels = [lab for _, _, kept in results for lab in kept]
 
     rates = np.array([r["survival_rate"] for r in inst])
     expect = 2 * F.m / F.n**2
     # one instance has no spread: null in the JSON, where NaN is not standard
     stderr = float(rates.std(ddof=1) / np.sqrt(len(rates))) if len(rates) > 1 else None
-    conc = concentration_experiment(
-        g, F, trials=min(args.trials, 40), samples_per_trial=25, delta=args.delta_value, seed=args.seed
-    )
+    conc = concentration_experiment(g, F, trials=len(labels), samples_per_trial=25, delta=args.delta_value,
+                                    seed=args.seed, labels=labels)
     report = {
         "q": args.q,
         "F": args.F,
@@ -509,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help=f"output directory (or ${OUT_ENV})")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1, help="worker processes for Monte Carlo scans, at most one per trial and per CPU")
+        p.add_argument("--threads", type=int, default=1, help="worker processes for Monte Carlo scans, at most one per block of trials and per CPU")
 
     p = sub.add_parser("build", help="construct and export the graph")
     common(p)

@@ -254,13 +254,16 @@ def build_graph_for_q(q: int) -> IntersectionGraph:
 def edge_rows(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(n, ceil(n/64)) uint64 adjacency rows of the graph with the distinct
     edges u-v, u != v: bit b % 64 of word b // 64 of row a is set for every
-    edge a-b.  np.add.at sets the bits; it acts as OR because no bit is
-    added twice."""
+    edge a-b.  np.add.at sets the bits, a block of edges at a time; it acts
+    as OR because no bit is added twice."""
     w = -(-n // 64)
     words = np.zeros((n, w), dtype=np.uint64)
-    u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
-    for a, b in ((u, v), (v, u)):
-        np.add.at(words.ravel(), a * w + (b >> 6), np.left_shift(np.uint64(1), (b & 63).astype(np.uint64)))
+    # per edge: its two ends as intp (16 bytes) and, one direction at a
+    # time, the word index, the shift and the bit with their temporaries (32)
+    for block in slices(len(u), 48):
+        a0, b0 = np.asarray(u[block], dtype=np.intp), np.asarray(v[block], dtype=np.intp)
+        for a, b in ((a0, b0), (b0, a0)):
+            np.add.at(words.ravel(), a * w + (b >> 6), np.left_shift(np.uint64(1), (b & 63).astype(np.uint64)))
     return words
 
 

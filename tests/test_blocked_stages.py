@@ -12,7 +12,7 @@ import pytest
 
 from oracles import build_unital_whole, edge_tables_sorted, k4_clique_property_whole
 from quasifolkman import budget
-from quasifolkman.blocks import cliques_triangle_free, random_block, replacement_registry
+from quasifolkman.blocks import checked_adj, cliques_triangle_free, instance_blocks, random_block, replacement_registry
 from quasifolkman.certify import EdgeColoring, vertex_same_pairs
 from quasifolkman.cli import main
 from quasifolkman.fields import QuadraticExtension
@@ -23,6 +23,7 @@ from quasifolkman.graphs import (
     enumerate_all_triangles,
     extend_cliques,
     k4_clique_property,
+    row_pairs,
     verify_k4_structure,
     verify_srg,
 )
@@ -152,6 +153,10 @@ def stage_call(stage, q):
         return lambda: [k4_clique_property(g, tris)]
     if stage == "verify_srg":
         return lambda: [] if verify_srg(g).passed else None
+    if stage == "edge_rows":
+        star = random_block(g, replacement_registry()["c5"], 1)
+        edges = np.stack(row_pairs(g.cliques), axis=1)[star.alive.ravel()]
+        return lambda: [edge_rows(g.n, edges[:, 0], edges[:, 1])]
     if stage == "edge_blocks":
         return lambda: [] if sum(len(a) for a, _, _, _ in g.edge_blocks()) == g.m else None
     if stage == "vertex_same_pairs":
@@ -161,12 +166,15 @@ def stage_call(stage, q):
     star = random_block(g, replacement_registry()["c5"], 1)
     if stage == "random_block":
         return lambda: fields(random_block(g, star.F, 1), "labels", "alive")
+    if stage == "instance_blocks":
+        return lambda: [a for block in instance_blocks(g, checked_adj(star.F), [1, 2]) for a in block]
     return lambda: [] if cliques_triangle_free(star) else None
 
 
 @pytest.mark.parametrize("stage,q", [
     ("build_unital", 9), ("enumerate_all_triangles", 4), ("k4_clique_property", 4), ("verify_srg", 9),
     ("edge_blocks", 7), ("vertex_same_pairs", 7), ("random_block", 7), ("cliques_triangle_free", 7),
+    ("instance_blocks", 4), ("instance_blocks", 7), ("edge_rows", 7),
 ])
 def test_blocked_stage_peaks_within_two_blocks_above_its_result(stage, q):
     # each block touches about BLOCK_BYTES, so with the inputs and the

@@ -9,20 +9,27 @@ from oracles import (
     blowup,
     blowup_concentration_log_bound,
     canonical_edges,
+    clique_triangle_loop,
     edge_mask,
     edge_tables_sorted,
     find_k4,
     incidence_edge_mask,
     mcdiarmid_bound,
     min_mono_blowup,
+    star_from_mask,
     triangle_edge_matrix,
 )
+from quasifolkman import blocks
 from quasifolkman.blocks import (
     AlonParams,
     ConstructionError,
     alon_parameters,
+    checked_adj,
+    cliques_triangle_free,
     concentration_experiment,
     critical_delta,
+    instance_blocks,
+    instance_labels,
     instance_seed,
     least_prime_power_at_least,
     load_replacement,
@@ -32,6 +39,8 @@ from quasifolkman.blocks import (
     replacement_registry,
     smallest_valid_alon_k,
     deletion_margin,
+    star_instance,
+    trial_blocks,
     verify_star_instance,
 )
 from quasifolkman import budget
@@ -73,6 +82,29 @@ def test_load_replacement_file(tmp_path):
     assert F.alpha == 1
     with pytest.raises(ConstructionError):
         load_replacement("no-such-graph")
+
+
+def test_load_replacement_builds_only_the_named_graph(monkeypatch):
+    registry = replacement_registry()
+    built = []
+    real = blocks.maxcut_exact
+
+    def maxcut_exact(adj):
+        built.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(blocks, "maxcut_exact", maxcut_exact)
+    for name, F in registry.items():
+        built.clear()
+        assert load_replacement(name) == F
+        assert built == [F.n]
+
+
+def test_load_replacement_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "F.txt"
+    path.write_bytes(b"\xff\xfe 0 1\n")
+    with pytest.raises(ConstructionError, match="not UTF-8"):
+        load_replacement(str(path))
 
 
 # -- blowups ------------------------------------------------------------------
@@ -171,8 +203,8 @@ def test_random_block_matches_incidence_oracle(g3, q, name):
 
 
 def test_random_block_gathers_label_pairs_by_block(monkeypatch):
-    # at q = 7 a 2^18-byte budget takes 18 cliques of label pairs per block,
-    # 20 blocks in all; one gather of every pair would peak 5 MB above the result
+    # at q = 7 a 2^18-byte budget takes 14 cliques per block, 25 blocks in
+    # all; one gather of every clique would peak 5 MB above the result
     g = build_graph_for_q(7)
     F = replacement_registry()["c5"]
     monkeypatch.setattr(budget, "BLOCK_BYTES", 1 << 18)
@@ -194,6 +226,71 @@ def test_random_block_masks_seeds_to_64_bits(g3, seed):
     a, b = random_block(g3, F, seed), random_block(g3, F, seed % 2**64)
     assert np.array_equal(a.labels, b.labels) and np.array_equal(a.alive, b.alive)
     assert not np.array_equal(a.labels, random_block(g3, F, seed - 1).labels)
+
+
+def _block_pass(g, F, seeds):
+    """Every block of instance_blocks, joined."""
+    return tuple(map(np.concatenate, zip(*instance_blocks(g, checked_adj(F), seeds))))
+
+
+@pytest.mark.parametrize("block", [None, 1 << 12])
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("name", ["edge", "c5", "petersen"])
+def test_instance_blocks_match_the_loop_oracle_and_one_instance(monkeypatch, g3, q, name, block):
+    # a 4 KB budget takes one instance a block of trials and, but at q = 2
+    # with F = edge or c5, splits it over its cliques, 1 to 7 of them a block
+    if block is not None:
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block)
+    g = g3 if q == 3 else build_graph_for_q(q)
+    F = replacement_registry()[name]
+    seeds = [instance_seed(7, t) for t in range(5 if q == 4 else 9)]
+    labels, edges, free = _block_pass(g, F, seeds)
+    for seed, lab, num, ok in zip(seeds, labels, edges, free):
+        star = random_block(g, F, seed)
+        assert np.array_equal(lab, star.labels)
+        mask = incidence_edge_mask(g, F, lab)
+        assert num == star.num_edges == mask.sum()
+        assert num / g.m == star.survival_rate()
+        assert ok == cliques_triangle_free(star) == (clique_triangle_loop(star_from_mask(g, mask)) is None)
+
+
+#: the bytes one clique of a q = 3 c5 instance touches in the pass
+Q3_ROW = blocks._pass_row_bytes(9, 5)
+
+
+@pytest.mark.parametrize("where, block, sizes", [
+    ("first", None, [7]), ("middle", None, [7]), ("last", None, [7]),
+    # 3 instances of 28 cliques a block: the last block holds one instance
+    ("ragged", 3 * 28 * Q3_ROW, [3, 3, 1]),
+    # 10 cliques a block, so each instance is split over three
+    ("split", 10 * Q3_ROW, [1] * 7),
+])
+def test_instance_blocks_catch_a_planted_clique_triangle(monkeypatch, g3, where, block, sizes):
+    if block is not None:
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block)
+    F = replacement_registry()["c5"]
+    seeds = [instance_seed(3, t) for t in range(7)]
+    assert [b.stop - b.start for b in trial_blocks(g3, F.n, len(seeds))] == sizes
+    target = {"first": 0, "middle": 3, "last": 6, "ragged": 6, "split": 4}[where]
+    point = 17  # in the second of the split instance's three blocks
+    real, planted = blocks.clique_adjacency, []
+    row = instance_labels(g3, F.n, seeds[target])[point]
+
+    def clique_adjacency(adj, labels, out=None):
+        A = real(adj, labels, out)
+        for r in np.flatnonzero((labels == row).all(axis=1)):
+            A[r, 0, 1] = A[r, 1, 0] = A[r, 0, 2] = A[r, 2, 0] = A[r, 1, 2] = A[r, 2, 1] = 1
+            planted.append(r)
+        return A
+
+    monkeypatch.setattr(blocks, "clique_adjacency", clique_adjacency)
+    labels, edges, free = _block_pass(g3, F, seeds)
+    assert len(planted) == 1
+    assert free.tolist() == [t != target for t in range(len(seeds))]
+    star = star_instance(g3, F, checked_adj(F), seeds[target], labels[target])
+    assert edges[target] == star.num_edges
+    assert not cliques_triangle_free(star)
+    assert clique_triangle_loop(star) == (point, *g3.cliques[point, :3].tolist())
 
 
 def test_star_instance_checks(g3, fam3):

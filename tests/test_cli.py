@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from quasifolkman import cli, triangles
+from quasifolkman import blocks, budget, cli, triangles
 from quasifolkman.blocks import instance_seed
 from quasifolkman.certificates import Certificate
 from quasifolkman.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
@@ -129,9 +129,15 @@ def test_simulate_single_trial_writes_strict_json(tmp_path):
     assert survival["quantities"]["stderr"] is None and survival["outcome"] == "inconclusive"
 
 
-def test_simulate_parallel_workers_match_serial(tmp_path):
-    # at q = 3 the instances past the spot scans reach the workers unscanned
+def test_simulate_parallel_workers_match_serial(tmp_path, monkeypatch):
+    # blocks of 5 trials, the last of 2; at q = 3 the instances past the
+    # spot scans reach the workers unscanned
     for q in (2, 3):
+        g = build_graph_for_q(q)
+        npts, k = g.cliques.shape
+        monkeypatch.setattr(budget, "BLOCK_BYTES", 5 * npts * blocks._pass_row_bytes(k, 2))
+        F = blocks.load_replacement("edge")
+        assert [b.stop - b.start for b in blocks.trial_blocks(g, F.n, 12)] == [5, 5, 2]
         runs = {}
         for threads in ("2", "1"):
             out = tmp_path / f"q{q}_{threads}"
@@ -145,6 +151,22 @@ def test_simulate_parallel_workers_match_serial(tmp_path):
         assert runs["1"]["certs"][0]["quantities"]["instances_scanned"] == cli.SPOT_SCANS
 
 
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("trials", [1, 39, 40, 41])
+def test_simulate_concentration_reads_the_pass_labels(tmp_path, monkeypatch, trials, block):
+    # the concentration sample equals the one that redraws its instances;
+    # blocks of 7 trials put the 40th label mid-block
+    g = build_graph_for_q(2)
+    F = blocks.load_replacement("c5")
+    if block is not None:
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block * 9 * blocks._pass_row_bytes(4, F.n))
+    redrawn = blocks.concentration_experiment(g, F, trials=min(trials, 40), samples_per_trial=25, delta=0.5, seed=3)
+    real, draws = blocks.instance_labels, []
+    monkeypatch.setattr(blocks, "instance_labels", lambda *a: draws.append(a) or real(*a))
+    _, report, _ = _simulate(tmp_path, 2, trials, "--seed", "3")
+    assert report["concentration"] == json.loads(json.dumps(redrawn))
+    # one draw of each instance
+    assert len(draws) == trials
 K4_CLAIM = "random block instances are K4-free"
 CLIQUE_CLAIM = "random block instances have no triangle inside a point clique"
 
@@ -182,34 +204,48 @@ def test_simulate_without_the_lemma_scans_every_instance(tmp_path, monkeypatch):
     assert scan == lemma
 
 
+def plant_clique_triangle(monkeypatch, labels_row):
+    """Plant a triangle on positions 0, 1 and 2 of every clique whose labels
+    are labels_row, where the pass and the spot scan read the surviving
+    edges; returns the number of rows planted so far, as a list."""
+    real, planted = blocks.clique_adjacency, []
+
+    def clique_adjacency(adj, labels, out=None):
+        A = real(adj, labels, out)
+        for row in np.flatnonzero((labels == labels_row).all(axis=1)):
+            for x, y in ((0, 1), (0, 2), (1, 2)):
+                A[row, x, y] = A[row, y, x] = 1
+            planted.append(row)
+        return A
+
+    monkeypatch.setattr(blocks, "clique_adjacency", clique_adjacency)
+    return planted
+
+
 def test_simulate_fails_on_a_clique_triangle_and_scans_that_instance(tmp_path, monkeypatch):
     # instance 10, past the spot scans, keeps a triangle inside point 2's
     # clique; the K4 certificate alone passed such a run before the clique one
-    real, target, planted = cli.random_block, instance_seed(0, 10), []
-
-    def random_block(g, F, seed):
-        star = real(g, F, seed)
-        if seed == target:
-            iu, iv = np.triu_indices(g.cliques.shape[1], k=1)
-            pairs = [np.flatnonzero((iu == x) & (iv == y))[0] for x, y in ((0, 1), (0, 2), (1, 2))]
-            star.alive[2, pairs] = True
-            planted.append(star)
-        return star
-
-    monkeypatch.setattr(cli, "random_block", random_block)
+    g = build_graph_for_q(3)
+    F = blocks.load_replacement("c5")
+    labels = blocks.instance_labels(g, F.n, instance_seed(0, 10))
+    planted = plant_clique_triangle(monkeypatch, labels[2])
     rc, report, certs = _simulate(tmp_path, 3, 12)
     assert rc == EXIT_FAIL
     assert certs[CLIQUE_CLAIM]["outcome"] == "fail" and certs[K4_CLAIM]["outcome"] == "pass"
     assert certs[CLIQUE_CLAIM]["quantities"] == {"violations": 1, "instances_checked": 12}
     assert certs[K4_CLAIM]["quantities"]["instances_scanned"] == cli.SPOT_SCANS + 1
-    record, (star,) = report["instances"][10], planted
+    # once in the pass, once in the scan's instance
+    assert len(planted) == 2
+    record = report["instances"][10]
     assert record["cliques_triangle_free"] is False
     # the K4 verdict comes from the scan, not from the failed clique test
+    star = blocks.star_instance(g, F, blocks.checked_adj(F), instance_seed(0, 10), labels)
+    assert oracles.clique_triangle_loop(star) == (2, *g.cliques[2, :3].tolist())
     assert oracles.find_k4(oracles.adj_bits(star), star.base.n) is None
     assert record["k4_free"] is True
 
 
-def test_simulate_caps_worker_processes_at_the_trials(tmp_path, monkeypatch):
+def test_simulate_caps_worker_processes_at_the_blocks(tmp_path, monkeypatch):
     sizes = []
 
     class SerialPool:
@@ -238,7 +274,14 @@ def test_simulate_caps_worker_processes_at_the_trials(tmp_path, monkeypatch):
             "report": json.loads((out / "simulate_q2_edge.json").read_text())["report"],
             "certs": _strip_timestamps(json.loads((out / "simulate_q2_edge_certs.json").read_text()))["certificates"],
         }
+    # the three instances make one block: one process runs it
+    assert sizes == []
+    # a one-byte budget makes each instance its own block
+    monkeypatch.setattr(budget, "BLOCK_BYTES", 1)
+    out = tmp_path / "blocks"
+    assert main(["simulate", "--q", "2", "--F", "edge", "--trials", "3", "--threads", "64", "--out", str(out)]) == EXIT_INCONCLUSIVE
     assert sizes == [3]
+    assert json.loads((out / "simulate_q2_edge.json").read_text())["report"] == runs["1"]["report"]
     assert runs["64"] == runs["1"]
 
 
@@ -431,10 +474,12 @@ def test_simulate_empty_replacement_file_is_one_line_error(tmp_path, capsys, con
     assert "no edges" in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("content, message", [("0 1\n1 x\n", "F.txt:2"), ("0 1\n0 100\n", "101 vertices")])
+@pytest.mark.parametrize("content, message", [
+    (b"0 1\n1 x\n", "F.txt:2"), (b"0 1\n0 100\n", "101 vertices"), (b"\xff\xfe 0 1\n", "not UTF-8"),
+])
 def test_simulate_malformed_replacement_file_is_one_line_error(tmp_path, capsys, content, message):
     path = tmp_path / "F.txt"
-    path.write_text(content)
+    path.write_bytes(content)
     rc = main(["simulate", "--q", "2", "--F", str(path), "--trials", "2", "--out", str(tmp_path)])
     assert rc == EXIT_FAIL
     err = capsys.readouterr().err

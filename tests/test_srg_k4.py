@@ -95,7 +95,7 @@ def test_words_match_dense_clique_scatter(graph):
     assert np.array_equal(graph.adj, dense)
 
 
-def test_packed_row_helpers_match_dense_rows():
+def _check_packed_rows_match_dense_rows():
     # random graphs across word boundaries, edges in any order and either
     # orientation; no edges gives zero rows
     rng = np.random.default_rng(0)
@@ -108,6 +108,18 @@ def test_packed_row_helpers_match_dense_rows():
         u, v = np.where(flip, v, u)[order], np.where(flip, u, v)[order]
         assert np.array_equal(edge_rows(n, u, v), packbits_words(dense))
         assert not edge_rows(n, u[:0], v[:0]).any()
+
+
+def test_packed_row_helpers_match_dense_rows():
+    _check_packed_rows_match_dense_rows()
+
+
+@pytest.mark.parametrize("block", [1, 48 * 100])
+def test_packed_row_helpers_match_dense_rows_in_blocks(monkeypatch, block):
+    # a 1-byte budget packs one edge a block, 4,800 bytes 100 edges, the
+    # last block ragged
+    monkeypatch.setattr(budget, "BLOCK_BYTES", block)
+    _check_packed_rows_match_dense_rows()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
