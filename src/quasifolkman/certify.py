@@ -47,29 +47,38 @@ def graph_checksum(g: IntersectionGraph, blocks=None) -> str:
     return h.hexdigest()[:16]
 
 
-def _scatter(bits: np.ndarray, out: np.ndarray, blocks):
-    """Pass the edge stream's blocks on, writing the lexicographic bits of
-    each block's edges to out[X, t] on the way."""
+def _scatter(read, out: np.ndarray, blocks):
+    """Pass the edge stream's blocks on, writing the lexicographic bits
+    read(s, e) of each block's edges s..e-1 to out[X, t] on the way."""
     s = 0
     for block in blocks:
         _, _, X, t = block
-        out[X, t] = bits[s:s + len(X)]
+        out[X, t] = read(s, s + len(X))
         s += len(X)
         yield block
 
 
-def _body_bits(body: str, m: int) -> np.ndarray:
-    """The m bits of a coloring file's hex body, its lines joined."""
+def _body_bytes(body: str, m: int) -> np.ndarray:
+    """The packed bytes of a coloring file's hex body, its lines joined,
+    checked to hold m bits and zero padding."""
     try:
-        raw = bytes.fromhex(body)
+        raw = np.frombuffer(bytes.fromhex(body), dtype=np.uint8)
     except ValueError as exc:
         raise ColoringFormatError("body is not hex") from exc
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    if bits[m:].any():
+    # bit i is bit i % 8 of byte i // 8; the bits from m on are padding
+    pad = raw[m // 8:]
+    if len(pad) and (pad[0] >> m % 8 or pad[1:].any()):
         raise ColoringFormatError("nonzero padding bits")
     if len(raw) != -(-m // 8):
-        raise ColoringFormatError(f"coloring body too {'short' if len(bits) < m else 'long'}")
-    return bits[:m].view(bool)
+        raise ColoringFormatError(f"coloring body too {'short' if 8 * len(raw) < m else 'long'}")
+    return raw
+
+
+def _unpack(raw: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Bits s..e-1 of the packed bytes raw, as bools, unpacking only the
+    bytes that hold them."""
+    bits = np.unpackbits(raw[s // 8:-(-e // 8)], bitorder="little").view(bool)
+    return bits[s % 8:s % 8 + e - s]
 
 
 class EdgeColoring:
@@ -107,7 +116,7 @@ class EdgeColoring:
         if self._clique_bits is None:
             g = self.graph
             out = np.empty(g.m, dtype=bool).reshape(len(g.cliques), -1)
-            for _ in _scatter(self._bits, out, g.edge_blocks()):
+            for _ in _scatter(lambda s, e: self._bits[s:e], out, g.edge_blocks()):
                 pass
             self._clique_bits = out
         return self._clique_bits
@@ -130,8 +139,9 @@ class EdgeColoring:
     def from_text(cls, graph: IntersectionGraph, text: str) -> "EdgeColoring":
         """Parse a coloring file into clique layout.  One pass over the edge
         stream both hashes the edge list for the checksum and scatters the
-        body's bits; a bad body is reported after a checksum mismatch.  The
-        line list and the joined body are dropped before that pass."""
+        body's bits, unpacking each block's bytes only; a bad body is
+        reported after a checksum mismatch.  The line list and the joined
+        body are dropped before that pass."""
         lines = [l for l in text.strip().split("\n") if l.strip()]
         if not lines or not lines[0].startswith("coloring "):
             raise ColoringFormatError("missing coloring header")
@@ -145,14 +155,14 @@ class EdgeColoring:
         body = "".join(lines[1:])
         del lines
         try:
-            bits, bad_body = _body_bits(body, m), None
+            raw, bad_body = _body_bytes(body, m), None
         except ColoringFormatError as exc:
             bad_body = exc
         del body
         blocks = graph.edge_blocks()
         if bad_body is None:
             clique_bits = np.empty(graph.m, dtype=bool).reshape(len(graph.cliques), -1)
-            blocks = _scatter(bits, clique_bits, blocks)
+            blocks = _scatter(lambda s, e: _unpack(raw, s, e), clique_bits, blocks)
         if chk != graph_checksum(graph, blocks):
             raise ColoringFormatError("graph checksum mismatch")
         if bad_body is not None:
@@ -180,9 +190,10 @@ def vertex_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
     the member at pos[Q, P].  With C_Q the q^2 x q^2 colour matrix of Q's
     clique, the spanning clique at P holds b(v, P) = sum_Q C_Q[i_Q, pos[Q, P]]
     blue edges from v, hence C(b, 2) + C(q+1-b, 2) same-coloured pairs.
-    Per block of columns P, one flat index into the matrices per point of v
-    is shared by the batch, whose colourings lie innermost, so each gather
-    copies B bytes and b is q+1 row adds.  The q+1 columns P on v hold no
+    Per block of columns P of pos (pos_cols: the whole table is never
+    built), one flat index into the matrices per point of v is shared by
+    the batch, whose colourings lie innermost, so each gather copies B
+    bytes and b is q+1 row adds.  The q+1 columns P on v hold no
     spanning clique (there pos is -1 or v's own position), and the mask gives
     them no pairs."""
     return _same_pairs(fam, colors.view(np.uint8)[:, fam.graph._pair])
@@ -203,9 +214,10 @@ def _same_pairs(fam: TriangleFamily, C: np.ndarray) -> np.ndarray:
     # entry q + 2 is the masked columns'
     same = np.append(pairs + pairs[::-1], 0).astype(np.uint16)
     out = np.zeros((g.n, nb), dtype=np.int64)
-    # per column P: an int32 index and 4 bytes a coloring per vertex
-    for block in slices(npts, g.n * (4 + 4 * nb)):
-        cols = g.pos[:, block]
+    # per column P: an int32 index and 4 bytes a coloring per vertex, and
+    # pos_cols' column with its int32 gathers and their intp copy
+    for block in slices(npts, g.n * (4 + 4 * nb) + 24 * npts):
+        cols = g.pos_cols(np.arange(npts)[block])
         blue = np.zeros((g.n, cols.shape[1], nb), dtype=np.uint8)
         for Q, row in zip(vc, rows):
             at = cols[Q]

@@ -128,10 +128,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: the largest q of each command but certify, which runs at every q in
-#: SUPPORTED_Q: search's partner tables scale as m q^2; check-coloring
-#: streams the edge order (IntersectionGraph.edge_blocks) and holds no
-#: m-long edge table, so its Goodman count's colour matrices, (q^3+1) q^4
-#: bytes, and the coloring in clique layout set its peak: 233 MB and 18 s
+#: SUPPORTED_Q: it builds neither the (q^3+1)^2 pos table nor an m-long
+#: edge table (m passes 2^31 at q = 25), and runs to q = 37 in 106 s at
+#: 2.3 GB on a 2-core x86-64 host.  search's partner tables scale as
+#: m q^2; check-coloring streams the edge order (IntersectionGraph.
+#: edge_blocks) and holds no m-long edge table, so its Goodman count's
+#: colour matrices, (q^3+1) q^4 bytes, and the coloring in clique layout
+#: set its peak: 233 MB and 18 s
 #: at q = 13, 807 MB and 163 s at q = 16 on a 2-core x86-64 host; build's
 #: edge list would be 1.6 GB of text at q = 16, and graph6's bit array
 #: 1.9 GB; simulate's spot scans pack every surviving edge of an instance

@@ -13,7 +13,7 @@ irreducible.
 Every field is small enough for lookup tables: the full size-by-size
 add/mul tables (numpy arrays, for vectorized bulk work) are always built,
 which caps the order at ``_MAX_ORDER``.  The largest field the pipeline
-uses is GF(529), for q = 23.
+uses is GF(1369), for q = 37.
 
 Quadratic extensions GF(q^2) used for Hermitian unitals are built as a
 single degree-2k extension of the prime field; the subfield GF(q) is the

@@ -22,9 +22,12 @@ stabiliser element to fix point 0.  When a check fails the caller falls
 back to the direct sweep.
 
 The graph is held as its incidence alone: vertex_cliques lists each
-secant's points, cliques each point's secants, at each secant's position in
-the cliques of its points, and pos the point-pair -> secant table.  No
-adjacency is stored: two secants are adjacent when they share a point.
+secant's points, cliques each point's secants, and at each secant's position
+in the cliques of its points.  The point-pair -> secant table pos derives
+from them: built whole on first use for the readers that gather it over
+every row, or read a row (pos_rows) or a column (pos_cols) at a time;
+certify, build and check-coloring never build it.  No adjacency is
+stored: two secants are adjacent when they share a point.
 Only the triangle enumerations, which run at small q or on a star instance,
 pack adjacency rows, from an edge list (edge_rows): extend_cliques extends
 each clique row by every common neighbour above its last vertex, read off
@@ -44,7 +47,7 @@ from .certificates import Certificate
 from .plane import ProjectivePlane, UnitalIncidence
 
 #: q values the commands run at; cli.Q_LIMIT caps all but certify lower
-SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)
+SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37)
 
 
 class GraphError(RuntimeError):
@@ -62,13 +65,22 @@ class IntersectionGraph:
         (row i = secants through dense unital point i).
     vertex_cliques : (n, q+1) int32, the incidence itself: the sorted dense
         unital points (equivalently, point-clique ids) of each secant.
-    pos : (q^3+1, q^3+1) int32, pos[P, A] is the position in P's clique of
-        the secant through unital points P and A (-1 on the diagonal).
     at : (n, q+1) int32, at[s, j] is the position of secant s in the clique
         of its point vertex_cliques[s, j].
 
     No adjacency is stored: two secants are adjacent when they share a
     point, and adj scatters the point cliques into a fresh n x n copy.
+
+    Nor is the point-pair table stored; it derives from cliques and at.
+    pos : (q^3+1, q^3+1) int32, pos[P, A] is the position in P's clique of
+        the secant through unital points P and A (-1 on the diagonal).  It
+        is built on first use for edge_at, the search's partner tables,
+        simulate's concentration sample and the direct K4 sweep, which
+        gather it over every row.  pos_rows and pos_cols read a row or a
+        column in O(q^3): the K4 certificate reads rows, the spanning
+        cliques and the Goodman count columns.  The constructor only counts
+        each point's secants: verify_srg's design check, or pos when it is
+        built, finds a pair of points on two secants.
 
     The canonical edges, lexicographic with a < b, are streamed a block of
     vertices at a time (edge_blocks): the edge-list text, the graph
@@ -102,22 +114,13 @@ class IntersectionGraph:
         self.vertex_cliques = pts.astype(np.int32)
         # a stable sort of the flat incidence lists each point's secants in
         # order; its inverse is each incidence's position in its clique
-        inc = np.argsort(pts.ravel(), kind="stable")
-        self.cliques = (inc // (q + 1)).astype(np.int32).reshape(npts, k)
+        inc = np.argsort(self.vertex_cliques.ravel(), kind="stable")
         at = np.empty(len(inc), dtype=np.int32)
-        at[inc] = np.arange(len(inc)) % k
-        del inc
+        at[inc] = np.tile(np.arange(k, dtype=np.int32), npts)
         self.at = at.reshape(n, q + 1)
-        # secant s sits at at[s, i] in the clique of its point vc[s, i], so
-        # that is pos[vc[s, i], vc[s, j]] for each of its points vc[s, j]
-        vc = self.vertex_cliques
-        self.pos = np.full((npts, npts), -1, dtype=np.int32)
-        self.pos[vc[:, :, None], vc[:, None, :]] = self.at[:, :, None]
-        np.fill_diagonal(self.pos, -1)
-        # the n C(q+1, 2) = C(q^3+1, 2) secant point pairs fill every
-        # off-diagonal entry only if each is written once
-        if np.count_nonzero(self.pos < 0) != npts:
-            raise GraphError("two secants share more than one unital point")
+        inc //= q + 1
+        self.cliques = inc.astype(np.int32).reshape(npts, k)
+        del inc
         self.m = npts * comb(k, 2)
         iu, iv = triu_pairs(k)
         self._pair = np.zeros((k, k), dtype=np.int32)
@@ -133,6 +136,43 @@ class IntersectionGraph:
         adj[self.cliques[:, :, None], self.cliques[:, None, :]] = True
         np.fill_diagonal(adj, False)
         return adj
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """Built on first use, for the readers that gather it over all rows:
+        secant s sits at at[s, i] in the clique of its point vc[s, i], so
+        that is pos[vc[s, i], vc[s, j]] for each of its points vc[s, j].
+        The n C(q+1, 2) = C(q^3+1, 2) secant point pairs fill every
+        off-diagonal entry only if each is written once, so none may be
+        left at -1."""
+        npts, vc = len(self.cliques), self.vertex_cliques
+        pos = np.full((npts, npts), -1, dtype=np.int32)
+        pos[vc[:, :, None], vc[:, None, :]] = self.at[:, :, None]
+        np.fill_diagonal(pos, 0)
+        if pos.min() < 0:
+            raise GraphError("two secants share more than one unital point")
+        np.fill_diagonal(pos, -1)
+        return pos
+
+    def pos_rows(self, P: np.ndarray) -> np.ndarray:
+        """The rows pos[P, :] of the points P, shape (len(P), q^3+1), from P's
+        cliques alone: member i of P's clique sits at i, and so does every
+        point of it but P."""
+        rows = np.full((len(P), len(self.cliques)), -1, dtype=np.int32)
+        rows[np.arange(len(P))[:, None, None], self.vertex_cliques[self.cliques[P]]] = \
+            np.arange(self.cliques.shape[1], dtype=np.int32)[:, None]
+        rows[np.arange(len(P)), P] = -1
+        return rows
+
+    def pos_cols(self, Q: np.ndarray) -> np.ndarray:
+        """The columns pos[:, Q] of the points Q, shape (q^3+1, len(Q)), from
+        Q's cliques: member s of Q's clique sits at at[s, j] in the clique of
+        its j-th point."""
+        cols = np.full((len(self.cliques), len(Q)), -1, dtype=np.int32)
+        members = self.cliques[Q]
+        cols[self.vertex_cliques[members], np.arange(len(Q))[:, None, None]] = self.at[members]
+        cols[Q, np.arange(len(Q))] = -1
+        return cols
 
     def edge_at(self, P, A, B):
         """Id of the edge at unital point P between the secants through
@@ -212,10 +252,12 @@ class IntersectionGraph:
     def spanning_cliques(self, vs: np.ndarray) -> np.ndarray:
         """Spanning cliques of the vertices vs: for vertex v and each unital
         point P off v's secant, the q+1 neighbors of v through P, which are
-        the secants cliques[P, pos[P, Q]] through P and the points Q of v.
-        Shape (len(vs), q^3 - q, q+1); rows by point id, members ascending."""
+        the secants cliques[P, pos[P, Q]] through P and the points Q of v,
+        read from the columns of v's points (pos_cols).  Shape (len(vs),
+        q^3 - q, q+1); rows by point id, members ascending."""
         off = self.off_points(vs)[:, :, None]
-        sc = self.cliques[off, self.pos[off, self.vertex_cliques[vs][:, None, :]]]
+        cols = self.pos_cols(self.vertex_cliques[vs].ravel()).reshape(len(self.cliques), len(vs), -1)
+        sc = self.cliques[off, np.take_along_axis(cols.transpose(1, 0, 2), off, axis=1)]
         sc.sort(axis=2)
         return sc
 
@@ -332,6 +374,34 @@ class SrgReport:
         return {"path": "design identity", "point_pairs_checked": self.point_pairs}
 
 
+def design_row_bytes(g: IntersectionGraph) -> int:
+    """The bytes a point touches in verify_srg's design check: per member
+    point, its int32 gather and then either the at gather with four bool
+    masks or the intp copy that bincount makes (12 bytes in all); and 8 for
+    each of its int64 counts."""
+    return 12 * g.cliques.shape[1] * (g.q + 1) + 8 * len(g.cliques)
+
+
+def _design_block(g: IntersectionGraph, P: np.ndarray) -> tuple[bool, bool]:
+    """verify_srg's two incidence checks on the points P: whether every
+    member of their cliques passes through its point, and whether each sits
+    where at records and the members' points count as the design needs."""
+    npts, k = g.cliques.shape
+    members = g.cliques[P]
+    pts = g.vertex_cliques[members]
+    here = pts == P[:, None, None]
+    on_point = bool(here.any(axis=2).all())
+    # wherever a member passes through P, at names its place in P's clique
+    placed = bool(((g.at[members] == np.arange(k)[:, None]) | ~here).all())
+    del here
+    pts += (np.arange(len(P), dtype=np.int32) * npts)[:, None, None]
+    counts = np.bincount(pts.ravel(), minlength=len(P) * npts).reshape(len(P), npts)
+    del pts
+    counts[np.arange(len(P)), P] -= k - 1
+    counts -= 1
+    return on_point, placed and not counts.any()
+
+
 def verify_srg(g: IntersectionGraph) -> SrgReport:
     """Strong regularity from the unital's design identity, its premises
     checked exhaustively on the incidence.
@@ -349,25 +419,26 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     every check holds.
 
     Every secant lists q+1 distinct points, and every member of clique P
-    passes through P.  For all points P != A, the secant cliques[P, pos[P,
-    A]] is then through P, and cliques[A, pos[A, P]] through A; where the
-    two agree, P and A lie on a common secant.  The n C(q+1, 2) = C(q^3+1, 2)
-    secant point pairs then cover every point pair exactly once.  So each
-    clique holds every secant through its point, and two point cliques share
-    exactly one vertex.  The gathers run over blocks of rows of pos.
+    passes through P (clique_members_on_point).  A bincount of the points
+    of P's q^2 members then finds P q^2 times, and every other unital point
+    once exactly when P's clique lists each secant through P once and each
+    other point lies on one of them.  Over every P that is the 2-design:
+    each clique holds every secant through its point, and two point cliques
+    share exactly one vertex.  With it, each member must sit where at
+    records, so that the rows and columns of pos read from at name the
+    cliques' members.  The counts run over blocks of points and are
+    compared in place.
     """
     q = g.q
-    cl, pos, vc = g.cliques, g.pos, g.vertex_cliques
+    cl, vc = g.cliques, g.vertex_cliques
     npts = len(cl)
     n_expected = q**4 - q**3 + q**2
     d_expected = q**3 + q**2 - q - 1
     on_point = share_one = True
-    # per point row: about three rows of pos, in gathers and intp indices
-    for block in slices(npts, 12 * npts):
-        P = np.arange(npts)[block]
-        on_point &= bool((vc[cl[P]] == P[:, None, None]).any(axis=2).all())
-        # column P of pos: the position of each point's secant to P
-        share_one &= bool(np.array_equal(cl[P[:, None], pos[P]], cl[np.arange(npts), pos[:, P].T]))
+    for block in slices(npts, design_row_bytes(g)):
+        on, one = _design_block(g, np.arange(npts)[block])
+        on_point &= on
+        share_one &= one
     checks: dict[str, bool] = {}
     checks["vertex_count"] = g.n == n_expected
     checks["edge_count"] = 2 * g.m == g.n * d_expected
@@ -420,7 +491,9 @@ def k4_clique_property(g: IntersectionGraph, rows: np.ndarray) -> np.ndarray:
 def edge_k4s(g: IntersectionGraph, e: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """The K4s {a, b, c, d} through the edges e whose c and d lie off the
     edge's point clique X: the number found, and the row in e and the
-    vertices a, b, c, d of each O'Nan one.
+    vertices a, b, c, d of each O'Nan one.  The thirds are read through
+    pos once the graph has built it (the direct sweep does), and otherwise
+    through the rows of the edges' points P (pos_rows).
 
     Two of the thirds c_ij (edge_points) meet where they share a point.
     c_ij meets a only at P_i and b only at Q_j, so the q thirds at each P_i
@@ -430,7 +503,12 @@ def edge_k4s(g: IntersectionGraph, e: np.ndarray) -> tuple[int, np.ndarray, np.n
     neighbours."""
     q, k = g.q, g.cliques.shape[1]
     _, a, b, P, Q = g.edge_points(e)
-    thirds = g.cliques[P, g.pos[P, Q]].reshape(len(e), k)
+    if "pos" in vars(g):
+        place = g.pos[P, Q]
+    else:
+        points, inv = np.unique(P, return_inverse=True)
+        place = g.pos_rows(points)[inv.reshape(P.shape), Q]
+    thirds = g.cliques[P, place].reshape(len(e), k)
     pts = g.vertex_cliques[thirds].reshape(len(e), q, q, q + 1)
     pts = pts[(pts != P[..., None]) & (pts != Q[..., None])].reshape(len(e), k * (q - 1))
     key = pts * k + np.arange(k, dtype=np.int32).repeat(q - 1)
@@ -448,10 +526,12 @@ def edge_k4s(g: IntersectionGraph, e: np.ndarray) -> tuple[int, np.ndarray, np.n
     return len(e) * k * (q - 1) + len(rows), rows, np.stack([a[rows], b[rows], c, d], axis=1)
 
 
-def k4_edge_bytes(g: IntersectionGraph) -> int:
+def k4_edge_bytes(g: IntersectionGraph, rows: bool = False) -> int:
     """The bytes an edge touches in edge_k4s: 8 for each of the k(q+1)
-    points of its thirds and each of the k(q-1) keys, k = q^2."""
-    return 16 * g.q**3
+    points of its thirds and each of the k(q-1) keys, k = q^2; with rows,
+    read through pos_rows, 16 more for each entry of its q rows (the int32
+    row, its int32 point gather and that gather's intp copy)."""
+    return 16 * g.q**3 + rows * 16 * g.q * len(g.cliques)
 
 
 def verify_k4_structure(
@@ -466,6 +546,7 @@ def verify_k4_structure(
     quads, the lexicographically first the witness.  Checking no edge is
     inconclusive."""
     params = {"q": g.q, "mode": mode, "path": "direct"}
+    g.pos  # every block gathers it over all rows: build it once
     if mode == "exhaustive":
         edges_checked = g.m
         blocks = (np.arange(block.start, block.stop) for block in slices(g.m, k4_edge_bytes(g)))
@@ -552,11 +633,17 @@ def point_action(unital: UnitalIncidence, M: np.ndarray) -> np.ndarray | None:
 def secant_action(g: IntersectionGraph, perm: np.ndarray) -> np.ndarray | None:
     """The permutation of the secants that the point permutation perm
     induces, or None when some secant's image points are not a secant: the
-    secant through its first two image points must list all of them."""
-    img = perm[g.vertex_cliques]
+    secant through its first two image points, found by one searchsorted
+    over the secants' (first point, second point) keys, must list all of
+    them."""
+    vc, npts = g.vertex_cliques, len(g.cliques)
+    img = perm[vc]
     img.sort(axis=1)
-    sec = g.cliques[img[:, 0], g.pos[img[:, 0], img[:, 1]]]
-    return sec if np.array_equal(g.vertex_cliques[sec], img) else None
+    key = vc[:, 0].astype(np.int64) * npts + vc[:, 1]
+    order = np.argsort(key)
+    idx = np.searchsorted(key, img[:, 0].astype(np.int64) * npts + img[:, 1], sorter=order)
+    sec = order[np.minimum(idx, len(key) - 1)].astype(np.int32)
+    return sec if np.array_equal(vc[sec], img) else None
 
 
 def orbit_labels(size: int, perms: list[np.ndarray]) -> np.ndarray:
@@ -646,11 +733,12 @@ def verify_k4_by_symmetry(g: IntersectionGraph, sym: UnitalSymmetry) -> Certific
     # one through 0 and h(other)
     other = g.vertex_cliques[g.cliques[0], 1]
     iu, iv = triu_pairs(k)
-    moves = [g._pair[p[iu], p[iv]] for p in (g.pos[0, h[other]] for h in sym.stabiliser)]
+    row0 = g.pos_rows(np.array([0]))[0]
+    moves = [g._pair[p[iu], p[iv]] for p in (row0[h[other]] for h in sym.stabiliser)]
     # clique-major edge r is pair r of point 0's clique
     reps, size = np.unique(orbit_labels(len(iu), moves), return_counts=True)
     found = 0
-    for block in slices(len(reps), k4_edge_bytes(g)):
+    for block in slices(len(reps), k4_edge_bytes(g, rows=True)):
         per_block, rows, _ = edge_k4s(g, reps[block])
         if len(rows):
             return None

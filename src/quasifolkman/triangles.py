@@ -79,8 +79,9 @@ def build_family(g: IntersectionGraph) -> TriangleFamily:
 
     Spanning-clique members are neighbours by the design: the secant
     cliques[P, pos[P, Q]], for P off v and Q on v, passes through Q and is
-    not v (verify_srg checks the 2-design on cliques and pos, and
-    verify_nbhd_decomposition checks each member against v's neighbourhood).
+    not v (verify_srg checks the 2-design on cliques and at, from which pos
+    derives, and verify_nbhd_decomposition checks each member against v's
+    neighbourhood).
     For q <= EXPLICIT_Q_LIMIT a brute-force classification of all
     triangles, then kept explicitly, confirms the total."""
     q = g.q
@@ -101,21 +102,43 @@ def build_family(g: IntersectionGraph) -> TriangleFamily:
     return TriangleFamily(q=q, graph=g, total=expected_total, per_vertex=expected_pv, triangles=triangles)
 
 
-def neighborhood_edges(g: IntersectionGraph, v: int) -> np.ndarray:
-    """The edges of H[N(v)] as ascending a*n + b keys, a < b, read from the
-    point cliques alone.  N(v) is the members of v's q+1 point cliques other
-    than v, and every edge lies in exactly one point clique, so the edges
-    are the member pairs, both in N(v), of each clique."""
-    nbr = np.zeros(g.n, dtype=bool)
-    nbr[g.cliques[g.vertex_cliques[v]]] = True
-    nbr[v] = False
-    hit = nbr[g.cliques]
-    members, size = g.cliques[hit], hit.sum(axis=1)  # grouped by clique, ascending within
-    # member i pairs with the `later` members after it in its clique's group
-    later = np.repeat(np.cumsum(size), size) - np.arange(len(members)) - 1
-    i = np.repeat(np.arange(len(members)), later)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
-    return np.sort(members[i].astype(np.int64) * g.n + members[j])
+def _pair_keys(row: np.ndarray, n: int) -> np.ndarray:
+    """The a*n + b keys of the pairs (a, b), a before b, of one row."""
+    a, b = row_pairs(row[None])
+    return a.astype(np.int64) * n + b
+
+
+def _pair_tally(members: np.ndarray, cover: np.ndarray, n: int) -> tuple:
+    """One clique's edges of N(v), the pairs of its members in N(v), against
+    the pairs of its covering row: the number of edges that no pair covers
+    (the later copies of a repeated edge among them) and of those covered
+    more than once, the least key of each kind, and the first covering
+    pair that is not an edge, None where there is none."""
+    edges, covering = np.sort(_pair_keys(members, n)), _pair_keys(cover, n)
+    idx = np.searchsorted(edges, covering)
+    inside = idx < len(edges)
+    inside[inside] = edges[idx[inside]] == covering[inside]
+    counts = np.bincount(idx[inside], minlength=len(edges))
+    uncovered, doubled, outside = edges[counts == 0], edges[counts > 1], covering[~inside]
+    return (len(uncovered), len(doubled), *(int(x[0]) if len(x) else None for x in (uncovered, doubled, outside)))
+
+
+def _spanning_block(rows: np.ndarray, cover: np.ndarray, nbr: np.ndarray, faults: list) -> int:
+    """The edges of N(v) in the cliques rows off v, whose spanning cliques
+    are cover, in order: their number, with the tally of each clique whose
+    members in N(v) are not its spanning clique, or repeat, appended to
+    faults."""
+    hit = nbr[rows]
+    size = hit.sum(axis=1)
+    members = rows[hit]
+    start = np.cumsum(size) - size
+    width = cover.shape[1]
+    same = size == width
+    same[same] = (members[start[same, None] + np.arange(width)] == cover[same]).all(axis=1)
+    same &= (cover[:, 1:] != cover[:, :-1]).all(axis=1)
+    for i in np.flatnonzero(~same):
+        faults.append(_pair_tally(members[start[i]:start[i] + size[i]], cover[i], len(nbr)))
+    return int((size * (size - 1) // 2).sum())
 
 
 def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
@@ -123,24 +146,35 @@ def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
     q^2-1 plus the q^3-q spanning cliques of order q+1, every edge covered
     exactly once.
 
-    The decomposition's pairs, whose spanning cliques are read through pos,
-    are looked up among neighborhood_edges with one searchsorted, and a
-    bincount of the hits gives each edge's cover count.  A covering pair
-    that is not an edge of N(v) fails the check and is reported as
-    outside_witness."""
+    N(v) is the members of v's q+1 point cliques other than v, and every
+    edge lies in exactly one point clique (verify_srg's design check), so
+    the check runs clique by clique.  In each of v's cliques the edges of
+    N(v) are the remnant's pairs.  In any other clique P they are the pairs
+    of the members in N(v), and those must be P's spanning clique, whose
+    members cliques[P, pos[P, Q]] are read through the columns of v's points
+    Q.  A clique whose members differ from its covering row, or repeat,
+    has its pairs tallied (_pair_tally): an edge no pair covers counts as
+    uncovered, one covered twice as doubly covered, and a covering pair
+    that is not an edge of N(v) fails the check as outside_witness.  The
+    other cliques run in blocks."""
     q, n = g.q, g.n
-    edges = neighborhood_edges(g, v)
     big = g.cliques[g.vertex_cliques[v]]
     remnant_sizes = (big != v).sum(axis=1)
+    off = g.off_points(np.array([v]))[0]
     spanning = g.spanning_cliques(np.array([v]))[0]
-    (a, b), (c, d) = row_pairs(big), row_pairs(spanning)
-    keep = (a != v) & (b != v)
-    covering = np.concatenate([a[keep], c]).astype(np.int64) * n + np.concatenate([b[keep], d])
-    idx = np.minimum(np.searchsorted(edges, covering), len(edges) - 1)
-    inside = edges[idx] == covering
-    counts = np.bincount(idx[inside], minlength=len(edges))
-    uncovered = np.flatnonzero(counts == 0)
-    doubled = np.flatnonzero(counts > 1)
+    nbr = np.zeros(n, dtype=bool)
+    nbr[big] = True
+    nbr[v] = False
+    remnants = [row[row != v] for row in big]
+    edges, faults = sum(comb(len(r), 2) for r in remnants), []
+    # a remnant's edges are its own pairs: only a repeated member, which
+    # N(v) counts once, can leave one uncovered or doubly covered
+    if sum(map(len, remnants)) != np.count_nonzero(nbr):
+        faults += [_pair_tally(r, r, n) for r in remnants]
+    # per clique: its int32 members, their intp copy and a bool mask
+    for block in slices(len(off), 13 * g.cliques.shape[1]):
+        edges += _spanning_block(g.cliques[off[block]], spanning[block], nbr, faults)
+    uncovered, doubled = sum(f[0] for f in faults), sum(f[1] for f in faults)
     sizes_ok = (
         len(big) == q + 1
         and bool(np.all(remnant_sizes == q * q - 1))
@@ -150,17 +184,18 @@ def verify_nbhd_decomposition(g: IntersectionGraph, v: int) -> Certificate:
         "vertex": v,
         "point_clique_remnants": len(big),
         "spanning_cliques": len(spanning),
-        "neighborhood_edges": len(edges),
-        "uncovered": len(uncovered),
-        "doubly_covered": len(doubled),
+        "neighborhood_edges": edges,
+        "uncovered": uncovered,
+        "doubly_covered": doubled,
     }
-    if len(uncovered):
-        quantities["uncovered_witness"] = list(divmod(int(edges[uncovered[0]]), n))
-    if len(doubled):
-        quantities["doubled_witness"] = list(divmod(int(edges[doubled[0]]), n))
-    if not inside.all():
-        quantities["outside_witness"] = list(divmod(int(covering[~inside][0]), n))
-    ok = sizes_ok and inside.all() and not len(uncovered) and not len(doubled)
+    for name, i in (("uncovered_witness", 2), ("doubled_witness", 3)):
+        keys = [f[i] for f in faults if f[i] is not None]
+        if keys:
+            quantities[name] = list(divmod(min(keys), n))
+    outside = next((f[4] for f in faults if f[4] is not None), None)
+    if outside is not None:
+        quantities["outside_witness"] = list(divmod(outside, n))
+    ok = sizes_ok and outside is None and not uncovered and not doubled
     return Certificate(
         claim="neighborhood decomposes into point-clique remnants plus spanning cliques",
         params={"q": q, "vertex": v},

@@ -21,7 +21,14 @@ binary search over its u*n + v key, and edge_point scatters each point
 clique's id over its edges: the references for IntersectionGraph.edge_at.
 point_pair_secants fills the point-pair -> secant table by counting every
 pair (_each_pair_once), the reference for the cliques[P, pos[P, A]]
-gather.
+gather.  pos_loop fills pos one clique member at a time, the reference for
+IntersectionGraph.pos and its row and column helpers, and
+secant_action_pos finds each image secant through the whole table, the
+form secant_action took before its searchsorted.
+neighborhood_edges sorts every edge of H[N(v)] as one a*n + b key, and
+verify_nbhd_global looks every covering pair up among them at once: the
+form verify_nbhd_decomposition took before it ran clique by clique, kept
+as its reference on intact and tampered graphs.
 incidence_edge_mask moves a star's labels into incidence layout and looks
 up each edge's two labels at the slot of its meet point, the reference for
 the surviving-edge mask of blocks.random_block.  edge_mask and
@@ -71,6 +78,7 @@ from math import comb
 import numpy as np
 
 from quasifolkman.blocks import ConstructionError, StarGraph, replacement_registry
+from quasifolkman.certificates import Certificate
 from quasifolkman.certify import maxcut_exact
 from quasifolkman.graphs import (
     GraphError,
@@ -908,3 +916,85 @@ def orbit_labels_loop(size, perms):
             a, b = find(i), find(j)
             root[max(a, b)] = min(a, b)
     return np.array([find(i) for i in range(size)])
+
+
+def pos_loop(g):
+    """pos[P, A], the position in P's clique of the secant through P and A,
+    one clique member at a time; -1 on the diagonal."""
+    npts = len(g.cliques)
+    pos = np.full((npts, npts), -1, dtype=np.int32)
+    for p in range(npts):
+        for i, s in enumerate(g.cliques[p]):
+            for a in g.vertex_cliques[s]:
+                if a != p:
+                    pos[p, a] = i
+    return pos
+
+
+def secant_action_pos(g, perm):
+    """graphs.secant_action through the whole point-pair table."""
+    img = np.sort(perm[g.vertex_cliques], axis=1)
+    sec = g.cliques[img[:, 0], g.pos[img[:, 0], img[:, 1]]]
+    return sec if np.array_equal(g.vertex_cliques[sec], img) else None
+
+
+def neighborhood_edges(g, v):
+    """The edges of H[N(v)] as ascending a*n + b keys, from the point
+    cliques alone: N(v) is the members of v's q+1 point cliques other than
+    v, and the edges are the member pairs, both in N(v), of each clique, in
+    row order."""
+    nbr = np.zeros(g.n, dtype=bool)
+    nbr[g.cliques[g.vertex_cliques[v]]] = True
+    nbr[v] = False
+    hit = nbr[g.cliques]
+    members, size = g.cliques[hit], hit.sum(axis=1)  # grouped by clique
+    # member i pairs with the `later` members after it in its clique's group
+    later = np.repeat(np.cumsum(size), size) - np.arange(len(members)) - 1
+    i = np.repeat(np.arange(len(members)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    return np.sort(members[i].astype(np.int64) * g.n + members[j])
+
+
+def verify_nbhd_global(g, v):
+    """verify_nbhd_decomposition by one lookup of every covering pair (the
+    remnants' pairs, then the spanning cliques') among neighborhood_edges,
+    and a bincount of the hits for each edge's cover count."""
+    q, n = g.q, g.n
+    edges = neighborhood_edges(g, v)
+    big = g.cliques[g.vertex_cliques[v]]
+    remnant_sizes = (big != v).sum(axis=1)
+    spanning = g.spanning_cliques(np.array([v]))[0]
+    (a, b), (c, d) = row_pairs(big), row_pairs(spanning)
+    keep = (a != v) & (b != v)
+    covering = np.concatenate([a[keep], c]).astype(np.int64) * n + np.concatenate([b[keep], d])
+    idx = np.minimum(np.searchsorted(edges, covering), len(edges) - 1)
+    inside = edges[idx] == covering
+    counts = np.bincount(idx[inside], minlength=len(edges))
+    uncovered = np.flatnonzero(counts == 0)
+    doubled = np.flatnonzero(counts > 1)
+    sizes_ok = (
+        len(big) == q + 1
+        and bool(np.all(remnant_sizes == q * q - 1))
+        and spanning.shape == (q**3 - q, q + 1)
+    )
+    quantities = {
+        "vertex": v,
+        "point_clique_remnants": len(big),
+        "spanning_cliques": len(spanning),
+        "neighborhood_edges": len(edges),
+        "uncovered": len(uncovered),
+        "doubly_covered": len(doubled),
+    }
+    if len(uncovered):
+        quantities["uncovered_witness"] = list(divmod(int(edges[uncovered[0]]), n))
+    if len(doubled):
+        quantities["doubled_witness"] = list(divmod(int(edges[doubled[0]]), n))
+    if not inside.all():
+        quantities["outside_witness"] = list(divmod(int(covering[~inside][0]), n))
+    ok = sizes_ok and inside.all() and not len(uncovered) and not len(doubled)
+    return Certificate(
+        claim="neighborhood decomposes into point-clique remnants plus spanning cliques",
+        params={"q": q, "vertex": v},
+        quantities=quantities,
+        outcome="pass" if ok else "fail",
+    )

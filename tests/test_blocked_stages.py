@@ -1,6 +1,7 @@
 """Differential tests: the blocked unital line scan and K4 clique test
 against their unblocked forms in oracles.py, and certify's structural path,
 simulate, build and check-coloring without the m-long clique_edges table;
+certify, build and check-coloring without the (q^3+1)^2 pos table either;
 no command builds the dense adjacency.  Each blocked stage's working set
 stays within two blocks' budget."""
 
@@ -92,6 +93,21 @@ def refuse_clique_edges(g):
     raise AssertionError("IntersectionGraph.clique_edges read")
 
 
+def refuse_pos(g):
+    raise AssertionError("IntersectionGraph.pos read")
+
+
+@pytest.mark.parametrize("q", [5, 9])
+def test_certify_never_builds_pos_or_edge_tables(monkeypatch, tmp_path, q):
+    # the design check, the secant permutations, the K4 certificate and the
+    # neighbourhood check read rows and columns of pos, or none of it; the
+    # path is the same at every q, and at q >= 25, where m exceeds 2^31,
+    # neither table could be built
+    monkeypatch.setattr(IntersectionGraph, "pos", property(refuse_pos))
+    monkeypatch.setattr(IntersectionGraph, "clique_edges", property(refuse_clique_edges))
+    assert main(["certify", "--q", str(q), "--out", str(tmp_path)]) == 0
+
+
 def test_simulate_never_builds_edge_tables(monkeypatch, tmp_path):
     # both instances run the spot scan as well as the clique test; two
     # instances are too few to judge the survival rate
@@ -110,6 +126,8 @@ def test_build_and_check_coloring_never_build_edge_tables(monkeypatch, tmp_path,
         coloring.write_text(EdgeColoring.random(build_graph_for_q(5), 1).to_text())
         argv += ["--file", str(coloring)]
     monkeypatch.setattr(IntersectionGraph, "clique_edges", property(refuse_clique_edges))
+    # the Goodman count reads the columns of pos, and the design check none
+    monkeypatch.setattr(IntersectionGraph, "pos", property(refuse_pos))
     assert main(argv) == 0
 
 
@@ -153,6 +171,8 @@ def stage_call(stage, q):
         return lambda: [k4_clique_property(g, tris)]
     if stage == "verify_srg":
         return lambda: [] if verify_srg(g).passed else None
+    if stage == "verify_nbhd_decomposition":
+        return lambda: [] if verify_nbhd_decomposition(g, g.n // 2).outcome == "pass" else None
     if stage == "edge_rows":
         star = random_block(g, replacement_registry()["c5"], 1)
         edges = np.stack(row_pairs(g.cliques), axis=1)[star.alive.ravel()]
@@ -174,7 +194,7 @@ def stage_call(stage, q):
 @pytest.mark.parametrize("stage,q", [
     ("build_unital", 9), ("enumerate_all_triangles", 4), ("k4_clique_property", 4), ("verify_srg", 9),
     ("edge_blocks", 7), ("vertex_same_pairs", 7), ("random_block", 7), ("cliques_triangle_free", 7),
-    ("instance_blocks", 4), ("instance_blocks", 7), ("edge_rows", 7),
+    ("instance_blocks", 4), ("instance_blocks", 7), ("edge_rows", 7), ("verify_nbhd_decomposition", 9),
 ])
 def test_blocked_stage_peaks_within_two_blocks_above_its_result(stage, q):
     # each block touches about BLOCK_BYTES, so with the inputs and the

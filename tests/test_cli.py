@@ -569,7 +569,7 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["search", "--q", "8"],
         ["search", "--q", "13"],
         ["check-coloring", "--q", "17", "--file", "no-such-coloring.txt"],
-        ["certify", "--q", "25"],
+        ["certify", "--q", "41"],
         ["simulate", "--alon-k", "7", "--delta", "1e-200"],
         ["search", "--q", "3", "--restarts", "1000000000000"],
         ["search", "--q", "3", "--steps", "2.7"],

@@ -13,7 +13,7 @@ from quasifolkman.fields import (
 from quasifolkman.graphs import SUPPORTED_Q
 
 SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]  # orders 2..9
-# plus every field the pipeline builds: GF(q^2) for each supported q, up to GF(529)
+# plus every field the pipeline builds: GF(q^2) for each supported q, up to GF(1369)
 FIELDS = [pytest.param(lambda p=p, k=k: FiniteField(p, k), id=f"{p}-{k}") for p, k in SMALL_FIELDS] + [
     pytest.param(lambda q=q: QuadraticExtension(q), id=f"q{q}") for q in SUPPORTED_Q
 ]
@@ -85,6 +85,35 @@ GOLDEN_TABLES = {
         "53859876bf606879be194d6701d8b30e7fb214b0642fc531ac9bffb71f255404",
         "d1e6928588efb28f39a9406b7ae830bbc978fe73c874acfdb7f59684068549b2",
         "b23cad80e7a1745c4698db55780f26a2e241abaeebf2ba4bf4c7d232ac9431c6",
+    ),    25: (
+        "156c024478a0218138d1ca2b91f4ec900f81658d954dbcb6b9fda21d523401a9",
+        "75a06255f9e8e5f9314c5556007135f0020712b933e709a964af23c1bed46a37",
+        "cbeeafb30bdc622a762ea1643b23492d9054082ac3496028503a9b9ddd86740e",
+    ),
+    27: (
+        "31e15af675efac89174d3ed26ae139f6598b5ddbba7fabd85f4ee33599baf533",
+        "a5a372c4039e8d25891e570665184ff94e234a3bcf0dfe3e568f037818865f8a",
+        "213dde5d6d876e1775c6dc919b84e1a6b93bd12ec5da8bbb785a1c6690b08c9a",
+    ),
+    29: (
+        "a46844d199397ca052125a36a1986f33f595b6686a7722c427c203b63f92580b",
+        "163683004b6cee999681a79cace8533adda0924ffe73d95d454a925ab2a8dec1",
+        "699494a3af0556d2861aaaae8cac57254de5e07fb3a2f3ecfed85f1b31a3b942",
+    ),
+    31: (
+        "5a45334d27bd367028daca8c74ba9887a6817c4d3c121e9e50eddaaf4523f8aa",
+        "afc6e19e1b494c2f99c1c02699ab4a5a903669a78e73d5c18edd3651c682c811",
+        "832bae64564931ac70ff0f0463a37593eaf74aa77b5ad33187f161d8548109af",
+    ),
+    32: (
+        "bd86f027b7a9889e4202237de3c9adf38183a7a922250e5b6c89ea13e22184fb",
+        "02d1ce2a51cc15861e7dffbd4bd84adf1be7e4f701530b2add5f6c26c87d5007",
+        "c2dd91d86306693bcb900c3ac60819aa10bfc59f2270e7f0b0fd4f90f0a4e430",
+    ),
+    37: (
+        "1ef8203d58bde9ff747bbb2216742c74e8fc5757e45fc821ace853ac858217dc",
+        "f240c22750e836e8834506362a6acf434ea239a6ba4d6cbf98ee40dd8ae96e99",
+        "37b5f4b5f4c9acd7f496eb8643d151a9265407893fff6359b4511861464a3297",
     ),
 }
 

@@ -1,5 +1,6 @@
 """Differential tests: the incidence-native graph and its point-pair ->
-clique-position table against the dense oracles.
+clique-position table, built on first use or read a row or a column at a
+time, against the dense oracles.
 
 The oracles below are the constructions and the per-vertex and per-edge
 loops that the incidence-native paths replaced.  Apart from the graph
@@ -12,7 +13,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from oracles import edge_index, edge_point, edge_tables_sorted, point_pair_secants
+from oracles import edge_index, edge_point, edge_tables_sorted, point_pair_secants, pos_loop
 from quasifolkman.graphs import (
     GraphError,
     IntersectionGraph,
@@ -282,6 +283,25 @@ def test_pos_matches_loop(graph):
     assert np.array_equal(g.pos, expect)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_pos_rows_and_columns_match_the_loop(q):
+    # the constructor builds no table; every row and every column read
+    # through the helpers, and the table built on first use, equal the loop
+    g = build_graph_for_q(q)
+    assert "pos" not in vars(g)
+    expect = pos_loop(g)
+    points = np.arange(len(g.cliques))
+    for got in (g.pos_rows(points), g.pos_cols(points)):
+        assert got.dtype == np.int32 and np.array_equal(got, expect)
+    # any points, in any order and repeated
+    some = np.array([len(g.cliques) - 1, 0, 3, 0])
+    assert np.array_equal(g.pos_rows(some), expect[some])
+    assert np.array_equal(g.pos_cols(some), expect[:, some])
+    assert "pos" not in vars(g)
+    assert g.pos.dtype == np.int32 and np.array_equal(g.pos, expect)
+    assert g.pos is g.pos
+
+
 @pytest.mark.parametrize("corrupt", ["pair_on_two_secants", "pair_on_no_secant"])
 def test_line_of_rejects_broken_design(corrupt):
     g = build_graph_for_q(3)
@@ -334,8 +354,16 @@ def test_graph_rejects_broken_incidence(corrupt, message):
         assert np.array_equal(np.bincount(points.ravel()), np.bincount(u.secant_points.ravel()))
     else:
         points[0] = points[0][::-1]
-    with pytest.raises(GraphError, match=message):
-        IntersectionGraph(u.q, points)
+    if corrupt == "secants_share_two_points":
+        # the constructor counts each point's secants only; the design check
+        # and the table built on first use find the pair on two secants
+        g = IntersectionGraph(u.q, points)
+        assert not verify_srg(g).checks["cliques_share_one_vertex"]
+        with pytest.raises(GraphError, match=message):
+            g.pos
+    else:
+        with pytest.raises(GraphError, match=message):
+            IntersectionGraph(u.q, points)
     if corrupt != "unsorted_row":
         with pytest.raises(GraphError, match=message):
             graph_arrays_oracle(u.q, points)

@@ -1,7 +1,7 @@
 """Differential tests: strong regularity from the design identity, the
 meet test and the incidence-based K4 clique property against the dense
-oracles in oracles.py, and the SRG check against tampered point-pair
-tables."""
+oracles in oracles.py, and the SRG check against tampered clique rows and
+graphs built from a tampered incidence."""
 
 from types import SimpleNamespace
 
@@ -18,7 +18,9 @@ from oracles import (
 )
 from quasifolkman import budget
 from quasifolkman.graphs import (
+    IntersectionGraph,
     build_graph_for_q,
+    design_row_bytes,
     edge_rows,
     k4_clique_property,
     verify_srg,
@@ -37,20 +39,31 @@ def test_srg_matches_dense_scan(graph):
     assert passed and lam == 2 * graph.q**2 - 2 and mu == (graph.q + 1) ** 2
 
 
-@pytest.mark.parametrize("table", ["pos", "cliques"])
+def trade_points(g, P):
+    """The incidence with two secants through P trading one of their other
+    points: each point keeps its q^2 secants, but the pair of the first
+    secant's new point with each of its old ones now lies on two secants."""
+    points = g.vertex_cliques.copy()
+    s, t = g.cliques[P, :2]
+    a = next(x for x in points[s] if x != P and x not in points[t])
+    b = next(x for x in points[t] if x != P and x not in points[s])
+    points[s][points[s] == a], points[t][points[t] == b] = b, a
+    points.sort(axis=1)
+    return points
+
+
+@pytest.mark.parametrize("table", ["vertex_cliques", "cliques"])
 def test_srg_rejects_two_swapped_entries_of_one_row(table):
-    # pos: two points of different secants through P trade positions;
-    # cliques: two secants through P trade places in P's member list
+    # vertex_cliques: two secants through P trade one of their other points,
+    # and the graph is built from that incidence; cliques: two secants
+    # through P trade places in P's member list
     g = build_graph_for_q(3)
     P = 4
-    row = getattr(g, table)[P]
-    if table == "pos":
-        A = next(a for a in range(len(g.cliques)) if a != P)
-        B = next(b for b in range(len(g.cliques)) if b != P and row[b] != row[A])
-        i, j = A, B
+    if table == "vertex_cliques":
+        g = IntersectionGraph(g.q, trade_points(g, P))
     else:
-        i, j = 0, len(row) - 1
-    row[[i, j]] = row[[j, i]]
+        row = g.cliques[P]
+        row[[0, -1]] = row[[-1, 0]]
     rep = verify_srg(g)
     assert not rep.passed and not rep.checks["cliques_share_one_vertex"]
     assert rep.lambda_observed is None and rep.mu_observed is None
@@ -76,13 +89,12 @@ def test_srg_certificate_counts_the_point_pairs(graph):
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_srg_does_not_depend_on_the_block(monkeypatch, block):
-    # one point row per block, and ragged blocks: a row touches about three
-    # rows of pos
+    # one point a block, and ragged blocks of 7; the broken pairs lie on
+    # the last point's secants
     g = build_graph_for_q(4)
-    monkeypatch.setattr(budget, "BLOCK_BYTES", block * 3 * g.pos[0].nbytes)
+    monkeypatch.setattr(budget, "BLOCK_BYTES", block * design_row_bytes(g))
     assert verify_srg(g).passed
-    g.pos[len(g.cliques) - 1, :2] = g.pos[len(g.cliques) - 1, 1::-1]
-    assert not verify_srg(g).passed
+    assert not verify_srg(IntersectionGraph(g.q, trade_points(g, len(g.cliques) - 1))).passed
 
 
 def test_words_match_dense_clique_scatter(graph):

@@ -14,6 +14,7 @@ from oracles import (
     buekenhout_metz_unital,
     orbit_labels_loop,
     point_action_loop,
+    secant_action_pos,
     unitary_defect,
 )
 from quasifolkman import cli
@@ -72,6 +73,22 @@ def test_schreier_elements_fix_point_zero(hermitian):
         assert h[0] == 0
         assert np.array_equal(np.sort(h), np.arange(len(g.cliques)))
         assert secant_action(g, h) is not None
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_secant_action_matches_the_table_lookup(q):
+    # the generators' secant permutations, and None for a point permutation
+    # that moves a secant onto no secant, as through the whole table
+    unital = build_unital_for_q(q)
+    g = build_graph(unital)
+    sym = unital_symmetry(unital, g)
+    assert "pos" not in vars(g)
+    for perm, sec in zip(sym.points, sym.secants):
+        expect = secant_action_pos(g, perm)
+        assert sec.dtype == expect.dtype and np.array_equal(sec, expect)
+    swap = np.arange(len(g.cliques))
+    swap[[1, 2]] = 2, 1
+    assert secant_action(g, swap) is None and secant_action_pos(g, swap) is None
 
 
 @pytest.mark.parametrize("size,count", [(1, 1), (17, 1), (60, 3), (500, 2)])

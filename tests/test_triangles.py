@@ -3,13 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import classify_triangle, degenerate_mask, edge_tables_sorted, enumerate_k4, triangle_edge_matrix
+from oracles import (
+    classify_triangle,
+    degenerate_mask,
+    edge_tables_sorted,
+    enumerate_k4,
+    neighborhood_edges,
+    triangle_edge_matrix,
+    verify_nbhd_global,
+)
+from quasifolkman import budget
 from quasifolkman.graphs import build_graph_for_q
 from quasifolkman.triangles import (
     build_family,
     enumerate_all_triangles,
     family_size_formula,
-    neighborhood_edges,
     per_vertex_formula,
     verify_nbhd_decomposition,
     verify_no_k4_in_family,
@@ -121,6 +129,44 @@ def test_neighborhood_edges_match_dense_oracle(graphs):
             nbrs = np.flatnonzero(adj[v])
             a, b = np.nonzero(np.triu(adj[np.ix_(nbrs, nbrs)], 1))
             assert np.array_equal(neighborhood_edges(g, v), nbrs[a].astype(np.int64) * g.n + nbrs[b])
+
+
+def certificate_fields(cert):
+    return cert.claim, cert.params, cert.quantities, cert.outcome
+
+
+@pytest.mark.parametrize("q,block", [(2, None), (3, None), (4, None), (4, 1)])
+def test_nbhd_decomposition_clique_by_clique_matches_one_lookup(monkeypatch, graphs, q, block):
+    # a 1-byte budget runs one clique a block
+    if block is not None:
+        monkeypatch.setattr(budget, "BLOCK_BYTES", block)
+    g = graphs[q]
+    for v in range(0, g.n, 1 if q < 4 else 7):
+        assert certificate_fields(verify_nbhd_decomposition(g, v)) == certificate_fields(verify_nbhd_global(g, v))
+
+
+@pytest.mark.parametrize("tamper", ["repeated_member", "off_clique_member", "remnant_repeat"])
+def test_nbhd_decomposition_tampered_matches_one_lookup(tamper):
+    # a spanning member repeated in place of another; a member of a clique
+    # off v replaced by a secant outside N(v); a remnant member repeated.
+    # Each leaves every pair of secants of N(v) in at most one clique
+    g = build_graph_for_q(3)
+    v = 5
+    P = int(g.off_points(np.array([v]))[0, 0])
+    row = g.cliques[P]
+    nbhd = g.adj[v]
+    inside = np.flatnonzero(nbhd[row])
+    if tamper == "repeated_member":
+        row[inside[1]] = row[inside[0]]
+    elif tamper == "off_clique_member":
+        row[np.flatnonzero(~nbhd[row])[0]] = next(x for x in range(g.n) if x != v and not nbhd[x])
+    else:
+        row = g.cliques[g.vertex_cliques[v, 0]]
+        i, j = np.flatnonzero(row != v)[:2]
+        row[j] = row[i]
+    got, want = verify_nbhd_decomposition(g, v), verify_nbhd_global(g, v)
+    assert certificate_fields(got) == certificate_fields(want)
+    assert got.outcome == ("pass" if tamper == "off_clique_member" else "fail")
 
 
 @pytest.mark.parametrize("tamper", ["drop_edge", "add_non_edge"])
