@@ -1,11 +1,15 @@
-/* The anneal step loop and the greedy polish of quasifolkman.search.
+/* The compiled kernels of quasifolkman: the anneal step loop and the
+ * greedy polish of search, the Goodman count of certify (same_pairs) and
+ * the edge-list text of graphs (edge_lines).  Each has a numpy twin that
+ * gives the same results.
  *
- * Every draw goes through the bitgen_t of a numpy Generator, in the order of
- * rng.integers(0, m, R) followed by rng.random(R), so a seeded run consumes
- * the same stream as the numpy loop.  The accept test reads a table of
- * numpy's exp values instead of calling exp here.
+ * In the step loop every draw goes through the bitgen_t of a numpy
+ * Generator, in the order of rng.integers(0, m, R) followed by
+ * rng.random(R), so a seeded run consumes the same stream as the numpy
+ * loop.  The accept test reads a table of numpy's exp values instead of
+ * calling exp here.
  *
- * Both keep delta(e) = #{partners unlike e} - q^2 per edge (int16: |delta| <=
+ * The step loop and the polish both keep delta(e) = #{partners unlike e} - q^2 per edge (int16: |delta| <=
  * q^2) and never recompute it: a flip of e negates delta(e) and moves each
  * partner f by +1 if f had e's old color, by -1 if not.  A step therefore
  * reads its delta in O(1) and pays O(q^2) only when it is accepted.
@@ -183,4 +187,90 @@ void polish(uint8_t *colors, int64_t *obj, const int32_t *part, int64_t chains, 
                 rekey(tree, delta, m, size, f[k]);
         }
     }
+}
+
+/* acc[P] += the colour of v's edge to s, for each point P of s; inlined
+ * with batch 1 as a constant, the single count's loop has no batch loop. */
+static inline void add_colour(uint8_t *restrict acc, const uint8_t *restrict col, const int32_t *pts,
+                              int64_t r, int64_t batch)
+{
+    for (int64_t t = 0; t < r; t++) {
+        uint8_t *restrict a = acc + (int64_t)pts[t] * batch;
+        int64_t c = 0;
+        for (; c + 16 <= batch; c += 16) /* fixed-length runs vectorize at -O2 */
+            for (int x = 0; x < 16; x++)
+                a[c + x] += col[c + x];
+        for (; c < batch; c++)
+            a[c] += col[c];
+    }
+}
+
+/* same(v) of every vertex under each of `batch` colorings, out[c * n + v].
+ * colors is the clique layout with the batch innermost: byte
+ * (X * C(k, 2) + t) * batch + c is the colour in coloring c of pair t, in
+ * triu order, of clique X; pair[i * k + j] names the pair of positions i,
+ * j.  Each of v's points Q, where v sits at position i, adds the colour of
+ * v's edge to every other member s of Q's clique to acc[P] at each point P
+ * of s.  Two secants share at most one point, so a point P off v gets one
+ * colour through each Q: acc[P] is the number b of blue edges from v into
+ * its spanning clique at P, at most q + 1, which holds C(b, 2) +
+ * C(q + 1 - b, 2) same-coloured pairs.  v's own points are masked.  acc
+ * (npts * batch bytes) is scratch. */
+void same_pairs(const uint8_t *colors, const int32_t *pair, const int32_t *cliques,
+                const int32_t *vertex_cliques, const int32_t *at, int64_t q, int64_t n,
+                int64_t batch, uint8_t *acc, int64_t *out)
+{
+    int64_t r = q + 1, k = q * q, npts = q * q * q + 1, width = k * (k - 1) / 2 * batch;
+    /* entries above q + 1 are the masked points' */
+    int64_t same[256] = {0};
+    for (int64_t b = 0; b <= r; b++)
+        same[b] = b * (b - 1) / 2 + (r - b) * (r - b - 1) / 2;
+    for (int64_t v = 0; v < n; v++) {
+        memset(acc, 0, (size_t)(npts * batch));
+        for (int64_t j = 0; j < r; j++) {
+            int64_t Q = vertex_cliques[v * r + j], i = at[v * r + j];
+            const int32_t *members = cliques + Q * k, *row = pair + i * k;
+            const uint8_t *base = colors + Q * width;
+            for (int64_t p = 0; p < k; p++) {
+                if (p == i)
+                    continue;
+                const uint8_t *col = base + (int64_t)row[p] * batch;
+                const int32_t *pts = vertex_cliques + (int64_t)members[p] * r;
+                if (batch == 1)
+                    add_colour(acc, col, pts, r, 1);
+                else
+                    add_colour(acc, col, pts, r, batch);
+            }
+        }
+        for (int64_t j = 0; j < r; j++)
+            memset(acc + vertex_cliques[v * r + j] * batch, 255, (size_t)batch);
+        for (int64_t c = 0; c < batch; c++) {
+            int64_t total = 0;
+            for (int64_t P = 0; P < npts; P++)
+                total += same[acc[P * batch + c]];
+            out[c * n + v] = total;
+        }
+    }
+}
+
+/* Writes the line "u[e] v[e]\n" of each of `count` edges, ids in decimal,
+ * to out (room for count lines of the widest ids) and returns the bytes
+ * written. */
+int64_t edge_lines(const int32_t *u, const int32_t *v, int64_t count, char *out)
+{
+    char *p = out;
+    for (int64_t e = 0; e < count; e++) {
+        uint32_t ends[2] = {(uint32_t)u[e], (uint32_t)v[e]};
+        for (int s = 0; s < 2; s++) {
+            char digits[10];
+            int len = 0;
+            do
+                digits[len++] = (char)('0' + ends[s] % 10);
+            while (ends[s] /= 10);
+            while (len)
+                *p++ = digits[--len];
+            *p++ = s ? '\n' : ' ';
+        }
+    }
+    return p - out;
 }

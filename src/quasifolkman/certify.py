@@ -28,6 +28,7 @@ from math import comb
 
 import numpy as np
 
+from . import _kernel
 from .budget import slices
 from .certificates import Certificate
 from .graphs import IntersectionGraph, edge_list_blocks
@@ -186,23 +187,49 @@ def vertex_same_pairs(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
     coloring c of pair t, in triu order, of X's clique.
 
     v meets the member of its spanning clique at P through its own point Q
-    (the secant cliques[P, pos[P, Q]]) in Q's clique, where v sits at i_Q and
-    the member at pos[Q, P].  With C_Q the q^2 x q^2 colour matrix of Q's
-    clique, the spanning clique at P holds b(v, P) = sum_Q C_Q[i_Q, pos[Q, P]]
-    blue edges from v, hence C(b, 2) + C(q+1-b, 2) same-coloured pairs.
-    Per block of columns P of pos (pos_cols: the whole table is never
-    built), one flat index into the matrices per point of v is shared by
-    the batch, whose colourings lie innermost, so each gather copies B
-    bytes and b is q+1 row adds.  The q+1 columns P on v hold no
-    spanning clique (there pos is -1 or v's own position), and the mask gives
-    them no pairs."""
-    return _same_pairs(fam, colors.view(np.uint8)[:, fam.graph._pair])
+    in Q's clique, where v sits at i_Q: the member is the secant through P
+    and Q.  So the spanning clique at P holds b(v, P) blue edges from v, the
+    colours of v's edges to those secants, hence C(b, 2) + C(q+1-b, 2)
+    same-coloured pairs.  The compiled kernel (_kernel.c) walks each of v's
+    points Q and each other member s of Q's clique, adding the colour of
+    pair (i_Q, s) to a byte counter of every point of s: it reads no pos
+    and no colour matrices.  Without it, _same_pairs gathers the colour
+    matrices."""
+    colors = colors.view(np.uint8)
+    kernel = _kernel._load_kernel()
+    if kernel is None:
+        return _same_pairs(fam, colors[:, fam.graph._pair])
+    return _kernel_same_pairs(kernel, fam.graph, colors)
+
+
+def _kernel_same_pairs(kernel, g: IntersectionGraph, colors: np.ndarray) -> np.ndarray:
+    """vertex_same_pairs by the compiled kernel, from the clique layout,
+    one byte a colour; the kernel reads every byte of that shape."""
+    colors = np.ascontiguousarray(colors)
+    if colors.dtype.itemsize != 1 or colors.shape[:2] != (len(g.cliques), g.m // len(g.cliques)):
+        raise ValueError(f"need one byte a colour in clique layout, got {colors.dtype} {colors.shape}")
+    npts, _, nb = colors.shape
+    out = np.empty((nb, g.n), dtype=np.int64)
+    acc = np.empty(npts * nb, dtype=np.uint8)
+    tables = [np.ascontiguousarray(a, dtype=np.int32) for a in (g._pair, g.cliques, g.vertex_cliques, g.at)]
+    kernel.same_pairs(colors.ctypes.data, *(a.ctypes.data for a in tables), g.q, g.n, nb,
+                      acc.ctypes.data, out.ctypes.data)
+    return out
 
 
 def _same_pairs(fam: TriangleFamily, C: np.ndarray) -> np.ndarray:
-    """vertex_same_pairs from the colour matrices, uint8, shape (q^3+1, q^2,
-    q^2, B): C[Q, i, j, c] is the colour in coloring c of the edge between
-    positions i and j of Q's clique; the diagonal is never read unmasked."""
+    """vertex_same_pairs in numpy, from the colour matrices, uint8, shape
+    (q^3+1, q^2, q^2, B): C[Q, i, j, c] is the colour in coloring c of the
+    edge between positions i and j of Q's clique; the diagonal is never read
+    unmasked.  The fallback without a C compiler, and the kernel's reference.
+
+    The member of v's spanning clique at P through Q sits at pos[Q, P] in
+    Q's clique, so b(v, P) = sum_Q C_Q[i_Q, pos[Q, P]].  Per block of columns
+    P of pos (pos_cols: the whole table is never built), one flat index into
+    the matrices per point of v is shared by the batch, whose colourings lie
+    innermost, so each gather copies B bytes and b is q+1 row adds.  The q+1
+    columns P on v hold no spanning clique (there pos is -1 or v's own
+    position), and the mask gives them no pairs."""
     g, q = fam.graph, fam.q
     npts, k, _, nb = C.shape
     C = C.reshape(npts * k * k, nb)
@@ -239,10 +266,14 @@ def _monochromatic(fam: TriangleFamily, same_sum):
 def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
     """Monochromatic family triangles of each coloring, shape (B, m) -> (B,);
     one gather through clique_edges takes the lexicographic batch straight
-    into the colour matrices, so no copy of it outlives the gather."""
+    into the clique layout, or without the kernel into the colour matrices,
+    so no copy of it outlives the gather."""
     g = fam.graph
-    C = np.ascontiguousarray(colors.T, dtype=np.uint8)[g.clique_edges[:, g._pair]]
-    return _monochromatic(fam, _same_pairs(fam, C).sum(axis=1))
+    kernel = _kernel._load_kernel()
+    index = g.clique_edges[:, g._pair] if kernel is None else g.clique_edges
+    layout = np.ascontiguousarray(colors.T, dtype=np.uint8)[index]
+    same = _same_pairs(fam, layout) if kernel is None else _kernel_same_pairs(kernel, g, layout)
+    return _monochromatic(fam, same.sum(axis=1))
 
 
 def goodman_count(fam: TriangleFamily, coloring: EdgeColoring) -> GoodmanTally:

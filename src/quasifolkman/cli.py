@@ -132,11 +132,12 @@ class _Parser(argparse.ArgumentParser):
 #: edge table (m passes 2^31 at q = 25), and runs to q = 37 in 106 s at
 #: 2.3 GB on a 2-core x86-64 host.  search's partner tables scale as
 #: m q^2; check-coloring streams the edge order (IntersectionGraph.
-#: edge_blocks) and holds no m-long edge table, so its Goodman count's
-#: colour matrices, (q^3+1) q^4 bytes, and the coloring in clique layout
-#: set its peak: 233 MB and 18 s
-#: at q = 13, 807 MB and 163 s at q = 16 on a 2-core x86-64 host; build's
-#: edge list would be 1.6 GB of text at q = 16, and graph6's bit array
+#: edge_blocks) and holds no m-long edge table, and its compiled Goodman
+#: count reads the coloring in clique layout, m bytes, which sets its
+#: peak: 93 MB and 3.2 s at q = 13, 232 MB and 18 s at q = 16 on a 2-core
+#: x86-64 host (the numpy count's colour matrices add (q^3+1) q^4 bytes,
+#: 268 MB at q = 16, where the command took 109 s and 700 MB with it);
+#: build's edge list would be 1.6 GB of text at q = 16, and graph6's bit array
 #: 1.9 GB; simulate's spot scans pack every surviving edge of an instance
 Q_LIMIT = {"build": 11, "simulate": 11, "search": 7, "check-coloring": 16}
 

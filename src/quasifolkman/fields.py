@@ -48,19 +48,44 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (p, k) if q == 1 else None
 
 
-def _mul_table(digits: np.ndarray, modulus: tuple[int, ...], p: int, rows: int | None = None) -> np.ndarray:
-    """Codes of the products a*b in GF(p)[x]/(modulus), for the first `rows`
-    codes a (all by default) and every code b, from the (code, i) digit
-    array: a*b is the sum of b_i * (a*x^i), digit by digit mod p."""
+def _mul_table(digits: np.ndarray, modulus: tuple[int, ...], p: int, rows: slice = slice(None)) -> np.ndarray:
+    """Codes of the products a*b in GF(p)[x]/(modulus), for the codes a in
+    the slice `rows` (all by default) and every code b, from the (code, i)
+    digit array: a*b is the sum of b_i * (a*x^i), digit by digit mod p.
+    The search for the modulus reads its low rows; the field's whole table
+    comes from _log_mul_table."""
     k = digits.shape[1]
     low = np.array(modulus[:k])
-    shifted = [digits[:rows]]  # digits of a*x^i for every code a
+    shifted = [digits[rows]]  # digits of a*x^i for every code a
     for _ in range(k - 1):
         # times x: every digit moves up one place, and x^k = -(low terms)
         d = shifted[-1]
         shifted.append((np.hstack([np.zeros_like(d[:, :1]), d[:, :-1]]) - d[:, -1:] * low) % p)
     shifted = np.stack(shifted, axis=1)  # (a, i, digit)
     return sum(shifted[:, :, j] @ digits.T % p * p**j for j in range(k)).astype(np.int32)
+
+
+def _log_mul_table(digits: np.ndarray, modulus: tuple[int, ...], p: int) -> np.ndarray:
+    """The whole _mul_table by logarithms: the powers of the least primitive
+    element g, each the last one's entry in g's row of products, give
+    exp[i] = g^i and log[exp[i]] = i, and a*b = exp[log a + log b] for
+    nonzero a, b.  Exact ints and one order^2 gather, where _mul_table
+    multiplies digit matrices; g is primitive when its order - 1 powers are
+    distinct."""
+    order = len(digits)
+    for g in range(1, order):
+        row = _mul_table(digits, modulus, p, slice(g, g + 1))[0].tolist()
+        exp = [1]
+        while len(exp) < order - 1:
+            exp.append(row[exp[-1]])
+        if len(set(exp)) == order - 1:
+            break
+    exp = np.array(exp, dtype=np.int32)
+    log = np.empty(order, dtype=np.int32)
+    log[exp] = np.arange(order - 1, dtype=np.int32)
+    table = np.zeros((order, order), dtype=np.int32)
+    table[1:, 1:] = np.concatenate([exp, exp])[log[1:, None] + log[1:]]
+    return table
 
 
 class FiniteField:
@@ -90,10 +115,10 @@ class FiniteField:
         for lower in itertools.product(range(p), repeat=k):
             if k > 1 and lower[0] == 0:
                 continue  # divisible by x
-            if _mul_table(digits, lower + (1,), p, p ** (k // 2 + 1))[1:, 1:].all():
+            if _mul_table(digits, lower + (1,), p, slice(p ** (k // 2 + 1)))[1:, 1:].all():
                 break
         self.modulus = lower + (1,)
-        self.mul_table = _mul_table(digits, self.modulus, p)
+        self.mul_table = _log_mul_table(digits, self.modulus, p)
 
 
 class QuadraticExtension(FiniteField):

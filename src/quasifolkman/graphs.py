@@ -42,6 +42,7 @@ from math import comb
 
 import numpy as np
 
+from . import _kernel
 from .budget import slices
 from .certificates import Certificate
 from .plane import ProjectivePlane, UnitalIncidence
@@ -762,17 +763,30 @@ def verify_k4_by_symmetry(g: IntersectionGraph, sym: UnitalSymmetry) -> Certific
 def edge_list_blocks(g: IntersectionGraph, blocks=None):
     """The edge-list text, one 'u v' line per canonical edge, as consecutive
     bytes blocks, one per block of the edge stream (blocks, by default
-    g.edge_blocks()).
-
-    A table holds each vertex id's decimal digits at a fixed width,
-    right-aligned after zero bytes; each block lays its lines out at that
-    width and one mask drops the zero bytes."""
+    g.edge_blocks()).  The compiled kernel (_kernel.c) writes each block's
+    lines in decimal; without it, _numpy_edge_lines lays them out."""
     width = len(str(g.n - 1))
-    ids = np.arange(g.n)[:, None]
+    blocks = g.edge_blocks() if blocks is None else blocks
+    kernel = _kernel._load_kernel()
+    if kernel is None:
+        yield from _numpy_edge_lines(g.n, width, blocks)
+        return
+    for u, v, _, _ in blocks:
+        u, v = (np.ascontiguousarray(a, dtype=np.int32) for a in (u, v))
+        text = np.empty(len(u) * (2 * width + 2), dtype=np.uint8)
+        yield text[:kernel.edge_lines(u.ctypes.data, v.ctypes.data, len(u), text.ctypes.data)].tobytes()
+
+
+def _numpy_edge_lines(n: int, width: int, blocks):
+    """edge_list_blocks in numpy: the fallback without a C compiler, and the
+    kernel's reference.  A table holds each vertex id's decimal digits at a
+    fixed width, right-aligned after zero bytes; each block lays its lines
+    out at that width and one mask drops the zero bytes."""
+    ids = np.arange(n)[:, None]
     scale = 10 ** np.arange(width - 1, -1, -1)
     digits = (ord("0") + ids // scale % 10).astype(np.uint8)
     digits[(ids < scale) & (scale > 1)] = 0
-    for u, v, _, _ in g.edge_blocks() if blocks is None else blocks:
+    for u, v, _, _ in blocks:
         lines = np.empty((len(u), 2 * width + 2), dtype=np.uint8)
         lines[:, :width] = digits[u]
         lines[:, width] = ord(" ")

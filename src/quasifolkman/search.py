@@ -11,7 +11,7 @@ delta(e) and moves delta(f) by +1 for each partner f that had e's old
 color, by -1 for the rest.  The tracked objective is revalidated against the
 Goodman count.  A final greedy descent flips the best-improving edge until a
 local minimum, ties to the lowest edge id: results are bit-reproducible from
-(seed, schedule).  The step loop and the descent run in C (_anneal.c) when a
+(seed, schedule).  The step loop and the descent run in C (_kernel.c) when a
 compiler is available, on the same random stream.  There each chain keeps
 its delta table, so a step reads delta(e) in O(1), the best coloring is
 synced from a journal of the flips made since the last best, and the
@@ -21,20 +21,14 @@ The numpy loop and descent are their fallback and their reference.
 
 from __future__ import annotations
 
-import ctypes
 import functools
-import hashlib
-import os
-import platform
-import shutil
-import tempfile
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
-from pathlib import Path
 
 import numpy as np
 
+from ._kernel import _load_kernel  # search's own name: patching it turns off the anneal kernel alone
 from .certify import EdgeColoring, batch_mono_counts, mono_lower_bound
 from .graphs import IntersectionGraph
 from .triangles import TriangleFamily
@@ -216,72 +210,6 @@ def _kernel_deltas(kernel, colors, part):
     delta = np.empty(colors.shape, dtype=np.int16)
     kernel.fill_deltas(colors.ctypes.data, part.ctypes.data, *colors.shape, part.shape[1], delta.ctypes.data)
     return delta
-
-
-_KERNEL_SOURCE = Path(__file__).with_name("_anneal.c")
-
-
-@functools.cache
-def _load_kernel():
-    """The compiled step loop and polish, built on first use; None without
-    a working C compiler.  The library is cached under $XDG_CACHE_HOME (or
-    ~/.cache)/quasifolkman, keyed by the source, the numpy version and the
-    machine, and written under a temporary name first, so concurrent builds
-    are safe.  An unwritable cache gets a build in a per-process temporary
-    directory."""
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-    except OSError:
-        return None
-    key = hashlib.sha256(source + np.__version__.encode() + platform.machine().encode()).hexdigest()
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "quasifolkman"
-    target = cache / f"anneal-{key}.so"
-    if target.exists():
-        return _open_kernel(target)
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None
-    try:
-        cache.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=cache)
-        os.close(fd)
-    except OSError:
-        with tempfile.TemporaryDirectory(prefix="quasifolkman-") as scratch:
-            # the loaded mapping outlives the deleted file
-            path = Path(scratch) / target.name
-            return _open_kernel(path) if _compile(compiler, path) else None
-    if not _compile(compiler, Path(tmp)):
-        Path(tmp).unlink(missing_ok=True)
-        return None
-    os.replace(tmp, target)
-    return _open_kernel(target)
-
-
-def _compile(compiler: str, out: Path) -> bool:
-    import subprocess  # here, so that commands that never build do not load it
-
-    cmd = [compiler, "-O2", "-shared", "-fPIC", "-I", np.get_include(), str(_KERNEL_SOURCE), "-o", str(out)]
-    try:
-        return subprocess.run(cmd, capture_output=True, timeout=120).returncode == 0
-    except (OSError, subprocess.SubprocessError):
-        return False
-
-
-def _open_kernel(path: Path):
-    try:
-        lib = ctypes.CDLL(str(path))
-    except OSError:
-        return None
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    lib.anneal_steps.restype = i64
-    lib.anneal_steps.argtypes = [ptr] * 8 + [i64, ptr] + [i64] * 4 + [ptr] * 3
-    lib.draw_edges.restype = None
-    lib.draw_edges.argtypes = [ptr, ctypes.c_uint64, i64, ptr]
-    lib.fill_deltas.restype = None
-    lib.fill_deltas.argtypes = [ptr, ptr, i64, i64, i64, ptr]
-    lib.polish.restype = None
-    lib.polish.argtypes = [ptr] * 3 + [i64] * 3 + [ptr] * 2 + [i64]
-    return lib
 
 
 def _greedy_descent(colors, obj, part):

@@ -56,9 +56,9 @@ class TriangleFamily:
         from the vertex into the clique, unsorted: the counts read no order.
         Each block has shape (block * (q^3-q), q+1), rows by vertex, then by
         point id.  No command reads the rows: the Goodman count
-        (certify.vertex_same_pairs) reads the point cliques' colour
-        matrices.  They remain for perfbench/traced.py and as the tests'
-        reference count."""
+        (certify.vertex_same_pairs) walks the point cliques in its compiled
+        kernel, or reads their colour matrices without it.  They remain for
+        perfbench/traced.py and as the tests' reference count."""
         g, q = self.graph, self.q
         # per vertex: its (q^3-q)(q+1) int32 entries and edge_at's gathers
         for block in slices(g.n, 16 * (q**3 - q) * (q + 1)):

@@ -193,7 +193,7 @@ def test_kernel_is_cached_by_source_numpy_and_machine(fresh_build, tmp_path, mon
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert search._load_kernel() is not None
     (built,) = (tmp_path / "quasifolkman").iterdir()
-    assert built.name.startswith("anneal-") and built.suffix == ".so"
+    assert built.name.startswith("kernel-") and built.suffix == ".so"
     # a second process finds it: no compiler needed
     search._load_kernel.cache_clear()
     monkeypatch.setenv("PATH", str(tmp_path / "empty"))

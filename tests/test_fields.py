@@ -8,6 +8,7 @@ from quasifolkman.fields import (
     FieldError,
     FiniteField,
     QuadraticExtension,
+    _mul_table,
     prime_power,
 )
 from quasifolkman.graphs import SUPPORTED_Q
@@ -141,6 +142,16 @@ def test_tables_match_golden_digests(q):
     tables = (ext.add_table, ext.mul_table, ext.norm_table)
     assert [t.dtype for t in tables] == [np.int32, np.int32, np.int64]
     assert tuple(hashlib.sha256(t.tobytes()).hexdigest() for t in tables) == GOLDEN_TABLES[q]
+
+
+@pytest.mark.parametrize("p, k", [*SMALL_FIELDS, (2, 8), (3, 6), (2, 10), (37, 2)])
+def test_mul_table_by_logarithms_matches_digit_products(p, k):
+    # the field's table comes from a primitive element's powers; the digit
+    # products that find the modulus are its oracle, up to GF(1024), q = 32,
+    # and GF(1369), q = 37
+    f = FiniteField(p, k)
+    digits = np.arange(f.order)[:, None] // p ** np.arange(k) % p
+    assert np.array_equal(f.mul_table, _mul_table(digits, f.modulus, p))
 
 
 def test_nonprime_characteristic_rejected():

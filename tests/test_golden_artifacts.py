@@ -4,14 +4,19 @@ Each run goes through ``cli.main`` in a fresh directory with relative
 paths.  Timestamps (certificate fields and the ``timestamp:`` lines of the
 text certificates) and the ``out`` config field are stripped before
 hashing, so the digests pin everything else the commands write: exports,
-certificates, reports and the coloring file.
+certificates, reports and the coloring file.  build and check-coloring at
+q = 3 and 4 write the same files with the compiled kernel turned off.
 """
 
 import hashlib
 import json
 
+import pytest
 
+from quasifolkman import _kernel
+from quasifolkman.certify import EdgeColoring
 from quasifolkman.cli import main
+from quasifolkman.graphs import build_graph_for_q
 
 RUNS = [
     ["build", "--q", "3"],
@@ -64,3 +69,23 @@ def test_artifacts_match_golden_digests(tmp_path, monkeypatch):
         assert main([*argv, "--out", "out"]) in (0, 3), argv
     digests = {p.name: _digest(p) for p in sorted((tmp_path / "out").iterdir())}
     assert digests == GOLDEN
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_build_and_check_coloring_artifacts_equal_without_the_kernel(tmp_path, monkeypatch, q):
+    # the edge list, the graph checksum and the Goodman count each run in
+    # the compiled kernel wherever it loads; with the loader patched to None
+    # their numpy paths write the same files
+    monkeypatch.chdir(tmp_path)
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text(EdgeColoring.random(build_graph_for_q(q), q).to_text())
+    runs = [["build", "--q", str(q)], ["check-coloring", "--q", str(q), "--file", str(coloring)]]
+    digests = []
+    for out in ("kernel", "numpy"):
+        if out == "numpy":
+            monkeypatch.setattr(_kernel, "_load_kernel", lambda: None)
+        for argv in runs:
+            assert main([*argv, "--out", out]) == 0, argv
+        digests.append({p.name: _digest(p) for p in sorted((tmp_path / out).iterdir())})
+    assert digests[0] == digests[1]
+    assert {f"edges_q{q}.txt", f"check_coloring_q{q}.json"} <= digests[0].keys()

@@ -1,4 +1,5 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from oracles import (
     parse_edge_list,
     parse_graph6,
 )
-from quasifolkman import budget
+from quasifolkman import _kernel, budget
+from quasifolkman.certify import graph_checksum
 from quasifolkman.graphs import (
     IntersectionGraph,
     build_graph_for_q,
@@ -171,11 +173,48 @@ def test_edge_list_bytes_match_format_oracle(monkeypatch, q, block):
     # vertex ids of one to four digits: n is 12, 63, 208, 525 and 2107.  At
     # 40 bytes a candidate key, a budget of 7 bytes is one vertex a block,
     # 1000 bytes two vertices at q = 2 and one from q = 3 on, and the
-    # default 133 vertices at q = 7, the last block ragged
+    # default 133 vertices at q = 7, the last block ragged.  The compiled
+    # writer runs wherever a compiler is on PATH
+    loaded_kernel(skip=False)
+    check_edge_list_bytes(monkeypatch, q, block)
+
+
+@pytest.mark.parametrize("block", [7, 1000, None])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_edge_list_bytes_match_format_oracle_numpy(monkeypatch, q, block):
+    # the numpy layout, with the loader patched to None
+    monkeypatch.setattr(_kernel, "_load_kernel", lambda: None)
+    check_edge_list_bytes(monkeypatch, q, block)
+
+
+def check_edge_list_bytes(monkeypatch, q, block):
     g = build_graph_for_q(q)
     if block is not None:
         monkeypatch.setattr(budget, "BLOCK_BYTES", block)
     assert b"".join(edge_list_blocks(g)) == edge_list_text(g).encode()
+
+
+def loaded_kernel(skip=True):
+    """The compiled library; with a compiler on PATH it must build, and
+    without one the test is skipped, or with skip=False runs on."""
+    lib = _kernel._load_kernel()
+    if shutil.which("cc") or shutil.which("gcc"):
+        assert lib is not None, "a C compiler is on PATH but the kernel did not build"
+    elif skip:
+        pytest.skip("no C compiler on PATH")
+    return lib
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_edge_list_kernel_blocks_equal_numpy_layout(monkeypatch, q):
+    # block for block, and so the graph checksum that hashes them
+    g = build_graph_for_q(q)
+    loaded_kernel()
+    blocks, checksum = list(edge_list_blocks(g)), graph_checksum(g)
+    monkeypatch.setattr(_kernel, "_load_kernel", lambda: None)
+    assert list(edge_list_blocks(g)) == blocks
+    assert graph_checksum(g) == checksum
+    assert b"".join(blocks) == edge_list_text(g).encode()
 
 
 def test_graph6_roundtrip(graphs):

@@ -125,9 +125,13 @@ def test_polish_matches_recompute_all_oracle(q, seed, setup3, setup4):
 
 def _polishes():
     """The polish entry point, which runs the C polish wherever a compiler
-    is on PATH, and the numpy polish it falls back to."""
+    is on PATH, and the numpy polish it falls back to.  The library it loads
+    also holds the Goodman count and the edge-list writer."""
     if shutil.which("cc") or shutil.which("gcc"):
-        assert search._load_kernel() is not None, "a C compiler is on PATH but the kernel did not build"
+        lib = search._load_kernel()
+        assert lib is not None, "a C compiler is on PATH but the kernel did not build"
+        for symbol in ("anneal_steps", "fill_deltas", "polish", "same_pairs", "edge_lines"):
+            assert callable(getattr(lib, symbol)), symbol
     return search._greedy_descent, search._numpy_polish
 
 
