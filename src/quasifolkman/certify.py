@@ -264,15 +264,10 @@ def _monochromatic(fam: TriangleFamily, same_sum):
 
 
 def batch_mono_counts(fam: TriangleFamily, colors: np.ndarray) -> np.ndarray:
-    """Monochromatic family triangles of each coloring, shape (B, m) -> (B,);
+    """Monochromatic family triangles of each coloring, shape (B, m) -> (B,):
     one gather through clique_edges takes the lexicographic batch straight
-    into the clique layout, or without the kernel into the colour matrices,
-    so no copy of it outlives the gather."""
-    g = fam.graph
-    kernel = _kernel._load_kernel()
-    index = g.clique_edges[:, g._pair] if kernel is None else g.clique_edges
-    layout = np.ascontiguousarray(colors.T, dtype=np.uint8)[index]
-    same = _same_pairs(fam, layout) if kernel is None else _kernel_same_pairs(kernel, g, layout)
+    into vertex_same_pairs' clique layout."""
+    same = vertex_same_pairs(fam, colors.T[fam.graph.clique_edges])
     return _monochromatic(fam, same.sum(axis=1))
 
 

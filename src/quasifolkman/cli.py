@@ -128,18 +128,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 #: the largest q of each command but certify, which runs at every q in
-#: SUPPORTED_Q: it builds neither the (q^3+1)^2 pos table nor an m-long
-#: edge table (m passes 2^31 at q = 25), and runs to q = 37 in 106 s at
-#: 2.3 GB on a 2-core x86-64 host.  search's partner tables scale as
-#: m q^2; check-coloring streams the edge order (IntersectionGraph.
-#: edge_blocks) and holds no m-long edge table, and its compiled Goodman
-#: count reads the coloring in clique layout, m bytes, which sets its
-#: peak: 93 MB and 3.2 s at q = 13, 232 MB and 18 s at q = 16 on a 2-core
-#: x86-64 host (the numpy count's colour matrices add (q^3+1) q^4 bytes,
-#: 268 MB at q = 16, where the command took 109 s and 700 MB with it);
+#: SUPPORTED_Q: it builds neither the (q^3+1)^2 pos table nor an m-long edge
+#: table (m passes 2^31 at q = 25), and runs to q = 37 in 106 s at 2.3 GB on a
+#: 2-core x86-64 host, where the figures below were also taken.  search's
+#: (m, 2q^2) int32 partner table sets its peak, 1.53 GB of 1.57 GB at q = 9;
+#: check-coloring streams the edge order (IntersectionGraph.edge_blocks) and
+#: holds no m-long edge table, and its compiled Goodman count reads the coloring
+#: in clique layout, m bytes, which sets its peak: 93 MB and 3.2 s at q = 13,
+#: 232 MB and 18 s at q = 16 (the numpy count's colour matrices add (q^3+1) q^4
+#: bytes, 268 MB at q = 16, where the command took 109 s and 700 MB with it);
 #: build's edge list would be 1.6 GB of text at q = 16, and graph6's bit array
 #: 1.9 GB; simulate's spot scans pack every surviving edge of an instance
-Q_LIMIT = {"build": 11, "simulate": 11, "search": 7, "check-coloring": 16}
+Q_LIMIT = {"build": 11, "simulate": 11, "search": 9, "check-coloring": 16}
 
 
 def _check_q(args) -> None:

@@ -29,6 +29,7 @@ from operator import mul
 import numpy as np
 
 from ._kernel import _load_kernel  # search's own name: patching it turns off the anneal kernel alone
+from .budget import slices
 from .certify import EdgeColoring, batch_mono_counts, mono_lower_bound
 from .graphs import IntersectionGraph
 from .triangles import TriangleFamily
@@ -54,18 +55,21 @@ class AnnealResult:
     accepted: int
 
 
-def edge_triangle_index(fam: TriangleFamily) -> tuple[np.ndarray, np.ndarray]:
-    """Partner-edge tables A1, A2 of shape (m, q^2): row e lists, ascending,
-    for each non-degenerate triangle {u, v, w} on edge e = (u, v), the
-    indices of edges (u, w) and (v, w).  The thirds w are those of
-    IntersectionGraph.edge_points: w meets u at P_i and v at Q_j."""
-    g = fam.graph
-    X, _, _, P, Q = g.edge_points(np.arange(g.m))
-    X = X[:, None, None]
-    part = np.empty((2, g.m, g.q**2), dtype=np.int32)
-    part[:, g.clique_edges.ravel()] = np.stack([g.edge_at(P, X, Q), g.edge_at(Q, X, P)]).reshape(2, g.m, -1)
-    part.sort(axis=2)
-    return part[0], part[1]
+def edge_triangle_index(fam: TriangleFamily) -> np.ndarray:
+    """Partner table, (m, 2q^2) int32 C-ordered: row e lists, for each
+    non-degenerate triangle {u, v, w} on edge e = (u, v), edge (u, w) in its
+    first half and (v, w) in its second, each half ascending; the thirds w
+    meet u at P_i and v at Q_j (IntersectionGraph.edge_points).  Filled a
+    block of clique-major edges at a time, 48 q^2 bytes an edge."""
+    g, k = fam.graph, fam.q**2
+    table = np.empty((g.m, 2 * k), dtype=np.int32)
+    for block in slices(g.m, 48 * k):
+        X, _, _, P, Q = g.edge_points(np.arange(block.start, block.stop))
+        X = X[:, None, None]
+        halves = np.concatenate([g.edge_at(P, X, Q), g.edge_at(Q, X, P)], axis=1)
+        halves.reshape(len(X), 2, k).sort(axis=2)
+        table[g.clique_edges.ravel()[block]] = halves.reshape(len(X), 2 * k)
+    return table
 
 
 def _step_deltas(flat: np.ndarray, starts: np.ndarray, edges: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -88,7 +92,7 @@ def anneal(
     bound is positive, any objective below it is a fatal internal error.
     """
     rng = np.random.default_rng(seed)
-    part = np.hstack(edge_triangle_index(fam))
+    part = edge_triangle_index(fam)
     m = g.m
     colors = rng.integers(0, 2, size=(restarts, m), dtype=np.uint8).astype(bool)
     obj = batch_mono_counts(fam, colors)
@@ -173,10 +177,9 @@ def _compiled_loop(kernel, rng, fam, part, colors, obj, best_obj, best_colors, s
     m // 8 by default) live across the chunks; the journal starts full, so a
     chain's first new best copies its whole coloring."""
     restarts, m = colors.shape
-    if not (obj.dtype == best_obj.dtype == np.int64
-            and colors.flags.c_contiguous and best_colors.flags.c_contiguous):
-        raise TypeError("the compiled loop needs int64 objectives and C-ordered colorings")
-    part = np.ascontiguousarray(part, dtype=np.int32)
+    if not (obj.dtype == best_obj.dtype == np.int64 and part.dtype == np.int32
+            and colors.flags.c_contiguous and best_colors.flags.c_contiguous and part.flags.c_contiguous):
+        raise TypeError("the compiled loop needs int64 objectives and a C-ordered int32 table and colorings")
     capacity = m // 8 if journal_capacity is None else journal_capacity
     delta = _kernel_deltas(kernel, colors, part)
     journal = np.empty((restarts, capacity), dtype=np.int32)
@@ -220,9 +223,9 @@ def _greedy_descent(colors, obj, part):
     if kernel is None:
         return _numpy_polish(colors, obj, part)
     chains, m = colors.shape
-    if not (obj.dtype == np.int64 and colors.flags.c_contiguous):
-        raise TypeError("the compiled polish needs int64 objectives and C-ordered colorings")
-    part = np.ascontiguousarray(part, dtype=np.int32)
+    if not (obj.dtype == np.int64 and part.dtype == np.int32
+            and colors.flags.c_contiguous and part.flags.c_contiguous):
+        raise TypeError("the compiled polish needs int64 objectives and a C-ordered int32 table and colorings")
     size = 1 << max(m - 1, 1).bit_length()  # tournament tree leaves: a power of two >= m, >= 2
     delta, tree = np.empty(m, dtype=np.int16), np.empty(size, dtype=np.uint64)
     kernel.polish(colors.ctypes.data, obj.ctypes.data, part.ctypes.data, chains, m, part.shape[1],

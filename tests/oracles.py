@@ -62,13 +62,15 @@ union-find over i ~ perm[i], the reference for graphs.orbit_labels.
 Moved here from the library, unchanged, because no command calls them:
 canonical_edges and goodman_count_all_triangles, the all-triangle Goodman
 count on an arbitrary graph; flip_delta, one edge's flip delta from the
-search's partner tables; blowup and min_mono_blowup, the t-blowup of a
+search's partner table; blowup and min_mono_blowup, the t-blowup of a
 replacement graph and its least monochromatic edge count (acceptance
 check 8); mcdiarmid_bound and blowup_concentration_log_bound, the
 bounded-differences tail bound and its closed form for the blocks.
-batch_deltas counts each flip delta triangle by triangle, and
+batch_deltas counts each flip delta over pairs of partners, and
 fresh_deltas applies it to every edge of one coloring: the references for
 the search's step deltas and the compiled kernel's delta table.
+edge_triangle_index_whole builds the partner table over every edge at
+once, the reference for its blocked fill.
 """
 
 import itertools
@@ -540,29 +542,47 @@ def goodman_count_all_triangles(adj, colors):
     return num // 6
 
 
-def flip_delta(bits, e, a1, a2):
-    """Exact objective change from flipping edge e, from the partner tables
+def flip_delta(bits, e, part):
+    """Exact objective change from flipping edge e, from the partner table
     of search.edge_triangle_index."""
-    unlike = (bits[a1[e]] != bits[e]).sum() + (bits[a2[e]] != bits[e]).sum()
-    return int(unlike) - a1.shape[1]
+    return int((bits[part[e]] != bits[e]).sum()) - part.shape[1] // 2
 
 
-def batch_deltas(colors, edges, a1, a2):
-    """Flip deltas from the triangle-by-triangle rule: +1 for each triangle
-    whose other two edges agree with each other but not with edges[j], -1 for
-    each whose other two edges agree with it."""
+def batch_deltas(colors, edges, part):
+    """Flip deltas by the triangle rule, over the pairs (part[e, i],
+    part[e, q^2 + i]) of the table's two halves: +1 for each pair whose
+    edges agree with each other but not with edges[j], -1 for each whose
+    edges agree with it.  Each half is sorted on its own, so such a pair is not one
+    triangle's two edges; the sum does not depend on the pairing, since for
+    any pair [both unlike e] - [both like e] = u1 + u2 - 1, where u is 1 for
+    a partner unlike e."""
+    k = part.shape[1] // 2
     rows = np.arange(colors.shape[0])[:, None]
-    c1 = colors[rows, a1[edges]]
-    c2 = colors[rows, a2[edges]]
+    c1 = colors[rows, part[edges, :k]]
+    c2 = colors[rows, part[edges, k:]]
     agree = c1 == c2
     ce = colors[np.arange(colors.shape[0]), edges][:, None]
     return (agree & (c1 != ce)).sum(axis=1).astype(np.int64) - (agree & (c1 == ce)).sum(axis=1)
 
 
-def fresh_deltas(bits, a1, a2):
+def fresh_deltas(bits, part):
     """batch_deltas of every edge of one coloring."""
     m = bits.shape[0]
-    return batch_deltas(np.broadcast_to(bits, (m, m)), np.arange(m), a1, a2)
+    return batch_deltas(np.broadcast_to(bits, (m, m)), np.arange(m), part)
+
+
+def edge_triangle_index_whole(fam):
+    """search.edge_triangle_index over every edge at once: both halves
+    broadcast to (m, q, q) and scattered to their lexicographic rows in one
+    gather, the form the table took before it was filled a block of edges
+    at a time."""
+    g = fam.graph
+    X, _, _, P, Q = g.edge_points(np.arange(g.m))
+    X = X[:, None, None]
+    part = np.empty((g.m, 2, g.q**2), dtype=np.int32)
+    part[g.clique_edges.ravel()] = np.stack([g.edge_at(P, X, Q), g.edge_at(Q, X, P)], axis=1).reshape(g.m, 2, -1)
+    part.sort(axis=2)
+    return part.reshape(g.m, -1)
 
 
 def maxcut_exhaustive(adj):

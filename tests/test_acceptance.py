@@ -279,7 +279,7 @@ def test_criterion_11_search_soundness(g3, fam3, g4, fam4):
 
     # 1e5 randomized incremental-vs-recount checks at q=3: the state after
     # every flip is recounted, in batches of 1,000 consecutive states
-    a1, a2 = edge_triangle_index(fam3)
+    part = edge_triangle_index(fam3)
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2, size=g3.m).astype(bool)
     obj = goodman_count(fam3, EdgeColoring(g3, bits)).monochromatic
@@ -289,7 +289,7 @@ def test_criterion_11_search_soundness(g3, fam3, g4, fam4):
         states = np.empty((len(batch), g3.m), dtype=bool)
         tracked = np.empty(len(batch), dtype=np.int64)
         for i, e in enumerate(batch):
-            obj += flip_delta(bits, int(e), a1, a2)
+            obj += flip_delta(bits, int(e), part)
             bits[e] ^= True
             states[i], tracked[i] = bits, obj
         if not np.array_equal(batch_mono_counts(fam3, states), tracked):

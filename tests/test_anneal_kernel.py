@@ -23,7 +23,7 @@ def setups():
     for q in (3, 4):
         g = build_graph_for_q(q)
         fam = build_family(g)
-        out[q] = (g, fam, np.hstack(edge_triangle_index(fam)))
+        out[q] = (g, fam, edge_triangle_index(fam))
     return out
 
 
@@ -81,7 +81,6 @@ def test_compiled_loop_equals_numpy_loop(setups, kernel, monkeypatch, q, seed, n
 
     ref = _start(g, fam, seed, restarts)
     want_accepted = search._numpy_loop(ref[0], fam, part, *ref[1:], schedule, revalidate_every)
-    a1, a2 = np.hsplit(part, 2)
     # journals that overflow at every flip, at every second one, and hardly
     for capacity in (0, 1, None):
         got = _start(g, fam, seed, restarts)
@@ -92,7 +91,7 @@ def test_compiled_loop_equals_numpy_loop(setups, kernel, monkeypatch, q, seed, n
         for a, b in zip(got[1:], ref[1:]):  # colors, obj, best_obj, best_colors
             assert a.dtype == b.dtype and np.array_equal(a, b)
         # the delta table the kernel kept through every chunk is still exact
-        assert all(np.array_equal(row, fresh_deltas(bits, a1, a2)) for row, bits in zip(tables.pop(), got[1]))
+        assert all(np.array_equal(row, fresh_deltas(bits, part)) for row, bits in zip(tables.pop(), got[1]))
     if revalidate_every:
         assert len(recounts) == 4 * (schedule.steps // revalidate_every)
     if schedule.steps and name != "cold":
@@ -113,6 +112,18 @@ def test_anneal_results_equal_without_the_kernel(setups, kernel, monkeypatch, q,
     assert np.array_equal(got.objectives, want.objectives)
     assert np.array_equal(got.best.coloring.bits, want.best.coloring.bits)
     assert got.accepted == want.accepted
+
+
+def test_compiled_entry_points_refuse_a_table_they_would_copy(setups, kernel):
+    # the kernel reads the partner table in place, so an int64 or a
+    # Fortran-ordered table is an error, not a silent m x 2q^2 copy
+    g, fam, part = setups[3]
+    rng, colors, obj, best_obj, best_colors = _start(g, fam, 1, 2)
+    for bad in (part.astype(np.int64), np.asfortranarray(part)):
+        with pytest.raises(TypeError, match="int32 table"):
+            search._compiled_loop(kernel, rng, fam, bad, colors, obj, best_obj, best_colors, AnnealSchedule(), 0)
+        with pytest.raises(TypeError, match="int32 table"):
+            search._greedy_descent(colors, obj, bad)
 
 
 @pytest.mark.parametrize("m", [2**31 + 1, 1_500_000_000, 2**32 - 1, 2**32, 7800, 3, 1])

@@ -1,9 +1,9 @@
-"""Differential tests: the blocked unital line scan and K4 clique test
-against their unblocked forms in oracles.py, and certify's structural path,
-simulate, build and check-coloring without the m-long clique_edges table;
-certify, build and check-coloring without the (q^3+1)^2 pos table either;
-no command builds the dense adjacency.  Each blocked stage's working set
-stays within two blocks' budget."""
+"""Differential tests: the blocked unital line scan, K4 clique test and
+partner table against their unblocked forms in oracles.py, and certify's
+structural path, simulate, build and check-coloring without the m-long
+clique_edges table; certify, build and check-coloring without the
+(q^3+1)^2 pos table either; no command builds the dense adjacency.  Each
+blocked stage's working set stays within two blocks' budget."""
 
 import functools
 import tracemalloc
@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import build_unital_whole, edge_tables_sorted, k4_clique_property_whole
+from oracles import build_unital_whole, edge_tables_sorted, edge_triangle_index_whole, k4_clique_property_whole
 from quasifolkman import _kernel, budget
 from quasifolkman.blocks import checked_adj, cliques_triangle_free, instance_blocks, random_block, replacement_registry
 from quasifolkman.certify import EdgeColoring, vertex_same_pairs
@@ -29,6 +29,7 @@ from quasifolkman.graphs import (
     verify_srg,
 )
 from quasifolkman.plane import ProjectivePlane, build_unital
+from quasifolkman.search import edge_triangle_index
 from quasifolkman.triangles import build_family, verify_nbhd_decomposition
 
 UNITAL_FIELDS = ("unital_points", "secants", "secant_points")
@@ -74,6 +75,17 @@ def test_k4_clique_property_over_several_blocks(monkeypatch, graph, width):
     assert np.array_equal(got, k4_clique_property_whole(graph, rows))
     assert got[:len(quads)].all() and got.any() and not got.all()
     assert k4_clique_property(graph, rows[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_edge_triangle_index_matches_whole_table(monkeypatch, q):
+    # an edge's row touches 48 q^2 bytes, so 11 edges a block leave a
+    # ragged last block at every q here
+    fam = build_family(build_graph_for_q(q))
+    monkeypatch.setattr(budget, "BLOCK_BYTES", 11 * 48 * q * q)
+    got = edge_triangle_index(fam)
+    assert got.dtype == np.int32 and got.flags.c_contiguous
+    assert np.array_equal(got, edge_triangle_index_whole(fam))
 
 
 def test_certify_structural_path_never_builds_edge_tables():
@@ -180,6 +192,9 @@ def stage_call(stage, q):
         return lambda: [edge_rows(g.n, edges[:, 0], edges[:, 1])]
     if stage == "edge_blocks":
         return lambda: [] if sum(len(a) for a, _, _, _ in g.edge_blocks()) == g.m else None
+    if stage == "edge_triangle_index":
+        fam = build_family(g)
+        return lambda: [edge_triangle_index(fam)]
     if stage == "vertex_same_pairs":
         fam = build_family(g)
         colors = EdgeColoring.random(g, 1).clique_bits[:, :, None]
@@ -196,6 +211,7 @@ def stage_call(stage, q):
     ("build_unital", 9), ("enumerate_all_triangles", 4), ("k4_clique_property", 4), ("verify_srg", 9),
     ("edge_blocks", 7), ("vertex_same_pairs", 7), ("random_block", 7), ("cliques_triangle_free", 7),
     ("instance_blocks", 4), ("instance_blocks", 7), ("edge_rows", 7), ("verify_nbhd_decomposition", 9),
+    ("edge_triangle_index", 7),
 ])
 def test_blocked_stage_peaks_within_two_blocks_above_its_result(monkeypatch, stage, q):
     # each block touches about BLOCK_BYTES, so with the inputs and the

@@ -83,12 +83,11 @@ def test_goodman_formula_vs_direct(setups, q, seeds):
 )
 def test_goodman_count_matches_per_triangle_count_and_flip_delta(setups, partners, q, seed, density, pick):
     g, fam = setups[q]
-    a1, a2 = partners[q]
     bits = np.random.default_rng(seed).random(g.m) < density
     before = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
     assert before == goodman_count_direct(fam, EdgeColoring(g, bits))
     e = pick % g.m
-    d = flip_delta(bits, e, a1, a2)
+    d = flip_delta(bits, e, partners[q])
     bits[e] ^= True
     after = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
     assert after == goodman_count_direct(fam, EdgeColoring(g, bits))

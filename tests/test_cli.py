@@ -524,7 +524,7 @@ def test_simulate_non_numeric_delta_is_one_line_error(tmp_path, capsys, extra):
         (["certify", "--q", "3", "--threads", "-2"], "--threads"),
         (["build", "--q", "13"], "--q"),
         (["simulate", "--q", "16", "--trials", "2"], "--q"),
-        (["search", "--q", "8"], "--q"),
+        (["search", "--q", "11"], "--q"),
         (["check-coloring", "--q", "17", "--file", "no-such-coloring.txt"], "--q"),
         (["search", "--q", "3", "--steps", "2.7"], "--steps"),
         (["search", "--q", "3", "--stat-trials", "1"], "--stat-trials"),
@@ -566,7 +566,7 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["certify", "--q", "3", "--threads", "-2"],
         ["build", "--q", "16"],
         ["simulate", "--q", "13", "--F", "c5", "--trials", "2"],
-        ["search", "--q", "8"],
+        ["search", "--q", "11"],
         ["search", "--q", "13"],
         ["check-coloring", "--q", "17", "--file", "no-such-coloring.txt"],
         ["certify", "--q", "41"],

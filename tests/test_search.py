@@ -21,14 +21,16 @@ from quasifolkman.search import (
 from quasifolkman.triangles import TriangleFamily, build_family
 
 
-def oracle_greedy_descent(colors, obj, a1, a2):
+def oracle_greedy_descent(colors, obj, part):
     """Greedy polish that recomputes every delta of every live chain per
-    move.  Returns the colorings, the objectives and each chain's move count."""
+    move, by batch_deltas' rule over the table's two halves.  Returns the
+    colorings, the objectives and each chain's move count."""
+    k = part.shape[1] // 2
     live = np.ones(colors.shape[0], dtype=bool)
     moves = np.zeros(colors.shape[0], dtype=np.int64)
     while live.any():
-        c1 = colors[live][:, a1]
-        c2 = colors[live][:, a2]
+        c1 = colors[live][:, part[:, :k]]
+        c2 = colors[live][:, part[:, k:]]
         agree = c1 == c2
         ce = colors[live][:, :, None]
         deltas = (agree & (c1 != ce)).sum(axis=2).astype(np.int64) - (agree & (c1 == ce)).sum(axis=2)
@@ -59,9 +61,9 @@ def setup4():
 
 
 def test_partner_table_shape(setup3):
-    g, fam, (a1, a2) = setup3
-    assert a1.shape == (g.m, 9)
-    assert a2.shape == (g.m, 9)
+    g, fam, part = setup3
+    assert part.shape == (g.m, 18)
+    assert part.dtype == np.int32 and part.flags.c_contiguous
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -69,8 +71,7 @@ def test_partner_rows_distinct_symmetric_and_exclude_self(q):
     # the +-1 delta update needs: 2q^2 distinct partners, never the edge
     # itself, and f a partner of e exactly when e is a partner of f
     g = build_graph_for_q(q)
-    a1, a2 = edge_triangle_index(build_family(g))
-    part = np.hstack((a1, a2)).astype(np.int64)
+    part = edge_triangle_index(build_family(g)).astype(np.int64)
     assert part.shape == (g.m, 2 * q * q)
     assert (np.diff(np.sort(part, axis=1), axis=1) > 0).all()
     assert (part != np.arange(g.m)[:, None]).all()
@@ -104,20 +105,20 @@ def _pre_polish_states(q, seed):
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_polish_matches_recompute_all_oracle(q, seed, setup3, setup4):
-    g, fam, (a1, a2) = setup3 if q == 3 else setup4
+    g, fam, part = setup3 if q == 3 else setup4
     hot, hot_obj = _pre_polish_states(q, seed)
     # chains that stop at different rounds: the hot-stopped ones, their local
     # minima (no move at all) and those minima with a few edges flipped
-    minima = oracle_greedy_descent(hot.copy(), hot_obj.copy(), a1, a2)[0]
+    minima = oracle_greedy_descent(hot.copy(), hot_obj.copy(), part)[0]
     nudged = minima.copy()
     nudged[:, np.random.default_rng(seed).choice(g.m, 4, replace=False)] ^= True
     colors = np.vstack((hot, minima, nudged))
     obj = batch_mono_counts(fam, colors)
-    want_colors, want_obj, moves = oracle_greedy_descent(colors.copy(), obj.copy(), a1, a2)
+    want_colors, want_obj, moves = oracle_greedy_descent(colors.copy(), obj.copy(), part)
     assert (moves[: len(hot)] > 0).all() and (moves[len(hot) : 2 * len(hot)] == 0).all()
     assert len(set(moves.tolist())) > 2
     for polish in _polishes():
-        got_colors, got_obj = polish(colors.copy(), obj.copy(), np.hstack((a1, a2)))
+        got_colors, got_obj = polish(colors.copy(), obj.copy(), part)
         assert np.array_equal(got_colors, want_colors)
         assert np.array_equal(got_obj, want_obj)
         assert np.array_equal(batch_mono_counts(fam, got_colors), got_obj)
@@ -138,13 +139,13 @@ def _polishes():
 def test_polish_breaks_ties_to_the_lowest_edge_id(setup3):
     # all red: every edge has delta -q^2, so the tie rule alone picks the
     # first move, edge 0, which the descent never flips back
-    g, fam, (a1, a2) = setup3
+    g, fam, part = setup3
     colors = np.zeros((1, g.m), dtype=bool)
-    assert (fresh_deltas(colors[0], a1, a2) == -9).all()
+    assert (fresh_deltas(colors[0], part) == -9).all()
     obj = batch_mono_counts(fam, colors)
-    want_colors, want_obj, _ = oracle_greedy_descent(colors.copy(), obj.copy(), a1, a2)
+    want_colors, want_obj, _ = oracle_greedy_descent(colors.copy(), obj.copy(), part)
     for polish in _polishes():
-        got_colors, got_obj = polish(colors.copy(), obj.copy(), np.hstack((a1, a2)))
+        got_colors, got_obj = polish(colors.copy(), obj.copy(), part)
         assert np.array_equal(got_colors, want_colors) and np.array_equal(got_obj, want_obj)
         assert got_colors[0, 0]
 
@@ -152,28 +153,26 @@ def test_polish_breaks_ties_to_the_lowest_edge_id(setup3):
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_step_deltas_match_oracle(q, seed, setup3, setup4):
-    g, fam, (a1, a2) = setup3 if q == 3 else setup4
-    part = np.hstack((a1, a2))
+    g, fam, part = setup3 if q == 3 else setup4
     colors = _pre_polish_states(q, seed)[0].copy()
     rng = np.random.default_rng(seed)
     rows = np.arange(colors.shape[0])
     for _ in range(200):
         edges = rng.integers(0, g.m, size=colors.shape[0])
         got = search._step_deltas(colors.reshape(-1), rows * g.m, edges, part)
-        assert np.array_equal(got, batch_deltas(colors, edges, a1, a2))
+        assert np.array_equal(got, batch_deltas(colors, edges, part))
         colors[rows, edges] ^= rng.random(colors.shape[0]) < 0.5
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), flips=st.lists(st.integers(0, 10**6), min_size=1, max_size=30))
 def test_maintained_delta_vector_matches_fresh(setup3, seed, flips):
-    g, fam, (a1, a2) = setup3
-    part = np.hstack((a1, a2))
+    g, fam, part = setup3
     bits = np.random.default_rng(seed).integers(0, 2, size=g.m).astype(bool)
-    delta = fresh_deltas(bits, a1, a2)
+    delta = fresh_deltas(bits, part)
     count = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
     for e in (f % g.m for f in flips):
-        d = flip_delta(bits, e, a1, a2)
+        d = flip_delta(bits, e, part)
         assert d == delta[e]
         # the polish's update: delta(e) negates, and each partner moves by
         # +1 if it had e's old color, by -1 if not
@@ -184,37 +183,37 @@ def test_maintained_delta_vector_matches_fresh(setup3, seed, flips):
         after = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
         assert after - count == d
         count = after
-        assert np.array_equal(delta, fresh_deltas(bits, a1, a2))
+        assert np.array_equal(delta, fresh_deltas(bits, part))
 
 
 def test_all_red_delta_is_minus_triangle_count(setup3):
-    g, fam, (a1, a2) = setup3
+    g, fam, part = setup3
     bits = np.zeros(g.m, dtype=bool)
     for e in (0, 17, 500):
         # flipping any edge of an all-red coloring kills exactly the
         # non-degenerate triangles through it
-        assert flip_delta(bits, e, a1, a2) == -9
+        assert flip_delta(bits, e, part) == -9
 
 
 def test_flip_twice_nets_zero(setup3):
-    g, fam, (a1, a2) = setup3
+    g, fam, part = setup3
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, size=g.m).astype(bool)
     for e in rng.integers(0, g.m, size=20):
-        d1 = flip_delta(bits, int(e), a1, a2)
+        d1 = flip_delta(bits, int(e), part)
         bits[e] ^= True
-        d2 = flip_delta(bits, int(e), a1, a2)
+        d2 = flip_delta(bits, int(e), part)
         bits[e] ^= True
         assert d1 + d2 == 0
 
 
 def test_deltas_match_recounts(setup3):
-    g, fam, (a1, a2) = setup3
+    g, fam, part = setup3
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, size=g.m).astype(bool)
     base = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
     for e in rng.integers(0, g.m, size=300):
-        d = flip_delta(bits, int(e), a1, a2)
+        d = flip_delta(bits, int(e), part)
         bits[e] ^= True
         after = goodman_count(fam, EdgeColoring(g, bits)).monochromatic
         assert after - base == d
