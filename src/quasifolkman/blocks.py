@@ -188,13 +188,6 @@ class StarGraph:
     labels: np.ndarray  # (q^3+1, q^2), aligned with base.cliques
     alive: np.ndarray  # (q^3+1, C(q^2, 2)) bool, each clique's pairs in triu order
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.alive.sum())
-
-    def survival_rate(self) -> float:
-        return float(self.alive.mean())
-
 
 def checked_adj(F: ReplacementGraph) -> np.ndarray:
     """F's adjacency matrix, once checked triangle-free."""
@@ -312,21 +305,6 @@ def clique_triangles(A: np.ndarray, out=None) -> np.ndarray:
     AA = np.matmul(A, A, out=out)
     AA *= A
     return AA.any(axis=(1, 2))
-
-
-def cliques_triangle_free(star: StarGraph) -> bool:
-    """Whether no point clique holds a triangle of surviving edges: the
-    clique test of the pass, on one instance."""
-    k = star.base.cliques.shape[1]
-    iu, iv = triu_pairs(k)
-    # per clique: A and A @ A, float32
-    for block in slices(len(star.alive), 8 * k * k):
-        alive = star.alive[block]
-        A = np.zeros((len(alive), k, k), dtype=np.float32)
-        A[:, iu, iv] = A[:, iv, iu] = alive
-        if clique_triangles(A).any():
-            return False
-    return True
 
 
 def _pass_row_bytes(k: int, n: int) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -129,7 +128,7 @@ class _Parser(argparse.ArgumentParser):
 
 #: the largest q of each command but certify, which runs at every q in
 #: SUPPORTED_Q: it builds neither the (q^3+1)^2 pos table nor an m-long edge
-#: table (m passes 2^31 at q = 25), and runs to q = 37 in 106 s at 2.3 GB on a
+#: table (m passes 2^31 at q = 25), and runs to q = 37 in 110 s at 1.7 GB on a
 #: 2-core x86-64 host, where the figures below were also taken.  search's
 #: (m, 2q^2) int32 partner table sets its peak, 1.53 GB of 1.57 GB at q = 9;
 #: check-coloring streams the edge order (IntersectionGraph.edge_blocks) and
@@ -199,7 +198,6 @@ def cmd_certify(args) -> int:
     unital = build_unital_for_q(q)
     g = build_graph(unital)
     sym = unital_symmetry(unital, g)
-    del unital  # its int64 incidence copies g.vertex_cliques: 8 MB at q = 16
     certs: list[Certificate] = []
 
     rep = verify_srg(g)
@@ -367,7 +365,6 @@ def cmd_simulate(args) -> int:
     unital = build_unital_for_q(args.q)
     g = _GRAPH_CACHE[args.q] = build_graph(unital)  # forked workers reuse it
     sym = unital_symmetry(unital, g)
-    del unital
     lemma = verify_k4_by_symmetry(g, sym) if sym is not None else None
     adj = checked_adj(F)
     seeds = [instance_seed(args.seed, t) for t in range(args.trials)]
@@ -380,6 +377,8 @@ def cmd_simulate(args) -> int:
     runs = blocks if workers > 1 else [slice(0, args.trials)]
     payloads = [(args.q, F, adj, seeds[r], scans[r], max(0, min(r.stop, 40) - r.start)) for r in runs]
     if workers > 1:
+        import multiprocessing  # here, so that runs without a pool do not load it
+
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_trials_report, payloads)
     else:
@@ -460,6 +459,7 @@ def cmd_search(args) -> int:
     _check_q(args)
     if args.restarts < 1:
         raise UsageError(f"--restarts must be at least 1, got {args.restarts}")
+    _out_path(args)  # a bad --out fails before the search, which creates it only at the end
     g = build_graph_for_q(args.q)
     fam = build_family(g)
     schedule = AnnealSchedule(

@@ -65,7 +65,9 @@ class IntersectionGraph:
     cliques : (q^3+1, q^2) int32, sorted member lists of the point cliques
         (row i = secants through dense unital point i).
     vertex_cliques : (n, q+1) int32, the incidence itself: the sorted dense
-        unital points (equivalently, point-clique ids) of each secant.
+        unital points (equivalently, point-clique ids) of each secant.  An
+        int32 incidence is held as given, not copied: build_graph's is the
+        unital's secant_points.
     at : (n, q+1) int32, at[s, j] is the position of secant s in the clique
         of its point vertex_cliques[s, j].
 
@@ -112,7 +114,7 @@ class IntersectionGraph:
             raise GraphError("some unital point is not on exactly q^2 secants")
         self.q = q
         self.n = n
-        self.vertex_cliques = pts.astype(np.int32)
+        self.vertex_cliques = pts.astype(np.int32, copy=False)
         # a stable sort of the flat incidence lists each point's secants in
         # order; its inverse is each incidence's position in its clique
         inc = np.argsort(self.vertex_cliques.ravel(), kind="stable")

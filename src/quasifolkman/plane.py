@@ -74,15 +74,15 @@ class UnitalIncidence:
 
     unital_points / secants hold canonical plane ids (ascending).
     secant_points[i] lists, for secant id secants[i], the dense indices
-    (0..q^3) of its q+1 unital points; dense index j refers to
-    unital_points[j].
+    (0..q^3) of its q+1 unital points, ascending, as int32; dense index j
+    refers to unital_points[j].  The graph holds this array itself.
     """
 
     q: int
     plane: ProjectivePlane
     unital_points: np.ndarray
     secants: np.ndarray
-    secant_points: np.ndarray  # shape (num_secants, q+1), dense unital indices
+    secant_points: np.ndarray  # (num_secants, q+1) int32, dense unital indices
 
     @property
     def num_points(self) -> int:
@@ -116,7 +116,7 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
     if len(unital) != q**3 + 1:
         raise GeometryError(f"unital has {len(unital)} points, expected {q**3 + 1}")
 
-    index = np.full(plane.size, -1)
+    index = np.full(plane.size, -1, dtype=np.int32)
     index[unital] = np.arange(len(unital))
 
     def dense(triples):

@@ -792,7 +792,7 @@ def secant_incidence(plane, unital):
     secants = np.flatnonzero(secant_mask).astype(np.int64)
     sec_inc = inc[secant_mask]
     rows, cols = np.nonzero(sec_inc)
-    secant_points = cols.reshape(len(secants), q + 1).astype(np.int64)
+    secant_points = cols.reshape(len(secants), q + 1).astype(np.int32)
     secant_points.sort(axis=1)
     unital_incidence = UnitalIncidence(
         q=q,

@@ -233,7 +233,7 @@ def test_criterion_9_random_block_h4(g4, fam4):
         rates = []
         for t in range(100):
             star = random_block(g4, F, instance_seed(base_seed, t))
-            rates.append(star.survival_rate())
+            rates.append(star.alive.mean())
             if find_k4(adj_bits(star), g4.n) is not None:
                 ok_k4 = False
         rates = np.array(rates)

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import build_unital_whole, edge_tables_sorted, edge_triangle_index_whole, k4_clique_property_whole
 from quasifolkman import _kernel, budget
-from quasifolkman.blocks import checked_adj, cliques_triangle_free, instance_blocks, random_block, replacement_registry
+from quasifolkman.blocks import checked_adj, instance_blocks, random_block, replacement_registry
 from quasifolkman.certify import EdgeColoring, vertex_same_pairs
 from quasifolkman.cli import main
 from quasifolkman.fields import QuadraticExtension
@@ -199,17 +199,16 @@ def stage_call(stage, q):
         fam = build_family(g)
         colors = EdgeColoring.random(g, 1).clique_bits[:, :, None]
         return lambda: [vertex_same_pairs(fam, colors)]
-    star = random_block(g, replacement_registry()["c5"], 1)
+    F = replacement_registry()["c5"]
     if stage == "random_block":
-        return lambda: fields(random_block(g, star.F, 1), "labels", "alive")
-    if stage == "instance_blocks":
-        return lambda: [a for block in instance_blocks(g, checked_adj(star.F), [1, 2]) for a in block]
-    return lambda: [] if cliques_triangle_free(star) else None
+        return lambda: fields(random_block(g, F, 1), "labels", "alive")
+    assert stage == "instance_blocks"
+    return lambda: [a for block in instance_blocks(g, checked_adj(F), [1, 2]) for a in block]
 
 
 @pytest.mark.parametrize("stage,q", [
     ("build_unital", 9), ("enumerate_all_triangles", 4), ("k4_clique_property", 4), ("verify_srg", 9),
-    ("edge_blocks", 7), ("vertex_same_pairs", 7), ("random_block", 7), ("cliques_triangle_free", 7),
+    ("edge_blocks", 7), ("vertex_same_pairs", 7), ("random_block", 7),
     ("instance_blocks", 4), ("instance_blocks", 7), ("edge_rows", 7), ("verify_nbhd_decomposition", 9),
     ("edge_triangle_index", 7),
 ])

@@ -25,7 +25,6 @@ from quasifolkman.blocks import (
     ConstructionError,
     alon_parameters,
     checked_adj,
-    cliques_triangle_free,
     concentration_experiment,
     critical_delta,
     instance_blocks,
@@ -249,9 +248,9 @@ def test_instance_blocks_match_the_loop_oracle_and_one_instance(monkeypatch, g3,
         star = random_block(g, F, seed)
         assert np.array_equal(lab, star.labels)
         mask = incidence_edge_mask(g, F, lab)
-        assert num == star.num_edges == mask.sum()
-        assert num / g.m == star.survival_rate()
-        assert ok == cliques_triangle_free(star) == (clique_triangle_loop(star_from_mask(g, mask)) is None)
+        assert num == star.alive.sum() == mask.sum()
+        assert num / g.m == star.alive.mean()
+        assert ok == (clique_triangle_loop(star_from_mask(g, mask)) is None)
 
 
 #: the bytes one clique of a q = 3 c5 instance touches in the pass
@@ -288,9 +287,9 @@ def test_instance_blocks_catch_a_planted_clique_triangle(monkeypatch, g3, where,
     assert len(planted) == 1
     assert free.tolist() == [t != target for t in range(len(seeds))]
     star = star_instance(g3, F, checked_adj(F), seeds[target], labels[target])
-    assert edges[target] == star.num_edges
-    assert not cliques_triangle_free(star)
-    assert clique_triangle_loop(star) == (point, *g3.cliques[point, :3].tolist())
+    assert edges[target] == star.alive.sum()
+    want = (point, *g3.cliques[point, :3].tolist())
+    assert verify_star_instance(star)["clique_triangle"] == clique_triangle_loop(star) == want
 
 
 def test_star_instance_checks(g3, fam3):
@@ -312,7 +311,7 @@ def test_star_instance_checks(g3, fam3):
 
 def test_star_survival_rate_near_expectation(g3):
     F = replacement_registry()["edge"]
-    rates = [random_block(g3, F, instance_seed(0, t)).survival_rate() for t in range(60)]
+    rates = [random_block(g3, F, instance_seed(0, t)).alive.mean() for t in range(60)]
     rates = np.array(rates)
     expect = 2 * F.m / F.n**2  # 1/2
     stderr = rates.std(ddof=1) / math.sqrt(len(rates))
@@ -322,7 +321,7 @@ def test_star_survival_rate_near_expectation(g3):
 def test_star_c5_survival(g3):
     F = replacement_registry()["c5"]
     rates = np.array(
-        [random_block(g3, F, instance_seed(3, t)).survival_rate() for t in range(60)]
+        [random_block(g3, F, instance_seed(3, t)).alive.mean() for t in range(60)]
     )
     expect = 2 * 5 / 25  # 0.4
     stderr = rates.std(ddof=1) / math.sqrt(len(rates))

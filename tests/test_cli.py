@@ -1,5 +1,10 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,7 +268,7 @@ def test_simulate_caps_worker_processes_at_the_blocks(tmp_path, monkeypatch):
         def map(self, fn, items):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(cli.multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     runs = {}
     for threads in ("64", "1"):
@@ -617,6 +622,29 @@ def test_check_coloring_out_naming_a_file_fails_before_the_graph(tmp_path, capsy
     err = capsys.readouterr().err
     assert "--out" in err and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_search_out_under_a_file_fails_before_the_search(tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(cli, "anneal", lambda *a, **k: pytest.fail("anneal called"))
+    rc = main(["search", "--q", "4", "--restarts", "32", "--steps", "1e5", "--out", str(tmp_path / "file" / "x")])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "--out" in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_certify_never_imports_multiprocessing(tmp_path):
+    # only simulate's pool needs it: a fresh interpreter that certifies never loads it
+    code = ("import sys\n"
+            "from quasifolkman.cli import main\n"
+            f"assert main(['certify', '--q', '3', '--out', {str(tmp_path)!r}]) == {EXIT_INCONCLUSIVE}\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')\n"
+            "sys.exit(f'loaded {loaded}' if loaded else 0)\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "certify_q3.json").exists()
 
 
 def test_srg_certificates_name_path_and_coverage(tmp_path):

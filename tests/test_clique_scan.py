@@ -13,7 +13,6 @@ import oracles
 from oracles import enumerate_k4
 from quasifolkman import budget
 from quasifolkman.blocks import (
-    cliques_triangle_free,
     instance_seed,
     random_block,
     replacement_registry,
@@ -100,7 +99,6 @@ def test_star_check_matches_bitmask_oracles(graphs_by_q, q, name):
         rep = verify_star_instance(star)
         assert rep["k4_witness"] == oracles.find_k4(oracles.adj_bits(star), g.n)
         assert rep["cliques_triangle_free"] == (oracles.clique_triangle_loop(star) is None)
-        assert cliques_triangle_free(star) == rep["cliques_triangle_free"]
 
 
 def _first_concurrent_triangle(g, tris, edges, meet, mask):
@@ -128,7 +126,6 @@ def test_star_check_finds_planted_k4s_and_clique_triangles(graphs_by_q, q, densi
         assert rep["k4_witness"] == k4 and rep["k4_free"] == (k4 is None)
         assert rep["cliques_triangle_free"] == (oracles.clique_triangle_loop(star) is None)
         assert rep["clique_triangle"] == _first_concurrent_triangle(g, tris, edges, meet, mask)
-        assert cliques_triangle_free(star) == rep["cliques_triangle_free"]
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -142,13 +139,14 @@ def test_star_check_positive_control_every_edge_kept(graphs_by_q, q, monkeypatch
         assert rep["k4_free"] is False
         assert rep["k4_witness"] == first
         assert rep["cliques_triangle_free"] is False
-        assert cliques_triangle_free(star) is False
+        assert oracles.clique_triangle_loop(star) is not None
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_clique_test_sees_each_clique_alone(graphs_by_q, q, monkeypatch):
     # one triangle in one clique, the rest of that clique's edges dead, and
-    # every clique in its own block: the test must find it in every clique
+    # at a one-byte budget every clique in its own block: the scan must
+    # find it in every clique
     g = graphs_by_q[q]
     k = g.cliques.shape[1]
     iu, iv = np.triu_indices(k, k=1)
@@ -159,10 +157,12 @@ def test_clique_test_sees_each_clique_alone(graphs_by_q, q, monkeypatch):
         for point in rng.choice(len(g.cliques), size=8, replace=False):
             star = oracles.star_from_mask(g, np.zeros(g.m, dtype=bool))
             star.alive[point, pairs] = True
-            assert cliques_triangle_free(star) is False
+            want = (int(point), *g.cliques[point, :3].tolist())
+            assert verify_star_instance(star)["clique_triangle"] == oracles.clique_triangle_loop(star) == want
             # two of its edges are a path, not a triangle
             star.alive[point, pairs[2]] = False
-            assert cliques_triangle_free(star) is True
+            assert verify_star_instance(star)["cliques_triangle_free"] is True
+            assert oracles.clique_triangle_loop(star) is None
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -17,6 +17,7 @@ from quasifolkman import _kernel, budget
 from quasifolkman.certify import graph_checksum
 from quasifolkman.graphs import (
     IntersectionGraph,
+    build_graph,
     build_graph_for_q,
     edge_list_blocks,
     graph6_bytes,
@@ -24,11 +25,29 @@ from quasifolkman.graphs import (
     verify_k4_structure,
     verify_srg,
 )
+from quasifolkman.plane import build_unital_for_q
 
 
 @pytest.fixture(scope="module")
 def graphs():
     return {q: build_graph_for_q(q) for q in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_graph_holds_the_unitals_int32_incidence(q):
+    u = build_unital_for_q(q)
+    g = build_graph(u)
+    assert u.secant_points.dtype == g.vertex_cliques.dtype == np.int32
+    assert np.shares_memory(g.vertex_cliques, u.secant_points)
+    # an int64 copy of the incidence is narrowed into a graph of its own
+    wide = IntersectionGraph(q, u.secant_points.astype(np.int64))
+    assert not np.shares_memory(wide.vertex_cliques, u.secant_points)
+    arrays = {name for name, a in vars(g).items() if isinstance(a, np.ndarray)}
+    assert {"vertex_cliques", "cliques", "at"} <= arrays
+    for name in arrays:
+        a, b = getattr(wide, name), getattr(g, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (wide.n, wide.m) == (g.n, g.m)
 
 
 @pytest.mark.parametrize("q,n,d", [(2, 12, 9), (3, 63, 32), (4, 208, 75)])
