@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import platform
 import shutil
@@ -27,6 +26,8 @@ def _load_kernel():
     machine, and written under a temporary name first, so concurrent builds
     are safe.  An unwritable cache gets a build in a per-process temporary
     directory."""
+    import hashlib  # here, as in certify.graph_checksum: commands that never load the kernel skip it
+
     try:
         source = _KERNEL_SOURCE.read_bytes()
     except OSError:

@@ -21,7 +21,6 @@ All certificate arithmetic is exact (ints and Fractions).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -42,6 +41,8 @@ class ColoringFormatError(ValueError):
 def graph_checksum(g: IntersectionGraph, blocks=None) -> str:
     """The first 16 hex digits of the SHA-256 of the edge-list text, laid out
     from the edge stream's blocks (by default g.edge_blocks())."""
+    import hashlib  # here: its OpenSSL library adds 3.5 MB, which the certify command never needs
+
     h = hashlib.sha256()
     for block in edge_list_blocks(g, blocks):
         h.update(block)

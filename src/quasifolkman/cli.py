@@ -28,22 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blocks import (
-    ConstructionError,
-    alon_parameters,
-    checked_adj,
-    concentration_experiment,
-    critical_delta,
-    instance_blocks,
-    instance_seed,
-    load_replacement,
-    quantitative_bound,
-    smallest_valid_alon_k,
-    star_instance,
-    deletion_margin,
-    trial_blocks,
-    verify_star_instance,
-)
 from .certificates import Certificate
 from .certify import (
     EdgeColoring,
@@ -65,7 +49,6 @@ from .graphs import (
     verify_srg,
 )
 from .plane import build_unital_for_q
-from .search import AnnealSchedule, anneal, random_coloring_stats
 from .triangles import build_family, no_k4_in_family, verify_nbhd_decomposition
 
 EXIT_PASS = 0
@@ -128,8 +111,9 @@ class _Parser(argparse.ArgumentParser):
 
 #: the largest q of each command but certify, which runs at every q in
 #: SUPPORTED_Q: it builds neither the (q^3+1)^2 pos table nor an m-long edge
-#: table (m passes 2^31 at q = 25), and runs to q = 37 in 110 s at 1.7 GB on a
-#: 2-core x86-64 host, where the figures below were also taken.  search's
+#: table (m passes 2^31 at q = 25), and runs to q = 49 in 289 s at 4.1 GB on a
+#: 2-core x86-64 host, where the figures below were also taken; three int32
+#: arrays of n(q+1) entries (incidence, at, cliques) hold 3.4 GB.  search's
 #: (m, 2q^2) int32 partner table sets its peak, 1.53 GB of 1.57 GB at q = 9;
 #: check-coloring streams the edge order (IntersectionGraph.edge_blocks) and
 #: holds no m-long edge table, and its compiled Goodman count reads the coloring
@@ -200,7 +184,7 @@ def cmd_certify(args) -> int:
     sym = unital_symmetry(unital, g)
     certs: list[Certificate] = []
 
-    rep = verify_srg(g)
+    rep = verify_srg(g, sym)
     certs.append(
         Certificate(
             claim="strong regularity",
@@ -271,6 +255,8 @@ def _trials_report(payload):
     lemma), so an instance with no triangle inside a point clique is
     K4-free.  The scan runs where the payload asks for it and on any
     instance that fails the clique test, so that its K4 verdict is exact."""
+    from .blocks import instance_blocks, star_instance, verify_star_instance
+
     q, F, adj, seeds, scans, keep = payload
     g = _worker_graph(q)
     records, scanned, kept = [], 0, []
@@ -300,6 +286,20 @@ def _worker_graph(q: int):
 
 
 def cmd_simulate(args) -> int:
+    from .blocks import (  # here, so that the other commands never load blocks
+        ConstructionError,
+        alon_parameters,
+        checked_adj,
+        concentration_experiment,
+        critical_delta,
+        deletion_margin,
+        instance_seed,
+        load_replacement,
+        quantitative_bound,
+        smallest_valid_alon_k,
+        trial_blocks,
+    )
+
     config = _run_config(args)
 
     if args.alon_k is not None:
@@ -456,6 +456,9 @@ def cmd_simulate(args) -> int:
 # ----------------------------------------------------------------------
 
 def cmd_search(args) -> int:
+    # here, so that the other commands never load search
+    from .search import AnnealSchedule, anneal, random_coloring_stats
+
     _check_q(args)
     if args.restarts < 1:
         raise UsageError(f"--restarts must be at least 1, got {args.restarts}")

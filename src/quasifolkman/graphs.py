@@ -48,7 +48,7 @@ from .certificates import Certificate
 from .plane import ProjectivePlane, UnitalIncidence
 
 #: q values the commands run at; cli.Q_LIMIT caps all but certify lower
-SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37)
+SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49)
 
 
 class GraphError(RuntimeError):
@@ -108,22 +108,48 @@ class IntersectionGraph:
         n, k, npts = len(pts), q * q, q**3 + 1
         if pts.ndim != 2 or pts.shape[1] != q + 1:
             raise GraphError(f"secant point lists must have q+1 = {q + 1} entries")
-        if not np.all(pts[:, :-1] < pts[:, 1:]):
-            raise GraphError("secant point lists must be strictly increasing")
-        if pts.min() < 0 or pts.max() >= npts or not np.all(np.bincount(pts.ravel(), minlength=npts) == k):
-            raise GraphError("some unital point is not on exactly q^2 secants")
+        unsorted = GraphError("secant point lists must be strictly increasing")
+        miscounted = GraphError("some unital point is not on exactly q^2 secants")
+        if n and (pts.min() < 0 or pts.max() >= npts):
+            raise miscounted
         self.q = q
         self.n = n
-        self.vertex_cliques = pts.astype(np.int32, copy=False)
-        # a stable sort of the flat incidence lists each point's secants in
-        # order; its inverse is each incidence's position in its clique
-        inc = np.argsort(self.vertex_cliques.ravel(), kind="stable")
-        at = np.empty(len(inc), dtype=np.int32)
-        at[inc] = np.tile(np.arange(k, dtype=np.int32), npts)
-        self.at = at.reshape(n, q + 1)
-        inc //= q + 1
-        self.cliques = inc.astype(np.int32).reshape(npts, k)
-        del inc
+        self.vertex_cliques = vc = pts.astype(np.int32, copy=False)
+        # a stable counting sort of the flat incidence, a block of secants at
+        # a time: each point's clique fills in secant order, so an
+        # incidence's position is its point's count of earlier secants.
+        # Inside a block, one sort of (point, place) keys groups each point's
+        # incidences in order
+        self.at = np.empty((n, q + 1), dtype=np.int32)
+        self.cliques = np.empty((npts, k), dtype=np.int32)
+        filled = np.zeros(npts, dtype=np.int32)
+        # per incidence: its int64 key, place and rank, and an intp
+        # temporary (about 40 bytes)
+        for part in slices(n, 40 * (q + 1)):
+            rows = vc[part]
+            if not np.all(rows[:, :-1] < rows[:, 1:]):
+                raise unsorted
+            width = rows.size
+            key = rows.astype(np.int64).ravel()
+            key *= width
+            key += np.arange(width)
+            key.sort()
+            place = key % width
+            key //= width  # the points, grouped
+            start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            size = np.diff(np.r_[start, width])
+            first = key[start]
+            if (filled[first] + size > k).any():
+                raise miscounted
+            rank = np.repeat(filled[first] - start, size)
+            rank += np.arange(width)
+            place += part.start * (q + 1)
+            self.at.ravel()[place] = rank
+            place //= q + 1  # the secants
+            self.cliques[key, rank] = place
+            filled[first] += size.astype(np.int32)
+        if not (filled == k).all():
+            raise miscounted
         self.m = npts * comb(k, 2)
         iu, iv = triu_pairs(k)
         self._pair = np.zeros((k, k), dtype=np.int32)
@@ -176,6 +202,18 @@ class IntersectionGraph:
         cols[self.vertex_cliques[members], np.arange(len(Q))[:, None, None]] = self.at[members]
         cols[Q, np.arange(len(Q))] = -1
         return cols
+
+    @cached_property
+    def secant_keys(self) -> np.ndarray:
+        """Each secant's (first point, second point) key times n plus its
+        id, sorted once on first use: a searchsorted for key * n finds the
+        secant through two points, and the remainder mod n names it."""
+        vc, npts = self.vertex_cliques, len(self.cliques)
+        keys = vc[:, 0].astype(np.int64) * npts + vc[:, 1]
+        keys *= self.n
+        keys += np.arange(self.n)
+        keys.sort()
+        return keys
 
     def edge_at(self, P, A, B):
         """Id of the edge at unital point P between the secants through
@@ -365,7 +403,8 @@ class SrgReport:
     lambda_observed: int | None
     mu_observed: int | None
     checks: dict[str, bool]
-    point_pairs: int
+    points: int
+    point_orbits: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -373,8 +412,12 @@ class SrgReport:
 
     @property
     def coverage(self) -> dict:
-        """How lambda and mu were established, for certificates."""
-        return {"path": "design identity", "point_pairs_checked": self.point_pairs}
+        """How lambda and mu were established, for certificates: the design
+        count at every point, or at one point per orbit of a verified group
+        that carries it to the rest."""
+        if self.point_orbits is None:
+            return {"path": "design identity", "points_checked": self.points}
+        return {"path": "design identity", "point_orbits": self.point_orbits, "points_covered": self.points}
 
 
 def design_row_bytes(g: IntersectionGraph) -> int:
@@ -405,7 +448,23 @@ def _design_block(g: IntersectionGraph, P: np.ndarray) -> tuple[bool, bool]:
     return on_point, placed and not counts.any()
 
 
-def verify_srg(g: IntersectionGraph) -> SrgReport:
+def _placed_in_cliques(g: IntersectionGraph) -> bool:
+    """Whether each secant s sits at at[s, j] in the clique of its point
+    vertex_cliques[s, j]: cliques[vertex_cliques, at] == s, one block of
+    secants at a time.  With n(q+1) = (q^3+1) q^2 that gather is onto, so it
+    also puts every member of each clique on its point."""
+    k = g.cliques.shape[1]
+    if len(g.at) and (g.at.min() < 0 or g.at.max() >= k):
+        return False
+    # per incidence: the intp flat index, the int32 gather and the compare
+    for part in slices(g.n, 16 * (g.q + 1)):
+        members = g.cliques[g.vertex_cliques[part], g.at[part]]
+        if not (members == np.arange(part.start, part.stop, dtype=np.int32)[:, None]).all():
+            return False
+    return True
+
+
+def verify_srg(g: IntersectionGraph, sym: UnitalSymmetry | None = None) -> SrgReport:
     """Strong regularity from the unital's design identity, its premises
     checked exhaustively on the incidence.
 
@@ -431,17 +490,31 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
     records, so that the rows and columns of pos read from at name the
     cliques' members.  The counts run over blocks of points and are
     compared in place.
+
+    With sym, verified automorphisms whose group is transitive on the
+    points (unital_symmetry), the count runs at point 0 alone.  Each
+    automorphism maps the secants through 0 onto those through its image of
+    0, and their points with them, so the design at 0 holds at every point,
+    provided each secant map is a bijection: one bincount of n apiece.  The
+    two facts about the arrays, members on their points and at's
+    placement, are checked whole by one gather (_placed_in_cliques).
     """
     q = g.q
     cl, vc = g.cliques, g.vertex_cliques
     npts = len(cl)
     n_expected = q**4 - q**3 + q**2
     d_expected = q**3 + q**2 - q - 1
-    on_point = share_one = True
-    for block in slices(npts, design_row_bytes(g)):
-        on, one = _design_block(g, np.arange(npts)[block])
-        on_point &= on
-        share_one &= one
+    if sym is None:
+        on_point = share_one = True
+        for block in slices(npts, design_row_bytes(g)):
+            on, one = _design_block(g, np.arange(npts)[block])
+            on_point &= on
+            share_one &= one
+    else:
+        on_point = _placed_in_cliques(g)
+        counts = (np.bincount(sec, minlength=g.n) for sec in sym.secants)
+        bijective = all(len(c) == g.n and (c == 1).all() for c in counts)
+        share_one = on_point and bijective and all(_design_block(g, np.zeros(1, dtype=np.intp)))
     checks: dict[str, bool] = {}
     checks["vertex_count"] = g.n == n_expected
     checks["edge_count"] = 2 * g.m == g.n * d_expected
@@ -459,7 +532,8 @@ def verify_srg(g: IntersectionGraph) -> SrgReport:
         lambda_observed=2 * q * q - 2 if passed else None,
         mu_observed=(q + 1) ** 2 if passed else None,
         checks=checks,
-        point_pairs=comb(npts, 2),
+        points=npts,
+        point_orbits=None if sym is None else 1,
     )
 
 
@@ -636,17 +710,23 @@ def point_action(unital: UnitalIncidence, M: np.ndarray) -> np.ndarray | None:
 def secant_action(g: IntersectionGraph, perm: np.ndarray) -> np.ndarray | None:
     """The permutation of the secants that the point permutation perm
     induces, or None when some secant's image points are not a secant: the
-    secant through its first two image points, found by one searchsorted
-    over the secants' (first point, second point) keys, must list all of
-    them."""
-    vc, npts = g.vertex_cliques, len(g.cliques)
-    img = perm[vc]
-    img.sort(axis=1)
-    key = vc[:, 0].astype(np.int64) * npts + vc[:, 1]
-    order = np.argsort(key)
-    idx = np.searchsorted(key, img[:, 0].astype(np.int64) * npts + img[:, 1], sorter=order)
-    sec = order[np.minimum(idx, len(key) - 1)].astype(np.int32)
-    return sec if np.array_equal(vc[sec], img) else None
+    secant through its first two image points, found by a searchsorted over
+    the sorted secant keys (IntersectionGraph.secant_keys), must list all of
+    them.  The images are gathered a block of secants at a time."""
+    vc, n, npts = g.vertex_cliques, g.n, len(g.cliques)
+    keys = g.secant_keys
+    sec = np.empty(n, dtype=np.int32)
+    # per secant: its q+1 image points as intp and int32 with the compare,
+    # and a few int64 keys
+    for part in slices(n, 24 * (g.q + 1) + 64):
+        img = perm[vc[part]]
+        img.sort(axis=1)
+        idx = np.searchsorted(keys, (img[:, 0].astype(np.int64) * npts + img[:, 1]) * n)
+        found = (keys[np.minimum(idx, n - 1)] % n).astype(np.int32)
+        if not np.array_equal(vc[found], img):
+            return None
+        sec[part] = found
+    return sec
 
 
 def orbit_labels(size: int, perms: list[np.ndarray]) -> np.ndarray:
@@ -710,11 +790,16 @@ def unital_symmetry(unital: UnitalIncidence, g: IntersectionGraph) -> UnitalSymm
             t = points[k][t]
         return t
 
+    def inverse(t):
+        inv = np.empty(npts, dtype=np.intp)
+        inv[t] = np.arange(npts)
+        return inv
+
     stabiliser = []
     for x in order[-len(points):]:
         tx = transversal(x)
         for perm in points:
-            h = np.argsort(transversal(perm[x]))[perm[tx]]
+            h = inverse(transversal(perm[x]))[perm[tx]]
             if h[0] != 0:
                 return None
             stabiliser.append(h)

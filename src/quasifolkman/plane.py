@@ -130,7 +130,24 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
     nrm_neg = nrm[neg]
     target = neg[add[1, nrm]]
     far = nrm_neg == neg[1]
-    counts, cols = [], []
+    # the secants' rows go in line order into one array of the expected
+    # size; a line that meets the unital in neither 1 nor q+1 points, or a
+    # secant too many, stops the scan where it is found
+    secant_points = np.empty((q**4 - q**3 + q**2, q + 1), dtype=np.int32)
+    counts, rows = [], 0
+
+    def put(cnt, points):
+        nonlocal rows
+        bad = (cnt != 1) & (cnt != q + 1)
+        if bad.any():
+            lid = sum(map(len, counts)) + int(np.flatnonzero(bad)[0])
+            raise GeometryError(f"line {lid} meets the unital in {int(cnt[bad][0])} points")
+        if rows + len(points) > len(secant_points):
+            raise GeometryError(f"more than {len(secant_points)} secants")
+        counts.append(cnt)
+        secant_points[rows:rows + len(points)] = points
+        rows += len(points)
+
     # per b: the (s, s) int64 take and its bool compare
     for part in slices(s, 9 * s * s):
         b = np.arange(s)[part]
@@ -142,30 +159,20 @@ def build_unital(plane: ProjectivePlane) -> UnitalIncidence:
         r, t = np.divmod(np.flatnonzero(np.hstack([hit[bi, ci], far[ci, None]])), s + 1)
         bb, cc, aff = b[bi[r]], ci[r], t < s
         x = neg[np.where(aff, add[bb, mul[cc, t % s]], cc)]
-        counts.append(cnt.ravel())
-        cols.append(dense(np.stack([x, aff, np.where(aff, t, 1)], axis=1)).reshape(-1, q + 1))
+        put(cnt.ravel(), dense(np.stack([x, aff, np.where(aff, t, 1)], axis=1)).reshape(-1, q + 1))
 
     # permuting coordinates fixes the unital, so [0, 1, c] and [0, 0, 1] meet
     # it as [1, 0, c] and [1, 0, 0] do, at their points with X, Y and with
     # X, Z swapped
     first = counts[0][:s]
-    lines0 = cols[0][:np.count_nonzero(first == q + 1)]
+    lines0 = secant_points[:np.count_nonzero(first == q + 1)]
     up = coords[unital]
-    counts += [first, first[:1]]
-    cols += [dense(up[:, [1, 0, 2]])[lines0], dense(up[:, [2, 1, 0]])[lines0[:int(first[0] == q + 1)]]]
-    counts = np.concatenate(counts)
+    put(first, dense(up[:, [1, 0, 2]])[lines0])
+    put(first[:1], dense(up[:, [2, 1, 0]])[lines0[:int(first[0] == q + 1)]])
 
-    secant_mask = counts == q + 1
-    bad = ~(secant_mask | (counts == 1))
-    if bad.any():
-        lid = int(np.flatnonzero(bad)[0])
-        raise GeometryError(f"line {lid} meets the unital in {int(counts[lid])} points")
-
-    secants = np.flatnonzero(secant_mask).astype(np.int64)
-    if len(secants) != q**4 - q**3 + q**2:
-        raise GeometryError(f"{len(secants)} secants, expected {q**4 - q**3 + q**2}")
-
-    secant_points = np.concatenate(cols)
+    secants = np.flatnonzero(np.concatenate(counts) == q + 1).astype(np.int64)
+    if len(secants) != len(secant_points):
+        raise GeometryError(f"{len(secants)} secants, expected {len(secant_points)}")
     secant_points.sort(axis=1)
 
     return UnitalIncidence(

@@ -25,6 +25,9 @@ gather.  pos_loop fills pos one clique member at a time, the reference for
 IntersectionGraph.pos and its row and column helpers, and
 secant_action_pos finds each image secant through the whole table, the
 form secant_action took before its searchsorted.
+incidence_positions_argsort is the stable argsort of the flat incidence
+that IntersectionGraph.__init__ ran before its blocked counting sort, the
+reference for at and cliques.
 neighborhood_edges sorts every edge of H[N(v)] as one a*n + b key, and
 verify_nbhd_global looks every covering pair up among them at once: the
 form verify_nbhd_decomposition took before it ran clique by clique, kept
@@ -949,6 +952,17 @@ def pos_loop(g):
                 if a != p:
                     pos[p, a] = i
     return pos
+
+
+def incidence_positions_argsort(q, secant_points):
+    """at and cliques from one stable argsort of the flat incidence: it lists
+    each point's secants in order, and its inverse is each incidence's
+    position in its clique."""
+    k, npts = q * q, q**3 + 1
+    inc = np.argsort(secant_points.ravel(), kind="stable")
+    at = np.empty(len(inc), dtype=np.int32)
+    at[inc] = np.tile(np.arange(k, dtype=np.int32), npts)
+    return at.reshape(-1, q + 1), (inc // (q + 1)).astype(np.int32).reshape(npts, k)
 
 
 def secant_action_pos(g, perm):

@@ -25,10 +25,11 @@ from quasifolkman.graphs import (
     extend_cliques,
     k4_clique_property,
     row_pairs,
+    unital_symmetry,
     verify_k4_structure,
     verify_srg,
 )
-from quasifolkman.plane import ProjectivePlane, build_unital
+from quasifolkman.plane import ProjectivePlane, build_unital, build_unital_for_q
 from quasifolkman.search import edge_triangle_index
 from quasifolkman.triangles import build_family, verify_nbhd_decomposition
 
@@ -184,6 +185,11 @@ def stage_call(stage, q):
         return lambda: [k4_clique_property(g, tris)]
     if stage == "verify_srg":
         return lambda: [] if verify_srg(g).passed else None
+    if stage == "verify_srg_by_orbits":
+        sym = unital_symmetry(build_unital_for_q(q), g)
+        return lambda: [] if verify_srg(g, sym).passed else None
+    if stage == "IntersectionGraph":
+        return lambda: fields(IntersectionGraph(q, g.vertex_cliques), "at", "cliques", "_pair")
     if stage == "verify_nbhd_decomposition":
         return lambda: [] if verify_nbhd_decomposition(g, g.n // 2).outcome == "pass" else None
     if stage == "edge_rows":
@@ -207,7 +213,8 @@ def stage_call(stage, q):
 
 
 @pytest.mark.parametrize("stage,q", [
-    ("build_unital", 9), ("enumerate_all_triangles", 4), ("k4_clique_property", 4), ("verify_srg", 9),
+    ("build_unital", 9), ("IntersectionGraph", 9), ("enumerate_all_triangles", 4), ("k4_clique_property", 4),
+    ("verify_srg", 9), ("verify_srg_by_orbits", 9),
     ("edge_blocks", 7), ("vertex_same_pairs", 7), ("random_block", 7),
     ("instance_blocks", 4), ("instance_blocks", 7), ("edge_rows", 7), ("verify_nbhd_decomposition", 9),
     ("edge_triangle_index", 7),

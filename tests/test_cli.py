@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import oracles
-from quasifolkman import blocks, budget, cli, triangles
+from quasifolkman import blocks, budget, cli, search, triangles
 from quasifolkman.blocks import instance_seed
 from quasifolkman.certificates import Certificate
+from quasifolkman.certify import EdgeColoring
 from quasifolkman.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_PASS, main
 from quasifolkman.graphs import build_graph_for_q
 
@@ -371,6 +372,9 @@ def test_certify_zero_k4_samples_inconclusive(tmp_path, monkeypatch):
     assert k4["quantities"]["k4_checked"] == 0
     assert k4["outcome"] == "inconclusive"
     assert k4["params"]["path"] == "direct"
+    # without the group the design count runs at every point
+    srg = payload["certificates"][0]["quantities"]
+    assert srg["points_checked"] == 8**3 + 1 and "point_orbits" not in srg
     nbhd = next(c for c in payload["certificates"] if c["claim"].startswith("neighborhood"))
     assert nbhd["quantities"]["checked_vertices"] == [0, 1824, 3647]
     assert nbhd["quantities"]["vertices_covered"] == 3
@@ -574,7 +578,7 @@ def test_negative_or_empty_counts_are_one_line_errors(tmp_path, capsys, argv, fl
         ["search", "--q", "11"],
         ["search", "--q", "13"],
         ["check-coloring", "--q", "17", "--file", "no-such-coloring.txt"],
-        ["certify", "--q", "41"],
+        ["certify", "--q", "53"],
         ["simulate", "--alon-k", "7", "--delta", "1e-200"],
         ["search", "--q", "3", "--restarts", "1000000000000"],
         ["search", "--q", "3", "--steps", "2.7"],
@@ -626,7 +630,7 @@ def test_check_coloring_out_naming_a_file_fails_before_the_graph(tmp_path, capsy
 
 def test_search_out_under_a_file_fails_before_the_search(tmp_path, capsys, monkeypatch):
     (tmp_path / "file").write_text("")
-    monkeypatch.setattr(cli, "anneal", lambda *a, **k: pytest.fail("anneal called"))
+    monkeypatch.setattr(search, "anneal", lambda *a, **k: pytest.fail("anneal called"))
     rc = main(["search", "--q", "4", "--restarts", "32", "--steps", "1e5", "--out", str(tmp_path / "file" / "x")])
     assert rc == EXIT_FAIL
     err = capsys.readouterr().err
@@ -635,16 +639,25 @@ def test_search_out_under_a_file_fails_before_the_search(tmp_path, capsys, monke
 
 
 def test_certify_never_imports_multiprocessing(tmp_path):
-    # only simulate's pool needs it: a fresh interpreter that certifies never loads it
+    # only simulate's pool needs it: a fresh interpreter that certifies never
+    # loads it, nor blocks or search, which only simulate and search run;
+    # neither does check-coloring, and a bare import loads no submodule
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text(EdgeColoring.random(build_graph_for_q(3), 1).to_text())
+    unused = ("multiprocessing", "quasifolkman.blocks", "quasifolkman.search")
     code = ("import sys\n"
+            "import quasifolkman\n"
+            "bare = sorted(m for m in sys.modules if m.startswith('quasifolkman.'))\n"
+            "assert not bare, f'import quasifolkman loaded {bare}'\n"
             "from quasifolkman.cli import main\n"
             f"assert main(['certify', '--q', '3', '--out', {str(tmp_path)!r}]) == {EXIT_INCONCLUSIVE}\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')\n"
+            f"assert main(['check-coloring', '--q', '3', '--file', {str(coloring)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"loaded = sorted(m for m in sys.modules if m in {unused!r} or m.startswith('multiprocessing.'))\n"
             "sys.exit(f'loaded {loaded}' if loaded else 0)\n")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert (tmp_path / "certify_q3.json").exists()
+    assert (tmp_path / "certify_q3.json").exists() and (tmp_path / "check_coloring_q3.json").exists()
 
 
 def test_srg_certificates_name_path_and_coverage(tmp_path):
@@ -657,6 +670,9 @@ def test_srg_certificates_name_path_and_coverage(tmp_path):
         assert cert["outcome"] == "pass"
         assert (qty["lambda"], qty["mu"]) == (16, 16)
         assert qty["path"] == "design identity"
-        assert qty["point_pairs_checked"] == 28 * 27 // 2
+    # certify counts at one point of the verified group's one orbit, build
+    # at every point
+    assert certify["quantities"]["point_orbits"] == 1 and certify["quantities"]["points_covered"] == 28
+    assert build["quantities"]["points_checked"] == 28
     assert build["quantities"]["check_cliques_share_one_vertex"] is True
     assert build["quantities"]["check_clique_members_on_point"] is True

@@ -28,10 +28,10 @@ RUNS = [
 
 GOLDEN = {
     "best_coloring_q3.txt": "b6042df87731e9d8dc9eee65f713d85107b7075a403511fed226ef8b562a6574",
-    "build_q3.json": "12c8386050e8673343af533fc49a3fabc6dca0638cc11264715cd4c9d5d9b312",
-    "build_q3.txt": "1c70d611c4999933472051914304d4ef6d2ca718f09549222b26e5a6f1a6e73c",
-    "certify_q3.json": "ca0d6c9bbb2cb6032fafc3fefdcbbec749b79b25909761380868220e2704e0a8",
-    "certify_q3.txt": "3ef0694db98a3c4552a4227ca5f05e43ca7012d007f321635659dd5ccfcd0e4e",
+    "build_q3.json": "a1ac920384dcc8e9ac153d521e6b58fb34cd8414386700568920970a29297ab4",
+    "build_q3.txt": "428bcc134f2be17d31265dc85f81fd4f70d7a81e7c614ba8f4c9bfd86c055c46",
+    "certify_q3.json": "a4c5054996f1fea96baed7989ba1f2270dc54fb458ac6750e2cb60dfa28b6563",
+    "certify_q3.txt": "7a4ae88ed7d2840f2e9c28da4c2cc9fe79082753d7fd0d896c900cf221dd26fd",
     "check_coloring_q3.json": "9d88e53615ee330058b3cf41723065babc4f59d01cb35673fb2e241fbc70e2d0",
     "check_coloring_q3.txt": "185f6776e25492498a8b8b894380749d5366fdf61731b765ff125d3a95e1c334",
     "edges_q3.txt": "5e39c0b25cd308dcbe7c7d66b53dda4b4f948f97218afed41736db0626c90a8e",

@@ -10,6 +10,7 @@ from oracles import (
     edge_point,
     edge_tables_sorted,
     enumerate_k4,
+    incidence_positions_argsort,
     parse_edge_list,
     parse_graph6,
 )
@@ -31,6 +32,26 @@ from quasifolkman.plane import build_unital_for_q
 @pytest.fixture(scope="module")
 def graphs():
     return {q: build_graph_for_q(q) for q in (2, 3, 4)}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16])
+def test_counting_sort_matches_the_argsort(q):
+    # the constructor's blocked counting sort against one stable argsort of
+    # the flat incidence
+    g = build_graph_for_q(q)
+    at, cliques = incidence_positions_argsort(q, g.vertex_cliques)
+    assert g.at.dtype == at.dtype and np.array_equal(g.at, at)
+    assert g.cliques.dtype == cliques.dtype and np.array_equal(g.cliques, cliques)
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_counting_sort_does_not_depend_on_the_block(monkeypatch, q):
+    # 97 secants a block leave a ragged last block of the 208 at q = 4 and
+    # of the 525 at q = 5
+    g = build_graph_for_q(q)
+    monkeypatch.setattr(budget, "BLOCK_BYTES", 97 * 48 * (q + 1))
+    h = IntersectionGraph(q, g.vertex_cliques)
+    assert np.array_equal(h.at, g.at) and np.array_equal(h.cliques, g.cliques)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

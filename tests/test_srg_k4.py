@@ -1,8 +1,13 @@
 """Differential tests: strong regularity from the design identity, the
 meet test and the incidence-based K4 clique property against the dense
 oracles in oracles.py, and the SRG check against tampered clique rows and
-graphs built from a tampered incidence."""
+graphs built from a tampered incidence.  With the verified symmetry the
+design count runs at point 0 alone; that path reports the full check's
+results and fails on a tampered array or a secant map that is not a
+bijection."""
 
+import copy
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,12 +24,16 @@ from oracles import (
 from quasifolkman import budget
 from quasifolkman.graphs import (
     IntersectionGraph,
+    UnitalSymmetry,
+    build_graph,
     build_graph_for_q,
     design_row_bytes,
     edge_rows,
     k4_clique_property,
+    unital_symmetry,
     verify_srg,
 )
+from quasifolkman.plane import build_unital_for_q
 
 
 @pytest.fixture(scope="module", params=[2, 3, 4, 5, 7])
@@ -81,10 +90,88 @@ def test_srg_rejects_a_member_off_its_point():
 
 
 def test_srg_certificate_counts_the_point_pairs(graph):
+    # the design count runs at every point, or at one point per orbit of
+    # the verified group (a single orbit: the group is transitive)
     rep = verify_srg(graph)
     npts = graph.q**3 + 1
-    assert rep.coverage == {"path": "design identity", "point_pairs_checked": npts * (npts - 1) // 2}
+    assert rep.coverage == {"path": "design identity", "points_checked": npts}
     assert rep.d == graph.q**3 + graph.q**2 - graph.q - 1
+    orbit = verify_srg(graph, hermitian(graph.q)[1])
+    assert orbit.coverage == {"path": "design identity", "point_orbits": 1, "points_covered": npts}
+
+
+@functools.cache
+def hermitian(q):
+    unital = build_unital_for_q(q)
+    g = build_graph(unital)
+    return g, unital_symmetry(unital, g)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_srg_by_orbits_reports_the_full_checks(q):
+    g, sym = hermitian(q)
+    rep, full = verify_srg(g, sym), verify_srg(g)
+    assert rep.checks == full.checks and rep.passed
+    assert (rep.lambda_observed, rep.mu_observed, rep.d) == (full.lambda_observed, full.mu_observed, full.d)
+
+
+def tampered(q, table, edit):
+    """A copy of the intact graph at q with one of its arrays edited."""
+    g, sym = hermitian(q)
+    h = copy.copy(g)
+    setattr(h, table, getattr(g, table).copy())
+    edit(getattr(h, table))
+    return h, sym
+
+
+def shift_at(at):
+    at[5, 1] = (at[5, 1] + 1) % (at.max() + 1)
+
+
+def swap_members(cliques):
+    cliques[7, [2, 3]] = cliques[7, [3, 2]]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("table,edit", [("at", shift_at), ("cliques", swap_members)], ids=["at", "cliques"])
+def test_srg_by_orbits_rejects_a_tampered_array(q, table, edit):
+    g, sym = tampered(q, table, edit)
+    rep = verify_srg(g, sym)
+    assert not rep.checks["clique_members_on_point"] and not rep.checks["cliques_share_one_vertex"]
+    assert rep.lambda_observed is None and rep.mu_observed is None
+    # the full check fails too, and the graph it was copied from passes
+    assert not verify_srg(g).passed and verify_srg(*hermitian(q)).passed
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_srg_by_orbits_counts_at_point_zero(q):
+    # point 0 trades places with a point b between two secants s and t
+    # through P: every point keeps its q^2 secants and the rebuilt graph's
+    # arrays agree, but the points of t now meet 0 twice.  Given the intact
+    # graph's group, only the count at point 0 can fail
+    g, sym = hermitian(q)
+    points = g.vertex_cliques.copy()
+    s = g.cliques[0, 0]
+    P = points[s, 1]
+    t = next(x for x in g.cliques[P] if x != s)
+    b = next(x for x in points[t] if x != P and x not in points[s])
+    points[s][points[s] == 0], points[t][points[t] == b] = b, 0
+    points.sort(axis=1)
+    rep = verify_srg(IntersectionGraph(q, points), sym)
+    assert rep.checks["clique_members_on_point"] and not rep.checks["cliques_share_one_vertex"]
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_srg_by_orbits_rejects_a_secant_map_that_is_not_a_bijection(q):
+    # two secants sent to the image of one: every array of the graph is
+    # intact, so only the bijection check can fail
+    g, sym = hermitian(q)
+    secants = [sec.copy() for sec in sym.secants]
+    secants[1][4] = secants[1][3]
+    rep = verify_srg(g, UnitalSymmetry(points=sym.points, secants=secants, stabiliser=sym.stabiliser))
+    assert rep.checks["clique_members_on_point"] and not rep.checks["cliques_share_one_vertex"]
+    assert not rep.passed and rep.lambda_observed is None
 
 
 @pytest.mark.parametrize("block", [1, 7])
